@@ -1,15 +1,13 @@
-// perf_detect — benchmark-gated perf harness for the cycle enumeration
-// engines (DESIGN.md §12).
+// perf_detect — benchmark-gated perf harness for cycle enumeration
+// (DESIGN.md §12).
 //
 // Builds synthetic lock-dependency workloads spanning the shapes that matter
 // for enumeration cost, records one trace per workload, and times the
 // enumeration step alone (D_σ construction and clock tracking are paid once,
 // outside the timed region) for:
 //
-//   reference        — the original DFS over every canonical tuple (jobs=1);
-//   scc              — SCC-partitioned bitset engine, jobs=1;
-//   arena            — the same algorithm over arena-allocated SoA/CSR node
-//                      state (support/arena.hpp), jobs=1;
+//   reference        — the test-oracle DFS over every canonical tuple;
+//   scc              — the SCC-partitioned bitset engine, jobs=1;
 //   scc-parN         — the scc engine at N-way enumeration parallelism;
 //   scc+clock-cut    — jobs=1 with the Pruner's test folded into the search.
 //
@@ -18,8 +16,8 @@
 //              nontrivial SCC, combinatorially many cycles (enumeration-bound
 //              in the cyclic region itself);
 //   layered  — globally ordered lock pairs: a large acyclic D_σ with zero
-//              cycles. The reference engine still DFS-chains from every
-//              tuple up to the length cap; the SCC engine proves every
+//              cycles. The reference DFS still chains from every tuple up
+//              to the length cap; the SCC engine proves every
 //              component trivial and does no search at all;
 //   mixed    — the layered DAG with a small ring embedded: the largest
 //              workload, and the honest speedup gate (cycles exist, but
@@ -28,18 +26,13 @@
 //              one ring: every cross-generation cycle is infeasible, so the
 //              in-search clock cut has real branches to kill.
 //
-// A replay_sharing section replays every feasible cycle of the mixed
-// workload through the batch replayer (core/batch_replay.hpp) and reports
-// how many re-executed steps the shared prefix removed versus independent
-// per-cycle replay.
-//
 // Emits BENCH_detect.json (with hardware_concurrency recorded — on a 1-CPU
-// container the parallel column is honestly ~1x). Exits 1 if any engine's
-// cycle sequence diverges from the reference, or the clock-cut enumeration
-// differs from the batch-pruned survivors: speed only counts when the answer
-// is identical.
+// container the parallel column is honestly ~1x). Exits 1 if the scc cycle
+// sequence (at jobs 1 or N) diverges from the reference, or the clock-cut
+// enumeration differs from the batch-pruned survivors: speed only counts
+// when the answer is identical.
 //
-//   perf_detect [--quick] [--huge] [--jobs=N] [--out=BENCH_detect.json]
+//   perf_detect [--quick] [--jobs=N] [--out=BENCH_detect.json]
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -47,10 +40,8 @@
 #include <string>
 #include <vector>
 
-#include "core/batch_replay.hpp"
 #include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
-#include "core/generator.hpp"
 #include "core/pruner.hpp"
 #include "robust/retry.hpp"
 #include "sim/scheduler.hpp"
@@ -225,14 +216,14 @@ struct EngineSample {
   std::string fingerprint;
 };
 
-EngineSample time_engine(const LockDependency& dep,
-                         const DetectorOptions& options,
-                         const ClockTracker* clocks, int reps) {
+// Best-of-`reps` timing of one enumeration call.
+template <class Enumerate>
+EngineSample time_engine(Enumerate enumerate, int reps) {
   EngineSample sample;
   sample.seconds = 1e100;
   for (int rep = 0; rep < reps; ++rep) {
     Stopwatch watch;
-    EnumerationResult result = enumerate_cycles_ex(dep, options, clocks);
+    EnumerationResult result = enumerate();
     sample.seconds = std::min(sample.seconds, watch.seconds());
     if (rep == 0) {
       sample.cycles = result.cycles.size();
@@ -252,14 +243,12 @@ struct WorkloadResult {
   std::size_t cycles = 0;     // full enumeration
   EngineSample reference;
   EngineSample scc;
-  EngineSample arena;
   EngineSample scc_par;
   EngineSample clock_cut;
   std::size_t surviving_cycles = 0;  // batch-pruner survivors
   double speedup_scc = 0;      // reference / scc, both jobs=1
-  double speedup_arena = 0;    // scc / arena, both jobs=1
   double speedup_par = 0;      // scc jobs=1 / scc jobs=N
-  bool identical = false;      // ref == scc == arena == scc-par,
+  bool identical = false;      // ref == scc == scc-par,
                                // clock cut == survivors
 };
 
@@ -282,102 +271,35 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   r.tuples = det.dep.unique.size();
 
   DetectorOptions options;
-  options.engine = CycleEngine::kReference;
-  r.reference = time_engine(det.dep, options, nullptr, reps);
+  const auto time_scc = [&](const ClockTracker* clocks) {
+    return time_engine(
+        [&] { return enumerate_cycles_scc(det.dep, options, clocks); }, reps);
+  };
+  r.reference = time_engine(
+      [&] { return enumerate_cycles_reference(det.dep, options); }, reps);
+  r.scc = time_scc(nullptr);
 
-  options.engine = CycleEngine::kScc;
-  r.scc = time_engine(det.dep, options, nullptr, reps);
-
-  options.engine = CycleEngine::kArenaScc;
-  r.arena = time_engine(det.dep, options, nullptr, reps);
-
-  options.engine = CycleEngine::kScc;
   options.jobs = jobs;
-  r.scc_par = time_engine(det.dep, options, nullptr, reps);
+  r.scc_par = time_scc(nullptr);
 
   options.jobs = 1;
   options.clock_prune_during_search = true;
-  r.clock_cut = time_engine(det.dep, options, &det.clocks, reps);
+  r.clock_cut = time_scc(&det.clocks);
 
   r.cycles = r.reference.cycles;
   if (r.scc.seconds > 0) r.speedup_scc = r.reference.seconds / r.scc.seconds;
-  if (r.arena.seconds > 0) r.speedup_arena = r.scc.seconds / r.arena.seconds;
   if (r.scc_par.seconds > 0) r.speedup_par = r.scc.seconds / r.scc_par.seconds;
 
-  // The correctness gates: identical canonical sequence across engines and
-  // jobs levels; clock-cut enumeration == the batch pruner's survivors.
+  // The correctness gates: the reference's canonical sequence at every scc
+  // jobs level; clock-cut enumeration == the batch pruner's survivors.
   const std::vector<PruneVerdict> verdicts = prune(det);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < det.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(det.cycles[i]);
   r.surviving_cycles = survivors.size();
   r.identical = r.reference.fingerprint == r.scc.fingerprint &&
-                r.reference.fingerprint == r.arena.fingerprint &&
                 r.reference.fingerprint == r.scc_par.fingerprint &&
                 r.clock_cut.fingerprint == cycles_fingerprint(survivors);
-  return r;
-}
-
-// Batch-replays up to `max_members` feasible cycles of one workload over
-// shared re-execution prefixes and compares the step count against what the
-// same trials would cost replayed independently.
-struct ReplaySharingResult {
-  std::string workload;
-  std::size_t feasible = 0;  // generator-approved cycles in the detection
-  std::size_t members = 0;   // batched (capped at max_members)
-  int attempts = 0;
-  std::size_t reproduced = 0;  // members whose deadlock was re-triggered
-  std::uint64_t shared_steps = 0;
-  std::uint64_t replayed_steps = 0;
-  std::uint64_t naive_steps = 0;
-  double savings = 0;
-  bool ok = false;  // measured (>= 1 member) and replayed fewer steps
-};
-
-ReplaySharingResult measure_replay_sharing(const sim::Program& program,
-                                           std::uint64_t seed,
-                                           std::size_t max_members,
-                                           int attempts) {
-  ReplaySharingResult r;
-  r.workload = program.name;
-
-  robust::RetryPolicy retry;
-  retry.max_attempts = 60;
-  auto trace = sim::record_trace(program, seed, retry, 8'000'000);
-  if (!trace.has_value()) return r;
-  Detection det = detect(*trace);
-
-  // One index serves every cycle's Gs construction (pipeline.cpp does the
-  // same); gens owns the graphs the members point into.
-  const DependencyIndex index = DependencyIndex::build(det.dep);
-  std::vector<GeneratorResult> gens;
-  std::vector<const PotentialDeadlock*> cycles;
-  gens.reserve(det.cycles.size());
-  for (const PotentialDeadlock& cycle : det.cycles) {
-    GeneratorResult gen = generate(cycle, det.dep, index);
-    if (!gen.feasible) continue;
-    gens.push_back(std::move(gen));
-    cycles.push_back(&cycle);
-  }
-  r.feasible = gens.size();
-  r.members = std::min(max_members, gens.size());
-  std::vector<BatchReplayMember> members;
-  for (std::size_t i = 0; i < r.members; ++i)
-    members.push_back(BatchReplayMember{cycles[i], &gens[i].gs});
-  if (members.empty()) return r;
-
-  ReplayOptions options;
-  options.attempts = attempts;
-  options.seed = seed;
-  BatchReplayReport report = replay_batch(program, det.dep, members, options);
-  r.attempts = report.attempts;
-  for (const ReplayStats& s : report.stats)
-    if (s.reproduced()) ++r.reproduced;
-  r.shared_steps = report.shared_steps;
-  r.replayed_steps = report.replayed_steps;
-  r.naive_steps = report.naive_steps;
-  r.savings = report.savings();
-  r.ok = r.replayed_steps <= r.naive_steps;
   return r;
 }
 
@@ -390,12 +312,10 @@ void sample_json(std::ostream& os, const char* key, const EngineSample& s,
 }
 
 void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
-                const ReplaySharingResult& sharing, bool quick, bool huge,
-                int jobs) {
+                bool quick, int jobs) {
   os << "{\n"
      << "  \"bench\": \"perf_detect\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-     << "  \"huge\": " << (huge ? "true" : "false") << ",\n"
      << "  \"hardware_concurrency\": " << ThreadPool::hardware_jobs() << ",\n"
      << "  \"jobs\": " << jobs << ",\n"
      << "  \"workloads\": [\n";
@@ -409,27 +329,14 @@ void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
        << "      \"surviving_cycles\": " << r.surviving_cycles << ",\n";
     sample_json(os, "reference", r.reference, ",");
     sample_json(os, "scc", r.scc, ",");
-    sample_json(os, "arena", r.arena, ",");
     sample_json(os, "scc_parallel", r.scc_par, ",");
     sample_json(os, "scc_clock_cut", r.clock_cut, ",");
     os << "      \"speedup_scc_vs_reference\": " << r.speedup_scc << ",\n"
-       << "      \"speedup_arena_vs_scc\": " << r.speedup_arena << ",\n"
        << "      \"speedup_parallel\": " << r.speedup_par << ",\n"
        << "      \"identical\": " << (r.identical ? "true" : "false") << '\n'
        << "    }" << (i + 1 < results.size() ? "," : "") << '\n';
   }
-  os << "  ],\n"
-     << "  \"replay_sharing\": {\n"
-     << "    \"workload\": \"" << sharing.workload << "\",\n"
-     << "    \"feasible_cycles\": " << sharing.feasible << ",\n"
-     << "    \"members\": " << sharing.members << ",\n"
-     << "    \"attempts\": " << sharing.attempts << ",\n"
-     << "    \"reproduced\": " << sharing.reproduced << ",\n"
-     << "    \"shared_steps\": " << sharing.shared_steps << ",\n"
-     << "    \"replayed_steps\": " << sharing.replayed_steps << ",\n"
-     << "    \"naive_steps\": " << sharing.naive_steps << ",\n"
-     << "    \"savings\": " << sharing.savings << '\n'
-     << "  }\n}\n";
+  os << "  ]\n}\n";
 }
 
 }  // namespace
@@ -438,9 +345,6 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define_bool("quick", false,
                     "CI smoke mode: smaller workloads, fewer reps");
-  flags.define_bool("huge", false,
-                    "scale the layered/mixed workloads up (~4x tuples) for "
-                    "the arena-vs-heap comparison");
   flags.define_int("jobs", 0,
                    "enumeration parallelism for the scc-parN column "
                    "(0 = hardware concurrency, min 4 for the comparison)");
@@ -450,11 +354,10 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const bool quick = flags.get_bool("quick");
-  const bool huge = flags.get_bool("huge");
   int jobs = static_cast<int>(flags.get_int("jobs"));
   if (jobs <= 0) jobs = std::max(4, ThreadPool::hardware_jobs());
   int reps = static_cast<int>(flags.get_int("reps"));
-  if (reps <= 0) reps = quick ? 3 : (huge ? 2 : 5);
+  if (reps <= 0) reps = quick ? 3 : 5;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
   std::vector<sim::Program> programs;
@@ -463,13 +366,6 @@ int main(int argc, char** argv) {
     programs.push_back(make_layered(16, 20, 6));
     programs.push_back(make_mixed(16, 20, 6, 5, 2));
     programs.push_back(make_phased(4, 2));
-  } else if (huge) {
-    // The ring grows mildly (its cycle count is combinatorial in threads x
-    // degree); the acyclic bulk — where arena locality matters — grows ~4x.
-    programs.push_back(make_ring(13, 3));
-    programs.push_back(make_layered(80, 96, 24));
-    programs.push_back(make_mixed(80, 96, 24, 6, 2));
-    programs.push_back(make_phased(8, 2));
   } else {
     programs.push_back(make_ring(12, 3));
     programs.push_back(make_layered(40, 48, 12));
@@ -481,36 +377,18 @@ int main(int argc, char** argv) {
   for (const sim::Program& program : programs)
     results.push_back(measure(program, jobs, reps, seed));
 
-  // Replay-sharing measurement on the mixed workload: the embedded ring
-  // yields several feasible cycles whose Gs graphs steer the same recorded
-  // schedule, so prefixes actually coincide.
-  const std::size_t mixed_index = 2;
-  ReplaySharingResult sharing = measure_replay_sharing(
-      programs[mixed_index], seed, /*max_members=*/8,
-      /*attempts=*/quick ? 3 : 5);
-
   TextTable table({"Workload", "Tuples", "Cycles", "Reference", "SCC",
-                   "SCC/ref", "Arena", "Par(" + std::to_string(jobs) + "j)",
+                   "SCC/ref", "Par(" + std::to_string(jobs) + "j)",
                    "Clock-cut", "Identical"});
   for (const WorkloadResult& r : results)
     table.add_row({r.name, std::to_string(r.tuples), std::to_string(r.cycles),
                    TextTable::num(r.reference.seconds * 1e3, 2) + " ms",
                    TextTable::num(r.scc.seconds * 1e3, 2) + " ms",
                    TextTable::num(r.speedup_scc, 1) + "x",
-                   TextTable::num(r.arena.seconds * 1e3, 2) + " ms (" +
-                       TextTable::num(r.speedup_arena, 2) + "x)",
                    TextTable::num(r.speedup_par, 2) + "x",
                    TextTable::num(r.clock_cut.seconds * 1e3, 2) + " ms",
                    r.identical ? "yes" : "NO"});
   table.render(std::cout);
-
-  std::cout << "\nreplay sharing (" << sharing.workload << "): "
-            << sharing.members << "/" << sharing.feasible
-            << " feasible cycles batched, " << sharing.reproduced
-            << " reproduced; steps " << sharing.replayed_steps << " vs "
-            << sharing.naive_steps << " naive ("
-            << TextTable::num(sharing.savings * 100.0, 1) << "% saved, "
-            << sharing.shared_steps << " shared)\n";
 
   const std::string out = flags.get_string("out");
   std::ofstream os(out);
@@ -518,7 +396,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, results, sharing, quick, huge, jobs);
+  write_json(os, results, quick, jobs);
   std::cout << "\nwrote " << out << " (hardware concurrency "
             << ThreadPool::hardware_jobs() << "; parallel column is ~1x on a "
             << "1-CPU machine)\n";
@@ -527,11 +405,6 @@ int main(int argc, char** argv) {
   for (const WorkloadResult& r : results) all_identical &= r.identical;
   if (!all_identical) {
     std::cerr << "FAIL: engine outputs diverged\n";
-    return 1;
-  }
-  if (!sharing.ok) {
-    std::cerr << "FAIL: batch replay measured nothing or replayed more "
-                 "steps than independent replay\n";
     return 1;
   }
   return 0;

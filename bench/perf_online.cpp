@@ -7,7 +7,7 @@
 // Four scenarios over the same synthetic event stream (regenerated from
 // the same seed each time, never materialized — 10^7 events as a vector
 // would dominate the RSS this bench is supposed to measure), plus an
-// adversarial churn pair:
+// adversarial churn stream:
 //
 //   1. budgeted  — hard memory budget; run FIRST so its RSS growth is not
 //      masked by an earlier unbounded run's high-water mark. Reports
@@ -21,14 +21,11 @@
 //   4. shed      — a stream whose canonical tuple set outgrows a small
 //      budget, forcing the aging rung; gates that eviction always came
 //      with an honest incomplete-coverage verdict.
-//   5/6. churn-recompute / churn-incremental — the every-window-churn
-//      stream (a fresh AB/BA pair plus fresh ordered filler pairs per
-//      window, so edges mutate and a new cycle commits every single
-//      window) through the legacy full-recompute enumeration and the
-//      incremental dirty-SCC path. Emitted as the JSON `incremental`
-//      section; the full run gates >=5x lower p99 window detect latency
-//      for the incremental path, with both paths — and plain batch
-//      detection — byte-identical on the final cycle set and every cycle
+//   5. churn — the every-window-churn stream (a fresh AB/BA pair plus
+//      fresh ordered filler pairs per window, so edges mutate and a new
+//      cycle commits every single window) through the dirty-SCC window
+//      path. Emitted as the JSON `churn` section; gated byte-identical to
+//      plain batch detection on the final cycle set, with every cycle
 //      surfaced live before finish().
 //
 // Per-scenario RSS is reported as rss_growth_bytes — the VmHWM delta over
@@ -209,12 +206,11 @@ class OnlineEventStream {
   std::vector<std::vector<LockId>> held_;
 };
 
-// Adversarial every-window-churn stream for the incremental-SCC section:
-// each window opens with an AB/BA ring on a brand-new lock pair at
-// brand-new sites (a new cycle, and an SCC membership change, every
-// window), then fills with globally-ordered fresh lock pairs at fresh
-// sites (every tuple canonical, so the store and the recompute path's
-// enumeration domain grow without bound while the dirty-SCC path touches
+// Adversarial every-window-churn stream for the churn section: each window
+// opens with an AB/BA ring on a brand-new lock pair at brand-new sites (a
+// new cycle, and an SCC membership change, every window), then fills with
+// globally-ordered fresh lock pairs at fresh sites (every tuple canonical,
+// so the store grows without bound while the dirty-SCC window path touches
 // only the window's own pair).
 class ChurnEventStream {
  public:
@@ -496,16 +492,12 @@ bool same_cycles(const Detection& a, const Detection& b) {
   return true;
 }
 
-struct IncrementalSection {
+struct ChurnSection {
   std::uint64_t churn_events = 0;
   std::uint64_t window_events = 0;
-  ScenarioResult recompute;
-  ScenarioResult incremental;
-  double p99_speedup = 0;
-  bool identical_vs_recompute = false;
+  ScenarioResult run;
   bool identical_vs_batch = false;
   bool live_complete = false;  // every committed cycle surfaced pre-finish
-  bool speedup_gated = false;  // the >=5x gate only applies to full runs
 };
 
 // One scenario's jobs-invariance record: the same configuration rerun at
@@ -577,7 +569,7 @@ void write_parallel_json(std::ostream& os, const ParallelSection& par) {
 
 void write_json(std::ostream& os, bool quick, std::uint64_t events,
                 const std::vector<ScenarioResult>& scenarios,
-                bool differential_ok, const IncrementalSection& inc,
+                bool differential_ok, const ChurnSection& churn,
                 const ParallelSection& par) {
   os << "{\n"
      << "  \"bench\": \"perf_online\",\n"
@@ -592,22 +584,15 @@ void write_json(std::ostream& os, bool quick, std::uint64_t events,
     os << (i + 1 < scenarios.size() ? "," : "") << '\n';
   }
   os << "  ],\n"
-     << "  \"incremental\": {\n"
-     << "    \"churn_events\": " << inc.churn_events
-     << ", \"window_events\": " << inc.window_events << ",\n"
-     << "    \"recompute\":\n";
-  write_scenario_json(os, inc.recompute, "      ");
-  os << ",\n    \"incremental\":\n";
-  write_scenario_json(os, inc.incremental, "      ");
+     << "  \"churn\": {\n"
+     << "    \"churn_events\": " << churn.churn_events
+     << ", \"window_events\": " << churn.window_events << ",\n"
+     << "    \"run\":\n";
+  write_scenario_json(os, churn.run, "      ");
   os << ",\n"
-     << "    \"p99_speedup\": " << inc.p99_speedup
-     << ", \"p99_speedup_gate\": "
-     << (inc.speedup_gated ? "5" : "null") << ",\n"
-     << "    \"identical_vs_recompute\": "
-     << (inc.identical_vs_recompute ? "true" : "false")
-     << ", \"identical_vs_batch\": "
-     << (inc.identical_vs_batch ? "true" : "false")
-     << ", \"live_complete\": " << (inc.live_complete ? "true" : "false")
+     << "    \"identical_vs_batch\": "
+     << (churn.identical_vs_batch ? "true" : "false")
+     << ", \"live_complete\": " << (churn.live_complete ? "true" : "false")
      << "\n  },\n";
   write_parallel_json(os, par);
   os << "\n}\n";
@@ -694,56 +679,38 @@ int main(int argc, char** argv) {
   // evict; the honest verdict (coverage_complete = false) is gated below.
   scenarios.push_back(shed_run(1, nullptr, &shed_fp));
 
-  // 5/6. Incremental section: the every-window-churn stream through the
-  // legacy recompute path and the dirty-SCC path, plus a plain batch
-  // reference. The full run gates a >=5x p99 window-latency advantage.
-  IncrementalSection inc;
-  inc.churn_events = quick ? 100'000 : 400'000;
-  inc.window_events = quick ? 4'096 : 8'192;
-  inc.speedup_gated = !quick;
+  // 5. Churn: the every-window-churn stream through the dirty-SCC window
+  // path, against a plain batch reference.
+  ChurnSection churn;
+  churn.churn_events = quick ? 100'000 : 400'000;
+  churn.window_events = quick ? 4'096 : 8'192;
 
-  Detection churn_rec_det, churn_inc_det;
-  {
+  const auto churn_run = [&](int jobs, Detection* det, RunFingerprint* fp,
+                             std::size_t* delivered) {
     GovernorOptions o;
-    o.window_events = inc.window_events;
-    o.incremental_scc = false;
-    ChurnEventStream stream(inc.window_events);
-    inc.recompute = run_scenario_on("churn-recompute", inc.churn_events,
-                                    stream, o, &churn_rec_det);
-  }
-  const auto churn_inc_run = [&](int jobs, Detection* det, RunFingerprint* fp,
-                                 std::size_t* delivered) {
-    GovernorOptions o;
-    o.window_events = inc.window_events;
-    o.incremental_scc = true;
+    o.window_events = churn.window_events;
     o.jobs = jobs;
     if (delivered != nullptr)
       o.on_cycle = [delivered](const LiveCycle&) { ++*delivered; };
-    ChurnEventStream stream(inc.window_events);
-    return run_scenario_on("churn-incremental", inc.churn_events, stream, o,
-                           det, fp);
+    ChurnEventStream stream(churn.window_events);
+    return run_scenario_on("churn", churn.churn_events, stream, o, det, fp);
   };
   std::size_t delivered = 0;
-  inc.incremental = churn_inc_run(1, &churn_inc_det, &churn_fp, &delivered);
+  Detection churn_det;
+  churn.run = churn_run(1, &churn_det, &churn_fp, &delivered);
   Detection churn_batch_det;
   {
     StreamingDetector batch_churn;
-    ChurnEventStream stream(inc.window_events);
-    for (std::uint64_t i = 0; i < inc.churn_events; ++i)
+    ChurnEventStream stream(churn.window_events);
+    for (std::uint64_t i = 0; i < churn.churn_events; ++i)
       batch_churn.add(stream.next());
     churn_batch_det = batch_churn.finish();
   }
-  inc.identical_vs_recompute = same_cycles(churn_inc_det, churn_rec_det);
-  inc.identical_vs_batch = same_cycles(churn_inc_det, churn_batch_det);
+  churn.identical_vs_batch = same_cycles(churn_det, churn_batch_det);
   // Every committed cycle was delivered to the subscriber before finish().
-  inc.live_complete = delivered == inc.incremental.live_cycles &&
-                      delivered == churn_inc_det.cycles.size();
-  inc.p99_speedup = inc.incremental.p99_detect_ms > 0
-                        ? inc.recompute.p99_detect_ms /
-                              inc.incremental.p99_detect_ms
-                        : 0;
-  scenarios.push_back(inc.recompute);
-  scenarios.push_back(inc.incremental);
+  churn.live_complete = delivered == churn.run.live_cycles &&
+                        delivered == churn_det.cycles.size();
+  scenarios.push_back(churn.run);
 
   // Jobs-invariance reruns (DESIGN.md §17): every governed scenario rerun
   // at jobs ∈ {2, 4}, each rerun's fingerprint compared against its jobs=1
@@ -768,9 +735,9 @@ int main(int argc, char** argv) {
        [&](int j, RunFingerprint* fp) { return deadline_run(j, nullptr, fp); }},
       {"shed", true, &shed_fp, &scenarios[3],
        [&](int j, RunFingerprint* fp) { return shed_run(j, nullptr, fp); }},
-      {"churn-incremental", true, &churn_fp, &scenarios[5],
+      {"churn", true, &churn_fp, &scenarios[4],
        [&](int j, RunFingerprint* fp) {
-         return churn_inc_run(j, nullptr, fp, nullptr);
+         return churn_run(j, nullptr, fp, nullptr);
        }},
   };
   for (const ParallelSpec& spec : specs) {
@@ -820,10 +787,8 @@ int main(int argc, char** argv) {
             << ", budgeted-run RSS growth "
             << TextTable::num(
                    static_cast<double>(scenarios[0].rss_growth_bytes) / 1e6, 1)
-            << " MB, churn p99 speedup "
-            << TextTable::num(inc.p99_speedup, 1) << "x ("
-            << TextTable::num(inc.recompute.p99_detect_ms, 2) << " ms -> "
-            << TextTable::num(inc.incremental.p99_detect_ms, 2) << " ms)\n";
+            << " MB, churn p99 "
+            << TextTable::num(churn.run.p99_detect_ms, 2) << " ms\n";
 
   std::cout << "\njobs-invariance (fingerprints vs jobs=1):\n";
   TextTable ptable({"Scenario", "Jobs", "Mev/s", "Stall ms", "Ovlp %",
@@ -849,7 +814,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, quick, events, scenarios, differential_ok, inc, par);
+  write_json(os, quick, events, scenarios, differential_ok, churn, par);
   std::cout << "wrote " << out << '\n';
 
   // Correctness gates: throughput only counts when the contract held.
@@ -871,27 +836,18 @@ int main(int argc, char** argv) {
   }
   if (!differential_ok)
     std::cerr << "FAIL: governed detection diverged from batch\n";
-  // Incremental-section gates: both paths and batch must agree, live
-  // surfacing must be complete, coverage semantics unchanged, and (full
-  // runs only) the incremental path must be >=5x faster at the p99.
-  if (!inc.identical_vs_recompute) {
-    std::cerr << "FAIL: churn incremental diverged from recompute path\n";
+  // Churn-section gates: batch must agree, live surfacing must be
+  // complete, and coverage semantics unchanged.
+  if (!churn.identical_vs_batch) {
+    std::cerr << "FAIL: churn run diverged from batch detection\n";
     ok = false;
   }
-  if (!inc.identical_vs_batch) {
-    std::cerr << "FAIL: churn incremental diverged from batch detection\n";
-    ok = false;
-  }
-  if (!inc.live_complete) {
+  if (!churn.live_complete) {
     std::cerr << "FAIL: churn run did not surface every cycle live\n";
     ok = false;
   }
-  if (!inc.recompute.coverage_complete || !inc.incremental.coverage_complete) {
+  if (!churn.run.coverage_complete) {
     std::cerr << "FAIL: churn run lost coverage without a budget\n";
-    ok = false;
-  }
-  if (inc.speedup_gated && inc.p99_speedup < 5.0) {
-    std::cerr << "FAIL: churn p99 speedup " << inc.p99_speedup << " < 5x\n";
     ok = false;
   }
   // Parallel-section gates: identity always (the whole point of §17 is

@@ -10,7 +10,6 @@
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
-#include "support/arena.hpp"
 #include "support/thread_pool.hpp"
 
 namespace wolf {
@@ -133,18 +132,12 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
-template <class Engine>
-EnumerationResult run_partitioned(const Engine& e);
-
 // Dense model of the canonical tuple view: node i ↔ dep.unique[i], with the
 // per-node thread/lock/τ scalars hoisted into flat arrays, each lockset as a
 // word-mask over dense LockIds, and the per-lock inverted holder index in
 // node (= dep.unique) order so the DFS candidate order matches the
-// reference enumerator exactly.
-//
-// Data members are public: ChainSearch / run_partitioned below run the
-// identical search over this engine and its arena twin (ArenaSccEngine),
-// which is what makes their outputs bit-identical by construction.
+// reference enumerator exactly. Data members are public: ChainSearch and
+// run_partitioned below read them directly.
 class SccEngine {
  public:
   SccEngine(const LockDependency& dep, const DetectorOptions& options,
@@ -187,8 +180,6 @@ class SccEngine {
     if (options.clock_prune_during_search && clocks != nullptr)
       matrix_.emplace(*clocks, dep);
   }
-
-  EnumerationResult run() { return run_partitioned(*this); }
 
   // Tarjan-partitions the tuple digraph (η → η' iff η' holds lock(η) and the
   // threads differ — every edge a deadlock chain can take). A cycle through
@@ -246,141 +237,9 @@ class SccEngine {
   std::optional<ClockPairMatrix> matrix_;
 };
 
-// --------------------------------------------------------------- arena-scc
-// SccEngine's partition and search over arena-allocated SoA state
-// (DESIGN.md §15): node scalars, node-major lockset words, and the per-lock
-// inverted holder index as one CSR (offsets + data) all live in a single
-// support::Arena owned by the engine — allocation is a handful of pointer
-// bumps instead of O(locks + nodes) heap vectors, and the arrays are laid
-// out in the order the DFS touches them. The arena outlives every worker
-// (run_partitioned joins its pool before the engine dies) and workers only
-// read, so no synchronization is needed on the slab.
-class ArenaSccEngine {
- public:
-  ArenaSccEngine(const LockDependency& dep, const DetectorOptions& options,
-                 const ClockTracker* clocks)
-      : dep_(dep), options_(options) {
-    const std::size_t n = dep.unique.size();
-    LockId max_lock = -1;
-    ThreadId max_thread = -1;
-    std::size_t holds_total = 0;
-    for (std::size_t u : dep.unique) {
-      const LockTuple& t = dep.tuples[u];
-      max_lock = std::max(max_lock, t.lock);
-      for (LockId l : t.lockset) max_lock = std::max(max_lock, l);
-      max_thread = std::max(max_thread, t.thread);
-      holds_total += t.lockset.size();
-    }
-    lock_count_ = static_cast<std::size_t>(max_lock + 1);
-    lock_words_ = words_for(lock_count_);
-    thread_words_ = words_for(static_cast<std::size_t>(max_thread + 1));
-
-    n_ = n;
-    tuple_of_ = arena_.alloc_array<std::size_t>(n);
-    thread_ = arena_.alloc_array<ThreadId>(n);
-    lock_ = arena_.alloc_array<LockId>(n);
-    tau_ = arena_.alloc_array<Timestamp>(n);
-    lockset_ = arena_.alloc_array<Word>(n * lock_words_);
-    holder_offsets_ = arena_.alloc_array<std::uint32_t>(lock_count_ + 1);
-    holder_data_ = arena_.alloc_array<std::uint32_t>(holds_total);
-    comp_ = arena_.alloc_array<std::uint32_t>(n);
-
-    // CSR fill: per-lock counts, prefix sums, then nodes in increasing node
-    // order — the identical per-lock candidate order of the heap engines.
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[dep.unique[i]];
-      tuple_of_[i] = dep.unique[i];
-      thread_[i] = t.thread;
-      lock_[i] = t.lock;
-      tau_[i] = t.tau;
-      for (LockId l : t.lockset)
-        ++holder_offsets_[static_cast<std::size_t>(l) + 1];
-    }
-    for (std::size_t l = 0; l < lock_count_; ++l)
-      holder_offsets_[l + 1] += holder_offsets_[l];
-    std::uint32_t* cursor = arena_.alloc_array<std::uint32_t>(lock_count_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[tuple_of_[i]];
-      Word* mask = &lockset_[i * lock_words_];
-      for (LockId l : t.lockset) {
-        const std::size_t li = static_cast<std::size_t>(l);
-        flip_bit(mask, li);
-        holder_data_[holder_offsets_[li] + cursor[li]++] =
-            static_cast<std::uint32_t>(i);
-      }
-    }
-
-    partition();
-
-    if (options.clock_prune_during_search && clocks != nullptr)
-      matrix_.emplace(*clocks, dep);
-  }
-
-  EnumerationResult run() { return run_partitioned(*this); }
-
-  // Same digraph, same Tarjan partition as SccEngine::partition — the edge
-  // source is the CSR instead of the vector-of-vectors.
-  void partition() {
-    Digraph graph(static_cast<int>(n_));
-    for (std::size_t u = 0; u < n_; ++u)
-      for (std::uint32_t v : holders(static_cast<std::size_t>(lock_[u])))
-        if (thread_[v] != thread_[u])
-          graph.add_edge_fast(static_cast<Digraph::Node>(u),
-                              static_cast<Digraph::Node>(v));
-    const auto components = graph.strongly_connected_components();
-    comp_nontrivial_ = arena_.alloc_array<std::uint8_t>(components.size());
-    std::uint64_t nontrivial = 0;
-    for (std::size_t c = 0; c < components.size(); ++c) {
-      for (Digraph::Node node : components[c])
-        comp_[static_cast<std::size_t>(node)] = static_cast<std::uint32_t>(c);
-      const bool big = components[c].size() >= 2;
-      comp_nontrivial_[c] = big ? 1 : 0;
-      if (big) ++nontrivial;
-    }
-    kSccsVisited.add(nontrivial);
-  }
-
-  std::size_t size() const { return n_; }
-
-  bool in_nontrivial_scc(std::size_t node) const {
-    return comp_nontrivial_[comp_[node]] != 0;
-  }
-
-  const Word* lockset(std::size_t node) const {
-    return &lockset_[node * lock_words_];
-  }
-
-  support::Slice<std::uint32_t> holders(std::size_t lock) const {
-    return {holder_data_ + holder_offsets_[lock],
-            holder_offsets_[lock + 1] - holder_offsets_[lock]};
-  }
-
-  const LockDependency& dep_;
-  const DetectorOptions& options_;
-  support::Arena arena_;
-  std::size_t n_ = 0;
-  std::size_t lock_count_ = 0;
-  std::size_t lock_words_ = 1;
-  std::size_t thread_words_ = 1;
-  std::size_t* tuple_of_ = nullptr;  // node → index into dep.tuples
-  ThreadId* thread_ = nullptr;
-  LockId* lock_ = nullptr;
-  Timestamp* tau_ = nullptr;
-  Word* lockset_ = nullptr;  // node-major, lock_words_ words per node
-  std::uint32_t* holder_offsets_ = nullptr;  // CSR: lock → [start, end)
-  std::uint32_t* holder_data_ = nullptr;     // CSR: nodes holding each lock
-  std::uint32_t* comp_ = nullptr;            // node → SCC id
-  std::uint8_t* comp_nontrivial_ = nullptr;  // SCC id → carries cycles?
-  std::optional<ClockPairMatrix> matrix_;
-};
-
-// One DFS worker: bitset chain state sized once, reused across starts. The
-// same search runs over both SCC engines (heap or arena layout) — the
-// engine only supplies node scalars, lockset words, the per-lock holder
-// range, the partition, and the options/clock surface.
-template <class Engine>
+// One DFS worker: bitset chain state sized once, reused across starts.
 struct ChainSearch {
-  explicit ChainSearch(const Engine& engine)
+  explicit ChainSearch(const SccEngine& engine)
       : e(engine),
         chain_threads(engine.thread_words_, 0),
         chain_locks(engine.lock_words_, 0) {}
@@ -465,7 +324,7 @@ struct ChainSearch {
     }
   }
 
-  const Engine& e;
+  const SccEngine& e;
   ThreadId first_thread = kInvalidThread;
   std::uint32_t start_comp = 0;
   std::vector<std::uint32_t> chain;
@@ -474,9 +333,9 @@ struct ChainSearch {
   std::vector<PotentialDeadlock> out;
 };
 
-// The serial / per-start-parallel driver both SCC engines run under.
-template <class Engine>
-EnumerationResult run_partitioned(const Engine& e) {
+// Runs the search from every start in a nontrivial SCC, serially or one
+// task per start, and merges in canonical start order.
+EnumerationResult run_partitioned(const SccEngine& e) {
   const std::size_t n = e.size();
   std::size_t nontrivial_starts = 0;
   for (std::size_t i = 0; i < n; ++i)
@@ -488,7 +347,7 @@ EnumerationResult run_partitioned(const Engine& e) {
 
   EnumerationResult result;
   if (jobs == 1) {
-    ChainSearch<Engine> search(e);
+    ChainSearch search(e);
     for (std::size_t i = 0; i < n; ++i) {
       if (search.out.size() >= e.options_.max_cycles) break;
       if (!e.in_nontrivial_scc(i)) continue;
@@ -506,7 +365,7 @@ EnumerationResult run_partitioned(const Engine& e) {
     std::atomic<std::size_t> starts_done{0};
     pool.parallel_for_each(n, [&](std::size_t i) {
       if (!e.in_nontrivial_scc(i)) return;
-      ChainSearch<Engine> search(e);
+      ChainSearch search(e);
       search.run_from(static_cast<std::uint32_t>(i));
       per_start[i] = std::move(search.out);
       obs::progress_tick(
@@ -537,23 +396,7 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks) {
-  return SccEngine(dep, options, clocks).run();
-}
-
-EnumerationResult enumerate_cycles_arena_scc(const LockDependency& dep,
-                                             const DetectorOptions& options,
-                                             const ClockTracker* clocks) {
-  return ArenaSccEngine(dep, options, clocks).run();
-}
-
-EnumerationResult enumerate_cycles_ex(const LockDependency& dep,
-                                      const DetectorOptions& options,
-                                      const ClockTracker* clocks) {
-  if (options.engine == CycleEngine::kReference)
-    return enumerate_cycles_reference(dep, options);
-  if (options.engine == CycleEngine::kArenaScc)
-    return enumerate_cycles_arena_scc(dep, options, clocks);
-  return enumerate_cycles_scc(dep, options, clocks);
+  return run_partitioned(SccEngine(dep, options, clocks));
 }
 
 }  // namespace wolf

@@ -1,29 +1,22 @@
 // Scalable cycle enumeration over D_σ (DESIGN.md §12).
 //
-// Three engines produce the canonical cycle sequence of detector.hpp:
+// One production engine produces the canonical cycle sequence of
+// detector.hpp: the tuple-level holds→requests digraph is
+// Tarjan-SCC-partitioned (graph/digraph), and DFS runs only from tuples in
+// nontrivial SCCs, never leaving the start tuple's component: a cycle
+// through η is itself a digraph cycle, hence confined to SCC(η), so acyclic
+// regions of D_σ cost nothing. Chain state is dense-id bitsets (thread
+// word-mask, lockset word-mask per tuple) instead of hash sets, and the
+// Pruner's pairwise clock data (ClockPairMatrix) can optionally cut
+// never-overlapping branches during the search.
 //
-//   * kReference — the original iGoodLock-style DFS over every canonical
-//     tuple, kept verbatim as the executable specification of the cycle
-//     order and as the differential-testing baseline.
-//   * kScc — the scalable engine. The tuple-level holds→requests digraph is
-//     Tarjan-SCC-partitioned (graph/digraph), and DFS runs only from tuples
-//     in nontrivial SCCs, never leaving the start tuple's component: a cycle
-//     through η is itself a digraph cycle, hence confined to SCC(η), so
-//     acyclic regions of D_σ cost nothing. Chain state is dense-id bitsets
-//     (thread word-mask, lockset word-mask per tuple) instead of hash sets,
-//     and the Pruner's pairwise clock data (ClockPairMatrix) can optionally
-//     cut never-overlapping branches during the search.
-//   * kArenaScc — kScc's algorithm, with every per-node array (scalars,
-//     lockset bitsets, the per-lock inverted holder index as a CSR of
-//     offset+length slices) carved out of one support/arena bump allocator
-//     instead of per-node heap vectors (DESIGN.md §15). Same partition,
-//     same candidate order, same cuts — only the memory layout differs.
-//
-// All engines emit cycles in the identical canonical order — the SCC
-// restriction and the clock cut only skip subtrees that emit nothing — so a
-// Detection is bit-identical across engines and, because per-start-tuple
-// enumerations are independent and merged in canonical order, across every
-// DetectorOptions::jobs level too.
+// enumerate_cycles_reference keeps the original iGoodLock-style DFS over
+// every canonical tuple as the executable specification of the cycle order.
+// It is a test oracle (cycle_engine_test, perf_detect), not a production
+// path. The SCC restriction and the clock cut only skip subtrees that emit
+// nothing, so the SCC engine's Detection is bit-identical to the
+// reference's and, because per-start-tuple enumerations are independent and
+// merged in canonical order, across every DetectorOptions::jobs level too.
 #pragma once
 
 #include <cstddef>
@@ -41,28 +34,17 @@ struct EnumerationResult {
   bool truncated = false;
 };
 
-// The reference engine: DetectorOptions::engine/jobs/clock_prune_during_search
+// The reference enumerator: DetectorOptions::jobs/clock_prune_during_search
 // are ignored (it is the serial, unpruned baseline).
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
-// The SCC-partitioned engine. `clocks` is only consulted when
-// options.clock_prune_during_search is set; passing nullptr disables the
-// in-search cut (the enumeration is then bit-identical to the reference).
+// The SCC-partitioned engine; what detect()/StreamingDetector call.
+// `clocks` is only consulted when options.clock_prune_during_search is set;
+// passing nullptr disables the in-search cut (the enumeration is then
+// bit-identical to the reference).
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks = nullptr);
-
-// The arena/SoA variant of the SCC engine; bit-identical output, node state
-// in one bump-allocated slab.
-EnumerationResult enumerate_cycles_arena_scc(const LockDependency& dep,
-                                             const DetectorOptions& options,
-                                             const ClockTracker* clocks
-                                             = nullptr);
-
-// Dispatch on options.engine; what detect()/StreamingDetector call.
-EnumerationResult enumerate_cycles_ex(const LockDependency& dep,
-                                      const DetectorOptions& options,
-                                      const ClockTracker* clocks = nullptr);
 
 }  // namespace wolf

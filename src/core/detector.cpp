@@ -34,7 +34,7 @@ DefectSignature signature_of(const PotentialDeadlock& cycle,
 
 std::vector<PotentialDeadlock> enumerate_cycles(
     const LockDependency& dep, const DetectorOptions& options) {
-  return enumerate_cycles_ex(dep, options).cycles;
+  return enumerate_cycles_scc(dep, options).cycles;
 }
 
 namespace {
@@ -82,9 +82,9 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   if (options.magic_prune) {
     LockDependency reduced = det.dep;
     reduced.unique = magic_prune(det.dep);
-    res = enumerate_cycles_ex(reduced, options, &det.clocks);
+    res = enumerate_cycles_scc(reduced, options, &det.clocks);
   } else {
-    res = enumerate_cycles_ex(det.dep, options, &det.clocks);
+    res = enumerate_cycles_scc(det.dep, options, &det.clocks);
   }
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;

@@ -45,16 +45,6 @@ struct Defect {
   std::vector<std::size_t> cycle_idx;  // indices into Detection::cycles
 };
 
-// Which cycle-enumeration engine runs (core/cycle_engine.hpp). Both produce
-// bit-identical Detections; the reference engine exists for differential
-// testing and as the executable specification of the canonical cycle order.
-enum class CycleEngine : std::uint8_t {
-  kReference,  // the original iGoodLock-style DFS over all canonical tuples
-  kScc,        // SCC-partitioned bitset DFS, optionally parallel (default)
-  kArenaScc,   // kScc's algorithm over arena-allocated SoA/CSR node state
-               // (support/arena.hpp) — fewer allocations, better locality
-};
-
 // Deprecated as a public entry type: prefer wolf::Config::detector
 // (wolf.hpp). Kept for one release as the underlying section type.
 struct DetectorOptions {
@@ -66,18 +56,15 @@ struct DetectorOptions {
   // MagicFuzzer-style fixpoint reduction of the tuple set before cycle
   // enumeration (core/magic_prune.hpp). Cycle-set preserving.
   bool magic_prune = false;
-  // Enumeration engine; see CycleEngine.
-  CycleEngine engine = CycleEngine::kScc;
-  // Enumeration parallelism across canonical start tuples (SCC engine only):
-  // 1 = serial, 0 = hardware concurrency, N = N-way. Cycles merge in
-  // canonical start-tuple order, so the Detection is bit-identical at every
-  // level.
+  // Enumeration parallelism across canonical start tuples: 1 = serial,
+  // 0 = hardware concurrency, N = N-way. Cycles merge in canonical
+  // start-tuple order, so the Detection is bit-identical at every level.
   int jobs = 1;
   // Folds the Pruner's (S,J) overlap test (Algorithm 2) into the DFS as a
   // branch cut: a chain containing a thread pair that provably cannot
   // overlap is abandoned before it spawns cycles, so the emitted cycle set
   // equals the post-prune() survivors instead of the full enumeration.
-  // SCC engine only; changes Detection::cycles by design (default off).
+  // Changes Detection::cycles by design (default off).
   bool clock_prune_during_search = false;
 };
 
@@ -139,8 +126,8 @@ class StreamingDetector {
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
 
-// Cycle enumeration only (used by tests that build D_σ by hand). Dispatches
-// on options.engine; truncation and clock-aware variants live in
+// Cycle enumeration only (used by tests that build D_σ by hand). Runs the
+// SCC engine; truncation and clock-aware variants live in
 // core/cycle_engine.hpp.
 std::vector<PotentialDeadlock> enumerate_cycles(
     const LockDependency& dep, const DetectorOptions& options = {});

@@ -48,20 +48,7 @@ std::vector<ConfigIssue> Config::validate() const {
                     "overlap anything)"));
 
   // Conflicts: legal, but one of the two settings silently wins. Non-fatal
-  // so existing invocations (e.g. --engine=reference with the default jobs)
-  // keep working; callers surface these as warnings.
-  if (detector.engine == CycleEngine::kReference && jobs != 1) {
-    issues.push_back(
-        warning("engine=reference enumerates serially; jobs only "
-                "parallelises classification, not cycle search (use "
-                "engine=scc or engine=arena for parallel enumeration)"));
-  }
-  if (detector.engine == CycleEngine::kReference &&
-      detector.clock_prune_during_search) {
-    issues.push_back(
-        warning("detector.clock_prune_during_search is an scc-engine "
-                "optimisation; the reference engine ignores it"));
-  }
+  // so existing invocations keep working; callers surface these as warnings.
   if (!enable_pruner && detector.clock_prune_during_search) {
     issues.push_back(
         warning("enable_pruner=false is contradicted by "
@@ -70,21 +57,15 @@ std::vector<ConfigIssue> Config::validate() const {
                 "see the pruned cycles"));
   }
   // Pipelined governed ingestion (DESIGN.md §17): results are identical at
-  // every jobs level. jobs > 1 with memory_budget_mb is a fully supported
-  // combination — the serve sidecar runs every session that way. Memory
+  // every jobs level, and jobs > 1 with memory_budget_mb is a fully
+  // supported combination, not a conflict — the serve sidecar runs every
+  // session that way. Memory
   // stays bounded because the decode→ingest ring is itself bounded
   // (pipeline_depth blocks): a producer that outruns governed ingestion
   // parks in RingQueue::push instead of queueing unbounded decoded blocks,
   // and the tuple store's budget is enforced at window boundaries exactly
   // as in the serial path (pinned by GovernorTest
-  // JobsWithMemoryBudgetIsSupported). The one remaining heads-up is the
-  // recompute path, where fan-out has nothing to grab:
-  if (jobs != 1 && governed() && !incremental_scc) {
-    issues.push_back(
-        warning("jobs > 1 with incremental_scc=false: the recompute path "
-                "has no per-SCC structure to fan out, so window detection "
-                "stays serial (only decode pipelining applies)"));
-  }
+  // JobsWithMemoryBudgetIsSupported).
   if (pipeline_depth >= 2 && jobs == 1) {
     issues.push_back(
         warning("pipeline_depth is set but jobs=1: the governed path "
@@ -164,7 +145,6 @@ GovernorOptions Config::governor_options() const {
   o.memory_budget_mb = memory_budget_mb;
   o.window_events = window_events;
   o.window_deadline_ms = window_deadline_ms;
-  o.incremental_scc = incremental_scc;
   o.on_cycle = on_cycle;
   o.detector = detector;
   // One Config::jobs feeds all three parallel surfaces: reader decode (the

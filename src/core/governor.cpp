@@ -9,7 +9,6 @@
 #include "obs/counters.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "trace/trace_reader.hpp"
 
 namespace wolf {
 
@@ -156,8 +155,7 @@ void GovernedStreamingDetector::add(const Event& e) {
   for (std::size_t i = tuples_fed_; i < tuples.size(); ++i) {
     prefilter_.on_tuple(tuples[i]);
     store_bytes_ += tuple_bytes(tuples[i]);
-    if (options_.incremental_scc)
-      tuples_by_lock_[tuples[i].lock].push_back(i);
+    tuples_by_lock_[tuples[i].lock].push_back(i);
   }
   tuples_fed_ = tuples.size();
   if (++window_events_ >= options_.window_events) close_window();
@@ -210,31 +208,10 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
   }
 
   DetectorOptions opt = options_.detector;
-  if (w.level == DetectionLevel::kClockPruned) {
-    opt.engine = CycleEngine::kScc;  // the clock cut is SCC-engine only
+  if (w.level == DetectionLevel::kClockPruned)
     opt.clock_prune_during_search = true;
-  }
 
-  if (!options_.incremental_scc) {
-    // Historical recompute path: full-store enumeration per suspicious
-    // window, gated on the pre-filter generation counter. No edge change
-    // since the last boundary ⇒ the verdict — and the cycle set — cannot
-    // have changed; skip even the SCC pass.
-    const std::uint64_t gen = prefilter_.generation();
-    const bool changed = gen != prefilter_generation_;
-    prefilter_generation_ = gen;
-    if (!changed) return;
-    w.suspicious = prefilter_.suspicious();
-    if (!w.suspicious) return;
-    if (w.level >= DetectionLevel::kPrefilterOnly) return;
-    Detection det = finish_detection(builder_.snapshot_dependency(),
-                                     builder_.clocks(), opt);
-    surface_new_cycles(det, w);
-    return;
-  }
-
-  // Incremental path: nothing marked dirty since the last boundary ⇒
-  // nothing to re-examine.
+  // Nothing marked dirty since the last boundary ⇒ nothing to re-examine.
   if (!prefilter_.has_dirty()) return;
   w.suspicious = prefilter_.suspicious();
   if (!w.suspicious) {
@@ -244,8 +221,7 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
     return;
   }
   // At a non-enumerating rung keep the marks queued: a later promoted
-  // window drains the accumulated dirt and catches up — unlike the
-  // generation gate, which consumed the delta before the rung check.
+  // window drains the accumulated dirt and catches up.
   if (w.level >= DetectionLevel::kPrefilterOnly) return;
 
   const std::vector<std::vector<LockId>> dirty_comps =
@@ -352,11 +328,10 @@ void GovernedStreamingDetector::govern_memory(WindowReport& w) {
   const std::size_t budget = options_.memory_budget_mb << 20;
   if (store_bytes_ <= budget) return;
 
-  // In incremental mode every dropped tuple is reported to the pre-filter so
-  // its lock-graph edge refcounts (and hence SCCs) track the live store.
-  LockDependencyBuilder::RemovalHook expire;
-  if (options_.incremental_scc)
-    expire = [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
+  // Every dropped tuple is reported to the pre-filter so its lock-graph
+  // edge refcounts (and hence SCCs) track the live store.
+  const LockDependencyBuilder::RemovalHook expire =
+      [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
 
   // Rung 1: compaction — lossless for the cycle set (enumeration runs over
   // the canonical view), so it is always tried first.
@@ -379,9 +354,7 @@ void GovernedStreamingDetector::govern_memory(WindowReport& w) {
       kEvictedCounter.add(w.tuples_evicted);
     }
   }
-  if (options_.incremental_scc &&
-      w.tuples_compacted + w.tuples_evicted > 0)
-    rebuild_lock_index();
+  if (w.tuples_compacted + w.tuples_evicted > 0) rebuild_lock_index();
 }
 
 void GovernedStreamingDetector::close_window() {
@@ -465,9 +438,5 @@ GovernorVerdict GovernedStreamingDetector::verdict() const {
   if (!finished_) v.final_level = rung_;
   return v;
 }
-
-// detect_reader_governed lives in core/session.cpp now: it is a deprecated
-// shim over wolf::Session, which absorbed the drain/pipeline loop that used
-// to sit here.
 
 }  // namespace wolf

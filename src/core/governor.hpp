@@ -38,24 +38,21 @@
 // not lose final coverage. A fault *in* finish() does, and flips
 // coverage_complete.
 //
-// Since ROADMAP item 2 (DESIGN.md §16), per-window enumeration is
-// *incremental* by default: the pre-filter maintains its SCC decomposition
-// under tuple arrival and expiry (graph/dynamic_scc.hpp), and a window
-// enumerates only the tuples whose request lock lies in a *dirty* suspicious
-// SCC — one whose membership, edges, or fed tuples changed since the last
-// enumerating window — through LockDependencyBuilder::snapshot_subset. The
-// historical recompute path (full-store snapshot per suspicious window,
-// gated on the pre-filter generation counter) survives behind
-// GovernorOptions::incremental_scc = false as the differential reference
-// and the bench's regression baseline. finish() is identical in both modes,
-// so the honesty contract is untouched. Windows can also surface each
+// Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
+// maintains its SCC decomposition under tuple arrival and expiry
+// (graph/dynamic_scc.hpp), and a window enumerates only the tuples whose
+// request lock lies in a *dirty* suspicious SCC — one whose membership,
+// edges, or fed tuples changed since the last enumerating window — through
+// LockDependencyBuilder::snapshot_subset. finish() enumerates the whole
+// retained store, so batch detect() over the same events is the oracle the
+// window path is tested against. Windows can also surface each
 // first-sighted cycle to a CycleSubscriber the moment it is found.
 //
 // Since DESIGN.md §17, governed ingestion scales with cores — without
 // touching a byte of the contract above. GovernorOptions::jobs > 1 turns on
 // two composable mechanisms, both bit-identical to the serial path:
-//   * stage pipelining — detect_reader_governed decodes blocks on a
-//     producer thread behind a bounded SPSC ring (support/ring_queue.hpp,
+//   * stage pipelining — Session::ingest decodes blocks on a producer
+//     thread behind a bounded SPSC ring (support/ring_queue.hpp,
 //     trace/PipelinedTraceReader), so decode overlaps window detection;
 //   * per-SCC window fan-out — a suspicious window's dirty components are
 //     independent enumeration domains (a cycle's request locks all share
@@ -74,7 +71,6 @@
 #include "core/detector.hpp"
 #include "core/prefilter.hpp"
 #include "robust/fault.hpp"
-#include "trace/recorder.hpp"
 
 namespace wolf {
 
@@ -118,26 +114,19 @@ struct GovernorOptions {
   std::int64_t window_deadline_ms = 0;
   // Engine configuration for per-window and final enumeration.
   DetectorOptions detector;
-  // Incremental SCC maintenance: windows enumerate only dirty-SCC tuple
-  // subsets (see header comment). false = the historical
-  // recompute-per-suspicious-window path, kept for differential testing and
-  // as the perf_online regression baseline.
-  bool incremental_scc = true;
   // Parallelism of governed ingestion (DESIGN.md §17): > 1 pipelines block
-  // decode behind detection (detect_reader_governed) and fans a suspicious
+  // decode behind detection (Session::ingest) and fans a suspicious
   // window's dirty SCCs out as independent enumeration tasks; 1 = fully
   // serial; 0 = hardware concurrency. Verdicts, notes, window reports, and
-  // live-cycle sequence numbers are bit-identical at every level. The
-  // recompute path (incremental_scc = false) has no component structure to
-  // fan out and always enumerates serially.
+  // live-cycle sequence numbers are bit-identical at every level.
   int jobs = 1;
   // Depth, in blocks, of the decode→ingest ring when jobs > 1; this is the
   // backpressure bound on how far decode may run ahead of ingestion.
   // 0 = auto (derived from jobs).
   std::size_t pipeline_depth = 0;
   // Live cycle surfacing: invoked once per first-sighted cycle at window
-  // granularity; empty = no mid-run surfacing. Works in both enumeration
-  // modes and never changes what finish() returns.
+  // granularity; empty = no mid-run surfacing. Never changes what finish()
+  // returns.
   CycleSubscriber on_cycle;
   // Injected faults (robust/fault.hpp): detect_throw_window exercises the
   // per-window containment path. Not owned.
@@ -256,21 +245,20 @@ class GovernedStreamingDetector {
   int fast_streak_ = 0;
   std::size_t window_events_ = 0;      // events in the open window
   std::size_t tuples_fed_ = 0;         // tuples already fed to the prefilter
-  std::uint64_t prefilter_generation_ = 0;  // at the last window boundary
   std::size_t store_bytes_ = 0;
   // Cycles already surfaced by per-window enumeration, keyed by signature
   // hash — so new_cycles counts first sightings only.
   std::vector<std::uint64_t> seen_cycle_keys_;
   std::size_t live_cycles_ = 0;
-  // Incremental mode only: store indices by request lock, so a dirty SCC's
-  // lock list maps straight to the tuple subset to enumerate. Rebuilt after
-  // compaction/eviction (which renumber the store).
+  // Store indices by request lock, so a dirty SCC's lock list maps straight
+  // to the tuple subset to enumerate. Rebuilt after compaction/eviction
+  // (which renumber the store).
   std::unordered_map<LockId, std::vector<std::size_t>> tuples_by_lock_;
   std::unique_ptr<ThreadPool> pool_;
 };
 
 // Where pipelined ingestion spent its overlap budget — filled only when
-// detect_reader_governed ran the decode→ingest ring (jobs > 1). Stall
+// Session::ingest ran the decode→ingest ring (jobs > 1). Stall
 // attribution: push stalls mean ingestion was the bottleneck (the ring
 // backpressured decode), pop stalls mean decode was.
 struct GovernedPipelineStats {
@@ -280,43 +268,6 @@ struct GovernedPipelineStats {
   double push_stall_seconds = 0;
   double pop_stall_seconds = 0;
   double decode_seconds = 0;  // producer-side time spent decoding blocks
-};
-
-struct GovernedDetection {
-  Detection detection;
-  std::vector<WindowReport> windows;
-  GovernorVerdict verdict;
-  GovernedPipelineStats pipeline;
-};
-
-// DEPRECATED: thin shim over wolf::Session (wolf.hpp) — open_governed →
-// ingest → finish, byte-identical results. Will be removed one release
-// after the Session facade landed (DESIGN.md §18); new code opens a
-// Session. On a defective stream the result reflects the prefix delivered
-// (callers check the reader). options.jobs > 1 runs the reader through a
-// PipelinedTraceReader (decode overlapping ingestion) with identical event
-// delivery and results.
-GovernedDetection detect_reader_governed(TraceReader& reader,
-                                         const GovernorOptions& options);
-
-// DEPRECATED: prefer wolf::Session (wolf.hpp) and feed it from the
-// substrate; removal note in DESIGN.md §18. Online bookkeeping during
-// execution, resource-governed: attach to a substrate as its TraceSink to
-// pay detection-instrumentation cost at runtime with bounded memory.
-// (core/online_sink.hpp keeps the ungoverned adapter for the Table-1
-// slowdown measurements.)
-class GovernedOnlineSink final : public TraceSink {
- public:
-  explicit GovernedOnlineSink(const GovernorOptions& options = {})
-      : detector_(options) {}
-
-  void on_event(Event e) override { detector_.add(e); }
-
-  GovernedStreamingDetector& detector() { return detector_; }
-  const GovernedStreamingDetector& detector() const { return detector_; }
-
- private:
-  GovernedStreamingDetector detector_;
 };
 
 }  // namespace wolf

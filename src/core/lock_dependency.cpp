@@ -225,7 +225,6 @@ std::vector<std::size_t> LockDependency::thread_prefix(
 DependencyIndex DependencyIndex::build(const LockDependency& dep) {
   DependencyIndex index;
   index.dep_ = &dep;
-  index.arena_ = std::make_unique<support::Arena>();
   const std::size_t n = dep.tuples.size();
 
   // Count pass: each tuple lands once in its thread's sequence and once in
@@ -234,8 +233,7 @@ DependencyIndex DependencyIndex::build(const LockDependency& dep) {
     ++index.by_thread_[t.thread].length;
     ++index.by_thread_lock_[key(t.thread, t.lock)].length;
   }
-  std::size_t* pool = index.arena_->alloc_array<std::size_t>(2 * n);
-  index.pool_ = pool;
+  index.pool_.resize(2 * n);
 
   // Offsets in first-appearance (trace) order, then the fill. Tuples are in
   // trace order, so each sequence comes out sorted by trace_pos for free.
@@ -246,7 +244,7 @@ DependencyIndex DependencyIndex::build(const LockDependency& dep) {
       next += r.length;
       r.assigned = true;
     }
-    pool[r.offset + r.filled++] = i;
+    index.pool_[r.offset + r.filled++] = i;
   };
   for (std::size_t i = 0; i < n; ++i) {
     const LockTuple& t = dep.tuples[i];
@@ -259,7 +257,7 @@ DependencyIndex DependencyIndex::build(const LockDependency& dep) {
 std::span<const std::size_t> DependencyIndex::prefix_of(
     const Range* range, std::size_t last_pos) const {
   if (range == nullptr) return {};
-  const std::size_t* first = pool_ + range->offset;
+  const std::size_t* first = pool_.data() + range->offset;
   const std::size_t* last = first + range->length;
   auto end = std::upper_bound(
       first, last, last_pos,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "clock/clock_tracker.hpp"
-#include "support/arena.hpp"
 #include "trace/event.hpp"
 #include "trace/exec_index.hpp"
 #include "trace/ids.hpp"
@@ -100,8 +98,8 @@ class LockDependencyBuilder {
 
   // Copy of just the tuples at `indices` (ascending positions into
   // pending().tuples), with `unique` computed over that subset. The
-  // incremental governor path enumerates dirty-SCC tuple subsets through
-  // this instead of snapshotting the whole store.
+  // governor enumerates dirty-SCC tuple subsets through this instead of
+  // snapshotting the whole store.
   LockDependency snapshot_subset(const std::vector<std::size_t>& indices) const;
 
   // Notification hook for the compaction/eviction overloads below: invoked
@@ -148,11 +146,11 @@ class LockDependencyBuilder {
 // whole tuple sequence. Read-only after build(): safe to share across the
 // parallel classification workers.
 //
-// Storage is one arena-backed pool (DESIGN.md §15): every per-key sequence
-// is an offset+length range into a single contiguous slab instead of its
-// own heap vector, so build() does O(1) large allocations rather than
+// Storage is one pool of 2n entries: every per-key sequence is an
+// offset+length range into a single contiguous vector instead of its own
+// heap vector, so build() does one large allocation rather than
 // O(threads + thread·lock pairs) small ones. Move-only (the spans handed
-// out point into the arena, which the index owns).
+// out point into the pool, whose buffer a move carries over).
 class DependencyIndex {
  public:
   static DependencyIndex build(const LockDependency& dep);
@@ -187,8 +185,7 @@ class DependencyIndex {
                                          std::size_t last_pos) const;
 
   const LockDependency* dep_ = nullptr;  // not owned; must outlive the index
-  std::unique_ptr<support::Arena> arena_;
-  const std::size_t* pool_ = nullptr;  // all sequences, concatenated
+  std::vector<std::size_t> pool_;  // all sequences, concatenated
   std::unordered_map<ThreadId, Range> by_thread_;
   std::unordered_map<std::uint64_t, Range>
       by_thread_lock_;  // key: (thread, lock) packed

@@ -7,7 +7,6 @@
 
 #include "obs/span.hpp"
 #include "robust/fault.hpp"
-#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
@@ -134,52 +133,6 @@ void maybe_throw_injected(const WolfOptions& options, std::size_t cycle_index) {
         "fault injection: classification stage threw for cycle " +
         std::to_string(cycle_index));
 }
-
-}  // namespace
-
-CycleReport classify_cycle(const sim::Program& program,
-                           const Detection& detection, std::size_t cycle_index,
-                           const WolfOptions& options) {
-  WOLF_CHECK(cycle_index < detection.cycles.size());
-  const PotentialDeadlock& cycle = detection.cycles[cycle_index];
-
-  CycleReport report;
-  report.cycle_index = cycle_index;
-  try {
-    maybe_throw_injected(options, cycle_index);
-    report.prune_verdict =
-        prune_cycle(cycle, detection.dep, detection.clocks);
-    if (is_false(report.prune_verdict)) {
-      report.classification = Classification::kFalseByPruner;
-      return report;
-    }
-
-    GeneratorResult gen = generate(cycle, detection.dep);
-    report.gs_vertices = gen.gs.vertex_count();
-    if (!gen.feasible) {
-      report.classification = Classification::kFalseByGenerator;
-      return report;
-    }
-
-    ReplayOptions replay_options = options.replay;
-    replay_options.max_steps = options.max_steps;
-    replay_options.fault = options.fault;
-    report.replay_stats =
-        replay(program, cycle, detection.dep, gen.gs, replay_options);
-    if (report.replay_stats.reproduced()) {
-      report.classification = Classification::kReproduced;
-    } else {
-      report.classification = Classification::kUnknown;
-      note_all_timeouts(report);
-    }
-  } catch (const std::exception& e) {
-    report.classification = Classification::kUnknown;
-    report.failure_reason = e.what();
-  }
-  return report;
-}
-
-namespace {
 
 Classification defect_classification(const std::vector<CycleReport>& cycles,
                                      const Defect& defect) {
@@ -418,24 +371,6 @@ WolfReport analyze_session(const sim::Program& program, Session& session,
     report.governor = std::move(verdict.governor);
   }
   return report;
-}
-
-WolfReport analyze_reader(const sim::Program& program, TraceReader& reader,
-                          const WolfOptions& options) {
-  Session session =
-      Session::open_streaming(options.detector, options.jobs);
-  return analyze_session(program, session, reader, options);
-}
-
-WolfReport analyze_reader_governed(const sim::Program& program,
-                                   TraceReader& reader,
-                                   const WolfOptions& options,
-                                   const GovernorOptions& governor) {
-  GovernorOptions gov = governor;
-  gov.detector = options.detector;
-  if (options.fault != nullptr) gov.fault = options.fault;
-  Session session = Session::open_governed(gov);
-  return analyze_session(program, session, reader, options);
 }
 
 }  // namespace wolf

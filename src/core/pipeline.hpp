@@ -129,11 +129,11 @@ struct WolfReport {
   int jobs_used = 1;           // effective classification parallelism
 
   // Resource-governed streaming extras (core/governor.hpp), populated only
-  // by analyze_reader_governed: per-window reports plus the run-level
-  // verdict. When governor.coverage_complete is false the detection —
-  // and therefore everything classified from it — may be missing defects,
-  // and report writers must say so (the same honesty contract as
-  // Detection::truncated).
+  // by analyze_session over a governed Session: per-window reports plus the
+  // run-level verdict. When governor.coverage_complete is false the
+  // detection — and therefore everything classified from it — may be
+  // missing defects, and report writers must say so (the same honesty
+  // contract as Detection::truncated).
   bool governed = false;
   std::vector<WindowReport> windows;
   GovernorVerdict governor;
@@ -159,33 +159,10 @@ class Session;  // wolf.hpp — the unified online-analysis facade
 // wolf::Session: the session ingests (pipelined when its jobs say so) and
 // finishes inside the "phase/detect" span, then classification runs over
 // the resulting detection. Governed sessions land their window reports and
-// verdict in the report. This is the one streaming entry point — the CLI
-// and both deprecated wrappers below route through it.
+// verdict in the report. This is the one streaming entry point. A
+// mid-stream reader failure (reader.ok() false afterwards) analyzes the
+// prefix delivered.
 WolfReport analyze_session(const sim::Program& program, Session& session,
                            TraceReader& reader, const WolfOptions& options);
-
-// DEPRECATED: thin wrapper — opens an ungoverned Session over
-// options.detector and calls analyze_session. Removal note in DESIGN.md
-// §18. Produces the same report as analyze_trace over the equivalent
-// materialized trace; a mid-stream reader failure (reader.ok() false
-// afterwards) analyzes the prefix delivered.
-WolfReport analyze_reader(const sim::Program& program, TraceReader& reader,
-                          const WolfOptions& options);
-
-// DEPRECATED: thin wrapper — opens a governed Session (governor.detector
-// and governor.fault overridden from `options`, the pipeline's one source
-// of truth) and calls analyze_session. Removal note in DESIGN.md §18. With
-// no budget, no deadline and no faults the detection is bit-identical to
-// analyze_reader's.
-WolfReport analyze_reader_governed(const sim::Program& program,
-                                   TraceReader& reader,
-                                   const WolfOptions& options,
-                                   const GovernorOptions& governor);
-
-// Classifies one detected cycle (prune → generate → replay); exposed for
-// targeted tests and the comparison harnesses.
-CycleReport classify_cycle(const sim::Program& program,
-                           const Detection& detection, std::size_t cycle_index,
-                           const WolfOptions& options);
 
 }  // namespace wolf

@@ -49,26 +49,16 @@ void LockGraph::on_tuple(const LockTuple& tuple) {
       e.guard_mask = guards;
       edges.push_back(e);
       ++edge_count_;
-      ++generation_;
       kEdgesCounter.add();
       scc_.add_edge(from, to);
       continue;
     }
     // Existing edge: count the contributor, widen the thread set, narrow the
-    // guard intersection. Only changes that could flip the verdict bump the
-    // generation; the dirty marks above are unconditional because a re-fed
-    // edge can still carry a brand-new canonical tuple.
+    // guard intersection. The dirty marks above are unconditional because a
+    // re-fed edge can still carry a brand-new canonical tuple.
     ++it->refcount;
-    if (!it->multi_thread && it->first_thread != tuple.thread) {
-      it->multi_thread = true;
-      ++generation_;
-    }
-    GuardMask narrowed = it->guard_mask;
-    narrowed &= guards;
-    if (narrowed != it->guard_mask) {
-      it->guard_mask = narrowed;
-      ++generation_;
-    }
+    if (it->first_thread != tuple.thread) it->multi_thread = true;
+    it->guard_mask &= guards;
   }
 }
 
@@ -92,7 +82,6 @@ void LockGraph::on_tuple_removed(const LockTuple& tuple) {
     if (--it->refcount > 0) continue;  // survivors keep (stale, sound) masks
     edges.erase(it);
     --edge_count_;
-    ++generation_;
     kExpiriesCounter.add();
     scc_.remove_edge(from, to);
     // An expiry can only shrink the component's cycle set, but the cached
@@ -190,7 +179,6 @@ void LockGraph::clear() {
   locks_.clear();
   out_.clear();
   edge_count_ = 0;
-  generation_ = 0;
   scc_.clear();
   comp_suspicious_.clear();
   verdict_ = false;

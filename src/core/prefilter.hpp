@@ -88,8 +88,6 @@ struct GuardMask {
     for (std::uint64_t word : w) acc |= word;
     return acc != 0;
   }
-
-  friend bool operator==(const GuardMask&, const GuardMask&) = default;
 };
 
 class LockGraph {
@@ -129,12 +127,6 @@ class LockGraph {
 
   std::size_t lock_count() const { return locks_.size(); }
   std::size_t edge_count() const { return edge_count_; }
-  // Bumped only on verdict-relevant mutations: a new edge, a single→multi
-  // thread widening, a guard-mask narrowing, or an edge expiring. Identical
-  // re-feeds leave it unchanged. The legacy (non-incremental) governor path
-  // still uses generation() deltas to skip windows that added nothing; the
-  // incremental path uses the finer-grained dirty set instead.
-  std::uint64_t generation() const { return generation_; }
 
   // The incremental decomposition, exposed read-only for the differential
   // fuzz tests (compare against its own tarjan_components() oracle).
@@ -169,7 +161,6 @@ class LockGraph {
   // both are assigned densely at intern time.
   std::vector<std::vector<Edge>> out_;
   std::size_t edge_count_ = 0;
-  std::uint64_t generation_ = 0;
 
   DynamicScc scc_;
 

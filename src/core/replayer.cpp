@@ -39,13 +39,6 @@ bool ReplayController::before_lock(ThreadId t, const ExecIndex& idx,
   return false;
 }
 
-bool ReplayController::would_pause(ThreadId t, const ExecIndex& idx) const {
-  if (monitored_.count(t) == 0) return false;
-  auto v = gs_.find(idx);
-  if (!v.has_value()) return false;
-  return gs_.has_cross_thread_in_edge(*v);
-}
-
 void ReplayController::retire_ancestors(Digraph::Node v) {
   if (!gs_.graph().alive(v)) return;
   for (Digraph::Node u : gs_.graph().ancestors(v)) gs_.remove_vertex(u);

@@ -43,22 +43,6 @@ class ReplayController final : public sim::ScheduleController {
   ThreadId force_release(const std::vector<ThreadId>& paused,
                          Rng& rng) override;
 
-  // --- batch-replay introspection (core/batch_replay.hpp) ---
-
-  // The pause decision before_lock would take, without mutating anything.
-  // before_lock's answer depends only on monitored membership and the live
-  // Gs in-edges of idx's vertex, so this predicts it exactly; the batch
-  // multiplexer uses it to detect member divergence before committing.
-  bool would_pause(ThreadId t, const ExecIndex& idx) const;
-  // What take_released() would hand out, without consuming it.
-  const std::vector<ThreadId>& pending_released() const { return released_; }
-  // Drops a force-released thread's bookkeeping without choosing a victim —
-  // the batch multiplexer picks one victim for all members and applies it
-  // to each member via this hook.
-  void forget_blocked(ThreadId t) { blocked_instr_.erase(t); }
-
-  const SyncDependencyGraph& gs() const { return gs_; }
-
  private:
   void retire_ancestors(Digraph::Node v);
   void retire_vertex(Digraph::Node v);

@@ -2,10 +2,7 @@
 //
 // The implementation is deliberately thin: governed sessions delegate to
 // GovernedStreamingDetector, ungoverned ones to StreamingDetector, and
-// ingest() owns the decode→ingest pipelining that detect_reader_governed
-// and analyze_reader used to duplicate. The deprecated shims at the bottom
-// route through a Session so the historical entry points and the new facade
-// cannot drift apart — they *are* the same code now.
+// ingest() owns the decode→ingest pipelining.
 
 #include <cassert>
 #include <memory>
@@ -64,32 +61,19 @@ Session Session::open(const Config& config) {
   }
   if (!fatal.empty())
     throw std::invalid_argument("wolf::Session::open: " + fatal);
-  if (config.governed())
-    return open_governed(config.governor_options(), config.live);
-  const WolfOptions o = config.wolf_options();
-  return open_streaming(o.detector, o.jobs, config.pipeline_depth);
-}
-
-Session Session::open_streaming(const DetectorOptions& detector, int jobs,
-                                std::size_t pipeline_depth) {
   Session s;
-  s.impl_->governed = false;
-  s.impl_->jobs = jobs;
-  s.impl_->pipeline_depth = pipeline_depth;
-  s.impl_->stream = std::make_unique<StreamingDetector>(detector);
-  return s;
-}
-
-Session Session::open_governed(const GovernorOptions& options,
-                               bool collect_live) {
-  Session s;
+  s.impl_->jobs = config.jobs;
+  s.impl_->pipeline_depth = config.pipeline_depth;
+  if (!config.governed()) {
+    s.impl_->stream =
+        std::make_unique<StreamingDetector>(config.wolf_options().detector);
+    return s;
+  }
   s.impl_->governed = true;
-  s.impl_->jobs = options.jobs;
-  s.impl_->pipeline_depth = options.pipeline_depth;
-  GovernorOptions opts = options;
-  if (collect_live) {
+  GovernorOptions opts = config.governor_options();
+  if (config.live) {
     auto live = std::make_shared<LiveCollector>();
-    live->user = options.on_cycle;
+    live->user = opts.on_cycle;
     s.impl_->live = live;
     // Collect a copy for poll(), then chain the push-mode subscriber. A
     // throwing user callback still propagates to the governor's containment
@@ -202,8 +186,8 @@ Session::Verdict Session::finish() {
     v.governor = impl_->gov->verdict();
   } else {
     // StreamingDetector::finish semantics preserved: a detection fault
-    // propagates (analyze_reader never swallowed one). Poisoned prefixes
-    // still finish — over the consistent prefix — with an honest verdict.
+    // propagates. Poisoned prefixes still finish — over the consistent
+    // prefix — with an honest verdict.
     v.detection = impl_->stream->finish();
     if (impl_->poisoned) {
       v.governor.coverage_complete = false;
@@ -214,21 +198,6 @@ Session::Verdict Session::finish() {
   }
   impl_->finished = true;
   return v;
-}
-
-// ---- deprecated shim (DESIGN.md §18) --------------------------------------
-
-GovernedDetection detect_reader_governed(TraceReader& reader,
-                                         const GovernorOptions& options) {
-  Session session = Session::open_governed(options);
-  session.ingest(reader);
-  Session::Verdict v = session.finish();
-  GovernedDetection out;
-  out.detection = std::move(v.detection);
-  out.windows = std::move(v.windows);
-  out.verdict = std::move(v.governor);
-  out.pipeline = v.pipeline;
-  return out;
 }
 
 }  // namespace wolf

@@ -13,8 +13,9 @@
 //     paused thread" escape hatch is swallowed, so a steered run wedges; the
 //     rt watchdog (ExecutorOptions::deadline_ms) or the sim fault-stall rule
 //     then ends the trial with RunOutcome::kTimeout;
-//   * throwing classification — analyze()/classify_cycle() throws while
-//     classifying the given cycle index, exercising per-cycle isolation;
+//   * throwing classification — the pipeline's prune/generate stage throws
+//     while classifying the given cycle index, exercising per-cycle
+//     isolation;
 //   * trace corruption — corrupt_trace_text() truncates and/or garbles
 //     serialized trace text, exercising the salvaging reader.
 //
@@ -44,7 +45,8 @@ struct FaultPlan {
   // (rt) or the scheduler's fault-stall rule (sim) can then end a wedged run.
   bool drop_force_releases = false;
 
-  // analyze()/classify_cycle() throws while classifying this cycle index.
+  // The pipeline's classification throws while classifying this cycle
+  // index.
   int classify_throw_cycle = -1;
 
   // The governed detector throws while running this window's detection

@@ -27,7 +27,7 @@ struct EmitOptions {
   std::string socket_path;
   std::string name = "client";
   // Extra hello parameters (window=, budget-mb=, deadline-ms=, jobs=,
-  // live=, incremental=).
+  // live=).
   std::map<std::string, std::string> params;
   // Upload chunking. Small chunks + throttle = a slow consumer.
   std::size_t chunk_bytes = 64 * 1024;

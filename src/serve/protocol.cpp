@@ -9,7 +9,7 @@ namespace wolf::serve {
 namespace {
 
 const char* const kNumericKeys[] = {"window", "budget-mb", "deadline-ms",
-                                    "jobs", "live", "incremental"};
+                                    "jobs", "live"};
 
 bool known_key(std::string_view key) {
   if (key == "name") return true;
@@ -267,8 +267,6 @@ bool apply_params(const std::map<std::string, std::string>& params,
       config.jobs = static_cast<int>(v);
     } else if (key == "live") {
       config.live = v != 0;
-    } else if (key == "incremental") {
-      config.incremental_scc = v != 0;
     } else {
       error = "unknown session parameter '" + key + "'";
       return false;
@@ -317,8 +315,6 @@ std::string hello_line(std::uint64_t session_id, const std::string& name,
   line += std::to_string(config.window_deadline_ms);
   line += ",\"jobs\":";
   line += std::to_string(config.jobs);
-  line += ",\"incremental\":";
-  line += config.incremental_scc ? "true" : "false";
   line += ",\"live\":";
   line += config.live ? "true" : "false";
   line += "}\n";

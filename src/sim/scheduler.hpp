@@ -108,13 +108,6 @@ class Scheduler {
   std::uint64_t steps_executed() const { return steps_; }
   std::uint64_t max_steps() const { return options_.max_steps; }
   ScheduleController* controller() const { return options_.controller; }
-  // Repoints the controller consulted by subsequent steps. The batch
-  // replayer forks a mid-run Scheduler copy per diverged member and hands
-  // each copy that member's own controller (the copy inherits the shared
-  // multiplexer pointer otherwise).
-  void set_controller(ScheduleController* controller) {
-    options_.controller = controller;
-  }
   // True when an injected fault swallows Algorithm-4 force-releases; the run
   // loop then ends a wedged run with RunOutcome::kTimeout instead of looping.
   bool fault_drops_force_releases() const;

@@ -157,8 +157,6 @@ void register_common_flags(Flags& flags) {
   flags.define_int("jobs", 0,
                    "classification parallelism (0 = hardware concurrency; "
                    "1 reproduces the serial pipeline exactly)");
-  flags.define_string("engine", "scc",
-                      "cycle enumeration engine (scc|arena|reference)");
   flags.define_int("deadline-ms", 0,
                    "wall-clock budget per trial (0 = unlimited; rt watchdog)");
   flags.define_string("metrics-out", "",

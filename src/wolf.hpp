@@ -23,10 +23,7 @@
 //   ReportWriterOptions::*       -> Config::report.*
 //   DfOptions::*                 -> df_options() (derived from the above)
 // Online analysis has exactly one public entry point: wolf::Session
-// (declared below). The four historical online names — StreamingDetector,
-// OnlineAnalysisSink, GovernedOnlineSink, detect_reader_governed — are
-// deprecated shims over it and will be removed one release after this one
-// (DESIGN.md §18).
+// (declared below), opened from a Config (DESIGN.md §18).
 #pragma once
 
 #include <memory>
@@ -44,8 +41,8 @@ namespace wolf {
 
 // One finding from Config::validate(). Fatal issues make the configuration
 // unusable (an exploded run would crash or silently do nothing); non-fatal
-// ones flag conflicting settings where one silently wins (e.g. the
-// reference engine ignoring enumeration jobs).
+// ones flag conflicting settings where one silently wins (e.g. a disabled
+// Pruner contradicted by the in-search clock cut).
 struct ConfigIssue {
   bool fatal = false;
   std::string message;
@@ -89,10 +86,6 @@ struct Config {
   // Per-window detection deadline in ms (0 = no deadline; the degradation
   // ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Incremental SCC maintenance for the governed path (DESIGN.md §16):
-  // windows enumerate only dirty-SCC tuple subsets. false = the historical
-  // recompute-per-suspicious-window path (differential reference).
-  bool incremental_scc = true;
   // Depth, in blocks, of the governed decode→ingest ring (DESIGN.md §17)
   // when jobs > 1 pipelines ingestion: the backpressure bound on how far
   // decode may run ahead of detection. 0 = auto (derived from jobs). Values
@@ -140,10 +133,8 @@ struct SessionCycle {
 
 // The one online-analysis entry point: open → feed → poll → finish.
 //
-// Session unifies the four historical online surfaces (StreamingDetector,
-// OnlineAnalysisSink, GovernedOnlineSink, detect_reader_governed — all now
-// deprecated shims over it) behind a single lifecycle the CLI, the serve
-// sidecar, the pipeline, and the tests all share:
+// Session is the single lifecycle the CLI, the serve sidecar, the pipeline,
+// and the tests all share:
 //
 //   Session s = Session::open(config);          // throws on fatal config
 //   while (reader.next_block(block)) {
@@ -158,8 +149,8 @@ struct SessionCycle {
 // share the containment contract an always-on service needs: a malformed
 // event *poisons* the session (feed returns false, ingestion stops, the
 // verdict is honestly incomplete) instead of propagating out of feed, and
-// governed finish() never throws. Results are byte-identical to the
-// historical entry points at every jobs level.
+// governed finish() never throws. Results are byte-identical at every jobs
+// level.
 //
 // A Session is single-owner state, not a thread-safe object: feed, poll and
 // finish must be externally serialized (the serve sidecar gives each
@@ -185,12 +176,6 @@ class Session {
   // Config::governed(). Live cycles are collected for poll() iff
   // config.live; Config::on_cycle still fires push-mode either way.
   static Session open(const Config& config);
-  // Mode-explicit constructors for callers holding per-stage structs (the
-  // deprecated shims route through these so results stay byte-identical).
-  static Session open_streaming(const DetectorOptions& detector, int jobs = 1,
-                                std::size_t pipeline_depth = 0);
-  static Session open_governed(const GovernorOptions& options,
-                               bool collect_live = false);
 
   Session(Session&& other) noexcept;
   Session& operator=(Session&& other) noexcept;
@@ -215,8 +200,8 @@ class Session {
   void ingest(TraceReader& reader);
 
   // Cycles first sighted since the last poll(), in surfacing order. Always
-  // empty unless the session was opened with live collection (Config::live
-  // or collect_live). Cheap when empty.
+  // empty unless the session was opened with Config::live. Cheap when
+  // empty.
   std::vector<SessionCycle> poll();
 
   // Observation (valid any time).

@@ -86,9 +86,8 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
   // so the campaign randomizes it across {1, 2, 4}.
   const int jobs_levels[] = {1, 2, 4};
   s.governor.jobs = jobs_levels[rng.below(3)];
-  // Half the campaign runs the incremental dirty-SCC enumeration path, half
-  // the legacy full-recompute path — the honesty contract must hold on both.
-  s.governor.incremental_scc = rng.chance(0.5);
+  // Unused draw, kept so every seed still derives the same corruption seed.
+  (void)rng.chance(0.5);
   // NOTE: governor.fault is wired by the caller — pointing it at s.detection
   // here would dangle once the Schedule is returned by value.
   return s;
@@ -185,9 +184,9 @@ INSTANTIATE_TEST_SUITE_P(Schedules, ChaosTest, ::testing::Range(0, 120));
 // fresh canonical tuples (eviction fodder), some duplicates (compaction
 // fodder) — under a 1 MiB budget and small windows, so nearly every window
 // runs the compaction/eviction removal hooks that drive DynamicScc edge
-// expiry. Each schedule runs BOTH enumeration paths on the same stream:
-// they must produce the same finish() and the same honesty verdict, and a
-// live subscriber must have seen every committed cycle.
+// expiry. Each schedule must report the lossy budget honestly, never
+// fabricate a defect batch detection would not find, and deliver every
+// first-sighted cycle to a live subscriber.
 class ExpiryChaosTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
@@ -247,34 +246,20 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
   Detection reference = detect(trace, options.detector);
 
   std::size_t delivered = 0;
-  options.incremental_scc = true;
   options.on_cycle = [&](const LiveCycle&) { ++delivered; };
-  GovernedStreamingDetector inc(options);
-  for (const Event& e : trace.events) inc.add(e);
-  Detection inc_det = inc.finish();
-  EXPECT_EQ(delivered, inc.cycles_surfaced_live());
-
-  options.incremental_scc = false;
-  options.on_cycle = nullptr;
-  GovernedStreamingDetector rec(options);
-  for (const Event& e : trace.events) rec.add(e);
-  Detection rec_det = rec.finish();
-
-  // Path differential: identical output and identical honesty bookkeeping.
-  EXPECT_EQ(signatures_of(inc_det), signatures_of(rec_det));
-  EXPECT_EQ(inc_det.cycles.size(), rec_det.cycles.size());
-  EXPECT_EQ(inc.verdict().coverage_complete, rec.verdict().coverage_complete);
-  EXPECT_EQ(inc.verdict().tuples_evicted, rec.verdict().tuples_evicted);
-  EXPECT_EQ(inc.verdict().tuples_compacted, rec.verdict().tuples_compacted);
+  GovernedStreamingDetector governed(options);
+  for (const Event& e : trace.events) governed.add(e);
+  Detection det = governed.finish();
+  EXPECT_EQ(delivered, governed.cycles_surfaced_live());
 
   // The budget genuinely bit (that is the point of this family), so the
   // verdict must say so — and degraded output never fabricates defects.
-  const GovernorVerdict verdict = inc.verdict();
+  const GovernorVerdict verdict = governed.verdict();
   EXPECT_GT(verdict.tuples_evicted, 0u) << "schedule failed to force churn";
   EXPECT_FALSE(verdict.coverage_complete);
   EXPECT_FALSE(verdict.notes.empty());
   std::set<DefectSignature> ref = signatures_of(reference);
-  for (const DefectSignature& sig : signatures_of(inc_det))
+  for (const DefectSignature& sig : signatures_of(det))
     EXPECT_TRUE(ref.count(sig) != 0)
         << "churned run fabricated a defect signature";
 }

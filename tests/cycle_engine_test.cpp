@@ -1,14 +1,15 @@
-// Differential tests of the cycle enumeration engines (DESIGN.md §12):
+// Differential tests of the SCC cycle engine against the reference DFS
+// (DESIGN.md §12):
 //
 //   equivalence — the SCC engine (serial and parallel) emits the
-//                 bit-identical cycle sequence of the reference DFS, over
-//                 fixed workloads and randomized programs, with and without
-//                 magic_prune, and at the max_cycles cap;
+//                 bit-identical cycle sequence of enumerate_cycles_reference,
+//                 over fixed workloads and randomized programs, with and
+//                 without magic_prune, and at the max_cycles cap;
 //   clock cut   — with clock_prune_during_search, the emitted cycles equal
 //                 the order-preserving subsequence of the full enumeration
 //                 that survives Algorithm 2's prune();
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
-//                 at every engine and jobs level.
+//                 in the reference and at every jobs level.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,6 +17,7 @@
 
 #include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
+#include "core/magic_prune.hpp"
 #include "core/pruner.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
@@ -26,11 +28,9 @@
 namespace wolf {
 namespace {
 
-DetectorOptions options_for(CycleEngine engine, int jobs, bool magic,
-                            bool clock_prune = false,
+DetectorOptions options_for(int jobs, bool magic, bool clock_prune = false,
                             std::size_t max_cycles = 100000) {
   DetectorOptions options;
-  options.engine = engine;
   options.jobs = jobs;
   options.magic_prune = magic;
   options.clock_prune_during_search = clock_prune;
@@ -59,27 +59,32 @@ void expect_equivalent(const Detection& a, const Detection& b,
   }
 }
 
-// Runs reference vs scc vs arena-scc (each at jobs=1 and jobs=4) on one
-// trace and asserts bit-identity; returns the reference detection for
-// further checks.
+// The oracle: the Detection finish_detection would build, with the cycles
+// enumerated by the reference DFS instead of the SCC engine.
+Detection reference_detection(const Trace& trace, bool magic,
+                              std::size_t max_cycles = 100000) {
+  Detection det;
+  det.dep = LockDependency::from_trace(trace);
+  LockDependency view = det.dep;
+  if (magic) view.unique = magic_prune(det.dep);
+  EnumerationResult res =
+      enumerate_cycles_reference(view, options_for(1, magic, false, max_cycles));
+  det.cycles = std::move(res.cycles);
+  det.truncated = res.truncated;
+  det.cycle_cap = res.truncated ? max_cycles : 0;
+  det.defects = group_defects(det.cycles, det.dep);
+  return det;
+}
+
+// Runs the reference and scc at jobs=1 and jobs=4 on one trace and asserts
+// bit-identity; returns the reference detection for further checks.
 Detection check_engines_agree(const Trace& trace, bool magic,
                               std::size_t max_cycles = 100000) {
-  Detection ref = detect(
-      trace, options_for(CycleEngine::kReference, 1, magic, false, max_cycles));
-  Detection scc1 = detect(
-      trace, options_for(CycleEngine::kScc, 1, magic, false, max_cycles));
-  Detection scc4 = detect(
-      trace, options_for(CycleEngine::kScc, 4, magic, false, max_cycles));
-  Detection arena1 = detect(
-      trace, options_for(CycleEngine::kArenaScc, 1, magic, false, max_cycles));
-  Detection arena4 = detect(
-      trace, options_for(CycleEngine::kArenaScc, 4, magic, false, max_cycles));
+  Detection ref = reference_detection(trace, magic, max_cycles);
+  Detection scc1 = detect(trace, options_for(1, magic, false, max_cycles));
+  Detection scc4 = detect(trace, options_for(4, magic, false, max_cycles));
   expect_equivalent(ref, scc1, "reference vs scc jobs=1");
   expect_equivalent(ref, scc4, "reference vs scc jobs=4");
-  expect_equivalent(scc1, scc4, "scc jobs=1 vs jobs=4");
-  expect_equivalent(ref, arena1, "reference vs arena jobs=1");
-  expect_equivalent(scc1, arena1, "scc vs arena jobs=1");
-  expect_equivalent(arena1, arena4, "arena jobs=1 vs jobs=4");
   return ref;
 }
 
@@ -118,8 +123,7 @@ TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
 TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
   Trace trace = record_workload("HashMap");
   ASSERT_FALSE(trace.empty());
-  Detection full =
-      detect(trace, options_for(CycleEngine::kReference, 1, false));
+  Detection full = reference_detection(trace, /*magic=*/false);
   ASSERT_GE(full.cycles.size(), 2u) << "workload too small for a cap test";
 
   for (std::size_t cap = 1; cap <= full.cycles.size(); ++cap) {
@@ -135,26 +139,21 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
 }
 
 // With the in-search clock cut, the emitted cycles must be exactly the
-// order-preserving subsequence of the full enumeration that prune() keeps —
-// for the scc engine and its arena twin alike.
+// order-preserving subsequence of the full enumeration that prune() keeps.
 void check_clock_prune(const Trace& trace, bool magic) {
-  Detection full =
-      detect(trace, options_for(CycleEngine::kScc, 1, magic));
+  Detection full = detect(trace, options_for(1, magic));
   const std::vector<PruneVerdict> verdicts = prune(full);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < full.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(full.cycles[i]);
 
-  for (CycleEngine engine : {CycleEngine::kScc, CycleEngine::kArenaScc}) {
-    for (int jobs : {1, 4}) {
-      SCOPED_TRACE(jobs);
-      Detection cut = detect(
-          trace, options_for(engine, jobs, magic, /*clock_prune=*/true));
-      expect_same_cycles(survivors, cut.cycles,
-                         "prune() survivors vs clock cut");
-      // Everything emitted under the cut survives a batch prune.
-      for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
-    }
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    Detection cut =
+        detect(trace, options_for(jobs, magic, /*clock_prune=*/true));
+    expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
+    // Everything emitted under the cut survives a batch prune.
+    for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
   }
 }
 
@@ -176,17 +175,14 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   EnumerationResult empty = enumerate_cycles_scc(dep, options);
   EXPECT_TRUE(empty.cycles.empty());
   EXPECT_FALSE(empty.truncated);
-  EnumerationResult empty_arena = enumerate_cycles_arena_scc(dep, options);
-  EXPECT_TRUE(empty_arena.cycles.empty());
-  EXPECT_FALSE(empty_arena.truncated);
 
   Trace trace = record_workload("LinkedList");
   if (!trace.empty()) check_engines_agree(trace, /*magic=*/false);
 }
 
 // Randomized differential test: random programs with varying shape, fork/join
-// structure and lock nesting; every engine/jobs/magic combination must agree,
-// and the clock cut must match the batch pruner.
+// structure and lock nesting; scc at every jobs/magic combination must agree
+// with the reference, and the clock cut must match the batch pruner.
 class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
@@ -209,7 +205,7 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   check_engines_agree(*trace, /*magic=*/true);
   check_clock_prune(*trace, /*magic=*/false);
 
-  // Re-run capped at half the cycles: truncation must stay engine-invariant.
+  // Re-run capped at half the cycles: truncation must match the reference.
   if (ref.cycles.size() >= 2)
     check_engines_agree(*trace, /*magic=*/false, ref.cycles.size() / 2);
 }

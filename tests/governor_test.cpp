@@ -125,17 +125,6 @@ TEST(PrefilterTest, SingleThreadCycleIsNotSuspicious) {
   EXPECT_FALSE(graph_of(trace).suspicious());
 }
 
-TEST(PrefilterTest, GenerationAdvancesOnlyOnVerdictRelevantChanges) {
-  LockGraph g;
-  LockDependency dep = LockDependency::from_trace(ab_ba_trace(false));
-  for (const LockTuple& t : dep.tuples) g.on_tuple(t);
-  const std::uint64_t gen = g.generation();
-  // Re-feeding identical tuples adds no edge, widens no thread set and
-  // narrows no guard mask — the generation must not move.
-  for (const LockTuple& t : dep.tuples) g.on_tuple(t);
-  EXPECT_EQ(g.generation(), gen);
-}
-
 TEST(PrefilterTest, LocksetMaskCoversFourWordsAndDropsTheRest) {
   GuardMask low = lockset_mask({0, 3});
   EXPECT_EQ(low.w[0], (1ULL << 0) | (1ULL << 3));
@@ -216,22 +205,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefilterSoundnessTest,
 
 // --------------------------------------------------------------- governor
 
-TEST(GovernorTest, UngovernedMatchesStreamingDetectorBitForBit) {
-  Rng rng(77);
-  sim::Program program = test::random_program(rng);
-  auto trace = sim::record_trace(program, 5, 40);
-  ASSERT_TRUE(trace.has_value());
-
+// With no budget, no deadline and no faults, the governed detector's final
+// Detection must equal batch detection bit for bit at every window size.
+void expect_governed_matches_batch(const Trace& trace,
+                                   std::initializer_list<std::size_t> windows) {
   StreamingDetector plain;
-  for (const Event& e : trace->events) plain.add(e);
+  for (const Event& e : trace.events) plain.add(e);
   Detection expected = plain.finish();
 
-  for (std::size_t window : {std::size_t{8}, std::size_t{1000},
-                             std::size_t{1} << 20}) {
+  for (std::size_t window : windows) {
     GovernorOptions options;
     options.window_events = window;
     GovernedStreamingDetector governed(options);
-    for (const Event& e : trace->events) governed.add(e);
+    for (const Event& e : trace.events) governed.add(e);
     Detection got = governed.finish();
 
     EXPECT_EQ(got.cycles.size(), expected.cycles.size()) << window;
@@ -244,9 +230,33 @@ TEST(GovernorTest, UngovernedMatchesStreamingDetectorBitForBit) {
     GovernorVerdict verdict = governed.verdict();
     EXPECT_TRUE(verdict.coverage_complete);
     EXPECT_EQ(verdict.tuples_evicted, 0u);
-    EXPECT_EQ(verdict.windows,
-              (trace->size() + window - 1) / window);
+    EXPECT_EQ(verdict.windows, (trace.size() + window - 1) / window);
   }
+}
+
+TEST(GovernorTest, UngovernedMatchesStreamingDetectorBitForBit) {
+  Rng rng(77);
+  sim::Program program = test::random_program(rng);
+  auto trace = sim::record_trace(program, 5, 40);
+  ASSERT_TRUE(trace.has_value());
+  expect_governed_matches_batch(*trace, {8, 1000, std::size_t{1} << 20});
+
+  // AB/BA rings sprinkled through ordered filler on the same two locks.
+  Trace sprinkled;
+  std::uint64_t seq = 0;
+  SiteId site = 1;
+  for (int rep = 0; rep < 400; ++rep) {
+    const ThreadId t = static_cast<ThreadId>(1 + (rep & 1));
+    sprinkled.events.push_back(acquire(t, 10, site++));
+    sprinkled.events.push_back(acquire(t, 20, site++));
+    sprinkled.events.push_back(release(t, 20));
+    sprinkled.events.push_back(release(t, 10));
+    if (rep % 50 == 49)
+      for (const Event& e : ab_ba_trace(false).events)
+        sprinkled.events.push_back(e);
+  }
+  for (Event& e : sprinkled.events) e.seq = seq++;
+  expect_governed_matches_batch(sprinkled, {16, 256});
 }
 
 TEST(GovernorTest, SuspiciousWindowsSurfaceCyclesBeforeFinish) {
@@ -376,18 +386,16 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   std::string baseline_summary;
   std::set<DefectSignature> baseline_sigs;
   for (int jobs : {1, 4}) {
-    GovernorOptions options;
-    options.memory_budget_mb = 1;
-    options.window_events = 4096;
-    options.jobs = jobs;
-    options.pipeline_depth = 2;  // a tight ring maximizes backpressure
-    Session session = Session::open_governed(options);
+    cfg.window_events = 4096;
+    cfg.jobs = jobs;
+    cfg.pipeline_depth = 2;  // a tight ring maximizes backpressure
+    Session session = Session::open(cfg);
     VectorTraceReader reader(trace);
     session.ingest(reader);
     Session::Verdict v = session.finish();
 
     for (const WindowReport& w : v.windows)
-      EXPECT_LE(w.store_bytes, options.memory_budget_mb << 20)
+      EXPECT_LE(w.store_bytes, cfg.memory_budget_mb << 20)
           << "jobs " << jobs << " window " << w.index;
     EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
     if (jobs > 1) {
@@ -575,56 +583,6 @@ TEST(PrefilterTest, ExpiryToZeroRefcountRemovesTheEdgeAndVerdict) {
   EXPECT_EQ(g.suspicious_scc_count(), 0u);
 }
 
-TEST(GovernorTest, IncrementalAndRecomputePathsAgreeBitForBit) {
-  // Same stream, both enumeration modes, across window sizes and with a
-  // budget tight enough to force compaction + eviction churn: the final
-  // Detection and the honesty bookkeeping must be identical.
-  Trace trace;
-  std::uint64_t seq = 0;
-  SiteId site = 1;
-  for (int rep = 0; rep < 400; ++rep) {
-    const ThreadId t = static_cast<ThreadId>(1 + (rep & 1));
-    trace.events.push_back(acquire(t, 10, site++));
-    trace.events.push_back(acquire(t, 20, site++));
-    trace.events.push_back(release(t, 20));
-    trace.events.push_back(release(t, 10));
-    if (rep % 50 == 49)  // sprinkle the AB/BA ring through the stream
-      for (const Event& e : ab_ba_trace(false).events)
-        trace.events.push_back(e);
-  }
-  for (Event& e : trace.events) e.seq = seq++;
-
-  for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
-    for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
-      GovernorOptions options;
-      options.window_events = window;
-      options.memory_budget_mb = budget_mb;
-
-      options.incremental_scc = true;
-      GovernedStreamingDetector inc(options);
-      for (const Event& e : trace.events) inc.add(e);
-      Detection inc_det = inc.finish();
-
-      options.incremental_scc = false;
-      GovernedStreamingDetector rec(options);
-      for (const Event& e : trace.events) rec.add(e);
-      Detection rec_det = rec.finish();
-
-      EXPECT_EQ(signatures_of(inc_det), signatures_of(rec_det))
-          << "window " << window << " budget " << budget_mb;
-      EXPECT_EQ(inc_det.cycles.size(), rec_det.cycles.size());
-      for (std::size_t i = 0;
-           i < std::min(inc_det.cycles.size(), rec_det.cycles.size()); ++i)
-        EXPECT_EQ(inc_det.cycles[i].tuple_idx, rec_det.cycles[i].tuple_idx);
-      EXPECT_EQ(inc.verdict().coverage_complete,
-                rec.verdict().coverage_complete);
-      EXPECT_EQ(inc.verdict().tuples_evicted, rec.verdict().tuples_evicted);
-      EXPECT_EQ(inc.verdict().tuples_compacted,
-                rec.verdict().tuples_compacted);
-    }
-  }
-}
-
 // ---------------------------------------------- jobs invariance (§17)
 
 // Everything the parallel path promises to keep byte-stable, flattened:
@@ -716,26 +674,30 @@ TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
       trace.events.push_back(e);
   for (Event& e : trace.events) e.seq = seq++;
 
-  GovernorOptions options;
-  options.window_events = 64;
-  options.jobs = 1;
-  VectorTraceReader serial_reader(trace);
-  GovernedDetection serial = detect_reader_governed(serial_reader, options);
+  Config cfg;
+  cfg.window_events = 64;
+  cfg.live = true;  // governed: windows without a budget or deadline
+  auto run = [&](int jobs) {
+    cfg.jobs = jobs;
+    Session session = Session::open(cfg);
+    VectorTraceReader reader(trace);
+    session.ingest(reader);
+    return session.finish();
+  };
+  const Session::Verdict serial = run(1);
   EXPECT_FALSE(serial.pipeline.used);
   ASSERT_FALSE(serial.detection.cycles.empty());
 
   for (int jobs : {2, 4}) {
-    options.jobs = jobs;
-    VectorTraceReader reader(trace);
-    GovernedDetection piped = detect_reader_governed(reader, options);
+    const Session::Verdict piped = run(jobs);
     EXPECT_TRUE(piped.pipeline.used) << jobs;
     ASSERT_EQ(piped.detection.cycles.size(), serial.detection.cycles.size());
     for (std::size_t i = 0; i < piped.detection.cycles.size(); ++i)
       EXPECT_EQ(piped.detection.cycles[i].tuple_idx,
                 serial.detection.cycles[i].tuple_idx);
-    EXPECT_EQ(piped.verdict.coverage_complete,
-              serial.verdict.coverage_complete);
-    EXPECT_EQ(piped.verdict.final_level, serial.verdict.final_level);
+    EXPECT_EQ(piped.governor.coverage_complete,
+              serial.governor.coverage_complete);
+    EXPECT_EQ(piped.governor.final_level, serial.governor.final_level);
     ASSERT_EQ(piped.windows.size(), serial.windows.size());
     for (std::size_t i = 0; i < piped.windows.size(); ++i) {
       EXPECT_EQ(piped.windows[i].events, serial.windows[i].events) << i;
@@ -748,53 +710,50 @@ TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
 }
 
 TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
-  for (const bool incremental : {true, false}) {
-    Trace trace = ab_ba_trace(false);
-    GovernorOptions options;
-    options.window_events = 4;
-    options.incremental_scc = incremental;
+  Trace trace = ab_ba_trace(false);
+  GovernorOptions options;
+  options.window_events = 4;
 
-    struct Sighting {
-      std::size_t window;
-      std::size_t sequence;
-      DefectSignature signature;
-    };
-    std::vector<Sighting> sightings;
-    bool finished = false;
-    options.on_cycle = [&](const LiveCycle& lc) {
-      EXPECT_FALSE(finished) << "LiveCycle delivered after finish()";
-      sightings.push_back(
-          {lc.window, lc.sequence, signature_of(*lc.cycle, *lc.dep)});
-    };
-    GovernedStreamingDetector subscribed(options);
-    for (const Event& e : trace.events) subscribed.add(e);
-    Detection sub_det = subscribed.finish();
-    finished = true;
+  struct Sighting {
+    std::size_t window;
+    std::size_t sequence;
+    DefectSignature signature;
+  };
+  std::vector<Sighting> sightings;
+  bool finished = false;
+  options.on_cycle = [&](const LiveCycle& lc) {
+    EXPECT_FALSE(finished) << "LiveCycle delivered after finish()";
+    sightings.push_back(
+        {lc.window, lc.sequence, signature_of(*lc.cycle, *lc.dep)});
+  };
+  GovernedStreamingDetector subscribed(options);
+  for (const Event& e : trace.events) subscribed.add(e);
+  Detection sub_det = subscribed.finish();
+  finished = true;
 
-    options.on_cycle = nullptr;
-    GovernedStreamingDetector plain(options);
-    for (const Event& e : trace.events) plain.add(e);
-    Detection plain_det = plain.finish();
+  options.on_cycle = nullptr;
+  GovernedStreamingDetector plain(options);
+  for (const Event& e : trace.events) plain.add(e);
+  Detection plain_det = plain.finish();
 
-    // Every committed cycle was surfaced mid-run, in sequence order.
-    ASSERT_FALSE(sub_det.cycles.empty());
-    ASSERT_EQ(sightings.size(), sub_det.cycles.size()) << incremental;
-    EXPECT_EQ(subscribed.cycles_surfaced_live(), sightings.size());
-    std::set<DefectSignature> surfaced;
-    for (std::size_t i = 0; i < sightings.size(); ++i) {
-      EXPECT_EQ(sightings[i].sequence, i + 1);
-      surfaced.insert(sightings[i].signature);
-    }
-    EXPECT_EQ(surfaced, signatures_of(sub_det));
-
-    // Subscription is observation-only: finish() is identical.
-    EXPECT_EQ(sub_det.cycles.size(), plain_det.cycles.size());
-    for (std::size_t i = 0; i < sub_det.cycles.size(); ++i)
-      EXPECT_EQ(sub_det.cycles[i].tuple_idx, plain_det.cycles[i].tuple_idx);
-    EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
-    EXPECT_EQ(subscribed.verdict().coverage_complete,
-              plain.verdict().coverage_complete);
+  // Every committed cycle was surfaced mid-run, in sequence order.
+  ASSERT_FALSE(sub_det.cycles.empty());
+  ASSERT_EQ(sightings.size(), sub_det.cycles.size());
+  EXPECT_EQ(subscribed.cycles_surfaced_live(), sightings.size());
+  std::set<DefectSignature> surfaced;
+  for (std::size_t i = 0; i < sightings.size(); ++i) {
+    EXPECT_EQ(sightings[i].sequence, i + 1);
+    surfaced.insert(sightings[i].signature);
   }
+  EXPECT_EQ(surfaced, signatures_of(sub_det));
+
+  // Subscription is observation-only: finish() is identical.
+  EXPECT_EQ(sub_det.cycles.size(), plain_det.cycles.size());
+  for (std::size_t i = 0; i < sub_det.cycles.size(); ++i)
+    EXPECT_EQ(sub_det.cycles[i].tuple_idx, plain_det.cycles[i].tuple_idx);
+  EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
+  EXPECT_EQ(subscribed.verdict().coverage_complete,
+            plain.verdict().coverage_complete);
 }
 
 TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {
@@ -915,20 +874,21 @@ TEST(GovernorTest, GovernedPipelineOnPaperWorkload) {
   auto trace = sim::record_trace(example.program, 3, 40);
   ASSERT_TRUE(trace.has_value());
 
-  WolfOptions options;
-  options.jobs = 1;
-  options.replay.attempts = 4;
-  GovernorOptions governor;
-  governor.window_events = 16;
+  Config cfg;
+  cfg.jobs = 1;
+  cfg.replay.attempts = 4;
+  cfg.window_events = 16;
+  cfg.live = true;
 
+  Session session = Session::open(cfg);
   VectorTraceReader reader(*trace);
   WolfReport report =
-      analyze_reader_governed(example.program, reader, options, governor);
+      analyze_session(example.program, session, reader, cfg.wolf_options());
   EXPECT_TRUE(report.governed);
   EXPECT_GT(report.governor.windows, 0u);
   EXPECT_TRUE(report.governor.coverage_complete);
 
-  WolfReport batch = analyze_trace(example.program, *trace, options);
+  WolfReport batch = analyze_trace(example.program, *trace, cfg.wolf_options());
   EXPECT_EQ(report.detection.cycles.size(), batch.detection.cycles.size());
   EXPECT_EQ(report.defects.size(), batch.defects.size());
 }

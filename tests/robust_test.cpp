@@ -380,22 +380,6 @@ TEST(IsolationTest, ThrowingClassificationDegradesOnlyThatCycle) {
             std::string::npos);
 }
 
-TEST(IsolationTest, ClassifyCycleAlsoIsolatesThrows) {
-  auto fig = workloads::make_figure4();
-  auto trace = sim::record_trace(fig.program, 5);
-  ASSERT_TRUE(trace.has_value());
-  Detection det = detect(*trace);
-  ASSERT_GE(det.cycles.size(), 1u);
-
-  FaultPlan fault;
-  fault.classify_throw_cycle = 0;
-  WolfOptions options;
-  options.fault = &fault;
-  CycleReport report = classify_cycle(fig.program, det, 0, options);
-  EXPECT_EQ(report.classification, Classification::kUnknown);
-  EXPECT_NE(report.failure_reason.find("fault injection"), std::string::npos);
-}
-
 TEST(IsolationTest, ClassifyRunMapsTimeoutOutcome) {
   sim::RunResult run;
   run.outcome = sim::RunOutcome::kTimeout;

@@ -159,6 +159,10 @@ TEST(ServeProtocolTest, HelloRejectsMalformedLines) {
                            req, error));
   EXPECT_FALSE(parse_hello("WOLFSERVE/1 session name=a unknown-key=1",
                            req, error));
+  EXPECT_FALSE(parse_hello("WOLFSERVE/1 session name=a incremental=1",
+                           req, error));
+  EXPECT_NE(error.find("unknown session parameter"), std::string::npos)
+      << error;
 }
 
 TEST(ServeProtocolTest, ApplyParamsOverridesServerDefaults) {
@@ -226,13 +230,15 @@ TEST(ServeProtocolTest, VerdictLineRoundTripsThroughParser) {
 // ---- Session facade unit tests --------------------------------------------
 
 TEST(ServeSessionTest, PollCollectsTheSameCyclesThePushSubscriberSees) {
-  GovernorOptions opts;
-  opts.window_events = 8;
+  Config cfg;
+  cfg.jobs = 1;
+  cfg.window_events = 8;
+  cfg.live = true;
   std::vector<std::string> pushed;
-  opts.on_cycle = [&](const LiveCycle& lc) {
+  cfg.on_cycle = [&](const LiveCycle& lc) {
     pushed.push_back(lc.cycle->to_string(*lc.dep));
   };
-  Session session = Session::open_governed(opts, /*collect_live=*/true);
+  Session session = Session::open(cfg);
   std::vector<std::string> polled;
   for (const Event& e : hashmap_trace().events) {
     session.feed(e);

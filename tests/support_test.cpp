@@ -14,7 +14,6 @@
 #include <sstream>
 #include <thread>
 
-#include "support/arena.hpp"
 #include "support/check.hpp"
 #include "support/flags.hpp"
 #include "support/io.hpp"
@@ -443,61 +442,6 @@ TEST(MmapFileTest, MissingFileAndDirectoryReturnNullopt) {
   EXPECT_FALSE(support::MmapFile::open(dir.path.string()).has_value());
 }
 
-// ----------------------------------------------------------------- arena
-
-TEST(ArenaTest, AllocationsAreZeroedAndStable) {
-  support::Arena arena(/*chunk_bytes=*/4096);
-  std::vector<std::uint32_t*> arrays;
-  for (int i = 0; i < 100; ++i) {
-    std::uint32_t* a = arena.alloc_array<std::uint32_t>(64);
-    for (int j = 0; j < 64; ++j) {
-      EXPECT_EQ(a[j], 0u);
-      a[j] = static_cast<std::uint32_t>(i * 1000 + j);
-    }
-    arrays.push_back(a);
-  }
-  // Growth must never move earlier allocations.
-  for (int i = 0; i < 100; ++i)
-    for (int j = 0; j < 64; ++j)
-      EXPECT_EQ(arrays[static_cast<std::size_t>(i)][j],
-                static_cast<std::uint32_t>(i * 1000 + j));
-  EXPECT_GE(arena.bytes_allocated(), 100 * 64 * sizeof(std::uint32_t));
-  EXPECT_GE(arena.bytes_reserved(), arena.bytes_allocated());
-}
-
-TEST(ArenaTest, OversizedAllocationGetsDedicatedChunk) {
-  support::Arena arena(/*chunk_bytes=*/4096);
-  std::uint8_t* small1 = arena.alloc_array<std::uint8_t>(16);
-  std::uint64_t* big = arena.alloc_array<std::uint64_t>(1 << 16);  // 512 KiB
-  std::uint8_t* small2 = arena.alloc_array<std::uint8_t>(16);
-  small1[0] = 1;
-  big[0] = 2;
-  big[(1 << 16) - 1] = 3;
-  small2[0] = 4;
-  EXPECT_EQ(small1[0], 1);
-  EXPECT_EQ(big[0], 2u);
-  EXPECT_EQ(big[(1 << 16) - 1], 3u);
-  EXPECT_EQ(small2[0], 4);
-}
-
-TEST(ArenaTest, ZeroLengthArraysAreDistinctFromNull) {
-  support::Arena arena;
-  EXPECT_NE(arena.alloc_array<int>(0), nullptr);
-}
-
-TEST(ArenaTest, ResetReleasesEverything) {
-  support::Arena arena(/*chunk_bytes=*/4096);
-  arena.alloc_array<char>(1 << 20);
-  EXPECT_GT(arena.bytes_reserved(), 0u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);
-  // The arena is reusable after reset.
-  int* p = arena.alloc_array<int>(8);
-  p[7] = 42;
-  EXPECT_EQ(p[7], 42);
-}
-
 // ---------------------------------------------------------------- RingQueue
 
 TEST(RingQueueTest, PreservesOrderSingleThreaded) {
@@ -589,22 +533,6 @@ TEST(RingQueueTest, MoveOnlyPayloadsMoveThrough) {
   ASSERT_TRUE(q.pop(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 7);
-}
-
-TEST(ArenaTest, MixedAlignmentsStayAligned) {
-  support::Arena arena;
-  for (int i = 0; i < 50; ++i) {
-    auto* c = arena.alloc_array<char>(3);
-    auto* u64 = arena.alloc_array<std::uint64_t>(1);
-    auto* u16 = arena.alloc_array<std::uint16_t>(5);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(u64) % alignof(std::uint64_t),
-              0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(u16) % alignof(std::uint16_t),
-              0u);
-    *c = 1;
-    *u64 = 2;
-    *u16 = 3;
-  }
 }
 
 }  // namespace

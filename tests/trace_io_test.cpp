@@ -8,8 +8,8 @@
 //   * Detection is bit-identical whether the trace is consumed in memory
 //     (detect), streamed from v2 text, or streamed from v3 binary
 //     (detect_reader) — the acceptance bar for the streaming refactor.
-//   * analyze_reader produces the same classification-level report as
-//     analyze_trace.
+//   * analyze_session over an ungoverned Session produces the same
+//     classification-level report as analyze_trace.
 //   * PipelinedTraceReader (DESIGN.md §17) delivers the same events in the
 //     same blocks as its wrapped source, propagates producer exceptions to
 //     the consumer, and shuts down cleanly when abandoned mid-stream.
@@ -30,6 +30,7 @@
 #include "trace/serialize.hpp"
 #include "trace/sharded_recorder.hpp"
 #include "trace/trace_reader.hpp"
+#include "wolf.hpp"
 #include "workloads/suite.hpp"
 
 namespace wolf {
@@ -164,15 +165,19 @@ TEST(AnalyzeReaderTest, MatchesAnalyzeTraceOnV3Stream) {
   auto trace = sim::record_trace(bench.program, 11, 20, bench.max_steps);
   ASSERT_TRUE(trace.has_value());
 
-  WolfOptions options;
-  options.seed = 5;
-  options.replay.attempts = 4;
-  options.max_steps = bench.max_steps;
+  Config cfg;
+  cfg.seed = 5;
+  cfg.jobs = 1;
+  cfg.replay.attempts = 4;
+  cfg.max_steps = bench.max_steps;
+  const WolfOptions options = cfg.wolf_options();
   WolfReport batch = analyze_trace(bench.program, *trace, options);
 
   std::istringstream is{trace_to_string(*trace, TraceFormat::kV3)};
   StreamTraceReader reader(is);
-  WolfReport streamed = analyze_reader(bench.program, reader, options);
+  Session session = Session::open(cfg);
+  WolfReport streamed =
+      analyze_session(bench.program, session, reader, options);
   EXPECT_TRUE(reader.ok()) << reader.error();
 
   EXPECT_EQ(report_fingerprint(streamed), report_fingerprint(batch));

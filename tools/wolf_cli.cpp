@@ -19,7 +19,7 @@
 // checksum.
 //
 // Every subcommand parses its own flag set: the shared surface
-// (register_common_flags: --seed, --jobs, --engine, --deadline-ms, plus the
+// (register_common_flags: --seed, --jobs, --deadline-ms, plus the
 // observability flags) and only the extras that subcommand understands, so
 // a misplaced flag is an error naming the subcommand that rejected it.
 //
@@ -53,11 +53,9 @@
 // including governed verdicts and live-cycle order, is identical at every
 // --jobs level.
 //
-// Detector flags: --engine=scc|reference selects the cycle enumeration
-// engine (both emit the identical canonical cycle sequence), --max-cycles
-// caps enumeration (a warning is printed when the cap is hit), and
-// --clock-prune folds the Pruner's vector-clock test into the search so
-// provably-infeasible branches are never explored.
+// Detector flags: --max-cycles caps enumeration (a warning is printed when
+// the cap is hit), and --clock-prune folds the Pruner's vector-clock test
+// into the search so provably-infeasible branches are never explored.
 //
 // The sidecar trio (DESIGN.md §18): `serve` runs the always-on detection
 // server on a unix-domain socket, one governed wolf::Session per client;
@@ -137,8 +135,8 @@ void register_detector_flags(Flags& flags) {
   flags.define_int("max-cycles", 100000,
                    "cap on enumerated cycles (a warning is printed when hit)");
   flags.define_bool("clock-prune", false,
-                    "fold the Pruner's clock test into the search (scc "
-                    "engine); enumerates only cycles the Pruner would keep");
+                    "fold the Pruner's clock test into the search; "
+                    "enumerates only cycles the Pruner would keep");
 }
 
 // ---- observability wiring -------------------------------------------------
@@ -242,26 +240,12 @@ std::optional<Trace> load_or_record(const sim::Program& program,
   return trace;
 }
 
-// Shared by detect/analyze: detector knobs from flags. Returns false (with a
-// message) on a bad --engine.
-bool detector_from_flags(const Flags& flags, DetectorOptions& options) {
+// Shared by detect/analyze: detector knobs from flags.
+void detector_from_flags(const Flags& flags, DetectorOptions& options) {
   options.magic_prune = flags.get_bool("magic-prune");
   options.max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles"));
   options.clock_prune_during_search = flags.get_bool("clock-prune");
   options.jobs = static_cast<int>(flags.get_int("jobs"));
-  const std::string engine = flags.get_string("engine");
-  if (engine == "scc") {
-    options.engine = CycleEngine::kScc;
-  } else if (engine == "arena") {
-    options.engine = CycleEngine::kArenaScc;
-  } else if (engine == "reference") {
-    options.engine = CycleEngine::kReference;
-  } else {
-    std::cerr << "bad --engine '" << engine
-              << "' (want scc|arena|reference)\n";
-    return false;
-  }
-  return true;
 }
 
 void warn_if_truncated(const Detection& det) {
@@ -408,7 +392,7 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
   if (!trace) return 1;
 
   DetectorOptions options;
-  if (!detector_from_flags(flags, options)) return 1;
+  detector_from_flags(flags, options);
   Detection det = detect(*trace, options);
   warn_if_truncated(det);
   auto verdicts = prune(det);
@@ -444,7 +428,7 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.jobs = static_cast<int>(flags.get_int("jobs"));
   config.deadline_ms = flags.get_int("deadline-ms");
-  if (!detector_from_flags(flags, config.detector)) return 1;
+  detector_from_flags(flags, config.detector);
   config.replay.attempts = static_cast<int>(flags.get_int("attempts"));
   config.record_attempts = static_cast<int>(flags.get_int("retry"));
   config.memory_budget_mb =
