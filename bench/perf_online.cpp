@@ -43,23 +43,16 @@
 // AB/BA ring on two dedicated threads every ring_every events — fixed
 // sites — dedups to a handful of canonical tuples and a stable cycle set.
 //
-// Since DESIGN.md §17 every scenario ingests through the same reader path
-// production uses (a TraceReader over the synthetic stream), so
-// GovernorOptions::jobs exercises the real pipelined machinery: jobs > 1
-// decodes blocks on a producer thread behind the bounded ring and fans
-// suspicious windows out per dirty SCC. The JSON `parallel` section reruns
-// the scenarios at jobs ∈ {1, 2, 4} and *gates identity*: cycles, verdict,
-// window reports, and the live-delivery transcript must be byte-identical
-// at every level (the deadline scenario gates final cycles only — its
-// ladder rungs depend on wall-clock latency by design). The jobs=4 vs
-// jobs=1 ingest speedup is recorded honestly: it is gated (>= 1.5x) only
-// on full runs with hardware_concurrency >= 4 — on 1-CPU runners the
-// numbers are published but only identity is enforced, because a speedup
-// measured without cores is noise. mevents_per_s spans ingestion only
-// (generation + decode + window detection); finish() is reported
-// separately as finish_seconds. queue_stall_ms / decode_overlap_pct
-// attribute pipelining: push stalls mean ingest was the bottleneck
-// (backpressure worked), pop stalls mean decode was.
+// Every scenario ingests block by block through a TraceReader over the
+// synthetic stream, the way production drains a file. The JSON `parallel`
+// section reruns the scenarios at detector.jobs ∈ {1, 2, 4} — the engine's
+// parallel enumeration, which governed windows and finish() both use — and
+// *gates identity*: cycles, verdict, window reports, and the live-delivery
+// transcript must be byte-identical at every level (the deadline scenario
+// gates final cycles only — its ladder rungs depend on wall-clock latency
+// by design). Throughput at each level is published, never gated.
+// mevents_per_s spans ingestion only (generation + window detection);
+// finish() is reported separately as finish_seconds.
 //
 //   perf_online [--quick] [--events=N] [--budget-mb=N]
 //               [--out=BENCH_online.json]
@@ -69,7 +62,6 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -304,8 +296,6 @@ struct ScenarioResult {
   int jobs = 1;
   double mevents_per_s = 0;         // ingestion-only span (see header)
   double finish_seconds = 0;        // final enumeration, outside the span
-  double queue_stall_ms = 0;        // ring push+pop stall time (jobs > 1)
-  double decode_overlap_pct = 0;    // % of decode hidden behind ingestion
   std::size_t windows = 0;
   double p50_detect_ms = 0;
   double p99_detect_ms = 0;
@@ -330,9 +320,7 @@ struct RunFingerprint {
 };
 
 // TraceReader over a synthetic event stream: the bench's scenarios ingest
-// through the same block/reader machinery production uses, so jobs > 1
-// exercises the real PipelinedTraceReader path with the generator playing
-// the role of decode on the producer side.
+// through the same block/reader machinery production uses.
 template <typename Stream>
 class SyntheticTraceReader final : public TraceReader {
  public:
@@ -369,12 +357,12 @@ OnlineEventStream make_stream(std::uint64_t events, std::uint64_t seed,
 
 // Measurement core, generic over the event source so the churn scenarios
 // reuse the exact same accounting as the main stream's. Ingestion runs
-// through the reader path (pipelined when options.jobs > 1) and is timed
-// alone: the monotonic span covers generation/decode + window detection,
-// while finish() — whose cost does not scale with the stream — is timed
-// separately. The fingerprint records everything the jobs-invariance gates
-// compare: final cycles, verdict (summary + notes), every window report's
-// deterministic fields, and the full live-delivery transcript.
+// through the reader path and is timed alone: the monotonic span covers
+// generation + window detection, while finish() — whose cost does not
+// scale with the stream — is timed separately. The fingerprint records
+// everything the jobs-invariance gates compare: final cycles, verdict
+// (summary + notes), every window report's deterministic fields, and the
+// full live-delivery transcript.
 template <typename Stream>
 ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
                                Stream& stream, const GovernorOptions& options,
@@ -383,7 +371,8 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
   ScenarioResult r;
   r.name = name;
   r.events = events;
-  r.jobs = options.jobs <= 0 ? ThreadPool::hardware_jobs() : options.jobs;
+  r.jobs = options.detector.jobs <= 0 ? ThreadPool::hardware_jobs()
+                                     : options.detector.jobs;
   r.budget_bytes = options.memory_budget_mb << 20;
   const std::size_t rss_base = peak_rss_bytes();
 
@@ -400,32 +389,10 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
 
   GovernedStreamingDetector governed(opts);
   SyntheticTraceReader<Stream> source(stream, events);
-  double ingest_seconds = 0;
-  {
-    std::optional<PipelinedTraceReader> piped;
-    TraceReader* reader = &source;
-    if (r.jobs > 1) {
-      piped.emplace(source, /*depth=*/std::max(4, 2 * r.jobs));
-      reader = &*piped;
-    }
-    Stopwatch ingest;
-    std::vector<Event> block;
-    while (reader->next_block(block)) governed.add_block(block);
-    ingest_seconds = ingest.seconds();
-    if (piped.has_value()) {
-      const PipelinedTraceReader::Stats q = piped->stats();
-      r.queue_stall_ms = (q.push_stall_seconds + q.pop_stall_seconds) * 1e3;
-      // Overlap bound: of the producer's decode time, everything the
-      // consumer did NOT spend waiting on an empty ring ran concurrently
-      // with ingestion (max(0, decode - pop_stall) of it, as a fraction of
-      // decode). 100% = decode fully hidden behind detection.
-      if (q.decode_seconds > 0) {
-        const double hidden =
-            std::max(0.0, q.decode_seconds - q.pop_stall_seconds);
-        r.decode_overlap_pct = 100.0 * hidden / q.decode_seconds;
-      }
-    }
-  }
+  Stopwatch ingest;
+  std::vector<Event> block;
+  while (source.next_block(block)) governed.add_block(block);
+  const double ingest_seconds = ingest.seconds();
   Stopwatch finish_watch;
   Detection detection = governed.finish();
   r.finish_seconds = finish_watch.seconds();
@@ -501,8 +468,8 @@ struct ChurnSection {
 };
 
 // One scenario's jobs-invariance record: the same configuration rerun at
-// jobs ∈ {1, 2, 4}, each rerun's fingerprint compared against the jobs=1
-// baseline. full_fingerprint covers cycles + verdict + windows + live
+// detector.jobs ∈ {1, 2, 4}, each rerun's fingerprint compared against the
+// jobs=1 baseline. full_fingerprint covers cycles + verdict + windows + live
 // transcript; the deadline scenario compares final cycles only (its ladder
 // follows wall-clock latency, which no amount of determinism pins down).
 struct ParallelScenario {
@@ -515,8 +482,6 @@ struct ParallelScenario {
 struct ParallelSection {
   std::vector<ParallelScenario> scenarios;
   bool identity_ok = true;
-  double speedup_4_vs_1 = 0;   // unbounded scenario, ingest Mev/s ratio
-  bool speedup_gated = false;  // only full runs on >= 4 hardware threads
 };
 
 void write_scenario_json(std::ostream& os, const ScenarioResult& s,
@@ -524,9 +489,7 @@ void write_scenario_json(std::ostream& os, const ScenarioResult& s,
   os << indent << "{\"name\": \"" << s.name << "\", \"events\": " << s.events
      << ", \"jobs\": " << s.jobs << ",\n"
      << indent << " \"mevents_per_s\": " << s.mevents_per_s
-     << ", \"finish_seconds\": " << s.finish_seconds
-     << ", \"queue_stall_ms\": " << s.queue_stall_ms
-     << ", \"decode_overlap_pct\": " << s.decode_overlap_pct << ",\n"
+     << ", \"finish_seconds\": " << s.finish_seconds << ",\n"
      << indent << " \"windows\": " << s.windows
      << ", \"p50_window_detect_ms\": " << s.p50_detect_ms
      << ", \"p99_window_detect_ms\": " << s.p99_detect_ms << ",\n"
@@ -546,9 +509,6 @@ void write_parallel_json(std::ostream& os, const ParallelSection& par) {
   os << "  \"parallel\": {\n"
      << "    \"jobs_levels\": [1, 2, 4],\n"
      << "    \"identity_ok\": " << (par.identity_ok ? "true" : "false")
-     << ",\n"
-     << "    \"speedup_4_vs_1\": " << par.speedup_4_vs_1
-     << ", \"speedup_gate\": " << (par.speedup_gated ? "1.5" : "null")
      << ",\n"
      << "    \"scenarios\": [\n";
   for (std::size_t i = 0; i < par.scenarios.size(); ++i) {
@@ -626,25 +586,25 @@ int main(int argc, char** argv) {
   const auto budgeted_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
     GovernorOptions o;
     o.memory_budget_mb = budget_mb;
-    o.jobs = jobs;
+    o.detector.jobs = jobs;
     return run_scenario("budgeted", events, seed, o, det, 8, fp);
   };
   const auto unbounded_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
     GovernorOptions o;
-    o.jobs = jobs;
+    o.detector.jobs = jobs;
     return run_scenario("unbounded", events, seed, o, det, 8, fp);
   };
   const auto deadline_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
     GovernorOptions o;
     o.window_events = 8192;
     o.window_deadline_ms = 1;
-    o.jobs = jobs;
+    o.detector.jobs = jobs;
     return run_scenario("deadline", events, seed, o, det, 8, fp);
   };
   const auto shed_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
     GovernorOptions o;
     o.memory_budget_mb = 2;
-    o.jobs = jobs;
+    o.detector.jobs = jobs;
     return run_scenario("shed", events, seed, o, det, 64, fp);
   };
 
@@ -689,7 +649,7 @@ int main(int argc, char** argv) {
                              std::size_t* delivered) {
     GovernorOptions o;
     o.window_events = churn.window_events;
-    o.jobs = jobs;
+    o.detector.jobs = jobs;
     if (delivered != nullptr)
       o.on_cycle = [delivered](const LiveCycle&) { ++*delivered; };
     ChurnEventStream stream(churn.window_events);
@@ -713,12 +673,9 @@ int main(int argc, char** argv) {
   scenarios.push_back(churn.run);
 
   // Jobs-invariance reruns (DESIGN.md §17): every governed scenario rerun
-  // at jobs ∈ {2, 4}, each rerun's fingerprint compared against its jobs=1
-  // baseline. Identity is gated on every run, --quick included; the jobs=4
-  // ingest speedup is gated only on full runs with >= 4 hardware threads
-  // (a speedup measured without cores is noise, not a regression).
+  // at detector.jobs ∈ {2, 4}, each rerun's fingerprint compared against
+  // its jobs=1 baseline. Identity is gated on every run, --quick included.
   ParallelSection par;
-  par.speedup_gated = !quick && ThreadPool::hardware_jobs() >= 4;
   struct ParallelSpec {
     const char* name;
     bool full_fingerprint;
@@ -756,13 +713,6 @@ int main(int argc, char** argv) {
     if (!p.identical) par.identity_ok = false;
     par.scenarios.push_back(std::move(p));
   }
-  {
-    const ParallelScenario& unb = par.scenarios[1];
-    par.speedup_4_vs_1 = unb.runs[0].mevents_per_s > 0
-                             ? unb.runs[2].mevents_per_s /
-                                   unb.runs[0].mevents_per_s
-                             : 0;
-  }
 
   TextTable table({"Scenario", "Mev/s", "Windows", "p50 ms", "p99 ms",
                    "Peak store", "Budget", "Evicted", "Complete", "Cycles"});
@@ -791,22 +741,14 @@ int main(int argc, char** argv) {
             << TextTable::num(churn.run.p99_detect_ms, 2) << " ms\n";
 
   std::cout << "\njobs-invariance (fingerprints vs jobs=1):\n";
-  TextTable ptable({"Scenario", "Jobs", "Mev/s", "Stall ms", "Ovlp %",
-                    "Identical"});
+  TextTable ptable({"Scenario", "Jobs", "Mev/s", "Finish s", "Identical"});
   for (const ParallelScenario& p : par.scenarios)
     for (const ScenarioResult& r : p.runs)
       ptable.add_row({p.name, std::to_string(r.jobs),
                       TextTable::num(r.mevents_per_s, 2),
-                      TextTable::num(r.queue_stall_ms, 1),
-                      TextTable::num(r.decode_overlap_pct, 0),
+                      TextTable::num(r.finish_seconds, 3),
                       p.identical ? "yes" : "NO"});
   ptable.render(std::cout);
-  std::cout << "jobs=4 vs jobs=1 ingest speedup "
-            << TextTable::num(par.speedup_4_vs_1, 2) << "x"
-            << (par.speedup_gated
-                    ? " (gate >= 1.5x)"
-                    : " (identity-only: quick run or < 4 hardware threads)")
-            << '\n';
 
   const std::string out = flags.get_string("out");
   std::ofstream os(out);
@@ -850,18 +792,13 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: churn run lost coverage without a budget\n";
     ok = false;
   }
-  // Parallel-section gates: identity always (the whole point of §17 is
-  // that jobs never changes the answer); speedup only where it can exist.
+  // Parallel-section gate: identity (the whole point of §17 is that jobs
+  // never changes the answer).
   if (!par.identity_ok) {
     for (const ParallelScenario& p : par.scenarios)
       if (!p.identical)
         std::cerr << "FAIL: " << p.name
                   << " diverged from its jobs=1 fingerprint\n";
-    ok = false;
-  }
-  if (par.speedup_gated && par.speedup_4_vs_1 < 1.5) {
-    std::cerr << "FAIL: jobs=4 ingest speedup " << par.speedup_4_vs_1
-              << " < 1.5x\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -8,7 +8,6 @@
 
 #include "obs/counters.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace wolf {
 
@@ -32,25 +31,6 @@ double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t cycle_key(const PotentialDeadlock& cycle,
-                        const LockDependency& dep) {
-  DefectSignature sig = signature_of(cycle, dep);
-  std::uint64_t h = 0x90be17a9c0bef5ULL ^ sig.size();
-  for (SiteId s : sig)
-    h = mix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)));
-  // Fold in the thread multiset so distinct cycles over the same sites
-  // still count separately.
-  std::vector<ThreadId> threads;
-  threads.reserve(cycle.tuple_idx.size());
-  for (std::size_t idx : cycle.tuple_idx)
-    threads.push_back(dep.tuples[idx].thread);
-  std::sort(threads.begin(), threads.end());
-  for (ThreadId t : threads)
-    h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(t)) +
-                   0x9e3779b97f4a7c15ULL));
-  return h;
 }
 
 }  // namespace
@@ -122,13 +102,11 @@ GovernedStreamingDetector::GovernedStreamingDetector(
 
 GovernedStreamingDetector::~GovernedStreamingDetector() = default;
 
-int GovernedStreamingDetector::resolved_jobs() const {
-  return options_.jobs <= 0 ? ThreadPool::hardware_jobs() : options_.jobs;
-}
-
-ThreadPool& GovernedStreamingDetector::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(resolved_jobs());
-  return *pool_;
+std::size_t GovernedStreamingDetector::CycleKeyHash::operator()(
+    const CycleKey& key) const {
+  std::uint64_t h = 0x90be17a9c0bef5ULL ^ key.size();
+  for (const TupleKey& k : key) h = mix64(h ^ TupleKeyHash{}(k));
+  return static_cast<std::size_t>(h);
 }
 
 void GovernedStreamingDetector::add(const Event& e) {
@@ -174,30 +152,25 @@ void GovernedStreamingDetector::note_event(GovernorVerdict& v,
   }
 }
 
-void GovernedStreamingDetector::surface_cycle(const PotentialDeadlock& cycle,
-                                              const LockDependency& dep,
-                                              WindowReport& w) {
-  const std::uint64_t key = cycle_key(cycle, dep);
-  if (std::find(seen_cycle_keys_.begin(), seen_cycle_keys_.end(), key) !=
-      seen_cycle_keys_.end())
-    return;
-  seen_cycle_keys_.push_back(key);
-  ++w.new_cycles;
-  ++live_cycles_;
-  if (options_.on_cycle) {
-    LiveCycle lc;
-    lc.window = w.index;
-    lc.sequence = live_cycles_;
-    lc.cycle = &cycle;
-    lc.dep = &dep;
-    options_.on_cycle(lc);
-  }
-}
-
 void GovernedStreamingDetector::surface_new_cycles(const Detection& det,
                                                    WindowReport& w) {
-  for (const PotentialDeadlock& cycle : det.cycles)
-    surface_cycle(cycle, det.dep, w);
+  for (const PotentialDeadlock& cycle : det.cycles) {
+    CycleKey key;
+    key.reserve(cycle.tuple_idx.size());
+    for (std::size_t idx : cycle.tuple_idx)
+      key.push_back(key_of(det.dep.tuples[idx]));
+    if (!seen_cycles_.insert(std::move(key)).second) continue;
+    ++w.new_cycles;
+    ++live_cycles_;
+    if (options_.on_cycle) {
+      LiveCycle lc;
+      lc.window = w.index;
+      lc.sequence = live_cycles_;
+      lc.cycle = &cycle;
+      lc.dep = &det.dep;
+      options_.on_cycle(lc);
+    }
+  }
 }
 
 void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
@@ -224,90 +197,20 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
   // window drains the accumulated dirt and catches up.
   if (w.level >= DetectionLevel::kPrefilterOnly) return;
 
-  const std::vector<std::vector<LockId>> dirty_comps =
-      prefilter_.drain_dirty_suspicious_components();
-  if (dirty_comps.empty()) return;  // the suspicious SCCs are all unchanged
   // A cycle's requested locks all lie in one lock-graph SCC, so the tuples
   // whose request lock belongs to a dirty suspicious SCC form a complete
-  // enumeration domain for every cycle that SCC could newly carry — and
-  // since components partition the locks, each dirty component is an
-  // *independent* domain: no cycle crosses two subsets, and canonical dedup
-  // (keyed on thread, request lock, and context) never merges tuples across
-  // them. That makes components the unit of parallel fan-out.
-  std::vector<std::vector<std::size_t>> subsets;
-  subsets.reserve(dirty_comps.size());
-  for (const std::vector<LockId>& locks : dirty_comps) {
-    std::vector<std::size_t> subset;
-    for (LockId lock : locks) {
-      auto it = tuples_by_lock_.find(lock);
-      if (it == tuples_by_lock_.end()) continue;
-      subset.insert(subset.end(), it->second.begin(), it->second.end());
-    }
-    if (subset.empty()) continue;
-    std::sort(subset.begin(), subset.end());  // canonical trace order
-    subsets.push_back(std::move(subset));
+  // enumeration domain for every cycle those SCCs could newly carry.
+  std::vector<std::size_t> subset;
+  for (LockId lock : prefilter_.drain_dirty_suspicious_locks()) {
+    auto it = tuples_by_lock_.find(lock);
+    if (it == tuples_by_lock_.end()) continue;
+    subset.insert(subset.end(), it->second.begin(), it->second.end());
   }
-  if (subsets.empty()) return;
-
-  // Fan the components out as independent enumeration tasks. ThreadPool(1)
-  // degenerates to a plain serial loop, so jobs=1 runs the *same* code path
-  // — jobs-invariance is structural, not tested-for. Each task enumerates
-  // serially inside (fan-out parallelism, not nested DFS), over its own
-  // snapshot and clock copy; the shared builder is only read.
-  DetectorOptions task_opt = opt;
-  task_opt.jobs = 1;
-  std::vector<Detection> dets(subsets.size());
-  pool().parallel_for_each(subsets.size(), [&](std::size_t i) {
-    dets[i] = finish_detection(builder_.snapshot_subset(subsets[i]),
-                               builder_.clocks(), task_opt);
-  });
-
-  // Deterministic canonical-order merge. The combined-subset enumeration
-  // emits cycles grouped by ascending global store index of each cycle's
-  // start tuple (dep.unique ascends in snapshot order, and a sorted subset's
-  // local order *is* global order); a start tuple's request lock lives in
-  // exactly one component, so the per-component streams tie only within a
-  // component, where stable sort preserves emission order. Cross-component
-  // DFS branches in a combined run are dead ends — they can never close a
-  // cycle — so they change no emission. The merged stream is therefore
-  // byte-identical to what one combined enumeration would surface.
-  bool truncated = false;
-  std::size_t total = 0;
-  for (const Detection& d : dets) {
-    truncated = truncated || d.truncated;
-    total += d.cycles.size();
-  }
-  if (truncated || total >= opt.max_cycles) {
-    // Truncation is defined over the combined stream; per-component caps
-    // compose differently. Rare (the cap is huge) — re-enumerate the
-    // combined subset serially rather than approximate the cut.
-    std::vector<std::size_t> combined;
-    for (const std::vector<std::size_t>& s : subsets)
-      combined.insert(combined.end(), s.begin(), s.end());
-    std::sort(combined.begin(), combined.end());
-    Detection det = finish_detection(builder_.snapshot_subset(combined),
-                                     builder_.clocks(), opt);
-    surface_new_cycles(det, w);
-    return;
-  }
-  struct MergeRef {
-    std::size_t global_start;  // store index of the cycle's start tuple
-    std::uint32_t det;
-    std::uint32_t idx;
-  };
-  std::vector<MergeRef> merged;
-  merged.reserve(total);
-  for (std::size_t d = 0; d < dets.size(); ++d)
-    for (std::size_t c = 0; c < dets[d].cycles.size(); ++c)
-      merged.push_back({subsets[d][dets[d].cycles[c].tuple_idx[0]],
-                        static_cast<std::uint32_t>(d),
-                        static_cast<std::uint32_t>(c)});
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const MergeRef& a, const MergeRef& b) {
-                     return a.global_start < b.global_start;
-                   });
-  for (const MergeRef& m : merged)
-    surface_cycle(dets[m.det].cycles[m.idx], dets[m.det].dep, w);
+  if (subset.empty()) return;
+  std::sort(subset.begin(), subset.end());  // canonical trace order
+  surface_new_cycles(finish_detection(builder_.snapshot_subset(subset),
+                                      builder_.clocks(), opt),
+                     w);
 }
 
 void GovernedStreamingDetector::recompute_store_bytes() {

@@ -48,24 +48,19 @@
 // window path is tested against. Windows can also surface each
 // first-sighted cycle to a CycleSubscriber the moment it is found.
 //
-// Since DESIGN.md §17, governed ingestion scales with cores — without
-// touching a byte of the contract above. GovernorOptions::jobs > 1 turns on
-// two composable mechanisms, both bit-identical to the serial path:
-//   * stage pipelining — Session::ingest decodes blocks on a producer
-//     thread behind a bounded SPSC ring (support/ring_queue.hpp,
-//     trace/PipelinedTraceReader), so decode overlaps window detection;
-//   * per-SCC window fan-out — a suspicious window's dirty components are
-//     independent enumeration domains (a cycle's request locks all share
-//     one SCC), so each is enumerated as its own thread-pool task and the
-//     streams are merged back in canonical order.
+// Parallelism (DESIGN.md §17) is the cycle engine's own: a suspicious
+// window's dirty components are enumerated as one combined subset with
+// options.detector, so DetectorOptions::jobs spreads that enumeration over
+// per-start-tuple tasks exactly as it does in batch detect(). Results are
+// byte-identical at every jobs level.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -73,8 +68,6 @@
 #include "robust/fault.hpp"
 
 namespace wolf {
-
-class ThreadPool;
 
 // The degradation ladder, cheapest-last. Numeric order is demotion order.
 enum class DetectionLevel : std::uint8_t {
@@ -112,18 +105,11 @@ struct GovernorOptions {
   // Wall-clock budget for one window's detection work; 0 = no deadline
   // (the ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Engine configuration for per-window and final enumeration.
+  // Engine configuration for per-window and final enumeration; its jobs
+  // field is the only parallelism knob of governed detection. Verdicts,
+  // notes, window reports, and live-cycle sequence numbers are
+  // bit-identical at every jobs level.
   DetectorOptions detector;
-  // Parallelism of governed ingestion (DESIGN.md §17): > 1 pipelines block
-  // decode behind detection (Session::ingest) and fans a suspicious
-  // window's dirty SCCs out as independent enumeration tasks; 1 = fully
-  // serial; 0 = hardware concurrency. Verdicts, notes, window reports, and
-  // live-cycle sequence numbers are bit-identical at every level.
-  int jobs = 1;
-  // Depth, in blocks, of the decode→ingest ring when jobs > 1; this is the
-  // backpressure bound on how far decode may run ahead of ingestion.
-  // 0 = auto (derived from jobs).
-  std::size_t pipeline_depth = 0;
   // Live cycle surfacing: invoked once per first-sighted cycle at window
   // granularity; empty = no mid-run surfacing. Never changes what finish()
   // returns.
@@ -216,13 +202,6 @@ class GovernedStreamingDetector {
   void run_window_detection(WindowReport& w);
   // First-sighting dedup + subscriber delivery for one window's detection.
   void surface_new_cycles(const Detection& det, WindowReport& w);
-  // Single-cycle unit of the above, shared with the per-SCC merge path.
-  void surface_cycle(const PotentialDeadlock& cycle, const LockDependency& dep,
-                     WindowReport& w);
-  // Lazily-built enumeration pool (resolved_jobs() wide); never built when
-  // the run stays serial.
-  ThreadPool& pool();
-  int resolved_jobs() const;
   // Budget enforcement: compaction, then aging. Updates store_bytes_.
   void govern_memory(WindowReport& w);
   void recompute_store_bytes();
@@ -246,28 +225,20 @@ class GovernedStreamingDetector {
   std::size_t window_events_ = 0;      // events in the open window
   std::size_t tuples_fed_ = 0;         // tuples already fed to the prefilter
   std::size_t store_bytes_ = 0;
-  // Cycles already surfaced by per-window enumeration, keyed by signature
-  // hash — so new_cycles counts first sightings only.
-  std::vector<std::uint64_t> seen_cycle_keys_;
+  // Cycles already surfaced by per-window enumeration, keyed by their
+  // tuples' dedup keys (key_of) in cycle order — exact, so new_cycles
+  // counts first sightings only, and two cycles over the same sites but
+  // other locks stay distinct.
+  using CycleKey = std::vector<TupleKey>;
+  struct CycleKeyHash {
+    std::size_t operator()(const CycleKey& key) const;
+  };
+  std::unordered_set<CycleKey, CycleKeyHash> seen_cycles_;
   std::size_t live_cycles_ = 0;
   // Store indices by request lock, so a dirty SCC's lock list maps straight
   // to the tuple subset to enumerate. Rebuilt after compaction/eviction
   // (which renumber the store).
   std::unordered_map<LockId, std::vector<std::size_t>> tuples_by_lock_;
-  std::unique_ptr<ThreadPool> pool_;
-};
-
-// Where pipelined ingestion spent its overlap budget — filled only when
-// Session::ingest ran the decode→ingest ring (jobs > 1). Stall
-// attribution: push stalls mean ingestion was the bottleneck (the ring
-// backpressured decode), pop stalls mean decode was.
-struct GovernedPipelineStats {
-  bool used = false;
-  std::uint64_t push_stalls = 0;
-  std::uint64_t pop_stalls = 0;
-  double push_stall_seconds = 0;
-  double pop_stall_seconds = 0;
-  double decode_seconds = 0;  // producer-side time spent decoding blocks
 };
 
 }  // namespace wolf

@@ -16,33 +16,25 @@ namespace {
 const obs::Counter kTuplesCounter("detector.tuples");
 }  // namespace
 
-namespace {
+std::size_t TupleKeyHash::operator()(const TupleKey& k) const {
+  std::uint64_t h =
+      mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.thread))
+             << 32) ^
+            static_cast<std::uint32_t>(k.lock));
+  for (SiteId s : k.sites)
+    h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) +
+                   0x9e3779b97f4a7c15ULL));
+  return static_cast<std::size_t>(h);
+}
 
-// Dedup key of a tuple: its thread, acquired lock, and context site
-// signature. Equality is exact, so the hash index collapses precisely the
-// same tuples as the ordered map it replaces.
-struct TupleKey {
-  ThreadId thread = kInvalidThread;
-  LockId lock = kInvalidLock;
-  std::vector<SiteId> sites;
-
-  friend bool operator==(const TupleKey&, const TupleKey&) = default;
-};
-
-struct TupleKeyHash {
-  std::size_t operator()(const TupleKey& k) const {
-    std::uint64_t h =
-        mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.thread))
-               << 32) ^
-              static_cast<std::uint32_t>(k.lock));
-    for (SiteId s : k.sites)
-      h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) +
-                     0x9e3779b97f4a7c15ULL));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
+TupleKey key_of(const LockTuple& t) {
+  TupleKey key;
+  key.thread = t.thread;
+  key.lock = t.lock;
+  key.sites.reserve(t.context.size());
+  for (const ExecIndex& idx : t.context) key.sites.push_back(idx.site);
+  return key;
+}
 
 ExecIndex LockTuple::mu(LockId l) const {
   if (l == lock) return context.back();
@@ -119,15 +111,6 @@ void LockDependencyBuilder::add(const Event& e) {
 }
 
 namespace {
-
-TupleKey key_of(const LockTuple& t) {
-  TupleKey key;
-  key.thread = t.thread;
-  key.lock = t.lock;
-  key.sites.reserve(t.context.size());
-  for (const ExecIndex& idx : t.context) key.sites.push_back(idx.site);
-  return key;
-}
 
 // Deduplicate by (thread, lock, context site signature): the canonical
 // representative is the first occurrence. Hash-indexed — the ordered map

@@ -47,6 +47,24 @@ struct LockTuple {
   std::string to_string() const;
 };
 
+// Dedup key of a tuple: its thread, acquired lock, and context site
+// signature. Tuples with equal keys are duplicates — `unique` keeps the
+// first of them and compaction drops the rest. Equality is exact; the hash
+// only indexes.
+struct TupleKey {
+  ThreadId thread = kInvalidThread;
+  LockId lock = kInvalidLock;
+  std::vector<SiteId> sites;
+
+  friend bool operator==(const TupleKey&, const TupleKey&) = default;
+};
+
+struct TupleKeyHash {
+  std::size_t operator()(const TupleKey& k) const;
+};
+
+TupleKey key_of(const LockTuple& t);
+
 struct LockDependency {
   // Every top-level acquisition of the trace, in trace order.
   std::vector<LockTuple> tuples;

@@ -357,9 +357,6 @@ WolfReport analyze_session(const sim::Program& program, Session& session,
   Session::Verdict verdict;
   {
     obs::Span detect_span(&sink, "phase/detect");
-    // ingest() owns the decode→ingest pipelining (DESIGN.md §17) when the
-    // session's jobs ask for it; event delivery is identical to a serial
-    // drain, so the Detection is bit-identical at every jobs level.
     session.ingest(reader);
     verdict = session.finish();
   }

@@ -150,25 +150,14 @@ std::size_t LockGraph::suspicious_scc_count() const {
   return verdict_scc_count_;
 }
 
-std::vector<std::vector<LockId>> LockGraph::drain_dirty_suspicious_components() {
+std::vector<LockId> LockGraph::drain_dirty_suspicious_locks() {
   refresh_verdicts();
-  std::vector<std::vector<LockId>> result;
+  std::vector<LockId> result;
   for (int comp : scc_.drain_dirty()) {
     if (!comp_suspicious_[static_cast<std::size_t>(comp)]) continue;
-    std::vector<LockId> locks;
-    const auto& members = scc_.members(comp);
-    locks.reserve(members.size());
-    for (DynamicScc::Node v : members)
-      locks.push_back(locks_[static_cast<std::size_t>(v)]);
-    result.push_back(std::move(locks));
+    for (DynamicScc::Node v : scc_.members(comp))
+      result.push_back(locks_[static_cast<std::size_t>(v)]);
   }
-  return result;
-}
-
-std::vector<LockId> LockGraph::drain_dirty_suspicious_locks() {
-  std::vector<LockId> result;
-  for (std::vector<LockId>& comp : drain_dirty_suspicious_components())
-    result.insert(result.end(), comp.begin(), comp.end());
   return result;
 }
 

@@ -1,15 +1,13 @@
 // wolf::Session — the unified online-analysis facade (wolf.hpp).
 //
 // The implementation is deliberately thin: governed sessions delegate to
-// GovernedStreamingDetector, ungoverned ones to StreamingDetector, and
-// ingest() owns the decode→ingest pipelining.
+// GovernedStreamingDetector, ungoverned ones to StreamingDetector.
 
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "support/thread_pool.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 
@@ -30,8 +28,6 @@ struct LiveCollector {
 struct Session::Impl {
   bool governed = false;
   bool finished = false;
-  int jobs = 1;
-  std::size_t pipeline_depth = 0;
 
   // Governed mode.
   std::unique_ptr<GovernedStreamingDetector> gov;
@@ -43,8 +39,6 @@ struct Session::Impl {
   std::unique_ptr<StreamingDetector> stream;
   bool poisoned = false;
   std::string poison_note;
-
-  GovernedPipelineStats pipeline;
 };
 
 Session::Session() : impl_(std::make_unique<Impl>()) {}
@@ -62,8 +56,6 @@ Session Session::open(const Config& config) {
   if (!fatal.empty())
     throw std::invalid_argument("wolf::Session::open: " + fatal);
   Session s;
-  s.impl_->jobs = config.jobs;
-  s.impl_->pipeline_depth = config.pipeline_depth;
   if (!config.governed()) {
     s.impl_->stream =
         std::make_unique<StreamingDetector>(config.wolf_options().detector);
@@ -120,30 +112,8 @@ bool Session::feed(const std::vector<Event>& events) {
 }
 
 void Session::ingest(TraceReader& reader) {
-  const int jobs =
-      impl_->jobs <= 0 ? ThreadPool::hardware_jobs() : impl_->jobs;
   std::vector<Event> block;
-  if (jobs > 1) {
-    // Stage pipelining (DESIGN.md §17): decode on a producer thread, ingest
-    // here. The bounded ring preserves block order and contents — identical
-    // event delivery to the serial drain — and its backpressure is what
-    // keeps per-session memory flat when the producer outruns detection.
-    const std::size_t depth =
-        impl_->pipeline_depth != 0
-            ? impl_->pipeline_depth
-            : std::max<std::size_t>(4, 2 * static_cast<std::size_t>(jobs));
-    PipelinedTraceReader piped(reader, depth);
-    while (piped.next_block(block)) feed(block);
-    const PipelinedTraceReader::Stats stats = piped.stats();
-    impl_->pipeline.used = true;
-    impl_->pipeline.push_stalls += stats.push_stalls;
-    impl_->pipeline.pop_stalls += stats.pop_stalls;
-    impl_->pipeline.push_stall_seconds += stats.push_stall_seconds;
-    impl_->pipeline.pop_stall_seconds += stats.pop_stall_seconds;
-    impl_->pipeline.decode_seconds += stats.decode_seconds;
-  } else {
-    while (reader.next_block(block)) feed(block);
-  }
+  while (reader.next_block(block)) feed(block);
 }
 
 std::vector<SessionCycle> Session::poll() {
@@ -179,7 +149,6 @@ Session::Verdict Session::finish() {
   assert(!impl_->finished && "finish() called twice");
   Verdict v;
   v.governed = impl_->governed;
-  v.pipeline = impl_->pipeline;
   if (impl_->governed) {
     v.detection = impl_->gov->finish();
     v.windows = impl_->gov->windows();

@@ -122,7 +122,8 @@ FdInBuf::int_type FdInBuf::underflow() {
   for (;;) {
     const ssize_t n = ::recv(fd_, buf_, sizeof(buf_), 0);
     if (n > 0) {
-      bytes_read_ += static_cast<std::uint64_t>(n);
+      bytes_read_.fetch_add(static_cast<std::uint64_t>(n),
+                            std::memory_order_relaxed);
       setg(buf_, buf_, buf_ + n);
       return traits_type::to_int_type(*gptr());
     }

@@ -12,6 +12,7 @@
 // dedicated reaper thread.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <streambuf>
@@ -107,7 +108,11 @@ class FdInBuf final : public std::streambuf {
 
   bool timed_out() const { return timed_out_; }
   bool io_error() const { return io_error_; }
-  std::uint64_t bytes_read() const { return bytes_read_; }
+  // Safe to read from another thread while a reader drains this buffer
+  // (the serve status tally does); the other accessors are not.
+  std::uint64_t bytes_read() const {
+    return bytes_read_.load(std::memory_order_relaxed);
+  }
 
  protected:
   int_type underflow() override;
@@ -117,7 +122,7 @@ class FdInBuf final : public std::streambuf {
   int fd_;
   bool timed_out_ = false;
   bool io_error_ = false;
-  std::uint64_t bytes_read_ = 0;
+  std::atomic<std::uint64_t> bytes_read_{0};
   char buf_[kBufBytes];
 };
 

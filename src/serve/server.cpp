@@ -41,6 +41,14 @@ double p99_window_seconds(const std::vector<WindowReport>& windows) {
   return lat[idx];
 }
 
+// Blocks each session's socket decode may run ahead of its detection. The
+// producer thread pays for itself: on the perfbench serve workload (two
+// clients x 4e6 events, 4-CPU Linux host) decoding inline on the session
+// thread raised wall time from 0.81 s to 1.03 s (five alternating pairs,
+// every inline run slower) — socket reads and v3 decode then wait on
+// window detection instead of overlapping it.
+constexpr std::size_t kSocketQueueDepth = 4;
+
 bool is_active(SessionState s) {
   return s == SessionState::kHandshake || s == SessionState::kStreaming ||
          s == SessionState::kFinishing;
@@ -283,15 +291,11 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   // reader gives torn and corrupted streams the same treatment as damaged
   // files — keep every intact block, diagnose the rest, never throw.
   StreamTraceReader raw(in, StreamTraceReader::Mode::kSalvage);
-  TraceReader* source = &raw;
-  std::optional<PipelinedTraceReader> piped;
-  if (options.pipeline_depth >= 2) {
-    // Per-client backpressure: decode may run at most pipeline_depth blocks
-    // ahead of detection; past that the producer parks and the kernel
-    // socket buffer fills, pushing back on the client itself.
-    piped.emplace(raw, options.pipeline_depth);
-    source = &*piped;
-  }
+  // Per-client backpressure: decode may run at most kSocketQueueDepth blocks
+  // ahead of detection; past that the producer parks and the kernel socket
+  // buffer fills, pushing back on the client itself.
+  std::optional<PipelinedTraceReader> piped(std::in_place, raw,
+                                            kSocketQueueDepth);
 
   Stopwatch wall;
   bool deadline_hit = false;
@@ -302,7 +306,7 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
     obs::Span ingest_span(&e->spans, "session/ingest");
     Stopwatch ingest_clock;
     std::vector<Event> block;
-    while (source->next_block(block)) {
+    while (piped->next_block(block)) {
       session.feed(block);
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -328,11 +332,11 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
         break;
       }
     }
-    if (deadline_hit && piped.has_value()) {
+    if (deadline_hit) {
       // The producer may be parked in recv(); end its read before joining.
       shutdown_read(fd.get());
     }
-    piped.reset();  // join the producer; ring stats are final after this
+    piped.reset();  // join the producer: the reader's state is final now
     ingest_seconds = ingest_clock.seconds();
   }
 

@@ -6,21 +6,19 @@
 // Isolation model — the "one misbehaving client can never poison another"
 // contract, mechanically:
 //   * one thread + one Session per connection: sessions share no mutable
-//     analysis state (a governed Session owns its detector, its windows,
-//     its degradation ladder, and — when jobs > 1 — its own enumeration
-//     pool), so a slow, torn, or malicious stream can only ever burn its
-//     own lane;
+//     analysis state (a governed Session owns its detector, its windows and
+//     its degradation ladder), so a slow, torn, or malicious stream can
+//     only ever burn its own lane;
 //   * per-session containment: the connection handler is wrapped in a
 //     catch-everything that turns any escape into a kFailed entry and an
 //     error line, never a server death; malformed events poison only their
 //     session (Session::feed); torn/corrupt streams go through the salvage
 //     reader and end in an honest stream_complete=false verdict;
-//   * bounded per-client memory: the socket is drained through the same
-//     bounded decode→ingest ring as batch pipelining (pipeline_depth
-//     blocks), so a producer that outruns detection parks in the ring
-//     (backpressure propagates to the client's send buffer) instead of
-//     queueing unbounded state server-side — this is why jobs+budget is a
-//     supported combination (Config::validate);
+//   * bounded per-client memory: the socket is read and decoded on a
+//     producer thread behind a fixed 4-block queue
+//     (trace/PipelinedTraceReader), so a producer that outruns detection
+//     parks in the queue (backpressure propagates to the client's send
+//     buffer) instead of queueing unbounded state server-side;
 //   * lifecycle: idle sessions are evicted by a receive timeout, runaway
 //     sessions by a wall-clock deadline, and stop() drains gracefully —
 //     accepting nothing new, giving live sessions drain_deadline_ms to end
@@ -56,9 +54,6 @@ struct ServeOptions {
   // stop(): how long live sessions get to finish before their reads are
   // force-ended.
   std::int64_t drain_deadline_ms = 5000;
-  // Depth, in blocks, of each session's decode→ingest ring; < 2 disables
-  // pipelining (the session thread decodes inline).
-  std::size_t pipeline_depth = 4;
   // Per-session analysis defaults; a session hello's parameters override
   // individual fields (protocol.hpp apply_params). live defaults on so
   // clients get cycles streamed as windows close.

@@ -1,92 +1,58 @@
-// Bounded SPSC ring queue — the decode→ingest handoff of the pipelined
-// governed path (DESIGN.md §17).
+// Bounded blocking queue — the socket-decode→ingest handoff of a serve
+// session (trace/PipelinedTraceReader, DESIGN.md §17).
 //
 // One producer thread pushes decoded event blocks, one consumer thread pops
-// them; capacity is fixed (rounded up to a power of two), and a full queue
-// *blocks the producer* — that is the backpressure that keeps decode from
-// racing arbitrarily far ahead of ingestion and re-inflating the memory
-// the governor just bounded. Both stall directions are counted (stalls and
-// stalled seconds) so benchmarks can attribute where pipeline time went:
-// push stalls mean ingestion is the bottleneck, pop stalls mean decode is.
+// them; capacity is fixed, and a full queue *blocks the producer* — that is
+// the backpressure that keeps decode from racing arbitrarily far ahead of
+// ingestion and re-inflating the memory the governor just bounded.
 //
-// Layout and discipline:
-//   * head_ (producer-owned) and tail_ (consumer-owned) are cache-line-
-//     padded atomics, so the two sides never false-share a line through
-//     their hot indices; slot transfer itself is index-ordered (release
-//     store of the index publishes the slot write).
-//   * The uncontended path is lock-free: one seq_cst index load, a slot
-//     move, one index store. The mutex+condvar pair exists only to sleep
-//     and wake across the empty/full boundary — and a side that goes to
-//     sleep advertises it in sleepers_ first, so the other side only takes
-//     the lock to notify when someone is actually waiting.
-//   * The empty/full handshake (index stores, index re-reads, sleepers_)
-//     is seq_cst: the waiter's "still empty?" check and the producer's
-//     "anyone sleeping?" check form a classic store/load race that weaker
-//     orders do not serialize. Items are whole event blocks (hundreds of
-//     events), so the queue runs at kHz, not MHz — correctness is worth
-//     the fence.
+// One mutex and two condition variables guard a bounded std::deque. Items
+// are whole event blocks (hundreds of events), so the queue runs at kHz,
+// not MHz: a lock per handoff costs nothing measurable.
 //
 // close() ends the stream from either side: a blocked push unblocks and
 // returns false (producer stops), and pop drains what was already queued
 // before returning false (consumer sees every pushed block exactly once).
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <mutex>
-#include <new>
-#include <vector>
-
-#include "support/stopwatch.hpp"
+#include <utility>
 
 namespace wolf {
 
 template <typename T>
 class RingQueue {
  public:
-  struct Stats {
-    std::uint64_t push_stalls = 0;  // times the producer found the ring full
-    std::uint64_t pop_stalls = 0;   // times the consumer found it empty
-    double push_stall_seconds = 0;  // total time the producer slept
-    double pop_stall_seconds = 0;   // total time the consumer slept
-  };
+  // Holds at most `capacity` items (minimum 1).
+  explicit RingQueue(std::size_t capacity)
+      : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-  // Capacity is rounded up to a power of two, minimum 2.
-  explicit RingQueue(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  std::size_t capacity() const { return slots_.size(); }
-
-  // Producer side. Blocks while the ring is full; returns false — without
+  // Producer side. Blocks while the queue is full; returns false — without
   // enqueueing — once close() has been called.
   bool push(T item) {
-    const std::size_t head = head_.v.load(std::memory_order_relaxed);
-    if (head - tail_.v.load(std::memory_order_seq_cst) == slots_.size()) {
-      if (!wait_not_full(head)) return false;
-    }
-    if (closed_.load(std::memory_order_seq_cst)) return false;
-    slots_[head & mask_] = std::move(item);
-    head_.v.store(head + 1, std::memory_order_seq_cst);
-    wake(kConsumer);
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_full_.wait(lock, [&] { return closed_ || items_.size() < capacity_; });
+    if (closed_) return false;
+    items_.push_back(std::move(item));
+    lock.unlock();
+    not_empty_.notify_one();
     return true;
   }
 
-  // Consumer side. Blocks while the ring is empty; returns false only once
+  // Consumer side. Blocks while the queue is empty; returns false only once
   // the queue is closed *and* drained — every pushed item is delivered.
   bool pop(T& out) {
-    const std::size_t tail = tail_.v.load(std::memory_order_relaxed);
-    if (tail == head_.v.load(std::memory_order_seq_cst)) {
-      if (!wait_not_empty(tail)) return false;
-    }
-    out = std::move(slots_[tail & mask_]);
-    tail_.v.store(tail + 1, std::memory_order_seq_cst);
-    wake(kProducer);
+    std::unique_lock<std::mutex> lock(mutex_);
+    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
+    if (items_.empty()) return false;
+    out = std::move(items_.front());
+    items_.pop_front();
+    lock.unlock();
+    not_full_.notify_one();
     return true;
   }
 
@@ -95,96 +61,24 @@ class RingQueue {
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      closed_.store(true, std::memory_order_seq_cst);
+      closed_ = true;
     }
     not_full_.notify_all();
     not_empty_.notify_all();
   }
 
-  bool closed() const { return closed_.load(std::memory_order_seq_cst); }
-
-  // Exact on the side that owns each counter; safe to read concurrently
-  // (each field is written by exactly one thread, via relaxed atomics).
-  Stats stats() const {
-    Stats s;
-    s.push_stalls = push_stalls_.load(std::memory_order_relaxed);
-    s.pop_stalls = pop_stalls_.load(std::memory_order_relaxed);
-    s.push_stall_seconds =
-        1e-9 * static_cast<double>(
-                   push_stall_nanos_.load(std::memory_order_relaxed));
-    s.pop_stall_seconds =
-        1e-9 * static_cast<double>(
-                   pop_stall_nanos_.load(std::memory_order_relaxed));
-    return s;
+  bool closed() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return closed_;
   }
 
  private:
-  enum Side { kProducer = 0, kConsumer = 1 };
-
-  struct alignas(64) PaddedIndex {
-    std::atomic<std::size_t> v{0};
-  };
-
-  // Returns false when the queue closed while (or before) waiting.
-  bool wait_not_full(std::size_t head) {
-    push_stalls_.fetch_add(1, std::memory_order_relaxed);
-    Stopwatch stalled;
-    std::unique_lock<std::mutex> lock(mutex_);
-    sleepers_[kProducer].store(1, std::memory_order_seq_cst);
-    not_full_.wait(lock, [&] {
-      return closed_.load(std::memory_order_seq_cst) ||
-             head - tail_.v.load(std::memory_order_seq_cst) < slots_.size();
-    });
-    sleepers_[kProducer].store(0, std::memory_order_seq_cst);
-    push_stall_nanos_.fetch_add(
-        static_cast<std::uint64_t>(stalled.seconds() * 1e9),
-        std::memory_order_relaxed);
-    return !closed_.load(std::memory_order_seq_cst);
-  }
-
-  bool wait_not_empty(std::size_t tail) {
-    // Fast close-check: a closed empty queue is terminal, not a stall.
-    if (closed_.load(std::memory_order_seq_cst) &&
-        tail == head_.v.load(std::memory_order_seq_cst))
-      return false;
-    pop_stalls_.fetch_add(1, std::memory_order_relaxed);
-    Stopwatch stalled;
-    std::unique_lock<std::mutex> lock(mutex_);
-    sleepers_[kConsumer].store(1, std::memory_order_seq_cst);
-    not_empty_.wait(lock, [&] {
-      return closed_.load(std::memory_order_seq_cst) ||
-             tail != head_.v.load(std::memory_order_seq_cst);
-    });
-    sleepers_[kConsumer].store(0, std::memory_order_seq_cst);
-    pop_stall_nanos_.fetch_add(
-        static_cast<std::uint64_t>(stalled.seconds() * 1e9),
-        std::memory_order_relaxed);
-    return tail != head_.v.load(std::memory_order_seq_cst);
-  }
-
-  void wake(Side side) {
-    if (sleepers_[side].load(std::memory_order_seq_cst) == 0) return;
-    // Empty critical section: serializes the notify after the sleeper's
-    // predicate check, so the wakeup cannot land in the check→block window.
-    { std::lock_guard<std::mutex> lock(mutex_); }
-    (side == kConsumer ? not_empty_ : not_full_).notify_one();
-  }
-
-  std::vector<T> slots_;
-  std::size_t mask_ = 0;
-  PaddedIndex head_;  // producer-owned; next slot to fill
-  PaddedIndex tail_;  // consumer-owned; next slot to drain
-
-  std::mutex mutex_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::atomic<bool> closed_{false};
-  std::atomic<int> sleepers_[2] = {{0}, {0}};
-
-  std::atomic<std::uint64_t> push_stalls_{0};
-  std::atomic<std::uint64_t> pop_stalls_{0};
-  std::atomic<std::uint64_t> push_stall_nanos_{0};
-  std::atomic<std::uint64_t> pop_stall_nanos_{0};
+  std::deque<T> items_;
+  bool closed_ = false;
 };
 
 }  // namespace wolf

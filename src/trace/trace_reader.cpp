@@ -7,7 +7,6 @@
 #include <iterator>
 
 #include "obs/counters.hpp"
-#include "support/stopwatch.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
 #include "trace/wire.hpp"
@@ -796,7 +795,7 @@ void StreamTraceReader::finish_footer_checks(bool dropped_any) {
 
 PipelinedTraceReader::PipelinedTraceReader(TraceReader& source,
                                            std::size_t depth)
-    : source_(&source), queue_(depth == 0 ? 2 : depth) {
+    : source_(&source), queue_(depth) {
   producer_ = std::thread([this] { produce(); });
 }
 
@@ -820,13 +819,7 @@ PipelinedTraceReader::~PipelinedTraceReader() {
 void PipelinedTraceReader::produce() {
   try {
     std::vector<Event> block;
-    for (;;) {
-      Stopwatch decode;
-      const bool more = source_->next_block(block);
-      decode_nanos_.fetch_add(
-          static_cast<std::uint64_t>(decode.seconds() * 1e9),
-          std::memory_order_relaxed);
-      if (!more) break;
+    while (source_->next_block(block)) {
       if (!queue_.push(std::move(block))) break;  // consumer gone
       block.clear();  // moved-from: restore a known state for reuse
     }
@@ -853,18 +846,6 @@ bool PipelinedTraceReader::next_block(std::vector<Event>& out) {
     std::rethrow_exception(producer_error_);
   }
   return false;
-}
-
-PipelinedTraceReader::Stats PipelinedTraceReader::stats() const {
-  const RingQueue<std::vector<Event>>::Stats q = queue_.stats();
-  Stats s;
-  s.push_stalls = q.push_stalls;
-  s.pop_stalls = q.pop_stalls;
-  s.push_stall_seconds = q.push_stall_seconds;
-  s.pop_stall_seconds = q.pop_stall_seconds;
-  s.decode_seconds =
-      1e-9 * static_cast<double>(decode_nanos_.load(std::memory_order_relaxed));
-  return s;
 }
 
 }  // namespace wolf

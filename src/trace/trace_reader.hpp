@@ -35,7 +35,6 @@
 // index → sequential scan, no parallelism → serial decode.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
@@ -198,17 +197,18 @@ class StreamTraceReader final : public TraceReader {
 
 // Stage-pipelining adapter (DESIGN.md §17): moves a source reader's block
 // production onto a dedicated producer thread, handing decoded blocks to the
-// caller through a bounded SPSC ring. The consumer (detection ingest) and
-// the producer (mmap'd decode — itself possibly parallel via the source's
-// jobs option) then overlap instead of serializing turn-by-turn.
+// caller through a bounded queue (support/ring_queue.hpp). The serve sidecar
+// wraps each session's socket reader in one, so socket reads and decode
+// overlap that session's detection instead of alternating with it.
 //
 // Delivery is trivially bit-identical to draining the source directly: the
-// ring preserves block order and block contents, and next_block() returns
+// queue preserves block order and block contents, and next_block() returns
 // false only after the producer exhausted the source. Backpressure is the
-// ring's fixed depth — decode can run at most `depth` blocks ahead of
-// ingestion, so a slow consumer bounds the pipeline's memory, not the trace
-// length. A producer-side exception is captured and rethrown from the
-// consumer's next next_block() call, after the producer has been joined.
+// queue's fixed depth — the producer holds at most `depth` queued blocks
+// plus the one it is pushing, so a slow consumer bounds the pipeline's
+// memory, not the trace length. A producer-side exception is captured and
+// rethrown from the consumer's next next_block() call, after the producer
+// has been joined.
 //
 // The source reader is borrowed and must outlive this adapter. While the
 // adapter is alive the producer thread owns the source: do not touch it from
@@ -217,24 +217,13 @@ class StreamTraceReader final : public TraceReader {
 // again and reflect the whole stream.
 class PipelinedTraceReader final : public TraceReader {
  public:
-  struct Stats {
-    std::uint64_t push_stalls = 0;   // producer waited on a full ring
-    std::uint64_t pop_stalls = 0;    // consumer waited on an empty ring
-    double push_stall_seconds = 0;
-    double pop_stall_seconds = 0;
-    double decode_seconds = 0;       // producer time inside source.next_block
-  };
-
-  explicit PipelinedTraceReader(TraceReader& source, std::size_t depth = 8);
+  PipelinedTraceReader(TraceReader& source, std::size_t depth);
   ~PipelinedTraceReader() override;
 
   PipelinedTraceReader(const PipelinedTraceReader&) = delete;
   PipelinedTraceReader& operator=(const PipelinedTraceReader&) = delete;
 
   bool next_block(std::vector<Event>& out) override;
-
-  // Safe to call at any time; exact once next_block() has returned false.
-  Stats stats() const;
 
  private:
   void produce();
@@ -252,7 +241,6 @@ class PipelinedTraceReader final : public TraceReader {
   // of being silently swallowed (error_delivered_ tells the two apart).
   std::exception_ptr producer_error_;
   bool error_delivered_ = false;
-  std::atomic<std::uint64_t> decode_nanos_{0};
 };
 
 }  // namespace wolf

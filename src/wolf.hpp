@@ -86,11 +86,6 @@ struct Config {
   // Per-window detection deadline in ms (0 = no deadline; the degradation
   // ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Depth, in blocks, of the governed decode→ingest ring (DESIGN.md §17)
-  // when jobs > 1 pipelines ingestion: the backpressure bound on how far
-  // decode may run ahead of detection. 0 = auto (derived from jobs). Values
-  // below 2 cannot overlap anything and are rejected by validate().
-  std::size_t pipeline_depth = 0;
   // Live cycle surfacing: called once per first-sighted cycle at window
   // granularity (`wolf analyze --live`). Setting it switches analysis onto
   // the governed path; it never changes the final result.
@@ -161,13 +156,12 @@ class Session {
   // Everything finish() knows, in one struct. `detection` is authoritative;
   // `governor.coverage_complete` is the honesty bit (true iff the detection
   // provably equals batch analysis of the same event stream — ungoverned
-  // sessions set it false only when poisoned). `windows` and `pipeline` are
-  // empty/unused for ungoverned sessions.
+  // sessions set it false only when poisoned). `windows` is empty for
+  // ungoverned sessions.
   struct Verdict {
     Detection detection;
     std::vector<WindowReport> windows;
     GovernorVerdict governor;
-    GovernedPipelineStats pipeline;
     bool governed = false;
   };
 
@@ -190,12 +184,8 @@ class Session {
   bool feed(const Event& e);
   bool feed(const std::vector<Event>& events);
 
-  // Drains a TraceReader through feed(). With jobs > 1 the blocks are
-  // decoded on a producer thread behind the bounded ring
-  // (trace/PipelinedTraceReader) — the per-client backpressure that keeps
-  // memory flat no matter how far a fast producer runs ahead; stats land in
-  // Verdict::pipeline. Event delivery is order- and content-identical to a
-  // serial drain. Keeps draining after poisoning (the reader is left at
+  // Drains a TraceReader through feed(), block by block, on the calling
+  // thread. Keeps draining after poisoning (the reader is left at
   // end-of-stream either way, so stream diagnostics stay meaningful).
   void ingest(TraceReader& reader);
 

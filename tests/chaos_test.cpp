@@ -6,7 +6,7 @@
 // faults (torn write, bit flips, text garbling, fractional truncation),
 // salvage-read, and finally analyzed by the governed detector under random
 // memory budgets, window sizes, deadlines, parallelism levels
-// (GovernorOptions::jobs ∈ {1, 2, 4}) and injected detection faults —
+// (governor.detector.jobs ∈ {1, 2, 4}) and injected detection faults —
 // per-window throws and thread-pool task faults included.
 //
 // The invariant under EVERY schedule:
@@ -80,13 +80,14 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
   if (rng.chance(0.4))
     s.governor.memory_budget_mb = 1;  // tiny: forces compaction/aging
   if (rng.chance(0.3)) s.governor.window_deadline_ms = 1 + rng.below(20);
-  s.governor.detector.jobs = rng.chance(0.3) ? 2 : 1;
-  // Governed-ingestion parallelism (DESIGN.md §17): the per-SCC window
-  // fan-out must uphold the honesty contract under every fault schedule,
-  // so the campaign randomizes it across {1, 2, 4}.
+  // Unused draws, kept so every seed still derives the same later values
+  // and corruption seed.
+  (void)rng.chance(0.3);
+  // Enumeration parallelism (DESIGN.md §17) must uphold the honesty
+  // contract under every fault schedule, so the campaign randomizes it
+  // across {1, 2, 4}.
   const int jobs_levels[] = {1, 2, 4};
-  s.governor.jobs = jobs_levels[rng.below(3)];
-  // Unused draw, kept so every seed still derives the same corruption seed.
+  s.governor.detector.jobs = jobs_levels[rng.below(3)];
   (void)rng.chance(0.5);
   // NOTE: governor.fault is wired by the caller — pointing it at s.detection
   // here would dangle once the Schedule is returned by value.
@@ -237,11 +238,11 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
   GovernorOptions options;
   options.window_events = 16 + rng.below(112);
   options.memory_budget_mb = 1;
-  options.detector.jobs = rng.chance(0.3) ? 2 : 1;
-  // Churn + eviction + per-SCC fan-out together: the store renumbering
-  // between windows must stay invisible at every jobs level.
+  (void)rng.chance(0.3);  // unused draw, kept so later draws are unchanged
+  // Churn + eviction + parallel enumeration together: the store
+  // renumbering between windows must stay invisible at every jobs level.
   const int jobs_levels[] = {1, 2, 4};
-  options.jobs = jobs_levels[rng.below(3)];
+  options.detector.jobs = jobs_levels[rng.below(3)];
 
   Detection reference = detect(trace, options.detector);
 

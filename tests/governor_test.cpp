@@ -15,10 +15,12 @@
 //     final enumeration is reported as incomplete coverage, never as a
 //     clean empty report;
 //   * the degradation ladder is a pure function with hysteresis;
-//   * jobs invariance (DESIGN.md §17) — pipelined ingestion and per-SCC
-//     window fan-out are invisible in every observable: cycles, verdict,
-//     notes, window reports and live-cycle sequence numbers are
-//     byte-identical at jobs ∈ {1, 2, 4, hardware}.
+//   * jobs invariance (DESIGN.md §17) — the engine's parallel enumeration
+//     is invisible in every observable: cycles, verdict, notes, window
+//     reports and live-cycle sequence numbers are byte-identical at
+//     detector.jobs ∈ {1, 2, 4, hardware};
+//   * live surfacing is exact — every distinct cycle is delivered once,
+//     even when two cycles share their acquire sites and threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -355,10 +357,8 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
 
 TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   // Pins the Config contract (facade.cpp): jobs + memory_budget is a fully
-  // supported combination, not a warning. The decode→ingest ring is bounded
-  // (pipeline_depth blocks), so a fast decoder parks instead of queueing
-  // unbounded blocks, and the budget is enforced at window boundaries
-  // exactly as in the serial path.
+  // supported combination, not a warning. The budget is enforced at window
+  // boundaries on the ingesting thread at every jobs level.
   Config cfg;
   cfg.jobs = 4;
   cfg.memory_budget_mb = 1;
@@ -368,9 +368,9 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
         << "jobs+budget must not warn: " << issue.message;
   }
 
-  // A stream hot enough to trip eviction under a 1 MiB budget, run through
-  // the pipelined path at several jobs levels: identical verdicts, and the
-  // budget holds for every window at every level.
+  // A stream hot enough to trip eviction under a 1 MiB budget, ingested at
+  // several jobs levels: identical verdicts, and the budget holds for every
+  // window at every level.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -388,7 +388,6 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   for (int jobs : {1, 4}) {
     cfg.window_events = 4096;
     cfg.jobs = jobs;
-    cfg.pipeline_depth = 2;  // a tight ring maximizes backpressure
     Session session = Session::open(cfg);
     VectorTraceReader reader(trace);
     session.ingest(reader);
@@ -398,11 +397,6 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
       EXPECT_LE(w.store_bytes, cfg.memory_budget_mb << 20)
           << "jobs " << jobs << " window " << w.index;
     EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
-    if (jobs > 1) {
-      // The ring actually ran: bounded hand-off is the mechanism that keeps
-      // jobs+budget memory-safe, so its use must be observable.
-      EXPECT_TRUE(v.pipeline.used);
-    }
 
     if (baseline_summary.empty()) {
       baseline_summary = v.governor.summary();
@@ -620,10 +614,11 @@ std::string run_governed_fingerprint(const Trace& trace,
 }
 
 TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
-  // The differential family behind the §17 contract: per-SCC fan-out must
-  // be invisible in every observable — across window sizes, with and
-  // without budget churn (compaction + eviction renumber the store between
-  // windows), and at jobs = 0 (hardware) as well as fixed levels.
+  // The differential family behind the §17 contract: parallel window
+  // enumeration must be invisible in every observable — across window
+  // sizes, with and without budget churn (compaction + eviction renumber
+  // the store between windows), and at jobs = 0 (hardware) as well as
+  // fixed levels.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -635,8 +630,8 @@ TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
     trace.events.push_back(release(t, 10));
     if (rep % 25 == 24) {
       // A second, disjoint AB/BA ring on {30, 40}: two independent
-      // suspicious SCCs per window, so the fan-out really has more than
-      // one task to merge back in canonical order.
+      // suspicious SCCs per window, so one combined enumeration spans
+      // several components' start tuples.
       for (Event e : ab_ba_trace(false).events) {
         if (e.lock == 10) e.lock = 30;
         if (e.lock == 20) e.lock = 40;
@@ -653,11 +648,11 @@ TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
       GovernorOptions options;
       options.window_events = window;
       options.memory_budget_mb = budget_mb;
-      options.jobs = 1;
+      options.detector.jobs = 1;
       const std::string base = run_governed_fingerprint(trace, options);
       EXPECT_NE(base.find("cycle:"), std::string::npos);
       for (int jobs : {2, 4, 0}) {
-        options.jobs = jobs;
+        options.detector.jobs = jobs;
         EXPECT_EQ(run_governed_fingerprint(trace, options), base)
             << "window " << window << " budget " << budget_mb << " jobs "
             << jobs;
@@ -685,12 +680,10 @@ TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
     return session.finish();
   };
   const Session::Verdict serial = run(1);
-  EXPECT_FALSE(serial.pipeline.used);
   ASSERT_FALSE(serial.detection.cycles.empty());
 
   for (int jobs : {2, 4}) {
     const Session::Verdict piped = run(jobs);
-    EXPECT_TRUE(piped.pipeline.used) << jobs;
     ASSERT_EQ(piped.detection.cycles.size(), serial.detection.cycles.size());
     for (std::size_t i = 0; i < piped.detection.cycles.size(); ++i)
       EXPECT_EQ(piped.detection.cycles[i].tuple_idx,
@@ -773,6 +766,49 @@ TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {
   // is untouched: full coverage, cycles present.
   EXPECT_TRUE(verdict.coverage_complete);
   EXPECT_FALSE(det.cycles.empty());
+}
+
+TEST(GovernorTest, LiveSurfacingKeepsSameSiteCyclesOnOtherLocksApart) {
+  // Two deadlocks from the same code: t1 takes 10→20 while t2 takes 20→10,
+  // then the same four acquire sites run again over locks 30/40. The two
+  // cycles share their site signature and their threads, yet batch
+  // detection reports both — so live surfacing must deliver both.
+  Trace trace;
+  auto ab_ba_on = [&](LockId a, LockId b) {
+    trace.events.push_back(acquire(1, a, 1));
+    trace.events.push_back(acquire(1, b, 2));
+    trace.events.push_back(release(1, b));
+    trace.events.push_back(release(1, a));
+    trace.events.push_back(acquire(2, b, 3));
+    trace.events.push_back(acquire(2, a, 4));
+    trace.events.push_back(release(2, a));
+    trace.events.push_back(release(2, b));
+  };
+  ab_ba_on(10, 20);
+  ab_ba_on(30, 40);
+  std::uint64_t seq = 0;
+  for (Event& e : trace.events) e.seq = seq++;
+  ASSERT_EQ(detect(trace).cycles.size(), 2u);
+
+  Config cfg;
+  cfg.window_events = 8;  // one window per deadlock
+  cfg.live = true;
+  Session session = Session::open(cfg);
+  std::vector<SessionCycle> polled;
+  for (const Event& e : trace.events) {
+    session.feed(e);
+    for (SessionCycle& c : session.poll()) polled.push_back(std::move(c));
+  }
+  const Session::Verdict v = session.finish();
+  for (SessionCycle& c : session.poll()) polled.push_back(std::move(c));
+
+  EXPECT_EQ(v.detection.cycles.size(), 2u);
+  EXPECT_TRUE(v.governor.coverage_complete);
+  ASSERT_EQ(polled.size(), 2u) << "a distinct cycle was taken as seen";
+  EXPECT_EQ(session.cycles_surfaced_live(), 2u);
+  EXPECT_EQ(polled[0].window, 0u);
+  EXPECT_EQ(polled[1].window, 1u);
+  EXPECT_NE(polled[0].description, polled[1].description);
 }
 
 TEST(PrefilterTest, UndrainedDirtyMarksAccumulateAcrossWindows) {

@@ -11,14 +11,18 @@
 //   * analyze_session over an ungoverned Session produces the same
 //     classification-level report as analyze_trace.
 //   * PipelinedTraceReader (DESIGN.md §17) delivers the same events in the
-//     same blocks as its wrapped source, propagates producer exceptions to
+//     same blocks as its wrapped source, never runs more than depth + 1
+//     blocks ahead of a stalled consumer, propagates producer exceptions to
 //     the consumer, and shuts down cleanly when abandoned mid-stream.
 //   * Converting v2 -> v3 -> v2 reproduces the original file byte for byte.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -187,14 +191,12 @@ TEST(AnalyzeReaderTest, MatchesAnalyzeTraceOnV3Stream) {
 
 // ---------------------------------------------------- PipelinedTraceReader
 
-// All events from a reader, drained block by block — the shape every
-// consumer of the reader interface uses.
-std::vector<Event> drain(TraceReader& reader) {
-  std::vector<Event> all;
+// The block sequence a reader hands out, boundaries included.
+std::vector<std::vector<Event>> blocks_of(TraceReader& reader) {
+  std::vector<std::vector<Event>> blocks;
   std::vector<Event> block;
-  while (reader.next_block(block))
-    all.insert(all.end(), block.begin(), block.end());
-  return all;
+  while (reader.next_block(block)) blocks.push_back(block);
+  return blocks;
 }
 
 TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromVectorSource) {
@@ -205,13 +207,16 @@ TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromVectorSource) {
   ASSERT_TRUE(trace.has_value());
 
   VectorTraceReader direct(*trace);
-  const std::vector<Event> expected = drain(direct);
+  const std::vector<std::vector<Event>> expected = blocks_of(direct);
   ASSERT_FALSE(expected.empty());
 
+  // Same events in the same blocks: each decoded block crosses whole.
   VectorTraceReader source(*trace);
   PipelinedTraceReader piped(source, /*depth=*/4);
-  EXPECT_EQ(drain(piped), expected);
-  EXPECT_GT(piped.stats().decode_seconds, 0.0);
+  EXPECT_EQ(blocks_of(piped), expected);
+  std::vector<Event> block;
+  EXPECT_FALSE(piped.next_block(block));  // end of stream stays ended
+  EXPECT_TRUE(block.empty());
 }
 
 TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromV3Stream) {
@@ -224,13 +229,13 @@ TEST(PipelinedTraceReaderTest, DeliversIdenticalEventsFromV3Stream) {
 
   std::istringstream direct_is{v3};
   StreamTraceReader direct(direct_is);
-  const std::vector<Event> expected = drain(direct);
+  const std::vector<std::vector<Event>> expected = blocks_of(direct);
   ASSERT_TRUE(direct.ok()) << direct.error();
 
   std::istringstream piped_is{v3};
   StreamTraceReader source(piped_is);
   PipelinedTraceReader piped(source, /*depth=*/2);
-  EXPECT_EQ(drain(piped), expected);
+  EXPECT_EQ(blocks_of(piped), expected);
   EXPECT_TRUE(source.ok()) << source.error();
 }
 
@@ -260,6 +265,54 @@ class ThrowingTraceReader final : public TraceReader {
  private:
   int remaining_;
 };
+
+// A reader of one-event blocks that counts how many the producer pulled.
+class CountingTraceReader final : public TraceReader {
+ public:
+  explicit CountingTraceReader(int blocks) : remaining_(blocks) {}
+  bool next_block(std::vector<Event>& out) override {
+    out.clear();
+    if (remaining_ == 0) return false;
+    --remaining_;
+    pulled_.fetch_add(1);
+    out.assign(1, Event{});
+    return true;
+  }
+  int pulled() const { return pulled_.load(); }
+
+ private:
+  int remaining_;
+  std::atomic<int> pulled_{0};
+};
+
+TEST(PipelinedTraceReaderTest, StalledConsumerBoundsHowFarDecodeRunsAhead) {
+  // The serve sidecar's per-client memory bound: while the consumer holds
+  // off, the producer fills the queue and holds one more block — never
+  // more, however long the consumer waits.
+  constexpr int kDepth = 3;
+  constexpr int kBlocks = 100;
+  CountingTraceReader source(kBlocks);
+  PipelinedTraceReader piped(source, kDepth);
+  const auto settle_at = [&](int target) {
+    for (int i = 0; i < 2000 && source.pulled() < target; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+
+  settle_at(kDepth + 1);
+  EXPECT_EQ(source.pulled(), kDepth + 1);
+
+  // Each consumed block admits exactly one more pull.
+  std::vector<Event> block;
+  ASSERT_TRUE(piped.next_block(block));
+  settle_at(kDepth + 2);
+  EXPECT_EQ(source.pulled(), kDepth + 2);
+
+  int delivered = 1;
+  while (piped.next_block(block)) ++delivered;
+  EXPECT_EQ(delivered, kBlocks);
+  EXPECT_EQ(source.pulled(), kBlocks);
+}
 
 TEST(PipelinedTraceReaderTest, ProducerExceptionSurfacesOnConsumer) {
   ThrowingTraceReader source(/*good_blocks=*/3);

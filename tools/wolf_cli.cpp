@@ -45,11 +45,8 @@
 //
 // --jobs N classifies detected cycles N-way parallel (default 0 = hardware
 // concurrency); reports are identical at every N, and --jobs 1 runs the
-// historical serial pipeline. The same flag parallelizes cycle enumeration,
-// indexed v3 block decode, and — on the governed path — the whole ingestion
-// pipeline: decode overlaps detection through a bounded ring
-// (--pipeline-depth bounds how far it runs ahead), and suspicious windows
-// fan their dirty SCCs out as parallel enumeration tasks. Every output,
+// historical serial pipeline. The same flag parallelizes cycle enumeration
+// (governed windows included) and indexed v3 block decode. Every output,
 // including governed verdicts and live-cycle order, is identical at every
 // --jobs level.
 //
@@ -436,8 +433,6 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   config.window_events =
       static_cast<std::size_t>(flags.get_int("window-events"));
   config.window_deadline_ms = flags.get_int("window-deadline-ms");
-  config.pipeline_depth =
-      static_cast<std::size_t>(flags.get_int("pipeline-depth"));
   if (flags.get_bool("live")) {
     // Surface each cycle the moment a window first finds it. Observation
     // only: the final report below is identical with or without --live.
@@ -578,8 +573,6 @@ int cmd_serve(int argc, char** argv) {
                    "wall-clock cap on one session's ingest (0 = none)");
   flags.define_int("drain-deadline-ms", 5000,
                    "grace period for live sessions on shutdown");
-  flags.define_int("pipeline-depth", 4,
-                   "per-session decode ring depth in blocks (<2 = inline)");
   flags.define_int("window-events", 65536,
                    "default events per governed detection window");
   flags.define_int("memory-budget-mb", 0,
@@ -599,8 +592,6 @@ int cmd_serve(int argc, char** argv) {
   options.idle_timeout_ms = flags.get_int("idle-timeout-ms");
   options.session_deadline_ms = flags.get_int("session-deadline-ms");
   options.drain_deadline_ms = flags.get_int("drain-deadline-ms");
-  options.pipeline_depth =
-      static_cast<std::size_t>(flags.get_int("pipeline-depth"));
   options.session.window_events =
       static_cast<std::size_t>(flags.get_int("window-events"));
   options.session.memory_budget_mb =
@@ -809,9 +800,6 @@ int main(int argc, char** argv) {
     flags.define_bool("live", false,
                       "print each cycle when a window first finds it "
                       "(switches onto the governed streaming path)");
-    flags.define_int("pipeline-depth", 0,
-                     "blocks the governed decode ring may run ahead of "
-                     "ingestion when --jobs > 1 (0 = auto)");
   } else if (command == "replay") {
     flags.define_int("attempts", 10, "replay attempts");
     flags.define_int("cycle", 0, "cycle index for `replay`");
