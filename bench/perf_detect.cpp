@@ -273,7 +273,10 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   DetectorOptions options;
   const auto time_scc = [&](const ClockTracker* clocks) {
     return time_engine(
-        [&] { return enumerate_cycles_scc(det.dep, options, clocks); }, reps);
+        [&] {
+          return enumerate_cycles_scc(det.dep, det.dep.unique, options, clocks);
+        },
+        reps);
   };
   r.reference = time_engine(
       [&] { return enumerate_cycles_reference(det.dep, options); }, reps);

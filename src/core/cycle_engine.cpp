@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -10,6 +11,7 @@
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
+#include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 namespace wolf {
@@ -24,6 +26,9 @@ const obs::Counter kChains("detector.chains");
 const obs::Counter kSccsVisited("detector.sccs_nontrivial");
 const obs::Counter kClockCuts("detector.clock_cuts");
 const obs::Counter kCyclesFound("detector.cycles");
+// Lockset-mask words one engine allocates; built before any search, so
+// jobs-invariant on every run.
+const obs::Counter kMaskWords("detector.mask_words");
 
 // ------------------------------------------------------------- reference
 // The original DFS enumerator, kept verbatim as the executable
@@ -132,53 +137,74 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
-// Dense model of the canonical tuple view: node i ↔ dep.unique[i], with the
-// per-node thread/lock/τ scalars hoisted into flat arrays, each lockset as a
-// word-mask over dense LockIds, and the per-lock inverted holder index in
-// node (= dep.unique) order so the DFS candidate order matches the
-// reference enumerator exactly. Data members are public: ChainSearch and
-// run_partitioned below read them directly.
+// Dense model of one canonical tuple view: node i ↔ nodes[i] (dep.unique,
+// or magic_prune's reduction of it), with the per-node thread/lock/τ
+// scalars hoisted into flat arrays. Lock ids map to a dense per-view index
+// (the sorted distinct locks the view references), so every array here is
+// sized by the view, never by the largest lock id. The holder index (dense
+// lock → nodes holding it) is one flat array in node order, so the DFS
+// candidate order matches the reference enumerator exactly. Lockset masks
+// exist only for nodes in nontrivial SCCs — the only nodes ChainSearch
+// visits — and each component's masks span only the locks its own members
+// hold. Data members are public: ChainSearch and run_partitioned below read
+// them directly.
 class SccEngine {
  public:
-  SccEngine(const LockDependency& dep, const DetectorOptions& options,
-            const ClockTracker* clocks)
-      : dep_(dep), options_(options) {
-    const std::size_t n = dep.unique.size();
-    LockId max_lock = -1;
+  SccEngine(const LockDependency& dep, const std::vector<std::size_t>& nodes,
+            const DetectorOptions& options, const ClockTracker* clocks)
+      : dep_(dep), options_(options), tuple_of_(nodes) {
+    index_locks();
+    build_masks(partition());
+    if (options.clock_prune_during_search && clocks != nullptr)
+      matrix_.emplace(*clocks, dep, nodes);
+  }
+
+  // Fills thread_/lock_/tau_, the per-node held-lock lists and the holder
+  // index, all over dense lock ids.
+  void index_locks() {
+    const std::size_t n = tuple_of_.size();
+    std::vector<LockId> locks;
     ThreadId max_thread = -1;
-    for (std::size_t u : dep.unique) {
-      const LockTuple& t = dep.tuples[u];
-      max_lock = std::max(max_lock, t.lock);
-      for (LockId l : t.lockset) max_lock = std::max(max_lock, l);
+    for (std::size_t u : tuple_of_) {
+      const LockTuple& t = dep_.tuples[u];
+      locks.push_back(t.lock);
+      locks.insert(locks.end(), t.lockset.begin(), t.lockset.end());
       max_thread = std::max(max_thread, t.thread);
     }
-    lock_words_ = words_for(static_cast<std::size_t>(max_lock + 1));
+    std::sort(locks.begin(), locks.end());
+    locks.erase(std::unique(locks.begin(), locks.end()), locks.end());
+    auto dense = [&locks](LockId l) {
+      return static_cast<std::uint32_t>(
+          std::lower_bound(locks.begin(), locks.end(), l) - locks.begin());
+    };
+    lock_count_ = locks.size();
     thread_words_ = words_for(static_cast<std::size_t>(max_thread + 1));
 
-    tuple_of_.reserve(n);
     thread_.reserve(n);
     lock_.reserve(n);
     tau_.reserve(n);
-    lockset_.assign(n * lock_words_, 0);
-    holders_of_.assign(static_cast<std::size_t>(max_lock) + 1, {});
-    for (std::size_t i = 0; i < n; ++i) {
-      const LockTuple& t = dep.tuples[dep.unique[i]];
-      tuple_of_.push_back(dep.unique[i]);
+    held_begin_.reserve(n + 1);
+    held_begin_.push_back(0);
+    holder_begin_.assign(lock_count_ + 1, 0);
+    for (std::size_t u : tuple_of_) {
+      const LockTuple& t = dep_.tuples[u];
       thread_.push_back(t.thread);
-      lock_.push_back(t.lock);
+      lock_.push_back(dense(t.lock));
       tau_.push_back(t.tau);
-      Word* mask = &lockset_[i * lock_words_];
       for (LockId l : t.lockset) {
-        flip_bit(mask, static_cast<std::size_t>(l));
-        holders_of_[static_cast<std::size_t>(l)].push_back(
-            static_cast<std::uint32_t>(i));
+        held_.push_back(dense(l));
+        ++holder_begin_[held_.back() + 1];
       }
+      held_begin_.push_back(held_.size());
     }
-
-    partition();
-
-    if (options.clock_prune_during_search && clocks != nullptr)
-      matrix_.emplace(*clocks, dep);
+    for (std::size_t l = 0; l < lock_count_; ++l)
+      holder_begin_[l + 1] += holder_begin_[l];
+    holder_nodes_.resize(held_.size());
+    std::vector<std::size_t> fill(holder_begin_.begin(),
+                                  holder_begin_.end() - 1);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::uint32_t l : held(i))
+        holder_nodes_[fill[l]++] = static_cast<std::uint32_t>(i);
   }
 
   // Tarjan-partitions the tuple digraph (η → η' iff η' holds lock(η) and the
@@ -186,54 +212,107 @@ class SccEngine {
   // a tuple is a digraph cycle, hence confined to the tuple's SCC; only
   // components with ≥ 2 nodes can carry one (self loops are impossible:
   // a thread is never its own neighbor).
-  void partition() {
+  std::vector<std::vector<Digraph::Node>> partition() {
     const std::size_t n = tuple_of_.size();
     Digraph graph(static_cast<int>(n));
     for (std::size_t u = 0; u < n; ++u)
-      for (std::uint32_t v : holders_of_[static_cast<std::size_t>(lock_[u])])
+      for (std::uint32_t v : holders(lock_[u]))
         if (thread_[v] != thread_[u])
           graph.add_edge_fast(static_cast<Digraph::Node>(u),
                               static_cast<Digraph::Node>(v));
     comp_.assign(n, 0);
-    comp_nontrivial_.clear();
-    const auto components = graph.strongly_connected_components();
+    auto components = graph.strongly_connected_components();
     std::uint64_t nontrivial = 0;
     for (std::size_t c = 0; c < components.size(); ++c) {
       for (Digraph::Node node : components[c])
         comp_[static_cast<std::size_t>(node)] = static_cast<std::uint32_t>(c);
-      const bool big = components[c].size() >= 2;
-      comp_nontrivial_.push_back(big);
-      if (big) ++nontrivial;
+      if (components[c].size() >= 2) ++nontrivial;
     }
     kSccsVisited.add(nontrivial);
+    return components;
+  }
+
+  // Each nontrivial component numbers the locks its members hold 0..h-1 and
+  // gives every member an h-bit lockset mask; a chain never leaves its start
+  // component, so one component's numbering covers every test the search
+  // makes. Every member's requested lock gets a bit too: a member has an
+  // edge inside the component, i.e. another member holds that lock.
+  void build_masks(const std::vector<std::vector<Digraph::Node>>& components) {
+    constexpr std::uint32_t kUnnumbered = ~std::uint32_t{0};
+    std::vector<std::uint32_t> numbered_by(lock_count_, kUnnumbered);
+    std::vector<std::uint32_t> bit(lock_count_, 0);
+    const std::size_t n = tuple_of_.size();
+    mask_at_.assign(n, 0);
+    lock_bit_.assign(n, 0);
+    comp_words_.assign(components.size(), 0);
+    for (std::size_t c = 0; c < components.size(); ++c) {
+      if (components[c].size() < 2) continue;
+      const auto label = static_cast<std::uint32_t>(c);
+      std::uint32_t bits = 0;
+      for (Digraph::Node node : components[c])
+        for (std::uint32_t l : held(static_cast<std::size_t>(node)))
+          if (numbered_by[l] != label) {
+            numbered_by[l] = label;
+            bit[l] = bits++;
+          }
+      const std::size_t words = words_for(bits);
+      comp_words_[c] = words;
+      max_comp_words_ = std::max(max_comp_words_, words);
+      for (Digraph::Node node : components[c]) {
+        const auto i = static_cast<std::size_t>(node);
+        mask_at_[i] = lockset_.size();
+        lockset_.resize(lockset_.size() + words, 0);
+        Word* mask = &lockset_[mask_at_[i]];
+        for (std::uint32_t l : held(i)) flip_bit(mask, bit[l]);
+        WOLF_CHECK(numbered_by[lock_[i]] == label);
+        lock_bit_[i] = bit[lock_[i]];
+      }
+    }
+    kMaskWords.add(lockset_.size());
   }
 
   std::size_t size() const { return tuple_of_.size(); }
 
   bool in_nontrivial_scc(std::size_t node) const {
-    return comp_nontrivial_[comp_[node]];
+    return comp_words_[comp_[node]] != 0;
+  }
+
+  std::span<const std::uint32_t> held(std::size_t node) const {
+    return {held_.data() + held_begin_[node],
+            held_.data() + held_begin_[node + 1]};
+  }
+
+  std::span<const std::uint32_t> holders(std::uint32_t lock) const {
+    return {holder_nodes_.data() + holder_begin_[lock],
+            holder_nodes_.data() + holder_begin_[lock + 1]};
   }
 
   const Word* lockset(std::size_t node) const {
-    return &lockset_[node * lock_words_];
-  }
-
-  const std::vector<std::uint32_t>& holders(std::size_t lock) const {
-    return holders_of_[lock];
+    return &lockset_[mask_at_[node]];
   }
 
   const LockDependency& dep_;
   const DetectorOptions& options_;
-  std::size_t lock_words_ = 1;
+  // node → index into dep.tuples: the caller's view, which outlives the
+  // engine (one engine lives inside one enumerate_cycles_scc call).
+  const std::vector<std::size_t>& tuple_of_;
+  std::size_t lock_count_ = 0;                // distinct locks in the view
   std::size_t thread_words_ = 1;
-  std::vector<std::size_t> tuple_of_;  // node → index into dep.tuples
   std::vector<ThreadId> thread_;
-  std::vector<LockId> lock_;
+  std::vector<std::uint32_t> lock_;  // node → dense requested lock
   std::vector<Timestamp> tau_;
-  std::vector<Word> lockset_;  // node-major, lock_words_ words per node
-  std::vector<std::vector<std::uint32_t>> holders_of_;  // lock → nodes
+  std::vector<std::uint32_t> held_;         // dense held locks, node-major
+  std::vector<std::size_t> held_begin_;     // node → offset into held_
+  std::vector<std::uint32_t> holder_nodes_;  // holders, lock-major, node order
+  std::vector<std::size_t> holder_begin_;   // dense lock → offset
   std::vector<std::uint32_t> comp_;  // node → SCC id
-  std::vector<bool> comp_nontrivial_;
+  // Masks of nontrivial-SCC nodes only; the two per-node arrays below are
+  // meaningful only for those nodes.
+  std::vector<Word> lockset_;
+  std::vector<std::size_t> mask_at_;     // node → offset into lockset_
+  std::vector<std::uint32_t> lock_bit_;  // node → its lock's bit in its SCC
+  std::vector<std::size_t> comp_words_;  // SCC → mask words (0 = trivial)
+  std::size_t max_comp_words_ = 1;
   std::optional<ClockPairMatrix> matrix_;
 };
 
@@ -242,11 +321,12 @@ struct ChainSearch {
   explicit ChainSearch(const SccEngine& engine)
       : e(engine),
         chain_threads(engine.thread_words_, 0),
-        chain_locks(engine.lock_words_, 0) {}
+        chain_locks(engine.max_comp_words_, 0) {}
 
   void run_from(std::uint32_t start) {
     first_thread = e.thread_[start];
     start_comp = e.comp_[start];
+    lock_words = e.comp_words_[start_comp];
     push(start);
     extend(start);
     pop(start);
@@ -258,12 +338,12 @@ struct ChainSearch {
     flip_bit(chain_threads.data(),
              static_cast<std::size_t>(e.thread_[node]));
     const Word* mask = e.lockset(node);
-    for (std::size_t w = 0; w < e.lock_words_; ++w) chain_locks[w] ^= mask[w];
+    for (std::size_t w = 0; w < lock_words; ++w) chain_locks[w] ^= mask[w];
   }
 
   void pop(std::uint32_t node) {
     const Word* mask = e.lockset(node);
-    for (std::size_t w = 0; w < e.lock_words_; ++w) chain_locks[w] ^= mask[w];
+    for (std::size_t w = 0; w < lock_words; ++w) chain_locks[w] ^= mask[w];
     flip_bit(chain_threads.data(),
              static_cast<std::size_t>(e.thread_[node]));
     chain.pop_back();
@@ -289,8 +369,7 @@ struct ChainSearch {
     if (out.size() >= e.options_.max_cycles) return;
     const std::uint32_t first = chain.front();
 
-    if (chain.size() >= 2 &&
-        test_bit(e.lockset(first), static_cast<std::size_t>(e.lock_[last]))) {
+    if (chain.size() >= 2 && test_bit(e.lockset(first), e.lock_bit_[last])) {
       kCyclesFound.add();
       PotentialDeadlock cycle;
       cycle.tuple_idx.reserve(chain.size());
@@ -301,8 +380,7 @@ struct ChainSearch {
     if (static_cast<int>(chain.size()) >= e.options_.max_cycle_length)
       return;
 
-    for (std::uint32_t next :
-         e.holders(static_cast<std::size_t>(e.lock_[last]))) {
+    for (std::uint32_t next : e.holders(e.lock_[last])) {
       if (out.size() >= e.options_.max_cycles) return;
       if (e.thread_[next] <= first_thread) continue;
       if (e.comp_[next] != start_comp) continue;
@@ -311,7 +389,7 @@ struct ChainSearch {
         continue;
       const Word* mask = e.lockset(next);
       bool overlap = false;
-      for (std::size_t w = 0; w < e.lock_words_; ++w)
+      for (std::size_t w = 0; w < lock_words; ++w)
         overlap |= (chain_locks[w] & mask[w]) != 0;
       if (overlap) continue;
       if (e.matrix_.has_value() && clock_cut(next)) {
@@ -327,6 +405,7 @@ struct ChainSearch {
   const SccEngine& e;
   ThreadId first_thread = kInvalidThread;
   std::uint32_t start_comp = 0;
+  std::size_t lock_words = 0;  // mask width of the start's component
   std::vector<std::uint32_t> chain;
   std::vector<Word> chain_threads;
   std::vector<Word> chain_locks;
@@ -336,23 +415,21 @@ struct ChainSearch {
 // Runs the search from every start in a nontrivial SCC, serially or one
 // task per start, and merges in canonical start order.
 EnumerationResult run_partitioned(const SccEngine& e) {
-  const std::size_t n = e.size();
-  std::size_t nontrivial_starts = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (e.in_nontrivial_scc(i)) ++nontrivial_starts;
+  std::vector<std::uint32_t> starts;  // canonical (node) order
+  for (std::size_t i = 0; i < e.size(); ++i)
+    if (e.in_nontrivial_scc(i)) starts.push_back(static_cast<std::uint32_t>(i));
 
   int jobs = e.options_.jobs <= 0 ? ThreadPool::hardware_jobs()
                                   : e.options_.jobs;
-  if (nontrivial_starts <= 1) jobs = 1;
+  if (starts.size() <= 1) jobs = 1;
 
   EnumerationResult result;
   if (jobs == 1) {
     ChainSearch search(e);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < starts.size(); ++k) {
       if (search.out.size() >= e.options_.max_cycles) break;
-      if (!e.in_nontrivial_scc(i)) continue;
-      search.run_from(static_cast<std::uint32_t>(i));
-      obs::progress_tick("detect", i + 1, n);
+      search.run_from(starts[k]);
+      obs::progress_tick("detect", k + 1, starts.size());
     }
     result.cycles = std::move(search.out);
   } else {
@@ -360,20 +437,19 @@ EnumerationResult run_partitioned(const SccEngine& e) {
     // itself at max_cycles (the merged prefix can use at most that many
     // from any single start) and the canonical-order merge + truncate
     // reproduces the serial sequence exactly.
-    std::vector<std::vector<PotentialDeadlock>> per_start(n);
+    std::vector<std::vector<PotentialDeadlock>> per_start(starts.size());
     ThreadPool pool(jobs);
     std::atomic<std::size_t> starts_done{0};
-    pool.parallel_for_each(n, [&](std::size_t i) {
-      if (!e.in_nontrivial_scc(i)) return;
+    pool.parallel_for_each(starts.size(), [&](std::size_t k) {
       ChainSearch search(e);
-      search.run_from(static_cast<std::uint32_t>(i));
-      per_start[i] = std::move(search.out);
+      search.run_from(starts[k]);
+      per_start[k] = std::move(search.out);
       obs::progress_tick(
           "detect", starts_done.fetch_add(1, std::memory_order_relaxed) + 1,
-          nontrivial_starts);
+          starts.size());
     });
-    for (std::size_t i = 0; i < n; ++i) {
-      for (PotentialDeadlock& cycle : per_start[i]) {
+    for (std::vector<PotentialDeadlock>& cycles : per_start) {
+      for (PotentialDeadlock& cycle : cycles) {
         if (result.cycles.size() >= e.options_.max_cycles) break;
         result.cycles.push_back(std::move(cycle));
       }
@@ -394,9 +470,10 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
 }
 
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
+                                       const std::vector<std::size_t>& nodes,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks) {
-  return run_partitioned(SccEngine(dep, options, clocks));
+  return run_partitioned(SccEngine(dep, nodes, options, clocks));
 }
 
 }  // namespace wolf

@@ -5,9 +5,14 @@
 // Tarjan-SCC-partitioned (graph/digraph), and DFS runs only from tuples in
 // nontrivial SCCs, never leaving the start tuple's component: a cycle
 // through η is itself a digraph cycle, hence confined to SCC(η), so acyclic
-// regions of D_σ cost nothing. Chain state is dense-id bitsets (thread
-// word-mask, lockset word-mask per tuple) instead of hash sets, and the
-// Pruner's pairwise clock data (ClockPairMatrix) can optionally cut
+// regions of D_σ cost nothing. Memory follows the view, not the id space:
+// lock ids map to a dense per-view index (the sorted distinct locks the
+// view references), and lockset word-masks exist only for tuples in
+// nontrivial SCCs, each spanning only the locks its component's tuples
+// hold — at most nontrivial tuples × (their distinct held locks / 64 + 1)
+// words, counted as `detector.mask_words`. Chain state is dense-id bitsets
+// (thread word-mask, component lock word-mask) instead of hash sets, and
+// the Pruner's pairwise clock data (ClockPairMatrix) can optionally cut
 // never-overlapping branches during the search.
 //
 // enumerate_cycles_reference keeps the original iGoodLock-style DFS over
@@ -39,11 +44,14 @@ struct EnumerationResult {
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
-// The SCC-partitioned engine; what detect()/StreamingDetector call.
-// `clocks` is only consulted when options.clock_prune_during_search is set;
-// passing nullptr disables the in-search cut (the enumeration is then
-// bit-identical to the reference).
+// The SCC-partitioned engine; what detect()/StreamingDetector call. It
+// searches `nodes`, the canonical tuple view: dep.unique, or a
+// cycle-preserving reduction of it such as magic_prune(dep). `clocks` is
+// only consulted when options.clock_prune_during_search is set; passing
+// nullptr disables the in-search cut (the enumeration is then bit-identical
+// to the reference over the same view).
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
+                                       const std::vector<std::size_t>& nodes,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks = nullptr);
 

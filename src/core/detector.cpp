@@ -34,7 +34,7 @@ DefectSignature signature_of(const PotentialDeadlock& cycle,
 
 std::vector<PotentialDeadlock> enumerate_cycles(
     const LockDependency& dep, const DetectorOptions& options) {
-  return enumerate_cycles_scc(dep, options).cycles;
+  return enumerate_cycles_scc(dep, dep.unique, options).cycles;
 }
 
 namespace {
@@ -78,14 +78,12 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   Detection det;
   det.dep = std::move(dep);
   det.clocks = std::move(clocks);
-  EnumerationResult res;
-  if (options.magic_prune) {
-    LockDependency reduced = det.dep;
-    reduced.unique = magic_prune(det.dep);
-    res = enumerate_cycles_scc(reduced, options, &det.clocks);
-  } else {
-    res = enumerate_cycles_scc(det.dep, options, &det.clocks);
-  }
+  EnumerationResult res =
+      options.magic_prune
+          ? enumerate_cycles_scc(det.dep, magic_prune(det.dep), options,
+                                 &det.clocks)
+          : enumerate_cycles_scc(det.dep, det.dep.unique, options,
+                                 &det.clocks);
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? options.max_cycles : 0;

@@ -119,35 +119,38 @@ bool LockGraph::evaluate(int comp) const {
 void LockGraph::refresh_verdicts() const {
   if (!scc_.has_dirty()) return;
   kChecksCounter.add();
-  // Force pending lazy splits to apply (they append their own dirty marks)
-  // before walking the mark list.
-  const std::size_t capacity = scc_.component_capacity();
-  comp_suspicious_.resize(capacity, 0);
-  std::vector<int> done;
-  for (DynamicScc::Node v : scc_.dirty_nodes()) {
-    const int c = scc_.component_of(v);
-    if (std::find(done.begin(), done.end(), c) != done.end()) continue;
-    done.push_back(c);
-    comp_suspicious_[static_cast<std::size_t>(c)] = evaluate(c) ? 1 : 0;
+  // dirty_components() applies pending lazy splits first (they add their own
+  // marks), so the label space is final before the cache is sized.
+  const std::vector<int> dirty = scc_.dirty_components();
+  comp_suspicious_.resize(scc_.component_capacity(), 0);
+  for (int c : dirty) {
+    char& flag = comp_suspicious_[static_cast<std::size_t>(c)];
+    const char now = evaluate(c) ? 1 : 0;
+    if (now && !flag) suspicious_.push_back(c);
+    flag = now;
   }
-  verdict_ = false;
-  verdict_scc_count_ = 0;
-  for (std::size_t c = 0; c < capacity; ++c) {
-    if (!comp_suspicious_[c]) continue;
-    if (!scc_.component_alive(static_cast<int>(c))) continue;
-    verdict_ = true;
-    ++verdict_scc_count_;
+  // Drop labels that turned benign or were retired by a merge or split.
+  // Labels are never reused, so a retired label can never be counted again.
+  std::size_t kept = 0;
+  for (int c : suspicious_) {
+    const auto ci = static_cast<std::size_t>(c);
+    if (comp_suspicious_[ci] && scc_.component_alive(c)) {
+      suspicious_[kept++] = c;
+    } else {
+      comp_suspicious_[ci] = 0;
+    }
   }
+  suspicious_.resize(kept);
 }
 
 bool LockGraph::suspicious() const {
   refresh_verdicts();
-  return verdict_;
+  return !suspicious_.empty();
 }
 
 std::size_t LockGraph::suspicious_scc_count() const {
   refresh_verdicts();
-  return verdict_scc_count_;
+  return suspicious_.size();
 }
 
 std::vector<LockId> LockGraph::drain_dirty_suspicious_locks() {
@@ -170,8 +173,7 @@ void LockGraph::clear() {
   edge_count_ = 0;
   scc_.clear();
   comp_suspicious_.clear();
-  verdict_ = false;
-  verdict_scc_count_ = 0;
+  suspicious_.clear();
 }
 
 }  // namespace wolf

@@ -36,7 +36,10 @@
 // `drain_dirty_suspicious_locks()` hands the governor exactly the locks
 // whose component changed since the last drain — the dirty-SCC set that
 // bounds per-window enumeration to tuples that could be involved in a new
-// cycle.
+// cycle. A window's pre-filter work is linear in what it dirtied: dirty
+// labels are deduplicated by a per-label stamp, and the aggregate verdict
+// walks a list of the suspicious labels (dropping retired ones) instead of
+// the whole label space, which grows with every lock ever seen.
 //
 // Expiry keeps the refinements conservative rather than exact: removing a
 // contributor never re-widens an edge's guard intersection and never
@@ -144,8 +147,8 @@ class LockGraph {
   // Refinement verdict for one live component over its internal edges.
   bool evaluate(int comp) const;
   // Re-evaluates every dirty component's cached verdict (without consuming
-  // the dirty set — the governor still needs to drain it) and refreshes the
-  // aggregate verdict/count.
+  // the dirty set — the governor still needs to drain it) and prunes the
+  // suspicious list. Linear in the dirty nodes plus the suspicious labels.
   void refresh_verdicts() const;
 
   std::unordered_map<LockId, int> lock_ids_;  // LockId -> dense node
@@ -158,11 +161,11 @@ class LockGraph {
 
   DynamicScc scc_;
 
-  // Per-component cached verdicts (label -> suspicious?) plus the cached
-  // aggregate; refreshed lazily for dirty components only.
+  // Per-component cached verdicts (label -> suspicious?), refreshed lazily
+  // for dirty components only, and the live labels flagged suspicious, each
+  // once; refresh_verdicts() drops benign and retired labels as it walks it.
   mutable std::vector<char> comp_suspicious_;
-  mutable bool verdict_ = false;
-  mutable std::size_t verdict_scc_count_ = 0;
+  mutable std::vector<int> suspicious_;
 };
 
 // Lockset bitmask over the first GuardMask::kBits lock ids; see GuardMask

@@ -44,7 +44,10 @@ inline bool is_false(PruneVerdict v) { return v != PruneVerdict::kUnknown; }
 class ClockPairMatrix {
  public:
   ClockPairMatrix() = default;
-  ClockPairMatrix(const ClockTracker& clocks, const LockDependency& dep);
+  // τ extrema are taken over `nodes`, the canonical tuple view the caller
+  // searches (dep.unique, or a reduction of it).
+  ClockPairMatrix(const ClockTracker& clocks, const LockDependency& dep,
+                  const std::vector<std::size_t>& nodes);
 
   // Cached clocks.view(t, u); (⊥,⊥) outside the observed thread range.
   const SJPair& view(ThreadId t, ThreadId u) const {

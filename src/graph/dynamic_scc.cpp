@@ -41,15 +41,23 @@ bool DynamicScc::has_dirty() const {
   return !dirty_nodes_.empty() || !pending_split_.empty();
 }
 
-std::vector<int> DynamicScc::drain_dirty() {
+std::vector<int> DynamicScc::dirty_components() const {
   flush();
+  const std::uint32_t gen = ++stamp_gen_;
   std::vector<int> comps;
   for (Node v : dirty_nodes_) {
-    dirty_flag_[static_cast<std::size_t>(v)] = 0;
     const int c = comp_[static_cast<std::size_t>(v)];
-    if (std::find(comps.begin(), comps.end(), c) == comps.end())
-      comps.push_back(c);
+    const auto ci = static_cast<std::size_t>(c);
+    if (stamp_[ci] == gen) continue;
+    stamp_[ci] = gen;
+    comps.push_back(c);
   }
+  return comps;
+}
+
+std::vector<int> DynamicScc::drain_dirty() {
+  std::vector<int> comps = dirty_components();
+  for (Node v : dirty_nodes_) dirty_flag_[static_cast<std::size_t>(v)] = 0;
   dirty_nodes_.clear();
   return comps;
 }
@@ -104,23 +112,40 @@ bool DynamicScc::add_edge(Node u, Node v) {
   std::set_intersection(forward_set.begin(), forward_set.end(),
                         backward_set.begin(), backward_set.end(),
                         std::back_inserter(on_cycle));
+  // Ancestors of cu and descendants of cv that the edge leaves outside
+  // the cycle (all of them when it closes none).
+  std::vector<int> ancestors, descendants;
+  std::set_difference(backward_set.begin(), backward_set.end(),
+                      on_cycle.begin(), on_cycle.end(),
+                      std::back_inserter(ancestors));
+  std::set_difference(forward_set.begin(), forward_set.end(),
+                      on_cycle.begin(), on_cycle.end(),
+                      std::back_inserter(descendants));
 
+  // Every affected component's position, each once (all lie in [ov, ou]).
+  std::vector<std::int64_t> pool;
+  pool.reserve(ancestors.size() + on_cycle.size() + descendants.size());
+  for (const auto* set : {&ancestors, &on_cycle, &descendants})
+    for (int c : *set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
+  std::sort(pool.begin(), pool.end());
+
+  int merged = -1;
   if (!on_cycle.empty()) {
     // cv reaches cu: the new edge closes a cycle through exactly the
     // components in the intersection. Collapse them into the one with the
     // most members (smaller-into-larger keeps total relabel work
     // O(n log n) over the graph's lifetime).
     ++merges_;
-    int target = on_cycle.front();
+    merged = on_cycle.front();
     for (int c : on_cycle)
       if (members_[static_cast<std::size_t>(c)].size() >
-          members_[static_cast<std::size_t>(target)].size())
-        target = c;
-    auto& into = members_[static_cast<std::size_t>(target)];
+          members_[static_cast<std::size_t>(merged)].size())
+        merged = c;
+    auto& into = members_[static_cast<std::size_t>(merged)];
     for (int c : on_cycle) {
-      if (c == target) continue;
+      if (c == merged) continue;
       for (Node m : members_[static_cast<std::size_t>(c)]) {
-        comp_[static_cast<std::size_t>(m)] = target;
+        comp_[static_cast<std::size_t>(m)] = merged;
         into.push_back(m);
         mark_dirty(m);
       }
@@ -130,28 +155,28 @@ bool DynamicScc::add_edge(Node u, Node v) {
     }
     mark_dirty(u);  // the merged component's membership changed
     mark_dirty(v);
-    recompute_order();
-    return true;
   }
 
-  // No cycle: restore the order by reassigning the affected components'
-  // positions — ancestors of u first (preserving their relative order),
-  // then descendants of v. No F→B edge can exist (it would close a cycle),
-  // so this is a valid topological order of the condensation (PK Thm. 1).
-  std::vector<std::int64_t> pool;
-  pool.reserve(forward_set.size() + backward_set.size());
+  // Restore the order on the positions the affected components held:
+  // ancestors take the smallest (keeping their relative order), then the
+  // merged component if there is one (the cycle holds at least cu and cv,
+  // so its slot is free), then descendants the largest. Each ancestor moves
+  // down and each descendant up, so edges to and from unaffected
+  // components stay forward, and the merged component stays inside
+  // [ov, ou]. No descendant→ancestor edge exists: it would close a cycle
+  // and put both on it (PK Thm. 1, extended to the collapse). Local work
+  // only — no pass over every label ever created.
   auto by_ord = [&](int a, int b) {
     return ord_[static_cast<std::size_t>(a)] < ord_[static_cast<std::size_t>(b)];
   };
-  std::sort(forward_set.begin(), forward_set.end(), by_ord);
-  std::sort(backward_set.begin(), backward_set.end(), by_ord);
-  for (int c : forward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
-  for (int c : backward_set) pool.push_back(ord_[static_cast<std::size_t>(c)]);
-  std::sort(pool.begin(), pool.end());
+  std::sort(ancestors.begin(), ancestors.end(), by_ord);
+  std::sort(descendants.begin(), descendants.end(), by_ord);
   std::size_t slot = 0;
-  for (int c : backward_set) ord_[static_cast<std::size_t>(c)] = pool[slot++];
-  for (int c : forward_set) ord_[static_cast<std::size_t>(c)] = pool[slot++];
-  return false;
+  for (int c : ancestors) ord_[static_cast<std::size_t>(c)] = pool[slot++];
+  if (merged >= 0) ord_[static_cast<std::size_t>(merged)] = pool[slot];
+  slot = pool.size() - descendants.size();
+  for (int c : descendants) ord_[static_cast<std::size_t>(c)] = pool[slot++];
+  return merged >= 0;
 }
 
 void DynamicScc::remove_edge(Node u, Node v) {

@@ -16,9 +16,11 @@
 //     is O(1). Otherwise two searches bounded to the affected order range
 //     [ord(v), ord(u)] either reorder the region (no cycle) or discover
 //     the components on v→…→u paths and collapse them into one
-//     condensation node (cycle). Components are explicit label sets merged
-//     smaller-into-larger, so collapse is amortized O(n log n) relabels
-//     over the graph's lifetime — no union-find deletion problem later;
+//     condensation node (cycle); either way only the positions the
+//     affected components held are reassigned, never the whole label
+//     space. Components are explicit label sets merged smaller-into-larger,
+//     so collapse is amortized O(n log n) relabels over the graph's
+//     lifetime — no union-find deletion problem later;
 //   * deletions — removing a cross-component edge cannot change any SCC or
 //     invalidate the order: O(1). Removing an intra-component edge can
 //     split the component; the split is *lazy and bounded*: the component
@@ -85,14 +87,13 @@ class DynamicScc {
   // True when drain_dirty() would return anything — including marks a queued
   // lazy split will add once flushed.
   bool has_dirty() const;
-  // Read-only view of the marked nodes (drain_dirty's non-clearing twin).
-  // Callers that need split-induced marks included must force a flush first
-  // (any structural accessor, e.g. component_capacity(), does).
-  const std::vector<Node>& dirty_nodes() const { return dirty_nodes_; }
-
-  // Current component labels carrying at least one dirty mark, deduplicated;
-  // clears the dirty set. Marks survive merges and splits because they are
-  // stored per node and mapped through the live labels at drain time.
+  // Current component labels carrying at least one dirty mark, each once, in
+  // the order their first mark was made (split-induced marks included).
+  // Marks survive merges and splits because they are stored per node and
+  // mapped through the live labels here. Linear in the marked nodes: labels
+  // are deduplicated by a per-label stamp, not a search.
+  std::vector<int> dirty_components() const;
+  // dirty_components(), then clears the dirty set.
   std::vector<int> drain_dirty();
 
   // Fresh Tarjan over the stored adjacency — the executable specification
@@ -140,7 +141,7 @@ class DynamicScc {
   mutable std::vector<char> dirty_flag_;           // node -> marked?
 
   // Per-operation visited stamps over component labels (avoids clearing a
-  // bool vector on every bounded search).
+  // bool vector on every bounded search or dirty-label walk).
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::uint32_t stamp_gen_ = 0;
 

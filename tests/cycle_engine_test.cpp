@@ -9,16 +9,22 @@
 //                 the order-preserving subsequence of the full enumeration
 //                 that survives Algorithm 2's prune();
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
-//                 in the reference and at every jobs level.
+//                 in the reference and at every jobs level;
+//   memory      — lockset masks are sized by the nontrivial SCCs searched,
+//                 never by the largest lock id (detector.mask_words).
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
 #include "core/magic_prune.hpp"
 #include "core/pruner.hpp"
+#include "graph/digraph.hpp"
+#include "obs/counters.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
@@ -172,7 +178,7 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   // SCCs are trivial, and the scc engine must do (and emit) nothing.
   LockDependency dep;
   DetectorOptions options;
-  EnumerationResult empty = enumerate_cycles_scc(dep, options);
+  EnumerationResult empty = enumerate_cycles_scc(dep, dep.unique, options);
   EXPECT_TRUE(empty.cycles.empty());
   EXPECT_FALSE(empty.truncated);
 
@@ -180,13 +186,11 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   if (!trace.empty()) check_engines_agree(trace, /*magic=*/false);
 }
 
-// Randomized differential test: random programs with varying shape, fork/join
-// structure and lock nesting; scc at every jobs/magic combination must agree
-// with the reference, and the clock cut must match the batch pruner.
-class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
+// The file's random programs: varying shape, fork/join structure and lock
+// nesting, one per seed index. nullopt when every recording run deadlocked.
+constexpr int kRandomPrograms = 20;
 
-TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
-  const int seed_index = GetParam();
+std::optional<Trace> random_program_trace(int seed_index) {
   Rng rng(static_cast<std::uint64_t>(seed_index) * 0x9e3779b97f4a7c15ULL + 5);
   test::RandomProgramConfig config;
   config.workers = 2 + static_cast<int>(rng.below(4));
@@ -197,8 +201,15 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   config.chained_start_probability = 0.5 * rng.uniform();
   config.early_join_probability = 0.5 * rng.uniform();
   sim::Program program = test::random_program(rng, config);
+  return sim::record_trace(program, rng(), 40);
+}
 
-  auto trace = sim::record_trace(program, rng(), 40);
+// Randomized differential test: scc at every jobs/magic combination must
+// agree with the reference, and the clock cut must match the batch pruner.
+class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
+  auto trace = random_program_trace(GetParam());
   if (!trace.has_value()) GTEST_SKIP() << "every recording run deadlocked";
 
   Detection ref = check_engines_agree(*trace, /*magic=*/false);
@@ -211,7 +222,131 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,
-                         ::testing::Range(0, 20));
+                         ::testing::Range(0, kRandomPrograms));
+
+// ------------------------------------------------------------ mask memory
+
+// detector.mask_words of one SCC-engine run over dep.unique.
+std::uint64_t mask_words(const LockDependency& dep, int jobs) {
+  obs::CounterRegistry& registry = obs::CounterRegistry::instance();
+  const bool was_enabled = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const obs::CounterSnapshot before = registry.snapshot();
+  enumerate_cycles_scc(dep, dep.unique, options_for(jobs, false));
+  const obs::CounterSnapshot after = registry.snapshot();
+  obs::set_counters_enabled(was_enabled);
+  return obs::delta(after, before).value("detector.mask_words");
+}
+
+// The bound, computed independently of the engine: tuples in nontrivial SCCs
+// of the tuple digraph (η → η' iff η' holds lock(η), threads differ) ×
+// (the distinct locks those tuples hold / 64 + 1).
+std::uint64_t mask_word_bound(const LockDependency& dep) {
+  const int n = static_cast<int>(dep.unique.size());
+  auto tuple = [&dep](int i) -> const LockTuple& {
+    return dep.tuples[dep.unique[static_cast<std::size_t>(i)]];
+  };
+  std::unordered_map<LockId, std::vector<int>> holders;
+  for (int i = 0; i < n; ++i)
+    for (LockId l : tuple(i).lockset) holders[l].push_back(i);
+  Digraph graph(n);
+  for (int i = 0; i < n; ++i)
+    for (int j : holders[tuple(i).lock])
+      if (tuple(j).thread != tuple(i).thread) graph.add_edge(i, j);
+  std::uint64_t nodes = 0;
+  std::set<LockId> held;
+  for (const auto& comp : graph.strongly_connected_components()) {
+    if (comp.size() < 2) continue;
+    nodes += comp.size();
+    for (int i : comp)
+      for (LockId l : tuple(i).lockset) held.insert(l);
+  }
+  return nodes * (held.size() / 64 + 1);
+}
+
+// Checks the bound on one trace; returns the words allocated.
+std::uint64_t check_mask_bound(const Trace& trace) {
+  const LockDependency dep = LockDependency::from_trace(trace);
+  const std::uint64_t words = mask_words(dep, 1);
+  EXPECT_LE(words, mask_word_bound(dep));
+  EXPECT_EQ(mask_words(dep, 4), words) << "mask words must be jobs-invariant";
+  return words;
+}
+
+TEST(CycleEngineTest, MaskWordsStayWithinTheNontrivialSccBound) {
+  std::uint64_t total = 0;
+  for (const workloads::Benchmark& b : workloads::standard_suite()) {
+    SCOPED_TRACE(b.name);
+    auto trace = sim::record_trace(b.program, 2014, 60);
+    ASSERT_TRUE(trace.has_value());
+    total += check_mask_bound(*trace);
+  }
+  {
+    SCOPED_TRACE("philosophers");
+    auto program = workloads::make_philosophers(5).program;
+    auto trace = sim::record_trace(program, 7, 60);
+    ASSERT_TRUE(trace.has_value());
+    total += check_mask_bound(*trace);
+  }
+  for (int seed = 0; seed < kRandomPrograms; ++seed) {
+    SCOPED_TRACE(seed);
+    auto trace = random_program_trace(seed);
+    if (trace.has_value()) total += check_mask_bound(*trace);
+  }
+  EXPECT_GT(total, 0u) << "no trace had a nontrivial SCC to bound";
+}
+
+// The churn shape: 10⁵ filler tuples on fresh lock ids (each filler thread
+// nests la → lb with la < lb, so no filler closes a cycle) plus one AB/BA
+// pair. Masks sized by the largest lock id would take ~10⁵ × 1563 words
+// here; sized by the one nontrivial SCC they take two.
+TEST(CycleEngineTest, FreshLockIdsCostNoMaskMemory) {
+  Trace trace;
+  auto add = [&trace](EventKind kind, ThreadId t, LockId l, SiteId site) {
+    Event e;
+    e.seq = trace.events.size();
+    e.kind = kind;
+    e.thread = t;
+    e.lock = l;
+    e.site = site;
+    e.occurrence = 1;
+    trace.events.push_back(e);
+  };
+  constexpr std::size_t kFillerTuples = 100000;
+  LockId next_lock = 1000;
+  SiteId next_site = 1000;
+  for (std::size_t i = 0; i < kFillerTuples / 2; ++i) {
+    const auto t = static_cast<ThreadId>(3 + i % 4);
+    const LockId la = next_lock++, lb = next_lock++;
+    add(EventKind::kLockAcquire, t, la, next_site++);
+    add(EventKind::kLockAcquire, t, lb, next_site++);
+    add(EventKind::kLockRelease, t, lb, kInvalidSite);
+    add(EventKind::kLockRelease, t, la, kInvalidSite);
+  }
+  const LockId ra = next_lock++, rb = next_lock++;
+  add(EventKind::kLockAcquire, 1, ra, next_site++);
+  add(EventKind::kLockAcquire, 1, rb, next_site++);
+  add(EventKind::kLockRelease, 1, rb, kInvalidSite);
+  add(EventKind::kLockRelease, 1, ra, kInvalidSite);
+  add(EventKind::kLockAcquire, 2, rb, next_site++);
+  add(EventKind::kLockAcquire, 2, ra, next_site++);
+  add(EventKind::kLockRelease, 2, ra, kInvalidSite);
+  add(EventKind::kLockRelease, 2, rb, kInvalidSite);
+
+  const LockDependency dep = LockDependency::from_trace(trace);
+  ASSERT_EQ(dep.unique.size(), kFillerTuples + 4);
+  const EnumerationResult ref =
+      enumerate_cycles_reference(dep, options_for(1, false));
+  ASSERT_EQ(ref.cycles.size(), 1u);
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    const EnumerationResult scc =
+        enumerate_cycles_scc(dep, dep.unique, options_for(jobs, false));
+    expect_same_cycles(ref.cycles, scc.cycles, "reference vs scc");
+    EXPECT_FALSE(scc.truncated);
+    EXPECT_LT(mask_words(dep, jobs), 10u);
+  }
+}
 
 }  // namespace
 }  // namespace wolf

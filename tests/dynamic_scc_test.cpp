@@ -93,6 +93,26 @@ TEST(DynamicSccTest, CollapseIsBoundedToThePath) {
   expect_consistent(scc);
 }
 
+TEST(DynamicSccTest, CollapseKeepsBystanderEdgesForward) {
+  // Positions follow creation: v=0, x=1, z=2, d=3, u=4. The back edge u→v
+  // folds {v, x, u} and reorders only that range; d hangs off v, and the
+  // bystander z sits inside the range with an edge z→d, so d must move up
+  // past z, never down.
+  DynamicScc scc;
+  for (int i = 0; i < 5; ++i) scc.add_node();
+  scc.add_edge(0, 1);
+  scc.add_edge(1, 4);
+  scc.add_edge(0, 3);
+  scc.add_edge(2, 3);
+  EXPECT_TRUE(scc.add_edge(4, 0));
+  EXPECT_TRUE(scc.same_component(0, 4));
+  EXPECT_LT(scc.order_of(scc.component_of(0)),
+            scc.order_of(scc.component_of(3)));
+  EXPECT_LT(scc.order_of(scc.component_of(2)),
+            scc.order_of(scc.component_of(3)));
+  expect_consistent(scc);
+}
+
 TEST(DynamicSccTest, RemovalSplitsLazilyButReadsStayConsistent) {
   DynamicScc scc;
   for (int i = 0; i < 3; ++i) scc.add_node();
@@ -179,6 +199,55 @@ TEST(DynamicSccTest, SplitMarksEveryMemberDirty) {
   expect_consistent(scc);
 }
 
+// drain_dirty() hands back each current dirty label exactly once, in the
+// order its first mark was made, and dirty_components() is its
+// non-clearing twin.
+TEST(DynamicSccTest, DrainReturnsEachDirtyLabelOnceInFirstMarkOrder) {
+  DynamicScc scc;
+  constexpr int kNodes = 10000;
+  std::vector<int> expected;
+  for (int i = 0; i < kNodes; ++i)
+    expected.push_back(scc.component_of(scc.add_node()));
+  EXPECT_EQ(scc.dirty_components(), expected);
+  EXPECT_EQ(scc.drain_dirty(), expected);
+  EXPECT_TRUE(scc.drain_dirty().empty());
+  // Order follows the marks, not the labels; repeated marks add nothing.
+  for (int i = kNodes - 1; i >= 0; --i) {
+    scc.mark_dirty(i);
+    scc.mark_dirty(kNodes - 1);
+  }
+  std::reverse(expected.begin(), expected.end());
+  EXPECT_EQ(scc.drain_dirty(), expected);
+
+  // Merge: 7 and 3 are marked first; closing 3 <-> 4 marks both members of
+  // the merged component, which folds onto 3's first mark.
+  scc.mark_dirty(7);
+  scc.mark_dirty(3);
+  scc.add_edge(3, 4);
+  scc.add_edge(4, 3);
+  ASSERT_TRUE(scc.same_component(3, 4));
+  EXPECT_EQ(scc.drain_dirty(),
+            (std::vector<int>{scc.component_of(7), scc.component_of(3)}));
+
+  // Lazy split: the ring 10 -> 11 -> 12 -> 10 breaks when 11 -> 12 goes;
+  // the split's marks come after 20's, one per surviving piece.
+  scc.add_edge(10, 11);
+  scc.add_edge(11, 12);
+  scc.add_edge(12, 10);
+  (void)scc.drain_dirty();
+  scc.mark_dirty(20);
+  scc.remove_edge(11, 12);
+  const std::vector<int> dirty = scc.drain_dirty();
+  ASSERT_EQ(dirty.size(), 4u);
+  EXPECT_EQ(dirty[0], scc.component_of(20));
+  EXPECT_EQ(std::set<int>(dirty.begin() + 1, dirty.end()),
+            (std::set<int>{scc.component_of(10), scc.component_of(11),
+                           scc.component_of(12)}));
+  for (int c : dirty) EXPECT_TRUE(scc.component_alive(c));
+  EXPECT_FALSE(scc.has_dirty());
+  expect_consistent(scc);
+}
+
 TEST(DynamicSccTest, ClearResetsEverything) {
   DynamicScc scc;
   scc.add_node();
@@ -224,6 +293,14 @@ TEST_P(DynamicSccFuzz, MatchesFreshTarjanAfterEveryMutation) {
     }
     ASSERT_EQ(partition_from_labels(scc), partition_from_oracle(scc))
         << "seed " << GetParam() << " step " << s;
+    // The maintained order stays topological over the condensation.
+    for (auto [u, v] : live_edges) {
+      const int cu = scc.component_of(u), cv = scc.component_of(v);
+      if (cu == cv) continue;
+      ASSERT_LT(scc.order_of(cu), scc.order_of(cv))
+          << "seed " << GetParam() << " step " << s << " edge " << u << "->"
+          << v;
+    }
   }
 }
 

@@ -577,6 +577,64 @@ TEST(PrefilterTest, ExpiryToZeroRefcountRemovesTheEdgeAndVerdict) {
   EXPECT_EQ(g.suspicious_scc_count(), 0u);
 }
 
+// A suspicious ring through a merge, a split caused by expiry and a
+// re-merge: the count must follow the live components, so a label retired
+// by a merge or split is never counted.
+TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
+  auto tuple = [](ThreadId thread, LockId held, LockId requested) {
+    LockTuple t;
+    t.thread = thread;
+    t.lockset = {held};
+    t.lock = requested;
+    return t;
+  };
+  // Two AB/BA rings, {10, 20} and {30, 40}, and a bridge that joins them
+  // into one component {10, 20, 30, 40}.
+  const std::vector<LockTuple> ring_a = {tuple(1, 10, 20), tuple(2, 20, 10)};
+  const std::vector<LockTuple> ring_b = {tuple(3, 30, 40), tuple(4, 40, 30)};
+  const std::vector<LockTuple> bridge = {tuple(5, 20, 30), tuple(6, 40, 10)};
+  LockGraph g;
+  auto feed = [&g](const std::vector<LockTuple>& tuples) {
+    for (const LockTuple& t : tuples) g.on_tuple(t);
+  };
+  auto expire = [&g](const std::vector<LockTuple>& tuples) {
+    for (const LockTuple& t : tuples) g.on_tuple_removed(t);
+  };
+  auto check = [&g](std::size_t count, const char* step) {
+    EXPECT_EQ(g.suspicious_scc_count(), count) << step;
+    EXPECT_EQ(g.suspicious(), count > 0) << step;
+  };
+
+  feed(ring_a);
+  feed(ring_b);
+  check(2, "two rings");
+  (void)g.drain_dirty_suspicious_locks();
+
+  feed(bridge);  // merge: one of the two ring labels is retired
+  ASSERT_EQ(g.scc().component_count(), 1u);
+  check(1, "merged");
+  std::vector<LockId> drained = g.drain_dirty_suspicious_locks();
+  EXPECT_EQ(std::set<LockId>(drained.begin(), drained.end()),
+            (std::set<LockId>{10, 20, 30, 40}));
+
+  expire(bridge);  // the bridge edges expire: a lazy split
+  check(2, "split by expiry");
+  EXPECT_EQ(g.scc().component_count(), 2u);
+  (void)g.drain_dirty_suspicious_locks();
+
+  feed(bridge);  // re-merge retires a label again
+  check(1, "re-merged");
+  (void)g.drain_dirty_suspicious_locks();
+
+  expire(ring_b);  // splits {10, 20} from the singletons 30 and 40
+  check(1, "ring b expired");
+  EXPECT_EQ(g.scc().component_count(), 3u);
+  expire(bridge);
+  check(1, "bridge expired again");
+  expire(ring_a);
+  check(0, "everything expired");
+}
+
 // ---------------------------------------------- jobs invariance (§17)
 
 // Everything the parallel path promises to keep byte-stable, flattened:
