@@ -2,9 +2,9 @@
 // cycle enumeration, Gs generation and the Pruner, across workload sizes.
 #include <benchmark/benchmark.h>
 
+#include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
 #include "core/generator.hpp"
-#include "core/magic_prune.hpp"
 #include "core/online_sink.hpp"
 #include "core/pruner.hpp"
 #include "sim/scheduler.hpp"
@@ -68,9 +68,10 @@ BENCHMARK(BM_OnlineSink)->Arg(64)->Arg(256);
 void BM_CycleEnumerationJigsaw(benchmark::State& state) {
   Trace trace = jigsaw_trace();
   LockDependency dep = LockDependency::from_trace(trace);
+  const DetectorOptions options;
   for (auto _ : state) {
-    auto cycles = enumerate_cycles(dep);
-    benchmark::DoNotOptimize(cycles.size());
+    auto result = enumerate_cycles_scc(dep, options);
+    benchmark::DoNotOptimize(result.cycles.size());
   }
 }
 BENCHMARK(BM_CycleEnumerationJigsaw);
@@ -83,8 +84,8 @@ void BM_CycleEnumerationPhilosophers(benchmark::State& state) {
   DetectorOptions options;
   options.max_cycle_length = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto cycles = enumerate_cycles(dep, options);
-    benchmark::DoNotOptimize(cycles.size());
+    auto result = enumerate_cycles_scc(dep, options);
+    benchmark::DoNotOptimize(result.cycles.size());
   }
 }
 BENCHMARK(BM_CycleEnumerationPhilosophers)->Arg(3)->Arg(5)->Arg(7);
@@ -115,33 +116,6 @@ void BM_PrunerJigsaw(benchmark::State& state) {
                           static_cast<std::int64_t>(detection.cycles.size()));
 }
 BENCHMARK(BM_PrunerJigsaw);
-
-void BM_MagicPrune(benchmark::State& state) {
-  Trace trace = cache_trace(static_cast<int>(state.range(0)));
-  LockDependency dep = LockDependency::from_trace(trace);
-  for (auto _ : state) {
-    auto alive = magic_prune(dep);
-    benchmark::DoNotOptimize(alive.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(dep.unique.size()));
-}
-BENCHMARK(BM_MagicPrune)->Arg(64)->Arg(256);
-
-void BM_CycleEnumerationWithMagicPrune(benchmark::State& state) {
-  // Detection cost on a lock-heavy, cycle-free trace with and without the
-  // MagicFuzzer reduction.
-  Trace trace = cache_trace(256);
-  LockDependency dep = LockDependency::from_trace(trace);
-  const bool pruned = state.range(0) != 0;
-  for (auto _ : state) {
-    LockDependency d = dep;
-    if (pruned) d.unique = magic_prune(dep);
-    auto cycles = enumerate_cycles(d);
-    benchmark::DoNotOptimize(cycles.size());
-  }
-}
-BENCHMARK(BM_CycleEnumerationWithMagicPrune)->Arg(0)->Arg(1);
 
 void BM_FullDetectJigsaw(benchmark::State& state) {
   Trace trace = jigsaw_trace();

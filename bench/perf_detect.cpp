@@ -7,9 +7,9 @@
 // outside the timed region) for:
 //
 //   reference        — the test-oracle DFS over every canonical tuple;
-//   scc              — the SCC-partitioned bitset engine, jobs=1;
-//   scc-parN         — the scc engine at N-way enumeration parallelism;
-//   scc+clock-cut    — jobs=1 with the Pruner's test folded into the search.
+//   scc              — the SCC-partitioned bitset engine;
+//   scc+clock-cut    — the scc engine with the Pruner's test folded into
+//                      the search.
 //
 // Workloads:
 //   ring     — k threads on a ring of k locks, chain degree d: one big
@@ -26,13 +26,12 @@
 //              one ring: every cross-generation cycle is infeasible, so the
 //              in-search clock cut has real branches to kill.
 //
-// Emits BENCH_detect.json (with hardware_concurrency recorded — on a 1-CPU
-// container the parallel column is honestly ~1x). Exits 1 if the scc cycle
-// sequence (at jobs 1 or N) diverges from the reference, or the clock-cut
+// Emits BENCH_detect.json (with hardware_concurrency recorded). Exits 1 if
+// the scc cycle sequence diverges from the reference, or the clock-cut
 // enumeration differs from the batch-pruned survivors: speed only counts
 // when the answer is identical.
 //
-//   perf_detect [--quick] [--jobs=N] [--out=BENCH_detect.json]
+//   perf_detect [--quick] [--out=BENCH_detect.json]
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -243,16 +242,13 @@ struct WorkloadResult {
   std::size_t cycles = 0;     // full enumeration
   EngineSample reference;
   EngineSample scc;
-  EngineSample scc_par;
   EngineSample clock_cut;
   std::size_t surviving_cycles = 0;  // batch-pruner survivors
-  double speedup_scc = 0;      // reference / scc, both jobs=1
-  double speedup_par = 0;      // scc jobs=1 / scc jobs=N
-  bool identical = false;      // ref == scc == scc-par,
-                               // clock cut == survivors
+  double speedup_scc = 0;      // reference / scc
+  bool identical = false;      // ref == scc, clock cut == survivors
 };
 
-WorkloadResult measure(const sim::Program& program, int jobs, int reps,
+WorkloadResult measure(const sim::Program& program, int reps,
                        std::uint64_t seed) {
   WorkloadResult r;
   r.name = program.name;
@@ -273,35 +269,26 @@ WorkloadResult measure(const sim::Program& program, int jobs, int reps,
   DetectorOptions options;
   const auto time_scc = [&](const ClockTracker* clocks) {
     return time_engine(
-        [&] {
-          return enumerate_cycles_scc(det.dep, det.dep.unique, options, clocks);
-        },
-        reps);
+        [&] { return enumerate_cycles_scc(det.dep, options, clocks); }, reps);
   };
   r.reference = time_engine(
       [&] { return enumerate_cycles_reference(det.dep, options); }, reps);
   r.scc = time_scc(nullptr);
 
-  options.jobs = jobs;
-  r.scc_par = time_scc(nullptr);
-
-  options.jobs = 1;
   options.clock_prune_during_search = true;
   r.clock_cut = time_scc(&det.clocks);
 
   r.cycles = r.reference.cycles;
   if (r.scc.seconds > 0) r.speedup_scc = r.reference.seconds / r.scc.seconds;
-  if (r.scc_par.seconds > 0) r.speedup_par = r.scc.seconds / r.scc_par.seconds;
 
-  // The correctness gates: the reference's canonical sequence at every scc
-  // jobs level; clock-cut enumeration == the batch pruner's survivors.
+  // The correctness gates: the scc engine emits the reference's canonical
+  // sequence; clock-cut enumeration == the batch pruner's survivors.
   const std::vector<PruneVerdict> verdicts = prune(det);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < det.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(det.cycles[i]);
   r.surviving_cycles = survivors.size();
   r.identical = r.reference.fingerprint == r.scc.fingerprint &&
-                r.reference.fingerprint == r.scc_par.fingerprint &&
                 r.clock_cut.fingerprint == cycles_fingerprint(survivors);
   return r;
 }
@@ -315,12 +302,11 @@ void sample_json(std::ostream& os, const char* key, const EngineSample& s,
 }
 
 void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
-                bool quick, int jobs) {
+                bool quick) {
   os << "{\n"
      << "  \"bench\": \"perf_detect\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
      << "  \"hardware_concurrency\": " << ThreadPool::hardware_jobs() << ",\n"
-     << "  \"jobs\": " << jobs << ",\n"
      << "  \"workloads\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];
@@ -332,10 +318,8 @@ void write_json(std::ostream& os, const std::vector<WorkloadResult>& results,
        << "      \"surviving_cycles\": " << r.surviving_cycles << ",\n";
     sample_json(os, "reference", r.reference, ",");
     sample_json(os, "scc", r.scc, ",");
-    sample_json(os, "scc_parallel", r.scc_par, ",");
     sample_json(os, "scc_clock_cut", r.clock_cut, ",");
     os << "      \"speedup_scc_vs_reference\": " << r.speedup_scc << ",\n"
-       << "      \"speedup_parallel\": " << r.speedup_par << ",\n"
        << "      \"identical\": " << (r.identical ? "true" : "false") << '\n'
        << "    }" << (i + 1 < results.size() ? "," : "") << '\n';
   }
@@ -348,17 +332,12 @@ int main(int argc, char** argv) {
   Flags flags;
   flags.define_bool("quick", false,
                     "CI smoke mode: smaller workloads, fewer reps");
-  flags.define_int("jobs", 0,
-                   "enumeration parallelism for the scc-parN column "
-                   "(0 = hardware concurrency, min 4 for the comparison)");
   flags.define_int("seed", 2014, "seed");
   flags.define_int("reps", 0, "timing repetitions (0 = 3 quick / 5 full)");
   flags.define_string("out", "BENCH_detect.json", "JSON output path");
   if (!flags.parse(argc, argv)) return 1;
 
   const bool quick = flags.get_bool("quick");
-  int jobs = static_cast<int>(flags.get_int("jobs"));
-  if (jobs <= 0) jobs = std::max(4, ThreadPool::hardware_jobs());
   int reps = static_cast<int>(flags.get_int("reps"));
   if (reps <= 0) reps = quick ? 3 : 5;
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
@@ -378,17 +357,15 @@ int main(int argc, char** argv) {
 
   std::vector<WorkloadResult> results;
   for (const sim::Program& program : programs)
-    results.push_back(measure(program, jobs, reps, seed));
+    results.push_back(measure(program, reps, seed));
 
   TextTable table({"Workload", "Tuples", "Cycles", "Reference", "SCC",
-                   "SCC/ref", "Par(" + std::to_string(jobs) + "j)",
-                   "Clock-cut", "Identical"});
+                   "SCC/ref", "Clock-cut", "Identical"});
   for (const WorkloadResult& r : results)
     table.add_row({r.name, std::to_string(r.tuples), std::to_string(r.cycles),
                    TextTable::num(r.reference.seconds * 1e3, 2) + " ms",
                    TextTable::num(r.scc.seconds * 1e3, 2) + " ms",
                    TextTable::num(r.speedup_scc, 1) + "x",
-                   TextTable::num(r.speedup_par, 2) + "x",
                    TextTable::num(r.clock_cut.seconds * 1e3, 2) + " ms",
                    r.identical ? "yes" : "NO"});
   table.render(std::cout);
@@ -399,10 +376,8 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, results, quick, jobs);
-  std::cout << "\nwrote " << out << " (hardware concurrency "
-            << ThreadPool::hardware_jobs() << "; parallel column is ~1x on a "
-            << "1-CPU machine)\n";
+  write_json(os, results, quick);
+  std::cout << "\nwrote " << out << '\n';
 
   bool all_identical = true;
   for (const WorkloadResult& r : results) all_identical &= r.identical;

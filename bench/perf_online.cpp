@@ -44,13 +44,7 @@
 // sites — dedups to a handful of canonical tuples and a stable cycle set.
 //
 // Every scenario ingests block by block through a TraceReader over the
-// synthetic stream, the way production drains a file. The JSON `parallel`
-// section reruns the scenarios at detector.jobs ∈ {1, 2, 4} — the engine's
-// parallel enumeration, which governed windows and finish() both use — and
-// *gates identity*: cycles, verdict, window reports, and the live-delivery
-// transcript must be byte-identical at every level (the deadline scenario
-// gates final cycles only — its ladder rungs depend on wall-clock latency
-// by design). Throughput at each level is published, never gated.
+// synthetic stream, the way production drains a file.
 // mevents_per_s spans ingestion only (generation + window detection);
 // finish() is reported separately as finish_seconds.
 //
@@ -60,9 +54,7 @@
 #include <array>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -293,7 +285,6 @@ double percentile(std::vector<double> values, double p) {
 struct ScenarioResult {
   std::string name;
   std::uint64_t events = 0;
-  int jobs = 1;
   double mevents_per_s = 0;         // ingestion-only span (see header)
   double finish_seconds = 0;        // final enumeration, outside the span
   std::size_t windows = 0;
@@ -309,14 +300,6 @@ struct ScenarioResult {
   std::size_t cycles = 0;
   std::size_t live_cycles = 0;      // surfaced to windows before finish()
   std::size_t rss_growth_bytes = 0; // VmHWM delta over this scenario
-};
-
-// Determinism transcript of one run, for the jobs-invariance gates. The
-// `governed` part is byte-stable only for deadline-free scenarios (ladder
-// rungs follow wall-clock latency); `cycles` is deterministic always.
-struct RunFingerprint {
-  std::string cycles;    // final detection, one canonical line per cycle
-  std::string governed;  // verdict + window reports + live transcript
 };
 
 // TraceReader over a synthetic event stream: the bench's scenarios ingest
@@ -359,35 +342,18 @@ OnlineEventStream make_stream(std::uint64_t events, std::uint64_t seed,
 // reuse the exact same accounting as the main stream's. Ingestion runs
 // through the reader path and is timed alone: the monotonic span covers
 // generation + window detection, while finish() — whose cost does not
-// scale with the stream — is timed separately. The fingerprint records
-// everything the jobs-invariance gates compare: final cycles, verdict
-// (summary + notes), every window report's deterministic fields, and the
-// full live-delivery transcript.
+// scale with the stream — is timed separately.
 template <typename Stream>
 ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
                                Stream& stream, const GovernorOptions& options,
-                               Detection* out_detection = nullptr,
-                               RunFingerprint* out_fp = nullptr) {
+                               Detection* out_detection = nullptr) {
   ScenarioResult r;
   r.name = name;
   r.events = events;
-  r.jobs = options.detector.jobs <= 0 ? ThreadPool::hardware_jobs()
-                                     : options.detector.jobs;
   r.budget_bytes = options.memory_budget_mb << 20;
   const std::size_t rss_base = peak_rss_bytes();
 
-  // Chain a live-transcript recorder in front of any caller subscriber, so
-  // delivery order and sequence numbers are part of the fingerprint.
-  std::ostringstream live_log;
-  GovernorOptions opts = options;
-  const CycleSubscriber user_subscriber = options.on_cycle;
-  opts.on_cycle = [&live_log, &user_subscriber](const LiveCycle& lc) {
-    live_log << "w" << lc.window << " #" << lc.sequence << ' '
-             << lc.cycle->to_string(*lc.dep) << '\n';
-    if (user_subscriber) user_subscriber(lc);
-  };
-
-  GovernedStreamingDetector governed(opts);
+  GovernedStreamingDetector governed(options);
   SyntheticTraceReader<Stream> source(stream, events);
   Stopwatch ingest;
   std::vector<Event> block;
@@ -419,24 +385,6 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
   const std::size_t rss_after = peak_rss_bytes();
   r.rss_growth_bytes = rss_after > rss_base ? rss_after - rss_base : 0;
 
-  if (out_fp != nullptr) {
-    std::ostringstream cyc;
-    for (const PotentialDeadlock& c : detection.cycles)
-      cyc << c.to_string(detection.dep) << '\n';
-    out_fp->cycles = cyc.str();
-    std::ostringstream gov;
-    gov << verdict.summary() << '\n';
-    for (const std::string& note : verdict.notes) gov << "note: " << note << '\n';
-    for (const WindowReport& w : governed.windows()) {
-      gov << "w" << w.index << " ev=" << w.events << " live=" << w.tuples_live
-          << " bytes=" << w.store_bytes << " level=" << to_string(w.level)
-          << " susp=" << w.suspicious << " new=" << w.new_cycles
-          << " compacted=" << w.tuples_compacted
-          << " evicted=" << w.tuples_evicted << " note=" << w.note << '\n';
-    }
-    gov << live_log.str();
-    out_fp->governed = gov.str();
-  }
   if (out_detection != nullptr) *out_detection = std::move(detection);
   return r;
 }
@@ -444,10 +392,9 @@ ScenarioResult run_scenario_on(const std::string& name, std::uint64_t events,
 ScenarioResult run_scenario(const std::string& name, std::uint64_t events,
                             std::uint64_t seed, const GovernorOptions& options,
                             Detection* out_detection = nullptr,
-                            std::uint64_t phases = 8,
-                            RunFingerprint* out_fp = nullptr) {
+                            std::uint64_t phases = 8) {
   OnlineEventStream stream = make_stream(events, seed, phases);
-  return run_scenario_on(name, events, stream, options, out_detection, out_fp);
+  return run_scenario_on(name, events, stream, options, out_detection);
 }
 
 // Two cycle sets are "identical" when they agree cycle by cycle on the
@@ -467,27 +414,10 @@ struct ChurnSection {
   bool live_complete = false;  // every committed cycle surfaced pre-finish
 };
 
-// One scenario's jobs-invariance record: the same configuration rerun at
-// detector.jobs ∈ {1, 2, 4}, each rerun's fingerprint compared against the
-// jobs=1 baseline. full_fingerprint covers cycles + verdict + windows + live
-// transcript; the deadline scenario compares final cycles only (its ladder
-// follows wall-clock latency, which no amount of determinism pins down).
-struct ParallelScenario {
-  std::string name;
-  bool full_fingerprint = true;
-  std::vector<ScenarioResult> runs;  // jobs = 1, 2, 4 in order
-  bool identical = true;
-};
-
-struct ParallelSection {
-  std::vector<ParallelScenario> scenarios;
-  bool identity_ok = true;
-};
-
 void write_scenario_json(std::ostream& os, const ScenarioResult& s,
                          const char* indent) {
   os << indent << "{\"name\": \"" << s.name << "\", \"events\": " << s.events
-     << ", \"jobs\": " << s.jobs << ",\n"
+     << ",\n"
      << indent << " \"mevents_per_s\": " << s.mevents_per_s
      << ", \"finish_seconds\": " << s.finish_seconds << ",\n"
      << indent << " \"windows\": " << s.windows
@@ -505,32 +435,9 @@ void write_scenario_json(std::ostream& os, const ScenarioResult& s,
      << ", \"live_cycles\": " << s.live_cycles << "}";
 }
 
-void write_parallel_json(std::ostream& os, const ParallelSection& par) {
-  os << "  \"parallel\": {\n"
-     << "    \"jobs_levels\": [1, 2, 4],\n"
-     << "    \"identity_ok\": " << (par.identity_ok ? "true" : "false")
-     << ",\n"
-     << "    \"scenarios\": [\n";
-  for (std::size_t i = 0; i < par.scenarios.size(); ++i) {
-    const ParallelScenario& p = par.scenarios[i];
-    os << "      {\"name\": \"" << p.name << "\", \"identical\": "
-       << (p.identical ? "true" : "false") << ", \"fingerprint\": \""
-       << (p.full_fingerprint ? "cycles+verdict+windows+live" : "cycles")
-       << "\",\n"
-       << "       \"runs\": [\n";
-    for (std::size_t j = 0; j < p.runs.size(); ++j) {
-      write_scenario_json(os, p.runs[j], "        ");
-      os << (j + 1 < p.runs.size() ? "," : "") << '\n';
-    }
-    os << "       ]}" << (i + 1 < par.scenarios.size() ? "," : "") << '\n';
-  }
-  os << "    ]\n  }";
-}
-
 void write_json(std::ostream& os, bool quick, std::uint64_t events,
                 const std::vector<ScenarioResult>& scenarios,
-                bool differential_ok, const ChurnSection& churn,
-                const ParallelSection& par) {
+                bool differential_ok, const ChurnSection& churn) {
   os << "{\n"
      << "  \"bench\": \"perf_online\",\n"
      << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
@@ -553,9 +460,7 @@ void write_json(std::ostream& os, bool quick, std::uint64_t events,
      << "    \"identical_vs_batch\": "
      << (churn.identical_vs_batch ? "true" : "false")
      << ", \"live_complete\": " << (churn.live_complete ? "true" : "false")
-     << "\n  },\n";
-  write_parallel_json(os, par);
-  os << "\n}\n";
+     << "\n  }\n}\n";
 }
 
 }  // namespace
@@ -580,42 +485,17 @@ int main(int argc, char** argv) {
 
   std::vector<ScenarioResult> scenarios;
 
-  // Scenario runners parameterized on jobs: each builds its GovernorOptions
-  // from scratch so the parallel section can rerun the byte-identical
-  // configuration at jobs ∈ {2, 4} and compare fingerprints.
-  const auto budgeted_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
+  // 1. Budgeted — first, so VmHWM is the governed run's peak.
+  {
     GovernorOptions o;
     o.memory_budget_mb = budget_mb;
-    o.detector.jobs = jobs;
-    return run_scenario("budgeted", events, seed, o, det, 8, fp);
-  };
-  const auto unbounded_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.detector.jobs = jobs;
-    return run_scenario("unbounded", events, seed, o, det, 8, fp);
-  };
-  const auto deadline_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.window_events = 8192;
-    o.window_deadline_ms = 1;
-    o.detector.jobs = jobs;
-    return run_scenario("deadline", events, seed, o, det, 8, fp);
-  };
-  const auto shed_run = [&](int jobs, Detection* det, RunFingerprint* fp) {
-    GovernorOptions o;
-    o.memory_budget_mb = 2;
-    o.detector.jobs = jobs;
-    return run_scenario("shed", events, seed, o, det, 64, fp);
-  };
-
-  RunFingerprint budgeted_fp, unbounded_fp, deadline_fp, shed_fp, churn_fp;
-
-  // 1. Budgeted — first, so VmHWM is the governed run's peak.
-  scenarios.push_back(budgeted_run(1, nullptr, &budgeted_fp));
+    scenarios.push_back(run_scenario("budgeted", events, seed, o));
+  }
 
   // 2. Unbounded + differential gate vs plain streaming detection.
   Detection governed_detection;
-  scenarios.push_back(unbounded_run(1, &governed_detection, &unbounded_fp));
+  scenarios.push_back(run_scenario("unbounded", events, seed,
+                                   GovernorOptions{}, &governed_detection));
 
   StreamingDetector batch;
   {
@@ -632,12 +512,21 @@ int main(int argc, char** argv) {
                       batch_detection.cycles[i].tuple_idx;
 
   // 3. Deadline pressure on small windows.
-  scenarios.push_back(deadline_run(1, nullptr, &deadline_fp));
+  {
+    GovernorOptions o;
+    o.window_events = 8192;
+    o.window_deadline_ms = 1;
+    scenarios.push_back(run_scenario("deadline", events, seed, o));
+  }
 
   // 4. Shedding — a 64-phase stream whose canonical tuple set alone
   // outgrows a small budget, so compaction cannot save it and aging must
   // evict; the honest verdict (coverage_complete = false) is gated below.
-  scenarios.push_back(shed_run(1, nullptr, &shed_fp));
+  {
+    GovernorOptions o;
+    o.memory_budget_mb = 2;
+    scenarios.push_back(run_scenario("shed", events, seed, o, nullptr, 64));
+  }
 
   // 5. Churn: the every-window-churn stream through the dirty-SCC window
   // path, against a plain batch reference.
@@ -645,19 +534,16 @@ int main(int argc, char** argv) {
   churn.churn_events = quick ? 100'000 : 400'000;
   churn.window_events = quick ? 4'096 : 8'192;
 
-  const auto churn_run = [&](int jobs, Detection* det, RunFingerprint* fp,
-                             std::size_t* delivered) {
-    GovernorOptions o;
-    o.window_events = churn.window_events;
-    o.detector.jobs = jobs;
-    if (delivered != nullptr)
-      o.on_cycle = [delivered](const LiveCycle&) { ++*delivered; };
-    ChurnEventStream stream(churn.window_events);
-    return run_scenario_on("churn", churn.churn_events, stream, o, det, fp);
-  };
   std::size_t delivered = 0;
   Detection churn_det;
-  churn.run = churn_run(1, &churn_det, &churn_fp, &delivered);
+  {
+    GovernorOptions o;
+    o.window_events = churn.window_events;
+    o.on_cycle = [&delivered](const LiveCycle&) { ++delivered; };
+    ChurnEventStream stream(churn.window_events);
+    churn.run =
+        run_scenario_on("churn", churn.churn_events, stream, o, &churn_det);
+  }
   Detection churn_batch_det;
   {
     StreamingDetector batch_churn;
@@ -671,48 +557,6 @@ int main(int argc, char** argv) {
   churn.live_complete = delivered == churn.run.live_cycles &&
                         delivered == churn_det.cycles.size();
   scenarios.push_back(churn.run);
-
-  // Jobs-invariance reruns (DESIGN.md §17): every governed scenario rerun
-  // at detector.jobs ∈ {2, 4}, each rerun's fingerprint compared against
-  // its jobs=1 baseline. Identity is gated on every run, --quick included.
-  ParallelSection par;
-  struct ParallelSpec {
-    const char* name;
-    bool full_fingerprint;
-    const RunFingerprint* base_fp;
-    const ScenarioResult* base_result;
-    std::function<ScenarioResult(int, RunFingerprint*)> rerun;
-  };
-  const std::vector<ParallelSpec> specs = {
-      {"budgeted", true, &budgeted_fp, &scenarios[0],
-       [&](int j, RunFingerprint* fp) { return budgeted_run(j, nullptr, fp); }},
-      {"unbounded", true, &unbounded_fp, &scenarios[1],
-       [&](int j, RunFingerprint* fp) { return unbounded_run(j, nullptr, fp); }},
-      {"deadline", false, &deadline_fp, &scenarios[2],
-       [&](int j, RunFingerprint* fp) { return deadline_run(j, nullptr, fp); }},
-      {"shed", true, &shed_fp, &scenarios[3],
-       [&](int j, RunFingerprint* fp) { return shed_run(j, nullptr, fp); }},
-      {"churn", true, &churn_fp, &scenarios[4],
-       [&](int j, RunFingerprint* fp) {
-         return churn_run(j, nullptr, fp, nullptr);
-       }},
-  };
-  for (const ParallelSpec& spec : specs) {
-    ParallelScenario p;
-    p.name = spec.name;
-    p.full_fingerprint = spec.full_fingerprint;
-    p.runs.push_back(*spec.base_result);
-    for (int j : {2, 4}) {
-      RunFingerprint fp;
-      p.runs.push_back(spec.rerun(j, &fp));
-      const bool same =
-          fp.cycles == spec.base_fp->cycles &&
-          (!spec.full_fingerprint || fp.governed == spec.base_fp->governed);
-      if (!same) p.identical = false;
-    }
-    if (!p.identical) par.identity_ok = false;
-    par.scenarios.push_back(std::move(p));
-  }
 
   TextTable table({"Scenario", "Mev/s", "Windows", "p50 ms", "p99 ms",
                    "Peak store", "Budget", "Evicted", "Complete", "Cycles"});
@@ -740,23 +584,13 @@ int main(int argc, char** argv) {
             << " MB, churn p99 "
             << TextTable::num(churn.run.p99_detect_ms, 2) << " ms\n";
 
-  std::cout << "\njobs-invariance (fingerprints vs jobs=1):\n";
-  TextTable ptable({"Scenario", "Jobs", "Mev/s", "Finish s", "Identical"});
-  for (const ParallelScenario& p : par.scenarios)
-    for (const ScenarioResult& r : p.runs)
-      ptable.add_row({p.name, std::to_string(r.jobs),
-                      TextTable::num(r.mevents_per_s, 2),
-                      TextTable::num(r.finish_seconds, 3),
-                      p.identical ? "yes" : "NO"});
-  ptable.render(std::cout);
-
   const std::string out = flags.get_string("out");
   std::ofstream os(out);
   if (!os) {
     std::cerr << "cannot write " << out << '\n';
     return 1;
   }
-  write_json(os, quick, events, scenarios, differential_ok, churn, par);
+  write_json(os, quick, events, scenarios, differential_ok, churn);
   std::cout << "wrote " << out << '\n';
 
   // Correctness gates: throughput only counts when the contract held.
@@ -790,15 +624,6 @@ int main(int argc, char** argv) {
   }
   if (!churn.run.coverage_complete) {
     std::cerr << "FAIL: churn run lost coverage without a budget\n";
-    ok = false;
-  }
-  // Parallel-section gate: identity (the whole point of §17 is that jobs
-  // never changes the answer).
-  if (!par.identity_ok) {
-    for (const ParallelScenario& p : par.scenarios)
-      if (!p.identical)
-        std::cerr << "FAIL: " << p.name
-                  << " diverged from its jobs=1 fingerprint\n";
     ok = false;
   }
   return ok ? 0 : 1;

@@ -12,22 +12,19 @@
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
 #include "support/check.hpp"
-#include "support/thread_pool.hpp"
 
 namespace wolf {
 
 namespace {
 
-// Funnel statistics. All are jobs-invariant on non-truncated runs; when the
-// max-cycles cap bites, chains/cycles depend on where each enumeration
-// stopped, which differs between the serial early-exit and the per-start
-// parallel caps.
+// Funnel statistics. The search is one serial pass that stops at the
+// max-cycles cap, so every count is exact on capped runs too: a capped run
+// counts exactly max_cycles cycles.
 const obs::Counter kChains("detector.chains");
 const obs::Counter kSccsVisited("detector.sccs_nontrivial");
 const obs::Counter kClockCuts("detector.clock_cuts");
 const obs::Counter kCyclesFound("detector.cycles");
-// Lockset-mask words one engine allocates; built before any search, so
-// jobs-invariant on every run.
+// Lockset-mask words one engine allocates, before any search.
 const obs::Counter kMaskWords("detector.mask_words");
 
 // ------------------------------------------------------------- reference
@@ -137,26 +134,25 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
-// Dense model of one canonical tuple view: node i ↔ nodes[i] (dep.unique,
-// or magic_prune's reduction of it), with the per-node thread/lock/τ
-// scalars hoisted into flat arrays. Lock ids map to a dense per-view index
-// (the sorted distinct locks the view references), so every array here is
-// sized by the view, never by the largest lock id. The holder index (dense
-// lock → nodes holding it) is one flat array in node order, so the DFS
-// candidate order matches the reference enumerator exactly. Lockset masks
-// exist only for nodes in nontrivial SCCs — the only nodes ChainSearch
-// visits — and each component's masks span only the locks its own members
-// hold. Data members are public: ChainSearch and run_partitioned below read
-// them directly.
+// Dense model of the canonical tuple view (node i ↔ dep.unique[i]), with
+// the per-node thread/lock/τ scalars hoisted into flat arrays. Lock ids map
+// to a dense per-view index (the sorted distinct locks the view references),
+// so every array here is sized by the view, never by the largest lock id.
+// The holder index (dense lock → nodes holding it) is one flat array in node
+// order, so the DFS candidate order matches the reference enumerator
+// exactly. Lockset masks exist only for nodes in nontrivial SCCs — the only
+// nodes ChainSearch visits — and each component's masks span only the locks
+// its own members hold. Data members are public: ChainSearch and
+// run_partitioned below read them directly.
 class SccEngine {
  public:
-  SccEngine(const LockDependency& dep, const std::vector<std::size_t>& nodes,
-            const DetectorOptions& options, const ClockTracker* clocks)
-      : dep_(dep), options_(options), tuple_of_(nodes) {
+  SccEngine(const LockDependency& dep, const DetectorOptions& options,
+            const ClockTracker* clocks)
+      : dep_(dep), options_(options), tuple_of_(dep.unique) {
     index_locks();
     build_masks(partition());
     if (options.clock_prune_during_search && clocks != nullptr)
-      matrix_.emplace(*clocks, dep, nodes);
+      matrix_.emplace(*clocks, dep);
   }
 
   // Fills thread_/lock_/tau_, the per-node held-lock lists and the holder
@@ -293,8 +289,8 @@ class SccEngine {
 
   const LockDependency& dep_;
   const DetectorOptions& options_;
-  // node → index into dep.tuples: the caller's view, which outlives the
-  // engine (one engine lives inside one enumerate_cycles_scc call).
+  // node → index into dep.tuples: dep.unique, which outlives the engine
+  // (one engine lives inside one enumerate_cycles_scc call).
   const std::vector<std::size_t>& tuple_of_;
   std::size_t lock_count_ = 0;                // distinct locks in the view
   std::size_t thread_words_ = 1;
@@ -316,7 +312,7 @@ class SccEngine {
   std::optional<ClockPairMatrix> matrix_;
 };
 
-// One DFS worker: bitset chain state sized once, reused across starts.
+// The DFS: bitset chain state sized once, reused across starts.
 struct ChainSearch {
   explicit ChainSearch(const SccEngine& engine)
       : e(engine),
@@ -412,49 +408,21 @@ struct ChainSearch {
   std::vector<PotentialDeadlock> out;
 };
 
-// Runs the search from every start in a nontrivial SCC, serially or one
-// task per start, and merges in canonical start order.
+// Runs the search from every start in a nontrivial SCC, in canonical
+// (node) order, until the cycle cap.
 EnumerationResult run_partitioned(const SccEngine& e) {
   std::vector<std::uint32_t> starts;  // canonical (node) order
   for (std::size_t i = 0; i < e.size(); ++i)
     if (e.in_nontrivial_scc(i)) starts.push_back(static_cast<std::uint32_t>(i));
 
-  int jobs = e.options_.jobs <= 0 ? ThreadPool::hardware_jobs()
-                                  : e.options_.jobs;
-  if (starts.size() <= 1) jobs = 1;
-
-  EnumerationResult result;
-  if (jobs == 1) {
-    ChainSearch search(e);
-    for (std::size_t k = 0; k < starts.size(); ++k) {
-      if (search.out.size() >= e.options_.max_cycles) break;
-      search.run_from(starts[k]);
-      obs::progress_tick("detect", k + 1, starts.size());
-    }
-    result.cycles = std::move(search.out);
-  } else {
-    // Per-start enumerations share only read-only state; each task caps
-    // itself at max_cycles (the merged prefix can use at most that many
-    // from any single start) and the canonical-order merge + truncate
-    // reproduces the serial sequence exactly.
-    std::vector<std::vector<PotentialDeadlock>> per_start(starts.size());
-    ThreadPool pool(jobs);
-    std::atomic<std::size_t> starts_done{0};
-    pool.parallel_for_each(starts.size(), [&](std::size_t k) {
-      ChainSearch search(e);
-      search.run_from(starts[k]);
-      per_start[k] = std::move(search.out);
-      obs::progress_tick(
-          "detect", starts_done.fetch_add(1, std::memory_order_relaxed) + 1,
-          starts.size());
-    });
-    for (std::vector<PotentialDeadlock>& cycles : per_start) {
-      for (PotentialDeadlock& cycle : cycles) {
-        if (result.cycles.size() >= e.options_.max_cycles) break;
-        result.cycles.push_back(std::move(cycle));
-      }
-    }
+  ChainSearch search(e);
+  for (std::size_t k = 0; k < starts.size(); ++k) {
+    if (search.out.size() >= e.options_.max_cycles) break;
+    search.run_from(starts[k]);
+    obs::progress_tick("detect", k + 1, starts.size());
   }
+  EnumerationResult result;
+  result.cycles = std::move(search.out);
   result.truncated = result.cycles.size() >= e.options_.max_cycles;
   return result;
 }
@@ -470,10 +438,9 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
 }
 
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
-                                       const std::vector<std::size_t>& nodes,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks) {
-  return run_partitioned(SccEngine(dep, nodes, options, clocks));
+  return run_partitioned(SccEngine(dep, options, clocks));
 }
 
 }  // namespace wolf

@@ -20,8 +20,7 @@
 // It is a test oracle (cycle_engine_test, perf_detect), not a production
 // path. The SCC restriction and the clock cut only skip subtrees that emit
 // nothing, so the SCC engine's Detection is bit-identical to the
-// reference's and, because per-start-tuple enumerations are independent and
-// merged in canonical order, across every DetectorOptions::jobs level too.
+// reference's.
 #pragma once
 
 #include <cstddef>
@@ -39,19 +38,17 @@ struct EnumerationResult {
   bool truncated = false;
 };
 
-// The reference enumerator: DetectorOptions::jobs/clock_prune_during_search
-// are ignored (it is the serial, unpruned baseline).
+// The reference enumerator: DetectorOptions::clock_prune_during_search is
+// ignored (it is the unpruned baseline).
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
-// The SCC-partitioned engine; what detect()/StreamingDetector call. It
-// searches `nodes`, the canonical tuple view: dep.unique, or a
-// cycle-preserving reduction of it such as magic_prune(dep). `clocks` is
-// only consulted when options.clock_prune_during_search is set; passing
-// nullptr disables the in-search cut (the enumeration is then bit-identical
-// to the reference over the same view).
+// The SCC-partitioned engine; what detect()/StreamingDetector call. One
+// serial search over the canonical tuple view dep.unique. `clocks` is only
+// consulted when options.clock_prune_during_search is set; passing nullptr
+// disables the in-search cut (the enumeration is then bit-identical to the
+// reference).
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
-                                       const std::vector<std::size_t>& nodes,
                                        const DetectorOptions& options,
                                        const ClockTracker* clocks = nullptr);
 

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/cycle_engine.hpp"
-#include "core/magic_prune.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -30,11 +29,6 @@ DefectSignature signature_of(const PotentialDeadlock& cycle,
     sig.push_back(dep.tuples[idx].acquire_index().site);
   std::sort(sig.begin(), sig.end());
   return sig;
-}
-
-std::vector<PotentialDeadlock> enumerate_cycles(
-    const LockDependency& dep, const DetectorOptions& options) {
-  return enumerate_cycles_scc(dep, dep.unique, options).cycles;
 }
 
 namespace {
@@ -78,12 +72,7 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   Detection det;
   det.dep = std::move(dep);
   det.clocks = std::move(clocks);
-  EnumerationResult res =
-      options.magic_prune
-          ? enumerate_cycles_scc(det.dep, magic_prune(det.dep), options,
-                                 &det.clocks)
-          : enumerate_cycles_scc(det.dep, det.dep.unique, options,
-                                 &det.clocks);
+  EnumerationResult res = enumerate_cycles_scc(det.dep, options, &det.clocks);
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? options.max_cycles : 0;

@@ -45,21 +45,13 @@ struct Defect {
   std::vector<std::size_t> cycle_idx;  // indices into Detection::cycles
 };
 
-// Deprecated as a public entry type: prefer wolf::Config::detector
-// (wolf.hpp). Kept for one release as the underlying section type.
+// The detector section of wolf::Config (wolf.hpp).
 struct DetectorOptions {
   int max_cycle_length = 5;  // threads per cycle
   // Safety valve for pathological traces; enumeration stops after this many
   // cycles (never hit by the workloads in this repo) and the Detection is
   // flagged truncated.
   std::size_t max_cycles = 100000;
-  // MagicFuzzer-style fixpoint reduction of the tuple set before cycle
-  // enumeration (core/magic_prune.hpp). Cycle-set preserving.
-  bool magic_prune = false;
-  // Enumeration parallelism across canonical start tuples: 1 = serial,
-  // 0 = hardware concurrency, N = N-way. Cycles merge in canonical
-  // start-tuple order, so the Detection is bit-identical at every level.
-  int jobs = 1;
   // Folds the Pruner's (S,J) overlap test (Algorithm 2) into the DFS as a
   // branch cut: a chain containing a thread pair that provably cannot
   // overlap is abandoned before it spawns cycles, so the emitted cycle set
@@ -125,12 +117,6 @@ class StreamingDetector {
 // LockDependencyBuilder::take_dependency or snapshot_dependency).
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
-
-// Cycle enumeration only (used by tests that build D_σ by hand). Runs the
-// SCC engine; truncation and clock-aware variants live in
-// core/cycle_engine.hpp.
-std::vector<PotentialDeadlock> enumerate_cycles(
-    const LockDependency& dep, const DetectorOptions& options = {});
 
 // Groups cycles into defects by signature, preserving first-seen order.
 std::vector<Defect> group_defects(const std::vector<PotentialDeadlock>& cycles,

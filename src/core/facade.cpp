@@ -1,5 +1,6 @@
 #include "wolf.hpp"
 
+#include <limits>
 #include <sstream>
 
 namespace wolf {
@@ -41,6 +42,11 @@ std::vector<ConfigIssue> Config::validate() const {
                     "cannot close zero-event windows)"));
   if (window_deadline_ms < 0)
     issues.push_back(fatal_issue("window_deadline_ms must be >= 0"));
+  // The governor enforces the budget in bytes (memory_budget_mb << 20).
+  if (memory_budget_mb > std::numeric_limits<std::size_t>::max() >> 20)
+    issues.push_back(
+        fatal_issue("memory_budget_mb must be < 2^44 (its byte count must "
+                    "fit in size_t)"));
 
   // Conflicts: legal, but one of the two settings silently wins. Non-fatal
   // so existing invocations keep working; callers surface these as warnings.
@@ -91,7 +97,6 @@ WolfOptions Config::wolf_options() const {
   o.fault = fault;
   // Shared scalars override the section fields they shadow.
   o.jobs = jobs;
-  o.detector.jobs = jobs;
   o.replay.seed = seed;
   if (deadline_ms != 0) o.replay.retry.attempt_deadline_ms = deadline_ms;
   return o;
@@ -127,9 +132,6 @@ GovernorOptions Config::governor_options() const {
   o.window_deadline_ms = window_deadline_ms;
   o.on_cycle = on_cycle;
   o.detector = detector;
-  // The shared jobs scalar is the window and final enumeration's
-  // parallelism (the caller's StreamTraceReader options take it for decode).
-  o.detector.jobs = jobs;
   o.fault = fault;
   return o;
 }

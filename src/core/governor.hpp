@@ -48,11 +48,9 @@
 // window path is tested against. Windows can also surface each
 // first-sighted cycle to a CycleSubscriber the moment it is found.
 //
-// Parallelism (DESIGN.md §17) is the cycle engine's own: a suspicious
+// Everything runs on the ingesting thread (DESIGN.md §17): a suspicious
 // window's dirty components are enumerated as one combined subset with
-// options.detector, so DetectorOptions::jobs spreads that enumeration over
-// per-start-tuple tasks exactly as it does in batch detect(). Results are
-// byte-identical at every jobs level.
+// options.detector, by the same serial engine batch detect() runs.
 #pragma once
 
 #include <cstddef>
@@ -105,10 +103,7 @@ struct GovernorOptions {
   // Wall-clock budget for one window's detection work; 0 = no deadline
   // (the ladder never demotes).
   std::int64_t window_deadline_ms = 0;
-  // Engine configuration for per-window and final enumeration; its jobs
-  // field is the only parallelism knob of governed detection. Verdicts,
-  // notes, window reports, and live-cycle sequence numbers are
-  // bit-identical at every jobs level.
+  // Engine configuration for per-window and final enumeration.
   DetectorOptions detector;
   // Live cycle surfacing: invoked once per first-sighted cycle at window
   // granularity; empty = no mid-run surfacing. Never changes what finish()

@@ -156,12 +156,11 @@ WolfReport analyze_trace(const sim::Program& program, const Trace& trace,
 class Session;  // wolf.hpp — the unified online-analysis facade
 
 // Runs the pipeline on a trace streamed from `reader` through an open
-// wolf::Session: the session ingests (pipelined when its jobs say so) and
-// finishes inside the "phase/detect" span, then classification runs over
-// the resulting detection. Governed sessions land their window reports and
-// verdict in the report. This is the one streaming entry point. A
-// mid-stream reader failure (reader.ok() false afterwards) analyzes the
-// prefix delivered.
+// wolf::Session: the session ingests and finishes inside the "phase/detect"
+// span, then classification runs over the resulting detection. Governed
+// sessions land their window reports and verdict in the report. This is the
+// one streaming entry point. A mid-stream reader failure (reader.ok() false
+// afterwards) analyzes the prefix delivered.
 WolfReport analyze_session(const sim::Program& program, Session& session,
                            TraceReader& reader, const WolfOptions& options);
 

@@ -53,10 +53,9 @@ PruneVerdict prune_cycle(const PotentialDeadlock& cycle,
 }
 
 ClockPairMatrix::ClockPairMatrix(const ClockTracker& clocks,
-                                 const LockDependency& dep,
-                                 const std::vector<std::size_t>& nodes) {
+                                 const LockDependency& dep) {
   ThreadId max_thread = clocks.max_thread();
-  for (std::size_t u : nodes)
+  for (std::size_t u : dep.unique)
     max_thread = std::max(max_thread, dep.tuples[u].thread);
   if (max_thread < 0) return;
   threads_ = static_cast<std::size_t>(max_thread) + 1;
@@ -73,7 +72,7 @@ ClockPairMatrix::ClockPairMatrix(const ClockTracker& clocks,
   // then it holds for every tuple pair the threads could contribute.
   std::vector<Timestamp> min_tau(threads_, 0), max_tau(threads_, 0);
   std::vector<bool> has_tuple(threads_, false);
-  for (std::size_t u : nodes) {
+  for (std::size_t u : dep.unique) {
     const LockTuple& t = dep.tuples[u];
     const auto tid = static_cast<std::size_t>(t.thread);
     if (!has_tuple[tid]) {
@@ -117,8 +116,7 @@ PruneVerdict prune_cycle(const PotentialDeadlock& cycle,
 }
 
 std::vector<PruneVerdict> prune(const Detection& detection) {
-  const ClockPairMatrix matrix(detection.clocks, detection.dep,
-                               detection.dep.unique);
+  const ClockPairMatrix matrix(detection.clocks, detection.dep);
   std::vector<PruneVerdict> verdicts;
   verdicts.reserve(detection.cycles.size());
   for (const PotentialDeadlock& cycle : detection.cycles)

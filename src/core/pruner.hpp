@@ -44,10 +44,8 @@ inline bool is_false(PruneVerdict v) { return v != PruneVerdict::kUnknown; }
 class ClockPairMatrix {
  public:
   ClockPairMatrix() = default;
-  // τ extrema are taken over `nodes`, the canonical tuple view the caller
-  // searches (dep.unique, or a reduction of it).
-  ClockPairMatrix(const ClockTracker& clocks, const LockDependency& dep,
-                  const std::vector<std::size_t>& nodes);
+  // τ extrema are taken over the canonical tuples (dep.unique).
+  ClockPairMatrix(const ClockTracker& clocks, const LockDependency& dep);
 
   // Cached clocks.view(t, u); (⊥,⊥) outside the observed thread range.
   const SJPair& view(ThreadId t, ThreadId u) const {

@@ -4,7 +4,7 @@
 // A process-wide CounterRegistry holds up to kMaxCounters named monotonic
 // counters, sharded kCounterShards ways: each thread hashes to a shard and
 // bumps a relaxed atomic slot there, so concurrent increments from the
-// classification workers, the cycle-engine tasks and the rt substrate never
+// classification workers, the serve sessions and the rt substrate never
 // contend on one cache line. snapshot() sums the shards per counter.
 //
 // Cost discipline: collection is OFF by default. Counter::add() is a single
@@ -15,9 +15,9 @@
 // Determinism: counters only observe (nothing reads them back into control
 // flow), so enabling them cannot change detection output. Counters
 // registered `stable` count pipeline semantics (tuples, chains, cycles,
-// edges, trials…) and are jobs-invariant on non-truncated runs; counters
-// registered `stable=false` count scheduling artifacts (pool parks) and are
-// excluded from the byte-stable metrics report (obs/report.hpp).
+// edges, trials…) and are jobs-invariant; counters registered
+// `stable=false` count scheduling artifacts (pool parks) and are excluded
+// from the byte-stable metrics report (obs/report.hpp).
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 // Hot loops call progress_tick(phase, done, total) freely: when disabled it
 // is one relaxed load; when enabled, a CAS on the next-due monotonic
 // deadline makes exactly one thread print per interval, so heartbeats never
-// serialize the cycle-engine workers.
+// serialize concurrent callers (serve sessions enumerating at once).
 //
 // Determinism: heartbeats write to stderr only and read nothing back, so
 // enabling them cannot change detection output.

@@ -26,8 +26,7 @@ namespace wolf::serve {
 struct EmitOptions {
   std::string socket_path;
   std::string name = "client";
-  // Extra hello parameters (window=, budget-mb=, deadline-ms=, jobs=,
-  // live=).
+  // Extra hello parameters (window=, budget-mb=, deadline-ms=, live=).
   std::map<std::string, std::string> params;
   // Upload chunking. Small chunks + throttle = a slow consumer.
   std::size_t chunk_bytes = 64 * 1024;

@@ -9,7 +9,7 @@ namespace wolf::serve {
 namespace {
 
 const char* const kNumericKeys[] = {"window", "budget-mb", "deadline-ms",
-                                    "jobs", "live"};
+                                    "live"};
 
 bool known_key(std::string_view key) {
   if (key == "name") return true;
@@ -263,8 +263,6 @@ bool apply_params(const std::map<std::string, std::string>& params,
       config.memory_budget_mb = static_cast<std::size_t>(v);
     } else if (key == "deadline-ms") {
       config.window_deadline_ms = v;
-    } else if (key == "jobs") {
-      config.jobs = static_cast<int>(v);
     } else if (key == "live") {
       config.live = v != 0;
     } else {
@@ -313,8 +311,6 @@ std::string hello_line(std::uint64_t session_id, const std::string& name,
   line += std::to_string(config.memory_budget_mb);
   line += ",\"window_deadline_ms\":";
   line += std::to_string(config.window_deadline_ms);
-  line += ",\"jobs\":";
-  line += std::to_string(config.jobs);
   line += ",\"live\":";
   line += config.live ? "true" : "false";
   line += "}\n";

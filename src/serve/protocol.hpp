@@ -3,7 +3,7 @@
 // A connection opens with one text line from the client:
 //
 //   WOLFSERVE/1 session name=<n> [window=N] [budget-mb=N] [deadline-ms=N]
-//                               [jobs=N] [live=0|1]
+//                               [live=0|1]
 //   WOLFSERVE/1 status
 //   WOLFSERVE/1 stop
 //

@@ -45,13 +45,6 @@ class ThreadPool {
   void parallel_for_each(std::size_t count,
                          const std::function<void(std::size_t)>& fn);
 
-  // Fault injection (tests, chaos campaign): task `index` of every batch —
-  // serial path included — throws before fn runs, until cleared. The hook
-  // is a single relaxed atomic index, so it is TSan-clean and free when
-  // unset. Exercises exactly the exception contract documented above.
-  static void inject_task_fault(std::size_t index);
-  static void clear_task_fault();
-
  private:
   struct Impl;
   Impl* impl_ = nullptr;  // null when jobs_ == 1 (no worker threads)

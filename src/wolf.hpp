@@ -6,16 +6,13 @@
 // option structs nested as sections. validate() reports misconfigurations
 // before a run burns time on them; the *_options() exploders produce the
 // per-stage structs the pipeline entry points take, with the shared scalars
-// folded in (a shared scalar always wins over the section field it shadows,
-// so setting Config::jobs configures both enumeration and classification).
+// folded in (a shared scalar always wins over the section field it shadows).
 //
-// Migration from the per-stage structs (kept, with deprecation notes, for
-// one release — they remain the section types, so old field names work):
+// The per-stage structs are the section types, so their fields map as:
 //
 //   WolfOptions::seed            -> Config::seed
 //   WolfOptions::jobs            -> Config::jobs
 //   DetectorOptions::*           -> Config::detector.*
-//   DetectorOptions::jobs        -> Config::jobs
 //   ReplayOptions::*             -> Config::replay.*
 //   ReplayOptions::retry.attempt_deadline_ms -> Config::deadline_ms
 //   MultiRunOptions::runs        -> Config::runs
@@ -51,9 +48,10 @@ struct ConfigIssue {
 struct Config {
   // ---- shared scalars, read by every stage ------------------------------
   std::uint64_t seed = 2014;
-  // Parallelism of enumeration and classification: 0 = hardware
-  // concurrency, 1 = the serial pipeline. Reports are identical at every
-  // level. Overrides detector.jobs and the per-run jobs split.
+  // Parallelism of classification, multi-run and indexed v3 decode: 0 =
+  // hardware concurrency, 1 = the serial pipeline. Reports are identical at
+  // every level. Overrides the per-run jobs split. Cycle enumeration (batch,
+  // window and final) is one serial search and does not read it.
   int jobs = 0;
   // Per-trial wall-clock budget in ms (0 = unlimited). Arms the rt watchdog
   // and the recording retry deadline. Overrides replay.retry and
@@ -144,13 +142,12 @@ struct SessionCycle {
 // share the containment contract an always-on service needs: a malformed
 // event *poisons* the session (feed returns false, ingestion stops, the
 // verdict is honestly incomplete) instead of propagating out of feed, and
-// governed finish() never throws. Results are byte-identical at every jobs
-// level.
+// governed finish() never throws. Everything a Session does runs on the
+// calling thread; Config::jobs does not reach it.
 //
 // A Session is single-owner state, not a thread-safe object: feed, poll and
 // finish must be externally serialized (the serve sidecar gives each
-// session its own thread; internal enumeration parallelism via jobs is the
-// session's own business).
+// session its own thread).
 class Session {
  public:
   // Everything finish() knows, in one struct. `detection` is authoritative;

@@ -5,9 +5,8 @@
 // in a random format, corrupted by a random combination of byte-level
 // faults (torn write, bit flips, text garbling, fractional truncation),
 // salvage-read, and finally analyzed by the governed detector under random
-// memory budgets, window sizes, deadlines, parallelism levels
-// (governor.detector.jobs ∈ {1, 2, 4}) and injected detection faults —
-// per-window throws and thread-pool task faults included.
+// memory budgets, window sizes, deadlines and injected detection faults —
+// per-window throws and faults inside the cycle engine's search included.
 //
 // The invariant under EVERY schedule:
 //
@@ -23,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -30,7 +30,6 @@
 #include "core/governor.hpp"
 #include "robust/fault.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 #include "testutil.hpp"
 #include "trace/serialize.hpp"
 
@@ -49,7 +48,7 @@ struct Schedule {
   robust::FaultPlan corruption;  // applied to the serialized bytes
   robust::FaultPlan detection;   // applied inside the governed detector
   GovernorOptions governor;
-  bool pool_fault = false;
+  bool enumeration_fault = false;  // every enumeration throws (testutil)
 };
 
 // Draws one randomized fault schedule. Every knob is independent, so the
@@ -74,7 +73,7 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
 
   if (rng.chance(0.4))
     s.detection.detect_throw_window = static_cast<int>(rng.below(8));
-  s.pool_fault = rng.chance(0.15);
+  s.enumeration_fault = rng.chance(0.15);
 
   s.governor.window_events = 8 + rng.below(120);
   if (rng.chance(0.4))
@@ -83,11 +82,7 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
   // Unused draws, kept so every seed still derives the same later values
   // and corruption seed.
   (void)rng.chance(0.3);
-  // Enumeration parallelism (DESIGN.md §17) must uphold the honesty
-  // contract under every fault schedule, so the campaign randomizes it
-  // across {1, 2, 4}.
-  const int jobs_levels[] = {1, 2, 4};
-  s.governor.detector.jobs = jobs_levels[rng.below(3)];
+  (void)rng.below(3);
   (void)rng.chance(0.5);
   // NOTE: governor.fault is wired by the caller — pointing it at s.detection
   // here would dangle once the Schedule is returned by value.
@@ -126,11 +121,12 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   Detection reference = detect(salvaged.trace, reference_options);
 
   // Governed run under the full fault schedule.
-  if (schedule.pool_fault) ThreadPool::inject_task_fault(0);
+  std::optional<test::EnumerationFault> enumeration_fault;
+  if (schedule.enumeration_fault) enumeration_fault.emplace();
   GovernedStreamingDetector governed(schedule.governor);
   for (const Event& e : salvaged.trace.events) governed.add(e);
   Detection detection = governed.finish();
-  ThreadPool::clear_task_fault();
+  enumeration_fault.reset();
   GovernorVerdict verdict = governed.verdict();
 
   // Structural consistency of the verdict, under every schedule.
@@ -149,9 +145,9 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   }
   EXPECT_EQ(evicted, verdict.tuples_evicted);
   EXPECT_EQ(degraded, verdict.degraded_windows);
-  // Eviction is always lossy. (A pool fault is NOT asserted here: it only
-  // fires when enumeration actually engages the pool — jobs>1 and several
-  // nontrivial SCC starts — which depends on the random graph.)
+  // Eviction is always lossy. (An enumeration fault is NOT asserted here: it
+  // fires only when an enumeration has a start tuple in a nontrivial SCC,
+  // which depends on the random graph.)
   if (verdict.tuples_evicted > 0) {
     EXPECT_FALSE(verdict.coverage_complete);
   }
@@ -238,11 +234,6 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
   GovernorOptions options;
   options.window_events = 16 + rng.below(112);
   options.memory_budget_mb = 1;
-  (void)rng.chance(0.3);  // unused draw, kept so later draws are unchanged
-  // Churn + eviction + parallel enumeration together: the store
-  // renumbering between windows must stay invisible at every jobs level.
-  const int jobs_levels[] = {1, 2, 4};
-  options.detector.jobs = jobs_levels[rng.below(3)];
 
   Detection reference = detect(trace, options.detector);
 

@@ -1,15 +1,15 @@
 // Differential tests of the SCC cycle engine against the reference DFS
 // (DESIGN.md §12):
 //
-//   equivalence — the SCC engine (serial and parallel) emits the
-//                 bit-identical cycle sequence of enumerate_cycles_reference,
-//                 over fixed workloads and randomized programs, with and
-//                 without magic_prune, and at the max_cycles cap;
+//   equivalence — the SCC engine emits the bit-identical cycle sequence of
+//                 enumerate_cycles_reference, over fixed workloads and
+//                 randomized programs, and at the max_cycles cap;
 //   clock cut   — with clock_prune_during_search, the emitted cycles equal
 //                 the order-preserving subsequence of the full enumeration
 //                 that survives Algorithm 2's prune();
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
-//                 in the reference and at every jobs level;
+//                 in both engines, and detector.cycles counts exactly the
+//                 cap;
 //   memory      — lockset masks are sized by the nontrivial SCCs searched,
 //                 never by the largest lock id (detector.mask_words).
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@
 
 #include "core/cycle_engine.hpp"
 #include "core/detector.hpp"
-#include "core/magic_prune.hpp"
 #include "core/pruner.hpp"
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
@@ -34,14 +33,25 @@
 namespace wolf {
 namespace {
 
-DetectorOptions options_for(int jobs, bool magic, bool clock_prune = false,
+DetectorOptions options_for(bool clock_prune = false,
                             std::size_t max_cycles = 100000) {
   DetectorOptions options;
-  options.jobs = jobs;
-  options.magic_prune = magic;
   options.clock_prune_during_search = clock_prune;
   options.max_cycles = max_cycles;
   return options;
+}
+
+// The delta of counter `name` across `run()`.
+template <class Run>
+std::uint64_t counted(const char* name, Run run) {
+  obs::CounterRegistry& registry = obs::CounterRegistry::instance();
+  const bool was_enabled = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const obs::CounterSnapshot before = registry.snapshot();
+  run();
+  const obs::CounterSnapshot after = registry.snapshot();
+  obs::set_counters_enabled(was_enabled);
+  return obs::delta(after, before).value(name);
 }
 
 void expect_same_cycles(const std::vector<PotentialDeadlock>& a,
@@ -67,14 +77,12 @@ void expect_equivalent(const Detection& a, const Detection& b,
 
 // The oracle: the Detection finish_detection would build, with the cycles
 // enumerated by the reference DFS instead of the SCC engine.
-Detection reference_detection(const Trace& trace, bool magic,
+Detection reference_detection(const Trace& trace,
                               std::size_t max_cycles = 100000) {
   Detection det;
   det.dep = LockDependency::from_trace(trace);
-  LockDependency view = det.dep;
-  if (magic) view.unique = magic_prune(det.dep);
   EnumerationResult res =
-      enumerate_cycles_reference(view, options_for(1, magic, false, max_cycles));
+      enumerate_cycles_reference(det.dep, options_for(false, max_cycles));
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? max_cycles : 0;
@@ -82,15 +90,13 @@ Detection reference_detection(const Trace& trace, bool magic,
   return det;
 }
 
-// Runs the reference and scc at jobs=1 and jobs=4 on one trace and asserts
-// bit-identity; returns the reference detection for further checks.
-Detection check_engines_agree(const Trace& trace, bool magic,
+// Runs the reference and scc on one trace and asserts bit-identity; returns
+// the reference detection for further checks.
+Detection check_engines_agree(const Trace& trace,
                               std::size_t max_cycles = 100000) {
-  Detection ref = reference_detection(trace, magic, max_cycles);
-  Detection scc1 = detect(trace, options_for(1, magic, false, max_cycles));
-  Detection scc4 = detect(trace, options_for(4, magic, false, max_cycles));
-  expect_equivalent(ref, scc1, "reference vs scc jobs=1");
-  expect_equivalent(ref, scc4, "reference vs scc jobs=4");
+  Detection ref = reference_detection(trace, max_cycles);
+  Detection scc = detect(trace, options_for(false, max_cycles));
+  expect_equivalent(ref, scc, "reference vs scc");
   return ref;
 }
 
@@ -110,8 +116,7 @@ TEST(CycleEngineTest, EnginesAgreeOnSuiteWorkloads) {
     SCOPED_TRACE(name);
     Trace trace = record_workload(name);
     if (trace.empty()) continue;
-    Detection ref = check_engines_agree(trace, /*magic=*/false);
-    check_engines_agree(trace, /*magic=*/true);
+    Detection ref = check_engines_agree(trace);
     EXPECT_FALSE(ref.truncated);
     EXPECT_EQ(ref.cycle_cap, 0u);
   }
@@ -122,22 +127,26 @@ TEST(CycleEngineTest, EnginesAgreeOnPhilosophersRing) {
   auto program = workloads::make_philosophers(5).program;
   auto trace = sim::record_trace(program, 7, 60);
   ASSERT_TRUE(trace.has_value());
-  Detection ref = check_engines_agree(*trace, /*magic=*/false);
+  Detection ref = check_engines_agree(*trace);
   EXPECT_FALSE(ref.cycles.empty());
 }
 
 TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
   Trace trace = record_workload("HashMap");
   ASSERT_FALSE(trace.empty());
-  Detection full = reference_detection(trace, /*magic=*/false);
+  Detection full = reference_detection(trace);
   ASSERT_GE(full.cycles.size(), 2u) << "workload too small for a cap test";
 
   for (std::size_t cap = 1; cap <= full.cycles.size(); ++cap) {
     SCOPED_TRACE(cap);
-    Detection ref = check_engines_agree(trace, /*magic=*/false, cap);
+    Detection ref = check_engines_agree(trace, cap);
     EXPECT_EQ(ref.cycles.size(), cap);
     EXPECT_TRUE(ref.truncated);
     EXPECT_EQ(ref.cycle_cap, cap);
+    // One serial search stops at the cap, so the counter is exact.
+    EXPECT_EQ(counted("detector.cycles",
+                      [&] { detect(trace, options_for(false, cap)); }),
+              cap);
     // The capped enumeration is the prefix of the full one.
     for (std::size_t i = 0; i < cap; ++i)
       EXPECT_EQ(ref.cycles[i].tuple_idx, full.cycles[i].tuple_idx);
@@ -146,21 +155,17 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
 
 // With the in-search clock cut, the emitted cycles must be exactly the
 // order-preserving subsequence of the full enumeration that prune() keeps.
-void check_clock_prune(const Trace& trace, bool magic) {
-  Detection full = detect(trace, options_for(1, magic));
+void check_clock_prune(const Trace& trace) {
+  Detection full = detect(trace, options_for());
   const std::vector<PruneVerdict> verdicts = prune(full);
   std::vector<PotentialDeadlock> survivors;
   for (std::size_t i = 0; i < full.cycles.size(); ++i)
     if (!is_false(verdicts[i])) survivors.push_back(full.cycles[i]);
 
-  for (int jobs : {1, 4}) {
-    SCOPED_TRACE(jobs);
-    Detection cut =
-        detect(trace, options_for(jobs, magic, /*clock_prune=*/true));
-    expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
-    // Everything emitted under the cut survives a batch prune.
-    for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
-  }
+  Detection cut = detect(trace, options_for(/*clock_prune=*/true));
+  expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
+  // Everything emitted under the cut survives a batch prune.
+  for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
 }
 
 TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
@@ -168,8 +173,7 @@ TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
     SCOPED_TRACE(name);
     Trace trace = record_workload(name);
     if (trace.empty()) continue;
-    check_clock_prune(trace, /*magic=*/false);
-    check_clock_prune(trace, /*magic=*/true);
+    check_clock_prune(trace);
   }
 }
 
@@ -178,12 +182,12 @@ TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
   // SCCs are trivial, and the scc engine must do (and emit) nothing.
   LockDependency dep;
   DetectorOptions options;
-  EnumerationResult empty = enumerate_cycles_scc(dep, dep.unique, options);
+  EnumerationResult empty = enumerate_cycles_scc(dep, options);
   EXPECT_TRUE(empty.cycles.empty());
   EXPECT_FALSE(empty.truncated);
 
   Trace trace = record_workload("LinkedList");
-  if (!trace.empty()) check_engines_agree(trace, /*magic=*/false);
+  if (!trace.empty()) check_engines_agree(trace);
 }
 
 // The file's random programs: varying shape, fork/join structure and lock
@@ -204,21 +208,20 @@ std::optional<Trace> random_program_trace(int seed_index) {
   return sim::record_trace(program, rng(), 40);
 }
 
-// Randomized differential test: scc at every jobs/magic combination must
-// agree with the reference, and the clock cut must match the batch pruner.
+// Randomized differential test: scc must agree with the reference, and the
+// clock cut must match the batch pruner.
 class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   auto trace = random_program_trace(GetParam());
   if (!trace.has_value()) GTEST_SKIP() << "every recording run deadlocked";
 
-  Detection ref = check_engines_agree(*trace, /*magic=*/false);
-  check_engines_agree(*trace, /*magic=*/true);
-  check_clock_prune(*trace, /*magic=*/false);
+  Detection ref = check_engines_agree(*trace);
+  check_clock_prune(*trace);
 
   // Re-run capped at half the cycles: truncation must match the reference.
   if (ref.cycles.size() >= 2)
-    check_engines_agree(*trace, /*magic=*/false, ref.cycles.size() / 2);
+    check_engines_agree(*trace, ref.cycles.size() / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,
@@ -227,15 +230,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,
 // ------------------------------------------------------------ mask memory
 
 // detector.mask_words of one SCC-engine run over dep.unique.
-std::uint64_t mask_words(const LockDependency& dep, int jobs) {
-  obs::CounterRegistry& registry = obs::CounterRegistry::instance();
-  const bool was_enabled = obs::counters_enabled();
-  obs::set_counters_enabled(true);
-  const obs::CounterSnapshot before = registry.snapshot();
-  enumerate_cycles_scc(dep, dep.unique, options_for(jobs, false));
-  const obs::CounterSnapshot after = registry.snapshot();
-  obs::set_counters_enabled(was_enabled);
-  return obs::delta(after, before).value("detector.mask_words");
+std::uint64_t mask_words(const LockDependency& dep) {
+  return counted("detector.mask_words",
+                 [&] { enumerate_cycles_scc(dep, options_for()); });
 }
 
 // The bound, computed independently of the engine: tuples in nontrivial SCCs
@@ -267,9 +264,8 @@ std::uint64_t mask_word_bound(const LockDependency& dep) {
 // Checks the bound on one trace; returns the words allocated.
 std::uint64_t check_mask_bound(const Trace& trace) {
   const LockDependency dep = LockDependency::from_trace(trace);
-  const std::uint64_t words = mask_words(dep, 1);
+  const std::uint64_t words = mask_words(dep);
   EXPECT_LE(words, mask_word_bound(dep));
-  EXPECT_EQ(mask_words(dep, 4), words) << "mask words must be jobs-invariant";
   return words;
 }
 
@@ -335,17 +331,12 @@ TEST(CycleEngineTest, FreshLockIdsCostNoMaskMemory) {
 
   const LockDependency dep = LockDependency::from_trace(trace);
   ASSERT_EQ(dep.unique.size(), kFillerTuples + 4);
-  const EnumerationResult ref =
-      enumerate_cycles_reference(dep, options_for(1, false));
+  const EnumerationResult ref = enumerate_cycles_reference(dep, options_for());
   ASSERT_EQ(ref.cycles.size(), 1u);
-  for (int jobs : {1, 4}) {
-    SCOPED_TRACE(jobs);
-    const EnumerationResult scc =
-        enumerate_cycles_scc(dep, dep.unique, options_for(jobs, false));
-    expect_same_cycles(ref.cycles, scc.cycles, "reference vs scc");
-    EXPECT_FALSE(scc.truncated);
-    EXPECT_LT(mask_words(dep, jobs), 10u);
-  }
+  const EnumerationResult scc = enumerate_cycles_scc(dep, options_for());
+  expect_same_cycles(ref.cycles, scc.cycles, "reference vs scc");
+  EXPECT_FALSE(scc.truncated);
+  EXPECT_LT(mask_words(dep), 10u);
 }
 
 }  // namespace

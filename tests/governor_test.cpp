@@ -15,17 +15,12 @@
 //     final enumeration is reported as incomplete coverage, never as a
 //     clean empty report;
 //   * the degradation ladder is a pure function with hysteresis;
-//   * jobs invariance (DESIGN.md §17) — the engine's parallel enumeration
-//     is invisible in every observable: cycles, verdict, notes, window
-//     reports and live-cycle sequence numbers are byte-identical at
-//     detector.jobs ∈ {1, 2, 4, hardware};
 //   * live surfacing is exact — every distinct cycle is delivered once,
 //     even when two cycles share their acquire sites and threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,7 +30,6 @@
 #include "core/pipeline.hpp"
 #include "core/prefilter.hpp"
 #include "robust/fault.hpp"
-#include "support/thread_pool.hpp"
 #include "testutil.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
@@ -358,7 +352,7 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
 TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   // Pins the Config contract (facade.cpp): jobs + memory_budget is a fully
   // supported combination, not a warning. The budget is enforced at window
-  // boundaries on the ingesting thread at every jobs level.
+  // boundaries on the ingesting thread.
   Config cfg;
   cfg.jobs = 4;
   cfg.memory_budget_mb = 1;
@@ -368,9 +362,8 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
         << "jobs+budget must not warn: " << issue.message;
   }
 
-  // A stream hot enough to trip eviction under a 1 MiB budget, ingested at
-  // several jobs levels: identical verdicts, and the budget holds for every
-  // window at every level.
+  // A stream hot enough to trip eviction under a 1 MiB budget: the budget
+  // holds for every window.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -383,30 +376,17 @@ TEST(GovernorTest, JobsWithMemoryBudgetIsSupported) {
   }
   for (Event& e : trace.events) e.seq = seq++;
 
-  std::string baseline_summary;
-  std::set<DefectSignature> baseline_sigs;
-  for (int jobs : {1, 4}) {
-    cfg.window_events = 4096;
-    cfg.jobs = jobs;
-    Session session = Session::open(cfg);
-    VectorTraceReader reader(trace);
-    session.ingest(reader);
-    Session::Verdict v = session.finish();
+  cfg.window_events = 4096;
+  cfg.jobs = 1;
+  Session session = Session::open(cfg);
+  VectorTraceReader reader(trace);
+  session.ingest(reader);
+  Session::Verdict v = session.finish();
 
-    for (const WindowReport& w : v.windows)
-      EXPECT_LE(w.store_bytes, cfg.memory_budget_mb << 20)
-          << "jobs " << jobs << " window " << w.index;
-    EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
-
-    if (baseline_summary.empty()) {
-      baseline_summary = v.governor.summary();
-      baseline_sigs = signatures_of(v.detection);
-    } else {
-      EXPECT_EQ(v.governor.summary(), baseline_summary) << "jobs " << jobs;
-      EXPECT_EQ(signatures_of(v.detection), baseline_sigs)
-          << "jobs " << jobs;
-    }
-  }
+  for (const WindowReport& w : v.windows)
+    EXPECT_LE(w.store_bytes, cfg.memory_budget_mb << 20)
+        << "window " << w.index;
+  EXPECT_GT(v.governor.tuples_evicted, 0u) << "budget never engaged";
 }
 
 TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
@@ -435,13 +415,14 @@ TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
 TEST(GovernorTest, FinalEnumerationFaultIsIncompleteNotClean) {
   Trace trace = ab_ba_trace(false);
   GovernorOptions options;
-  options.detector.jobs = 2;  // engage the pool so the task fault fires
   GovernedStreamingDetector governed(options);
   for (const Event& e : trace.events) governed.add(e);
 
-  ThreadPool::inject_task_fault(0);
-  Detection det = governed.finish();
-  ThreadPool::clear_task_fault();
+  Detection det;
+  {
+    test::EnumerationFault fault;
+    det = governed.finish();
+  }
 
   GovernorVerdict verdict = governed.verdict();
   EXPECT_TRUE(det.cycles.empty());
@@ -633,131 +614,6 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   check(1, "bridge expired again");
   expire(ring_a);
   check(0, "everything expired");
-}
-
-// ---------------------------------------------- jobs invariance (§17)
-
-// Everything the parallel path promises to keep byte-stable, flattened:
-// final cycles, verdict summary + notes, every window report's
-// deterministic fields, and the live-delivery transcript (order AND
-// sequence numbers included).
-std::string run_governed_fingerprint(const Trace& trace,
-                                     GovernorOptions options) {
-  std::ostringstream live;
-  options.on_cycle = [&live](const LiveCycle& lc) {
-    live << "w" << lc.window << " #" << lc.sequence << ' '
-         << lc.cycle->to_string(*lc.dep) << '\n';
-  };
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
-
-  std::ostringstream fp;
-  for (const PotentialDeadlock& c : det.cycles) {
-    fp << "cycle:";
-    for (std::size_t t : c.tuple_idx) fp << t << ',';
-    fp << '\n';
-  }
-  const GovernorVerdict verdict = governed.verdict();
-  fp << verdict.summary() << '\n';
-  for (const std::string& note : verdict.notes) fp << "note: " << note << '\n';
-  for (const WindowReport& w : governed.windows())
-    fp << "w" << w.index << " ev=" << w.events << " live=" << w.tuples_live
-       << " bytes=" << w.store_bytes << " level=" << to_string(w.level)
-       << " susp=" << w.suspicious << " new=" << w.new_cycles
-       << " compacted=" << w.tuples_compacted
-       << " evicted=" << w.tuples_evicted << " note=" << w.note << '\n';
-  fp << live.str();
-  return fp.str();
-}
-
-TEST(GovernorTest, JobsInvarianceAcrossWindowSizesAndBudgets) {
-  // The differential family behind the §17 contract: parallel window
-  // enumeration must be invisible in every observable — across window
-  // sizes, with and without budget churn (compaction + eviction renumber
-  // the store between windows), and at jobs = 0 (hardware) as well as
-  // fixed levels.
-  Trace trace;
-  std::uint64_t seq = 0;
-  SiteId site = 1;
-  for (int rep = 0; rep < 200; ++rep) {
-    const ThreadId t = static_cast<ThreadId>(1 + (rep & 1));
-    trace.events.push_back(acquire(t, 10, site++));
-    trace.events.push_back(acquire(t, 20, site++));
-    trace.events.push_back(release(t, 20));
-    trace.events.push_back(release(t, 10));
-    if (rep % 25 == 24) {
-      // A second, disjoint AB/BA ring on {30, 40}: two independent
-      // suspicious SCCs per window, so one combined enumeration spans
-      // several components' start tuples.
-      for (Event e : ab_ba_trace(false).events) {
-        if (e.lock == 10) e.lock = 30;
-        if (e.lock == 20) e.lock = 40;
-        trace.events.push_back(e);
-      }
-      for (const Event& e : ab_ba_trace(false).events)
-        trace.events.push_back(e);
-    }
-  }
-  for (Event& e : trace.events) e.seq = seq++;
-
-  for (std::size_t window : {std::size_t{16}, std::size_t{256}}) {
-    for (std::size_t budget_mb : {std::size_t{0}, std::size_t{1}}) {
-      GovernorOptions options;
-      options.window_events = window;
-      options.memory_budget_mb = budget_mb;
-      options.detector.jobs = 1;
-      const std::string base = run_governed_fingerprint(trace, options);
-      EXPECT_NE(base.find("cycle:"), std::string::npos);
-      for (int jobs : {2, 4, 0}) {
-        options.detector.jobs = jobs;
-        EXPECT_EQ(run_governed_fingerprint(trace, options), base)
-            << "window " << window << " budget " << budget_mb << " jobs "
-            << jobs;
-      }
-    }
-  }
-}
-
-TEST(GovernorTest, DetectReaderGovernedPipelineIsBitIdenticalToSerial) {
-  Trace trace;
-  std::uint64_t seq = 0;
-  for (int rep = 0; rep < 100; ++rep)
-    for (const Event& e : ab_ba_trace(false).events)
-      trace.events.push_back(e);
-  for (Event& e : trace.events) e.seq = seq++;
-
-  Config cfg;
-  cfg.window_events = 64;
-  cfg.live = true;  // governed: windows without a budget or deadline
-  auto run = [&](int jobs) {
-    cfg.jobs = jobs;
-    Session session = Session::open(cfg);
-    VectorTraceReader reader(trace);
-    session.ingest(reader);
-    return session.finish();
-  };
-  const Session::Verdict serial = run(1);
-  ASSERT_FALSE(serial.detection.cycles.empty());
-
-  for (int jobs : {2, 4}) {
-    const Session::Verdict piped = run(jobs);
-    ASSERT_EQ(piped.detection.cycles.size(), serial.detection.cycles.size());
-    for (std::size_t i = 0; i < piped.detection.cycles.size(); ++i)
-      EXPECT_EQ(piped.detection.cycles[i].tuple_idx,
-                serial.detection.cycles[i].tuple_idx);
-    EXPECT_EQ(piped.governor.coverage_complete,
-              serial.governor.coverage_complete);
-    EXPECT_EQ(piped.governor.final_level, serial.governor.final_level);
-    ASSERT_EQ(piped.windows.size(), serial.windows.size());
-    for (std::size_t i = 0; i < piped.windows.size(); ++i) {
-      EXPECT_EQ(piped.windows[i].events, serial.windows[i].events) << i;
-      EXPECT_EQ(piped.windows[i].new_cycles, serial.windows[i].new_cycles)
-          << i;
-      EXPECT_EQ(piped.windows[i].store_bytes, serial.windows[i].store_bytes)
-          << i;
-    }
-  }
 }
 
 TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {

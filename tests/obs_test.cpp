@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -357,6 +358,21 @@ TEST(ConfigTest, NonsenseValuesAreFatal) {
   EXPECT_TRUE(config.fatal());
 }
 
+TEST(ConfigTest, MemoryBudgetWhoseByteCountOverflowsIsFatal) {
+  // The governor enforces memory_budget_mb << 20 bytes; from 2^44 MiB up
+  // that wraps around size_t.
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  const std::size_t largest = max >> 20;  // 2^44 - 1 on 64-bit
+  for (std::size_t mb : {largest + 1, max}) {
+    Config config;
+    config.memory_budget_mb = mb;
+    EXPECT_TRUE(config.fatal()) << mb;
+  }
+  Config config;
+  config.memory_budget_mb = largest;
+  EXPECT_FALSE(config.fatal());
+}
+
 TEST(ConfigTest, ExplodersFoldTheSharedScalars) {
   Config config;
   config.seed = 99;
@@ -366,13 +382,11 @@ TEST(ConfigTest, ExplodersFoldTheSharedScalars) {
   WolfOptions wolf = config.wolf_options();
   EXPECT_EQ(wolf.seed, 99u);
   EXPECT_EQ(wolf.jobs, 3);
-  EXPECT_EQ(wolf.detector.jobs, 3);
   EXPECT_EQ(wolf.replay.retry.attempt_deadline_ms, 1234);
 
   MultiRunOptions multi = config.multi_options();
   EXPECT_EQ(multi.seed, 99u);
   EXPECT_EQ(multi.jobs, 3);
-  EXPECT_EQ(multi.wolf.detector.jobs, 3);
 
   rt::ExecutorOptions executor = config.executor_options();
   EXPECT_EQ(executor.seed, 99u);

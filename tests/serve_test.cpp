@@ -133,8 +133,7 @@ std::string chomp(std::string line) {
 
 TEST(ServeProtocolTest, HelloFormatParseRoundTrip) {
   std::map<std::string, std::string> params{{"window", "64"},
-                                            {"budget-mb", "32"},
-                                            {"jobs", "4"}};
+                                            {"budget-mb", "32"}};
   const std::string line = format_hello("worker-1", params);
   HelloRequest req;
   std::string error;
@@ -163,6 +162,9 @@ TEST(ServeProtocolTest, HelloRejectsMalformedLines) {
                            req, error));
   EXPECT_NE(error.find("unknown session parameter"), std::string::npos)
       << error;
+  EXPECT_FALSE(parse_hello("WOLFSERVE/1 session name=a jobs=1", req, error));
+  EXPECT_NE(error.find("unknown session parameter 'jobs'"), std::string::npos)
+      << error;
 }
 
 TEST(ServeProtocolTest, ApplyParamsOverridesServerDefaults) {
@@ -172,14 +174,12 @@ TEST(ServeProtocolTest, ApplyParamsOverridesServerDefaults) {
   ASSERT_TRUE(apply_params({{"window", "64"},
                             {"budget-mb", "8"},
                             {"deadline-ms", "250"},
-                            {"jobs", "3"},
                             {"live", "0"}},
                            cfg, error))
       << error;
   EXPECT_EQ(cfg.window_events, 64u);
   EXPECT_EQ(cfg.memory_budget_mb, 8u);
   EXPECT_EQ(cfg.window_deadline_ms, 250);
-  EXPECT_EQ(cfg.jobs, 3);
   EXPECT_FALSE(cfg.live);
 }
 
@@ -485,6 +485,24 @@ TEST(ServeServerTest, GarbageHelloGetsErrorLineAndServerKeepsServing) {
   EmitResult r = emit_trace_bytes(emit, hashmap_bytes());
   EXPECT_TRUE(r.ok()) << r.error;
   EXPECT_TRUE(r.complete);
+}
+
+TEST(ServeServerTest, OverflowingBudgetHelloGetsAnErrorLine) {
+  TestServer ts(ServeOptions{});
+  ASSERT_TRUE(ts.started);
+
+  // 2^44 MiB: its byte count wraps size_t, so Config::validate() rejects it.
+  EmitOptions emit;
+  emit.socket_path = ts.path();
+  emit.params["budget-mb"] = "17592186044416";
+  EmitResult r = emit_trace_bytes(emit, hashmap_bytes());
+  EXPECT_FALSE(r.ok());
+  bool saw_error = false;
+  for (const std::string& line : r.lines)
+    if (line_type(line) == "error") saw_error = true;
+  EXPECT_TRUE(saw_error);
+  EXPECT_NE(r.error.find("memory_budget_mb"), std::string::npos) << r.error;
+  EXPECT_TRUE(ts.server.running());
 }
 
 TEST(ServeServerTest, GarbageStreamYieldsTornVerdictNotACrash) {

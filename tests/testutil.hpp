@@ -6,9 +6,11 @@
 // operations exactly).
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/progress.hpp"
 #include "sim/program.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
@@ -33,5 +35,31 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
+
+// While in scope, every cycle enumeration that has a start tuple throws: the
+// engine ticks progress after each start, and this installs a throwing
+// progress writer with heartbeats on at a 0 ms interval. The destructor
+// restores the defaults (off, 500 ms, stderr).
+class EnumerationFault {
+ public:
+  EnumerationFault() {
+    obs::set_progress_writer(&throw_line);
+    obs::set_progress_interval_ms(0);
+    obs::set_progress_enabled(true);
+  }
+  ~EnumerationFault() {
+    obs::set_progress_enabled(false);
+    obs::set_progress_interval_ms(500);
+    obs::set_progress_writer(nullptr);
+  }
+  EnumerationFault(const EnumerationFault&) = delete;
+  EnumerationFault& operator=(const EnumerationFault&) = delete;
+
+ private:
+  static void throw_line(const char* line) {
+    throw std::runtime_error(std::string("injected enumeration fault at ") +
+                             line);
+  }
+};
 
 }  // namespace wolf::test

@@ -1,7 +1,7 @@
 // wolf — command-line front end to the WOLF pipeline.
 //
 //   wolf record   --workload=HashMap --seed=7 --out=trace.txt [--format=v3]
-//   wolf detect   --workload=HashMap --trace=trace.txt [--magic-prune]
+//   wolf detect   --workload=HashMap --trace=trace.txt [--clock-prune]
 //   wolf analyze  --workload=HashMap [--trace=trace.txt] [--rank]
 //   wolf replay   --workload=HashMap --cycle=2 --attempts=10 [--rt]
 //   wolf convert  trace.txt trace.bin [--format=v1|v2|v3]
@@ -45,10 +45,10 @@
 //
 // --jobs N classifies detected cycles N-way parallel (default 0 = hardware
 // concurrency); reports are identical at every N, and --jobs 1 runs the
-// historical serial pipeline. The same flag parallelizes cycle enumeration
-// (governed windows included) and indexed v3 block decode. Every output,
-// including governed verdicts and live-cycle order, is identical at every
-// --jobs level.
+// historical serial pipeline. The same flag parallelizes indexed v3 block
+// decode. Cycle enumeration (governed windows included) is serial. Every
+// output, including governed verdicts and live-cycle order, is identical at
+// every --jobs level.
 //
 // Detector flags: --max-cycles caps enumeration (a warning is printed when
 // the cap is hit), and --clock-prune folds the Pruner's vector-clock test
@@ -71,7 +71,6 @@
 #include <string_view>
 #include <thread>
 
-#include "core/magic_prune.hpp"
 #include "core/metrics.hpp"
 #include "core/ranking.hpp"
 #include "obs/progress.hpp"
@@ -128,7 +127,6 @@ void register_workload_flags(Flags& flags) {
 }
 
 void register_detector_flags(Flags& flags) {
-  flags.define_bool("magic-prune", false, "MagicFuzzer tuple reduction");
   flags.define_int("max-cycles", 100000,
                    "cap on enumerated cycles (a warning is printed when hit)");
   flags.define_bool("clock-prune", false,
@@ -239,10 +237,8 @@ std::optional<Trace> load_or_record(const sim::Program& program,
 
 // Shared by detect/analyze: detector knobs from flags.
 void detector_from_flags(const Flags& flags, DetectorOptions& options) {
-  options.magic_prune = flags.get_bool("magic-prune");
   options.max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles"));
   options.clock_prune_during_search = flags.get_bool("clock-prune");
-  options.jobs = static_cast<int>(flags.get_int("jobs"));
 }
 
 void warn_if_truncated(const Detection& det) {
@@ -412,7 +408,8 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
     }
     std::cout << '\n';
   }
-  return metrics.write_counters(options.jobs) ? 0 : 1;
+  const int jobs = static_cast<int>(flags.get_int("jobs"));
+  return metrics.write_counters(jobs) ? 0 : 1;
 }
 
 int cmd_analyze(const sim::Program& program, const Flags& flags) {
@@ -579,7 +576,6 @@ int cmd_serve(int argc, char** argv) {
                    "default per-session tuple-store budget (MiB, 0 = none)");
   flags.define_int("window-deadline-ms", 0,
                    "default per-window detection deadline (0 = none)");
-  flags.define_int("jobs", 1, "default per-session enumeration parallelism");
   if (!flags.parse(argc, argv)) return 1;
   if (flags.get_string("socket").empty()) {
     std::cerr << "wolf serve: --socket is required\n";
@@ -597,7 +593,6 @@ int cmd_serve(int argc, char** argv) {
   options.session.memory_budget_mb =
       static_cast<std::size_t>(flags.get_int("memory-budget-mb"));
   options.session.window_deadline_ms = flags.get_int("window-deadline-ms");
-  options.session.jobs = static_cast<int>(flags.get_int("jobs"));
 
   serve::Server server(options);
   std::string error;
@@ -643,7 +638,6 @@ int cmd_emit(int argc, char** argv) {
   flags.define_int("budget-mb", -1, "override the server's memory budget");
   flags.define_int("deadline-ms", -1,
                    "override the server's window deadline");
-  flags.define_int("jobs", 0, "override the server's per-session jobs");
   flags.define_int("chunk-bytes", 64 * 1024, "upload chunk size");
   flags.define_int("throttle-ms", 0, "sleep between chunks (slow consumer)");
   if (!flags.parse(argc, argv)) return 1;
@@ -694,8 +688,6 @@ int cmd_emit(int argc, char** argv) {
   if (flags.get_int("deadline-ms") >= 0)
     options.params["deadline-ms"] =
         std::to_string(flags.get_int("deadline-ms"));
-  if (flags.get_int("jobs") > 0)
-    options.params["jobs"] = std::to_string(flags.get_int("jobs"));
   // Print live cycles as they arrive, in `analyze --live` format.
   options.on_line = [](const std::string& line) {
     SessionCycle cycle;
