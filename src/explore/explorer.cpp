@@ -35,6 +35,7 @@ ExploreResult explore(const sim::Program& program,
   result.states = 1;
 
   bool budget_hit = false;
+  std::vector<ThreadId> enabled;
   while (!stack.empty()) {
     sim::Scheduler state = std::move(stack.back());
     stack.pop_back();
@@ -48,7 +49,7 @@ ExploreResult explore(const sim::Program& program,
       ++result.completed_states;
       continue;
     }
-    const std::vector<ThreadId> enabled = state.enabled_threads();
+    state.enabled_threads(enabled);
     if (enabled.empty()) {
       // Stall (start/join wait with nothing runnable): terminal, counts as a
       // deadlock state with an empty lock signature.

@@ -520,6 +520,13 @@ Server::Server(ServeOptions options)
 Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
+  // A fatal issue in the default session Config would reject every session
+  // that does not override it; refuse to start instead.
+  for (const ConfigIssue& issue : impl_->options.session.validate()) {
+    if (!issue.fatal) continue;
+    if (error != nullptr) *error = "config: " + issue.message;
+    return false;
+  }
   if (!impl_->listener.bind(impl_->options.socket_path, error)) return false;
   impl_->running.store(true, std::memory_order_relaxed);
   impl_->accept_thread = std::thread([this] { impl_->accept_loop(); });

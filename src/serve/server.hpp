@@ -116,7 +116,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // Binds the socket and starts accepting. False + error on bind failure.
+  // Validates the default session Config, binds the socket and starts
+  // accepting. False + error on the first fatal config issue ("config: …",
+  // nothing bound) or on bind failure.
   bool start(std::string* error);
 
   // Graceful drain: stop accepting, give live sessions drain_deadline_ms,

@@ -38,7 +38,9 @@ class ScheduleController {
 
   // Threads the controller wants unpaused now. Called by the substrate after
   // every controller-visible transition; returned ids that are not currently
-  // paused are ignored.
+  // paused are ignored. Releases must follow from before_lock/on_event
+  // calls: sim::run's no-progress rule relies on a controller that has seen
+  // no new event releasing nothing.
   virtual std::vector<ThreadId> take_released() { return {}; }
 
   // No runnable thread remains but `paused` is non-empty (Algorithm 4 lines

@@ -2,11 +2,19 @@
 
 #include <algorithm>
 
+#include "obs/counters.hpp"
 #include "robust/fault.hpp"
 #include "support/check.hpp"
 #include "trace/sharded_recorder.hpp"
 
 namespace wolf::sim {
+
+namespace {
+// Forced releases made because every enabled thread spins, and runs ended
+// early because every enabled thread spins with nothing paused.
+const obs::Counter kSpinForceReleases("sim.spin_force_releases");
+const obs::Counter kLivelockStops("sim.livelock_stops");
+}  // namespace
 
 Scheduler::Scheduler(const Program& program, SchedulerOptions options)
     : program_(&program), options_(options) {
@@ -36,6 +44,7 @@ void Scheduler::ensure_begun(ThreadId t) {
   auto& ts = threads_[static_cast<std::size_t>(t)];
   if (ts.begun) return;
   ts.begun = true;
+  ++progress_epoch_;
   Event e;
   e.kind = EventKind::kThreadBegin;
   e.thread = t;
@@ -52,12 +61,11 @@ std::int32_t Scheduler::occurrence_for(ThreadId t, int pc, SiteId site) {
   return ts.pending_occ;
 }
 
-std::vector<ThreadId> Scheduler::enabled_threads() const {
-  std::vector<ThreadId> out;
+void Scheduler::enabled_threads(std::vector<ThreadId>& out) const {
+  out.clear();
   for (ThreadId t = 0; t < static_cast<ThreadId>(threads_.size()); ++t)
     if (threads_[static_cast<std::size_t>(t)].status == ThreadStatus::kEnabled)
       out.push_back(t);
-  return out;
 }
 
 std::vector<ThreadId> Scheduler::paused_threads() const {
@@ -66,6 +74,11 @@ std::vector<ThreadId> Scheduler::paused_threads() const {
     if (threads_[static_cast<std::size_t>(t)].status == ThreadStatus::kPaused)
       out.push_back(t);
   return out;
+}
+
+bool Scheduler::spinning(ThreadId t) const {
+  WOLF_CHECK(t >= 0 && static_cast<std::size_t>(t) < threads_.size());
+  return threads_[static_cast<std::size_t>(t)].spin_epoch == progress_epoch_;
 }
 
 ThreadStatus Scheduler::status(ThreadId t) const {
@@ -84,9 +97,7 @@ int Scheduler::flag_value(int flag) const {
 }
 
 bool Scheduler::all_terminated() const {
-  return std::all_of(threads_.begin(), threads_.end(), [](const ThreadState& ts) {
-    return ts.status == ThreadStatus::kTerminated;
-  });
+  return terminated_ == threads_.size();
 }
 
 bool Scheduler::finished() const {
@@ -99,6 +110,8 @@ void Scheduler::terminate_thread(ThreadId t) {
                  "thread " << t << " terminated holding "
                            << ts.held.size() << " lock(s)");
   ts.status = ThreadStatus::kTerminated;
+  ++terminated_;
+  ++progress_epoch_;
   Event e;
   e.kind = EventKind::kThreadEnd;
   e.thread = t;
@@ -139,6 +152,26 @@ void Scheduler::release_paused(ThreadId t, bool bypass_controller) {
                  "thread " << t << " is not paused");
   ts.status = ThreadStatus::kEnabled;
   if (bypass_controller) ts.bypass_controller = true;
+  ++progress_epoch_;
+}
+
+void Scheduler::take_jump(ThreadId t, int from_pc, int target) {
+  auto& ts = threads_[static_cast<std::size_t>(t)];
+  // The second take of one backward jump in one epoch: the path between the
+  // takes changed no shared state, so with that state unchanged it repeats.
+  if (target <= from_pc) {
+    if (ts.loop_pc == from_pc && ts.loop_epoch == progress_epoch_) {
+      ts.spin_epoch = progress_epoch_;
+    } else {
+      ts.loop_pc = from_pc;
+      ts.loop_epoch = progress_epoch_;
+    }
+  }
+  ts.pc = target;
+  ts.pending_pc = -1;
+  ts.bypass_controller = false;
+  if (ts.pc >= static_cast<int>(program_->thread(t).ops.size()))
+    terminate_thread(t);
 }
 
 BlockedAt Scheduler::blocked_at(ThreadId t) const {
@@ -196,12 +229,18 @@ void Scheduler::step(ThreadId t) {
       if (delay.thread == t && delay.at_op == ts.pc &&
           fault_delay_left_[i] > 0) {
         --fault_delay_left_[i];
+        ++progress_epoch_;
         return;
       }
     }
   }
   const Op& op = ops[static_cast<std::size_t>(ts.pc)];
   const int cur_pc = ts.pc;
+  // Lock, unlock, start, join and flag steps change (or may change) shared
+  // state: a lock owner or depth, a thread status, a pause, a flag.
+  if (op.code != OpCode::kCompute && op.code != OpCode::kJumpIfFlag &&
+      op.code != OpCode::kJump)
+    ++progress_epoch_;
 
   auto advance = [&] {
     ts.pc = cur_pc + 1;
@@ -316,19 +355,13 @@ void Scheduler::step(ThreadId t) {
       break;
     case OpCode::kJumpIfFlag:
       if (flags_[static_cast<std::size_t>(op.flag)] == op.value) {
-        ts.pc = op.target_pc;
-        ts.pending_pc = -1;
-        ts.bypass_controller = false;
-        if (ts.pc >= static_cast<int>(ops.size())) terminate_thread(t);
+        take_jump(t, cur_pc, op.target_pc);
       } else {
         advance();
       }
       break;
     case OpCode::kJump:
-      ts.pc = op.target_pc;
-      ts.pending_pc = -1;
-      ts.bypass_controller = false;
-      if (ts.pc >= static_cast<int>(ops.size())) terminate_thread(t);
+      take_jump(t, cur_pc, op.target_pc);
       break;
   }
 }
@@ -384,14 +417,27 @@ std::uint64_t Scheduler::state_hash() const {
 
 RunResult run(Scheduler& scheduler, SchedulePolicy& policy, Rng& rng) {
   bool fault_stalled = false;
+  std::vector<ThreadId> enabled;
   while (!scheduler.finished() &&
          scheduler.steps_executed() < scheduler.max_steps()) {
     // Apply any releases the controller granted since the last step.
     scheduler.drain_releases();
-    auto enabled = scheduler.enabled_threads();
-    if (enabled.empty()) {
+    scheduler.enabled_threads(enabled);
+    // No thread can make progress when none is enabled, or when every
+    // enabled one spins: their loops change no shared state, so only a
+    // paused thread could end them (DESIGN.md §6).
+    const bool livelock =
+        !enabled.empty() &&
+        std::all_of(enabled.begin(), enabled.end(),
+                    [&](ThreadId t) { return scheduler.spinning(t); });
+    if (enabled.empty() || livelock) {
       auto paused = scheduler.paused_threads();
-      if (paused.empty()) break;  // stall: nothing is runnable at all
+      if (paused.empty()) {
+        // A stall ends as a deadlock; a livelock, whose spinners are still
+        // enabled, as kStepLimit.
+        if (livelock) kLivelockStops.add();
+        break;
+      }
       // Injected fault: the force-release that would unwedge the run is
       // dropped. On real threads this run would hang until the watchdog
       // fires; in virtual time we end the trial immediately as a timeout.
@@ -405,6 +451,7 @@ RunResult run(Scheduler& scheduler, SchedulePolicy& policy, Rng& rng) {
           scheduler.controller() != nullptr
               ? scheduler.controller()->force_release(paused, rng)
               : paused[rng.index(paused)];
+      if (livelock) kSpinForceReleases.add();
       scheduler.release_paused(victim, /*bypass_controller=*/true);
       continue;
     }

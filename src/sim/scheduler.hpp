@@ -13,6 +13,15 @@
 // whether the execution "deadlocked at the exact location" (Algorithm 4
 // line 33).
 //
+// A livelock ends early too. Every shared-state change (lock, unlock, start,
+// join, flag write, thread begin/exit, pause, release, injected delay) bumps
+// a progress epoch, and a thread that takes the same backward jump twice in
+// one epoch is *spinning*: its loop changes nothing another thread could see,
+// so only another thread can end it. When every enabled thread spins, run()
+// force-releases a paused thread (Algorithm 4 lines 5–7) or, with nothing
+// paused, stops at once with RunOutcome::kStepLimit instead of spinning to
+// max_steps (DESIGN.md §6).
+//
 // Scheduler objects are copyable: the systematic explorer forks mid-run
 // states to enumerate schedules.
 #pragma once
@@ -55,7 +64,8 @@ struct BlockedAt {
 enum class RunOutcome : std::uint8_t {
   kCompleted,  // every thread terminated
   kDeadlock,   // wait-for cycle (or a start/join stall with nothing runnable)
-  kStepLimit,  // max_steps exhausted
+  kStepLimit,  // max_steps exhausted, or a livelock: every enabled thread
+               // spins and nothing is paused (ends at once, not at the cap)
   kTimeout,    // wall-clock watchdog fired (rt) or a fault-injected stall
                // wedged the run (sim); the trial was aborted, not hung
 };
@@ -86,9 +96,16 @@ class Scheduler {
 
   // --- stepping interface (used by run() and by the explorer) ---
 
-  // Threads eligible to execute right now, ascending ids.
-  std::vector<ThreadId> enabled_threads() const;
+  // Fills `out` (cleared first) with the threads eligible to execute right
+  // now, ascending ids. The run loop reuses one buffer for every step.
+  void enabled_threads(std::vector<ThreadId>& out) const;
   std::vector<ThreadId> paused_threads() const;
+
+  // True when thread `t` took the same backward jump twice with no
+  // shared-state change in between. Its loop reads only state that no step
+  // of a spinning thread can change, so it repeats until another thread
+  // changes that state.
+  bool spinning(ThreadId t) const;
 
   // Executes one operation (or one blocked/paused attempt) of an enabled
   // thread.
@@ -124,13 +141,15 @@ class Scheduler {
 
   // Structural fingerprint of the scheduler state (thread pcs/statuses, lock
   // ownership, flags). Two states with equal hashes are treated as identical
-  // by the explorer; the hash ignores trace/controller bookkeeping, so it is
-  // only meaningful for controller-free exploration.
+  // by the explorer; the hash ignores trace/controller and spin bookkeeping,
+  // so it is only meaningful for controller-free exploration.
   std::uint64_t state_hash() const;
 
   const Program& program() const { return *program_; }
 
  private:
+  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
+
   struct ThreadState {
     ThreadStatus status = ThreadStatus::kNotStarted;
     int pc = 0;
@@ -147,6 +166,12 @@ class Scheduler {
     bool bypass_controller = false;
     // Per-site dynamic occurrence counters.
     std::vector<std::int32_t> site_counts;
+    // Spin bookkeeping: the pc of the last backward jump taken and the
+    // progress epoch it was taken in, and the epoch in which that jump was
+    // taken again (the thread spins while that epoch is current).
+    int loop_pc = -1;
+    std::uint64_t loop_epoch = 0;
+    std::uint64_t spin_epoch = kNoEpoch;
   };
 
   struct LockState {
@@ -158,6 +183,8 @@ class Scheduler {
   void ensure_begun(ThreadId t);
   std::int32_t occurrence_for(ThreadId t, int pc, SiteId site);
   void terminate_thread(ThreadId t);
+  // Moves `t` to `target`, noting a backward jump for spin detection.
+  void take_jump(ThreadId t, int from_pc, int target);
   void wake_lock_waiters(LockId lock);
   void drain_controller_releases();
   // Checks for a wait-for cycle through `t` (which just blocked); fills
@@ -171,6 +198,9 @@ class Scheduler {
   std::vector<LockState> locks_;
   std::vector<int> flags_;
   std::uint64_t steps_ = 0;
+  // Bumped by every shared-state change; see spinning().
+  std::uint64_t progress_epoch_ = 0;
+  std::size_t terminated_ = 0;
   bool deadlock_diagnosed_ = false;
   std::vector<BlockedAt> deadlock_cycle_;
   // Remaining injected-stall budget per FaultPlan delay entry (copyable so

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -330,7 +331,14 @@ TEST(ServeServerTest, VanishedClientNeverPoisonsAConcurrentSession) {
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.verdict_line, chomp(ref.verdict));
   EXPECT_TRUE(ts.server.running());
-  const ServerStats stats = ts.server.stats();
+  // The killed client waits for nothing, so the server may still be ending
+  // its session here; give it up to 5 s to record both sessions.
+  ServerStats stats = ts.server.stats();
+  for (int i = 0; i < 500 && stats.sessions_done + stats.sessions_torn < 2;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stats = ts.server.stats();
+  }
   EXPECT_EQ(stats.sessions_done, 1u);
   EXPECT_EQ(stats.sessions_torn, 1u);
 }
@@ -503,6 +511,19 @@ TEST(ServeServerTest, OverflowingBudgetHelloGetsAnErrorLine) {
   EXPECT_TRUE(saw_error);
   EXPECT_NE(r.error.find("memory_budget_mb"), std::string::npos) << r.error;
   EXPECT_TRUE(ts.server.running());
+}
+
+TEST(ServeServerTest, FatalDefaultConfigFailsStartBeforeBinding) {
+  ServeOptions opts;
+  opts.socket_path = unique_socket_path();
+  opts.session.memory_budget_mb = static_cast<std::size_t>(-1);
+  Server server(opts);
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_EQ(error.rfind("config: memory_budget_mb must be < 2^44", 0), 0u)
+      << error;
+  EXPECT_FALSE(server.running());
+  EXPECT_FALSE(std::filesystem::exists(opts.socket_path));
 }
 
 TEST(ServeServerTest, GarbageStreamYieldsTornVerdictNotACrash) {
