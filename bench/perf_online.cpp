@@ -13,9 +13,10 @@
 //      masked by an earlier unbounded run's high-water mark. Reports
 //      Mev/s, per-window p50/p99 detection latency, peak tuple store vs
 //      budget, evictions, and the honesty bits.
-//   2. unbounded — no budget, no deadline; the final detection must match
-//      plain StreamingDetector cycle for cycle (the differential gate:
-//      speed only counts when the answer is right).
+//   2. unbounded — no budget, no deadline, a no-op cycle subscriber so
+//      windows still close; the final detection must match batch
+//      detect_reader() cycle for cycle (the differential gate: speed only
+//      counts when the answer is right).
 //   3. deadline  — small windows under a per-window deadline; reports how
 //      far the degradation ladder moved and how many windows degraded.
 //   4. shed      — a stream whose canonical tuple set outgrows a small
@@ -492,17 +493,23 @@ int main(int argc, char** argv) {
     scenarios.push_back(run_scenario("budgeted", events, seed, o));
   }
 
-  // 2. Unbounded + differential gate vs plain streaming detection.
+  // 2. Unbounded + differential gate vs batch detection. With no budget or
+  // deadline, only a subscriber makes the governor close windows, and the
+  // windows are what this scenario measures.
   Detection governed_detection;
-  scenarios.push_back(run_scenario("unbounded", events, seed,
-                                   GovernorOptions{}, &governed_detection));
-
-  StreamingDetector batch;
   {
-    OnlineEventStream stream = make_stream(events, seed);
-    for (std::uint64_t i = 0; i < events; ++i) batch.add(stream.next());
+    GovernorOptions o;
+    o.on_cycle = [](const LiveCycle&) {};
+    scenarios.push_back(
+        run_scenario("unbounded", events, seed, o, &governed_detection));
   }
-  Detection batch_detection = batch.finish();
+
+  Detection batch_detection;
+  {
+    SyntheticTraceReader<OnlineEventStream> reader(make_stream(events, seed),
+                                                   events);
+    batch_detection = detect_reader(reader);
+  }
   bool differential_ok =
       governed_detection.cycles.size() == batch_detection.cycles.size();
   for (std::size_t i = 0; differential_ok &&
@@ -546,11 +553,9 @@ int main(int argc, char** argv) {
   }
   Detection churn_batch_det;
   {
-    StreamingDetector batch_churn;
-    ChurnEventStream stream(churn.window_events);
-    for (std::uint64_t i = 0; i < churn.churn_events; ++i)
-      batch_churn.add(stream.next());
-    churn_batch_det = batch_churn.finish();
+    SyntheticTraceReader<ChurnEventStream> reader(
+        ChurnEventStream(churn.window_events), churn.churn_events);
+    churn_batch_det = detect_reader(reader);
   }
   churn.identical_vs_batch = same_cycles(churn_det, churn_batch_det);
   // Every committed cycle was delivered to the subscriber before finish().

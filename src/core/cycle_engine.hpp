@@ -43,7 +43,7 @@ struct EnumerationResult {
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
-// The SCC-partitioned engine; what detect()/StreamingDetector call. One
+// The SCC-partitioned engine; what detect() and every Session call. One
 // serial search over the canonical tuple view dep.unique. `clocks` is only
 // consulted when options.clock_prune_during_search is set; passing nullptr
 // disables the in-search cut (the enumeration is then bit-identical to the

@@ -80,18 +80,13 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   return det;
 }
 
-Detection StreamingDetector::finish() {
-  LockDependency dep = builder_.take_dependency();
-  ClockTracker clocks = builder_.clocks();
-  builder_.clear();
-  return finish_detection(std::move(dep), std::move(clocks), options_);
-}
-
 Detection detect_reader(TraceReader& reader, const DetectorOptions& options) {
-  StreamingDetector detector(options);
+  LockDependencyBuilder builder;
   std::vector<Event> block;
-  while (reader.next_block(block)) detector.add_block(block);
-  return detector.finish();
+  while (reader.next_block(block))
+    for (const Event& e : block) builder.add(e);
+  LockDependency dep = builder.take_dependency();
+  return finish_detection(std::move(dep), builder.clocks(), options);
 }
 
 Detection detect(const Trace& trace, const DetectorOptions& options) {

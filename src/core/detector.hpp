@@ -80,38 +80,17 @@ Detection detect(const Trace& trace, const DetectorOptions& options = {});
 
 // Detection fed block-by-block from a TraceReader — e.g. a
 // StreamTraceReader over a trace file — without ever materializing the
-// whole event vector. On a defective stream (reader.ok() false afterwards)
+// whole event vector: D_σ and the clocks advance online (Algorithm 1
+// order), then cycle enumeration and defect grouping run once over the
+// complete relation. On a defective stream (reader.ok() false afterwards)
 // the Detection reflects the events delivered before the failure; callers
-// that need strictness must check the reader.
+// that need strictness must check the reader. A malformed event or an
+// enumeration fault throws — this is the batch oracle; wolf::Session
+// (wolf.hpp) is the containing, never-throwing online surface.
 Detection detect_reader(TraceReader& reader,
                         const DetectorOptions& options = {});
 
-// The incremental core of detect_reader: feed blocks (or single events) as
-// they arrive, then finish() once. D_σ and the clocks advance online
-// (Algorithm 1 order); cycle enumeration and defect grouping — which need
-// the complete relation — run at finish().
-class StreamingDetector {
- public:
-  explicit StreamingDetector(const DetectorOptions& options = {})
-      : options_(options) {}
-
-  void add(const Event& e) { builder_.add(e); }
-  void add_block(const std::vector<Event>& events) {
-    for (const Event& e : events) builder_.add(e);
-  }
-
-  std::size_t events_seen() const { return builder_.events_seen(); }
-
-  // Enumerates cycles and groups defects over everything added so far, and
-  // returns the completed Detection. Leaves the detector cleared.
-  Detection finish();
-
- private:
-  DetectorOptions options_;
-  LockDependencyBuilder builder_;
-};
-
-// Shared back half of StreamingDetector::finish and the governed detector
+// Shared back half of detect_reader and the governed detector
 // (core/governor.hpp): enumerates cycles and groups defects over an
 // already-built relation (`unique` must be computed, e.g. by
 // LockDependencyBuilder::take_dependency or snapshot_dependency).

@@ -96,7 +96,7 @@ std::size_t tuple_bytes(const LockTuple& tuple) {
 
 GovernedStreamingDetector::GovernedStreamingDetector(
     const GovernorOptions& options)
-    : options_(options) {
+    : options_(options), windowed_(options.windowed()) {
   if (options_.window_events == 0) options_.window_events = 65536;
 }
 
@@ -129,6 +129,7 @@ void GovernedStreamingDetector::add(const Event& e) {
     }
     return;
   }
+  if (!windowed_) return;  // nothing reads windows: D_σ is all we keep
   const auto& tuples = builder_.pending().tuples;
   for (std::size_t i = tuples_fed_; i < tuples.size(); ++i) {
     prefilter_.on_tuple(tuples[i]);

@@ -1,10 +1,14 @@
-// Resource-governed online detection (DESIGN.md §14).
+// Resource-governed online detection (DESIGN.md §14) — the one engine behind
+// every wolf::Session.
 //
-// StreamingDetector accumulates an unbounded D_σ and enumerates once at the
-// end — fine for batch analysis, fatal for an always-on engine ingesting
-// millions of events per second. GovernedStreamingDetector is the
-// production shape: ingestion is chopped into fixed-size event windows, and
-// at every window boundary the governor
+// Events stream into the same LockDependencyBuilder batch detect() uses, and
+// finish() enumerates the whole retained store once. What a window boundary
+// adds is paid for only when something reads it: a memory budget to
+// enforce, a window deadline to keep, or a cycle subscriber to feed
+// (GovernorOptions::windowed()). Without one, the detector only builds
+// D_σ — batch detect() over a stream — and finish() runs the one
+// enumeration. With one, ingestion is chopped into fixed-size
+// event windows, and at every window boundary the governor
 //
 //   1. consults the linear-time sound pre-filter (core/prefilter.hpp) — the
 //      expensive tuple-level cycle enumeration fires only on windows the
@@ -32,11 +36,11 @@
 // every downgrade is surfaced. Each window produces a WindowReport; the
 // run produces a GovernorVerdict whose coverage_complete is true iff the
 // final Detection provably equals what batch analysis of the same event
-// stream would produce — no eviction, no detection fault. Per-window
-// enumeration faults (injected or real) degrade only that window's early
-// surfacing; finish() re-enumerates over everything retained, so they do
-// not lose final coverage. A fault *in* finish() does, and flips
-// coverage_complete.
+// stream would produce — no eviction, no malformed event, no detection
+// fault. Per-window enumeration faults (injected or real) degrade only
+// that window's early surfacing; finish() re-enumerates over everything
+// retained, so they do not lose final coverage. A fault *in* finish() does,
+// and flips coverage_complete; finish() never throws.
 //
 // Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
 // maintains its SCC decomposition under tuple arrival and expiry
@@ -94,8 +98,8 @@ struct LiveCycle {
 using CycleSubscriber = std::function<void(const LiveCycle&)>;
 
 struct GovernorOptions {
-  // Tuple-store budget in MiB; 0 = ungoverned (the store grows like
-  // StreamingDetector's). Approximate accounting — see tuple_bytes().
+  // Tuple-store budget in MiB; 0 = unbounded (the store grows like batch
+  // detect()'s). Approximate accounting — see tuple_bytes().
   std::size_t memory_budget_mb = 0;
   // Events per detection window. Also the granularity of budget and
   // deadline enforcement.
@@ -112,6 +116,15 @@ struct GovernorOptions {
   // Injected faults (robust/fault.hpp): detect_throw_window exercises the
   // per-window containment path. Not owned.
   const robust::FaultPlan* fault = nullptr;
+
+  // True when something reads the windows — a budget to enforce, a
+  // deadline to keep or a subscriber to feed. Only then does the detector
+  // close windows, feed the pre-filter and keep its by-lock index;
+  // otherwise it builds D_σ and enumerates once, at finish().
+  bool windowed() const {
+    return memory_budget_mb != 0 || window_deadline_ms != 0 ||
+           static_cast<bool>(on_cycle);
+  }
 };
 
 // What happened in one window — the structured, honestly-reported verdict
@@ -172,7 +185,8 @@ class GovernedStreamingDetector {
   void add_block(const std::vector<Event>& events);
 
   std::size_t events_seen() const { return builder_.events_seen(); }
-  std::size_t store_bytes() const { return store_bytes_; }
+  // options.windowed() at construction: whether windows close at all.
+  bool windowed() const { return windowed_; }
   DetectionLevel level() const { return rung_; }
   // True once a malformed event fired a builder invariant: ingestion has
   // stopped and the verdict is honestly incomplete.
@@ -205,6 +219,7 @@ class GovernedStreamingDetector {
   void note_event(GovernorVerdict& v, std::string note) const;
 
   GovernorOptions options_;
+  bool windowed_ = false;
   LockDependencyBuilder builder_;
   LockGraph prefilter_;
   std::vector<WindowReport> windows_;

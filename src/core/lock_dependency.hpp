@@ -85,9 +85,9 @@ struct LockDependency {
 
 // Incremental construction of D_σ plus the τ/V clock state, one event at a
 // time. This is the single build path behind LockDependency::from_trace
-// (offline), OnlineAnalysisSink (during execution) and StreamingDetector
-// (block-by-block off a TraceReader) — because all three feed the same
-// builder, batch and streaming detection cannot diverge.
+// (offline), OnlineAnalysisSink (during execution), detect_reader and every
+// wolf::Session (block-by-block off a TraceReader) — because all of them
+// feed the same builder, batch and streaming detection cannot diverge.
 class LockDependencyBuilder {
  public:
   // Feeds the next event in trace order. Clocks are applied before any tuple

@@ -362,11 +362,9 @@ WolfReport analyze_session(const sim::Program& program, Session& session,
   }
   WolfReport report = classify_detection(program, std::move(verdict.detection),
                                          options, sink);
-  if (verdict.governed) {
-    report.governed = true;
-    report.windows = std::move(verdict.windows);
-    report.governor = std::move(verdict.governor);
-  }
+  report.governed = verdict.governed;
+  report.windows = std::move(verdict.windows);
+  report.governor = std::move(verdict.governor);
   return report;
 }
 

@@ -128,9 +128,9 @@ struct WolfReport {
   double avg_gs_vertices = 0;  // over generated (non-pruned) cycles
   int jobs_used = 1;           // effective classification parallelism
 
-  // Resource-governed streaming extras (core/governor.hpp), populated only
-  // by analyze_session over a governed Session: per-window reports plus the
-  // run-level verdict. When governor.coverage_complete is false the
+  // Session extras (core/governor.hpp), populated by analyze_session: the
+  // run-level verdict, plus per-window reports when the session was
+  // governed (windowed). When governor.coverage_complete is false the
   // detection — and therefore everything classified from it — may be
   // missing defects, and report writers must say so (the same honesty
   // contract as Detection::truncated).
@@ -157,10 +157,10 @@ class Session;  // wolf.hpp — the unified online-analysis facade
 
 // Runs the pipeline on a trace streamed from `reader` through an open
 // wolf::Session: the session ingests and finishes inside the "phase/detect"
-// span, then classification runs over the resulting detection. Governed
-// sessions land their window reports and verdict in the report. This is the
-// one streaming entry point. A mid-stream reader failure (reader.ok() false
-// afterwards) analyzes the prefix delivered.
+// span, then classification runs over the resulting detection, and the
+// session's verdict (and window reports, if governed) land in the report.
+// This is the one streaming entry point. A mid-stream reader failure
+// (reader.ok() false afterwards) analyzes the prefix delivered.
 WolfReport analyze_session(const sim::Program& program, Session& session,
                            TraceReader& reader, const WolfOptions& options);
 

@@ -39,6 +39,9 @@ std::string degradation_message(const GovernorVerdict& verdict) {
     if (verdict.tuples_evicted > 0 && verdict.detection_faults > 0) os << " and ";
     if (verdict.detection_faults > 0)
       os << verdict.detection_faults << " detection fault(s) occurred";
+    // Neither eviction nor a fault: the one other cause is poisoning.
+    if (verdict.tuples_evicted == 0 && verdict.detection_faults == 0)
+      os << "a malformed event stopped ingestion";
     os << "; absence of a defect below is not evidence of absence";
   } else {
     os << "governed detection degraded in " << verdict.degraded_windows
@@ -81,7 +84,7 @@ std::string write_markdown_report(const WolfReport& report,
           "enumeration.\n\n";
   }
 
-  if (report.governed) {
+  if (report.governed || report.governor.degraded()) {
     const std::string degraded = degradation_message(report.governor);
     if (!degraded.empty()) os << "> **Warning:** " << degraded << ".\n\n";
     os << "## Governed streaming\n\n";

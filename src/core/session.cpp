@@ -1,7 +1,8 @@
 // wolf::Session — the unified online-analysis facade (wolf.hpp).
 //
-// The implementation is deliberately thin: governed sessions delegate to
-// GovernedStreamingDetector, ungoverned ones to StreamingDetector.
+// The implementation is deliberately thin: every session delegates to one
+// GovernedStreamingDetector, which closes windows only when the config
+// gives it something that reads them (GovernorOptions::windowed()).
 
 #include <cassert>
 #include <memory>
@@ -26,22 +27,14 @@ struct LiveCollector {
 }  // namespace
 
 struct Session::Impl {
-  bool governed = false;
-  bool finished = false;
+  explicit Impl(const GovernorOptions& options) : detector(options) {}
 
-  // Governed mode.
-  std::unique_ptr<GovernedStreamingDetector> gov;
+  GovernedStreamingDetector detector;
   std::shared_ptr<LiveCollector> live;  // non-null iff collecting for poll()
-
-  // Ungoverned mode. Poisoning is handled here (the governor has its own):
-  // the builder commits its tuple before mutating held-lock state, so after
-  // a throw the store is consistent and finish() analyzes the prefix.
-  std::unique_ptr<StreamingDetector> stream;
-  bool poisoned = false;
-  std::string poison_note;
+  bool finished = false;
 };
 
-Session::Session() : impl_(std::make_unique<Impl>()) {}
+Session::Session() = default;
 Session::Session(Session&& other) noexcept = default;
 Session& Session::operator=(Session&& other) noexcept = default;
 Session::~Session() = default;
@@ -55,18 +48,11 @@ Session Session::open(const Config& config) {
   }
   if (!fatal.empty())
     throw std::invalid_argument("wolf::Session::open: " + fatal);
-  Session s;
-  if (!config.governed()) {
-    s.impl_->stream =
-        std::make_unique<StreamingDetector>(config.wolf_options().detector);
-    return s;
-  }
-  s.impl_->governed = true;
   GovernorOptions opts = config.governor_options();
+  std::shared_ptr<LiveCollector> live;
   if (config.live) {
-    auto live = std::make_shared<LiveCollector>();
+    live = std::make_shared<LiveCollector>();
     live->user = opts.on_cycle;
-    s.impl_->live = live;
     // Collect a copy for poll(), then chain the push-mode subscriber. A
     // throwing user callback still propagates to the governor's containment
     // exactly as it would unwrapped, so verdicts are unchanged.
@@ -76,39 +62,24 @@ Session Session::open(const Config& config) {
       if (live->user) live->user(lc);
     };
   }
-  s.impl_->gov = std::make_unique<GovernedStreamingDetector>(opts);
+  Session s;
+  s.impl_ = std::make_unique<Impl>(opts);
+  s.impl_->live = std::move(live);
   return s;
 }
 
 bool Session::feed(const Event& e) {
   assert(!impl_->finished && "feed() after finish()");
   if (impl_->finished) return false;
-  if (impl_->governed) {
-    impl_->gov->add(e);
-    return !impl_->gov->poisoned();
-  }
-  if (impl_->poisoned) return false;
-  try {
-    impl_->stream->add(e);
-  } catch (const std::exception& ex) {
-    impl_->poisoned = true;
-    impl_->poison_note = ex.what();
-    return false;
-  }
-  return true;
+  impl_->detector.add(e);
+  return !impl_->detector.poisoned();
 }
 
 bool Session::feed(const std::vector<Event>& events) {
   assert(!impl_->finished && "feed() after finish()");
   if (impl_->finished) return false;
-  if (impl_->governed) {
-    // Delegate whole blocks: identical to the historical add_block drain.
-    impl_->gov->add_block(events);
-    return !impl_->gov->poisoned();
-  }
-  for (const Event& e : events)
-    if (!feed(e)) return false;
-  return true;
+  impl_->detector.add_block(events);
+  return !impl_->detector.poisoned();
 }
 
 void Session::ingest(TraceReader& reader) {
@@ -122,49 +93,29 @@ std::vector<SessionCycle> Session::poll() {
   return out;
 }
 
-bool Session::governed() const { return impl_->governed; }
-
-bool Session::poisoned() const {
-  return impl_->governed ? impl_->gov->poisoned() : impl_->poisoned;
-}
+bool Session::poisoned() const { return impl_->detector.poisoned(); }
 
 std::size_t Session::events_seen() const {
-  return impl_->governed ? impl_->gov->events_seen()
-                         : impl_->stream->events_seen();
+  return impl_->detector.events_seen();
 }
 
 std::size_t Session::windows_closed() const {
-  return impl_->governed ? impl_->gov->windows().size() : 0;
+  return impl_->detector.windows().size();
 }
 
-DetectionLevel Session::level() const {
-  return impl_->governed ? impl_->gov->level() : DetectionLevel::kFullScc;
-}
+DetectionLevel Session::level() const { return impl_->detector.level(); }
 
 std::size_t Session::cycles_surfaced_live() const {
-  return impl_->governed ? impl_->gov->cycles_surfaced_live() : 0;
+  return impl_->detector.cycles_surfaced_live();
 }
 
 Session::Verdict Session::finish() {
   assert(!impl_->finished && "finish() called twice");
   Verdict v;
-  v.governed = impl_->governed;
-  if (impl_->governed) {
-    v.detection = impl_->gov->finish();
-    v.windows = impl_->gov->windows();
-    v.governor = impl_->gov->verdict();
-  } else {
-    // StreamingDetector::finish semantics preserved: a detection fault
-    // propagates. Poisoned prefixes still finish — over the consistent
-    // prefix — with an honest verdict.
-    v.detection = impl_->stream->finish();
-    if (impl_->poisoned) {
-      v.governor.coverage_complete = false;
-      v.governor.notes.push_back(
-          "malformed event rejected, later input ignored: " +
-          impl_->poison_note);
-    }
-  }
+  v.detection = impl_->detector.finish();
+  v.windows = impl_->detector.windows();
+  v.governor = impl_->detector.verdict();
+  v.governed = impl_->detector.windowed();
   impl_->finished = true;
   return v;
 }

@@ -358,7 +358,7 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   {
     obs::Span finish_span(&e->spans, "session/finish");
     Stopwatch finish_clock;
-    verdict = session.finish();  // governed finish never throws
+    verdict = session.finish();  // never throws
     finish_seconds = finish_clock.seconds();
   }
   // finish() closes the trailing window, which can first-sight cycles.

@@ -6,8 +6,8 @@
 // Isolation model — the "one misbehaving client can never poison another"
 // contract, mechanically:
 //   * one thread + one Session per connection: sessions share no mutable
-//     analysis state (a governed Session owns its detector, its windows and
-//     its degradation ladder), so a slow, torn, or malicious stream can
+//     analysis state (a Session owns its detector, its windows and its
+//     degradation ladder), so a slow, torn, or malicious stream can
 //     only ever burn its own lane;
 //   * per-session containment: the connection handler is wrapped in a
 //     catch-everything that turns any escape into a kFailed entry and an

@@ -138,9 +138,8 @@ bool VectorTraceReader::next_block(std::vector<Event>& out) {
 // One block decoded off the index, ready for in-order delivery.
 struct StreamTraceReader::DecodedBlock {
   std::vector<Event> events;
-  std::string defect;       // non-empty: the block is damaged
-  std::uint64_t count = 0;  // header-claimed events (drop accounting)
-  std::size_t end = 0;      // file offset just past the block's checksum
+  std::string defect;   // non-empty: the block is damaged
+  std::size_t end = 0;  // file offset just past the block's checksum
 };
 
 StreamTraceReader::StreamTraceReader(std::istream& is, Mode mode)
@@ -252,7 +251,10 @@ bool StreamTraceReader::start() {
       // so CLI callers can forward their shared --jobs flag untouched.
       const int jobs = options_.jobs <= 0 ? ThreadPool::hardware_jobs()
                                           : options_.jobs;
-      if (load_index() && jobs > 1) {
+      // Only strict reads take the index. The sequential scan stops at a
+      // block whose framing is damaged, where the index would let a salvage
+      // read skip past it — and salvage output must not depend on --jobs.
+      if (mode_ == Mode::kStrict && jobs > 1 && load_index()) {
         kIndexedOpens.add();
         pool_ = std::make_unique<ThreadPool>(jobs);
         last_block_end_ = sizeof wire::kMagicV3;
@@ -652,7 +654,6 @@ void StreamTraceReader::decode_batch() {
     const std::size_t bi = base + k;
     const wire::IndexEntry& entry = index_[bi];
     DecodedBlock& slot = batch_[k];
-    slot.count = entry.count;
     const std::string label = "block " + std::to_string(bi);
     // Blocks and the footer live in [8, index_offset_): bound all reads by
     // the index section so a lying entry cannot walk into it.
@@ -719,23 +720,20 @@ bool StreamTraceReader::next_binary_indexed(std::vector<Event>& out) {
     DecodedBlock& block = batch_[batch_pos_++];
     const std::size_t bi = next_block_index_++;
     // Contiguity: each block must start exactly where the previous one
-    // ended (the sequential scan gets this for free). Only checkable when
-    // the previous block's framing was intact.
-    if (last_block_end_ != 0 && index_[bi].offset != last_block_end_) {
+    // ended (the sequential scan gets this for free).
+    if (index_[bi].offset != last_block_end_) {
       defect("bad wolf-trace v3 block tag (block " + std::to_string(bi) +
              ")");
-      stage_ = Stage::kDone;  // desync: same stop the sequential scan makes
-      break;
+      break;  // desync: same stop the sequential scan makes
     }
-    last_block_end_ = block.defect.empty() ? block.end : 0;
     std::string bad = std::move(block.defect);
     if (bad.empty() && have_prev_ && block.events.front().seq <= prev_seq_)
       bad = "block " + std::to_string(bi) + ": non-monotonic sequence number";
     if (!bad.empty()) {
-      defect(std::move(bad));
-      events_dropped_ += block.count;
-      continue;  // salvage: drop this block; strict: stage_ is kDone
+      defect(std::move(bad));  // strict: ends the stream
+      break;
     }
+    last_block_end_ = block.end;
     out = std::move(block.events);
     checksum_ = index_[bi].chain;  // verified against the events in-worker
     prev_seq_ = out.back().seq;
@@ -747,35 +745,33 @@ bool StreamTraceReader::next_binary_indexed(std::vector<Event>& out) {
   return false;
 }
 
-bool StreamTraceReader::finish_indexed() {
-  // Every indexed block is delivered (or dropped by name); what remains is
+void StreamTraceReader::finish_indexed() {
+  // Every indexed block is delivered; what remains is
   // [last_block_end_, index_offset_), which must be exactly the footer.
   stage_ = Stage::kDone;
-  if (last_block_end_ == 0) return false;  // tail block had broken framing
   std::size_t pos = last_block_end_;
   std::uint8_t tag = 0;
   const std::string_view region = data_.substr(0, index_offset_);
   if (!mem_u8(region, pos, tag)) {
     defect("missing wolf-trace v3 footer (truncated trace?)");
-    return false;
+    return;
   }
   if (tag != static_cast<std::uint8_t>(wire::kFooterTag)) {
     defect("bad wolf-trace v3 block tag (block " +
            std::to_string(next_block_index_) + ")");
-    return false;
+    return;
   }
   if (!mem_varint(region, pos, footer_count_) ||
       !mem_u64le(region, pos, footer_checksum_)) {
     defect("malformed wolf-trace v3 footer");
-    return false;
+    return;
   }
   footer_seen_ = true;
   if (pos != index_offset_) {
     defect("data after wolf-trace v3 footer");
-    return false;
+    return;
   }
-  finish_footer_checks(events_dropped_ > 0);
-  return true;
+  finish_footer_checks(/*dropped_any=*/false);
 }
 
 void StreamTraceReader::finish_footer_checks(bool dropped_any) {

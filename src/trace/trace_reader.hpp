@@ -23,16 +23,19 @@
 // In kStrict mode the first defect stops the stream with error() set; in
 // kSalvage mode defects become diagnostics() and the reader keeps going —
 // recovering the longest valid prefix of a text trace, and every intact
-// block of a v3 trace (a damaged block is skipped by name while the blocks
-// after it still load).
+// block of a v3 trace up to the first damaged block header (a block whose
+// payload is damaged is skipped by name while the blocks after it still
+// load; a damaged tag or header breaks the framing and ends the scan).
 //
 // The path constructor unlocks the 10^8-event fast path (DESIGN.md §15):
 // a v3 file is mmap'd (support/mmap_file) and decoded zero-copy, and when
-// it carries the footer block index and Options.jobs > 1, blocks are
-// decoded in parallel on a support/thread_pool — with bit-identical event
-// delivery, defect messages, and salvage accounting at every jobs level.
-// Every acceleration degrades gracefully: no mmap → buffered reads, no
-// index → sequential scan, no parallelism → serial decode.
+// a strict read of it finds the footer block index and Options.jobs > 1,
+// blocks are decoded in parallel on a support/thread_pool — with
+// bit-identical event delivery and defect messages at every jobs level.
+// Salvage reads are sequential at every jobs level: the scan stops at a
+// block whose framing is damaged, which the index would let a parallel
+// decode skip. Every acceleration degrades gracefully: no mmap → buffered
+// reads, no index → sequential scan, no parallelism → serial decode.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +86,9 @@ class StreamTraceReader final : public TraceReader {
     // buffered stream reads.
     bool allow_mmap = true;
     // Decode indexed v3 blocks on this many threads (<= 1: serial). Only
-    // effective with mmap and a valid footer index; delivery order, event
-    // bytes, and diagnostics are identical at every level.
+    // effective for strict reads with mmap and a valid footer index;
+    // delivery order, event bytes, and diagnostics are identical at every
+    // level.
     int jobs = 1;
     // Ignore a footer index even when present (forces the sequential
     // scan; used by tests and honesty-mode benchmarks).
@@ -136,7 +140,7 @@ class StreamTraceReader final : public TraceReader {
   bool next_binary_mem(std::vector<Event>& out);
   bool next_binary_indexed(std::vector<Event>& out);
   void decode_batch();    // indexed mode: decode the next run of blocks
-  bool finish_indexed();  // indexed mode: footer + tail checks
+  void finish_indexed();  // indexed mode: footer + tail checks
   // One parsed text line; returns true when an event was appended to `out`.
   bool consume_text_line(std::string_view text, std::vector<Event>& out);
   void finish_footer_checks(bool dropped_any);
@@ -190,8 +194,8 @@ class StreamTraceReader final : public TraceReader {
   struct DecodedBlock;
   std::vector<DecodedBlock> batch_;
   std::size_t batch_pos_ = 0;
-  // File offset just past the last delivered block (0: framing broken, the
-  // next block's start cannot be cross-checked).
+  // Indexed mode (strict reads only): file offset just past the last
+  // delivered block, where the next one must start.
   std::size_t last_block_end_ = 0;
 };
 

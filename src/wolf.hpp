@@ -75,29 +75,27 @@ struct Config {
   int runs = 5;
 
   // ---- resource governance (core/governor.hpp) --------------------------
-  // Tuple-store budget for governed streaming analysis, in MiB (0 =
-  // unbounded). Setting this or window_deadline_ms switches `wolf analyze`
-  // onto the governed path.
+  // Tuple-store budget of a Session, in MiB (0 = unbounded). Setting this,
+  // window_deadline_ms, on_cycle or live makes the session close windows.
   std::size_t memory_budget_mb = 0;
-  // Events per detection window of the governed path.
+  // Events per detection window of a windowed Session.
   std::size_t window_events = 65536;
   // Per-window detection deadline in ms (0 = no deadline; the degradation
   // ladder never demotes).
   std::int64_t window_deadline_ms = 0;
   // Live cycle surfacing: called once per first-sighted cycle at window
-  // granularity (`wolf analyze --live`). Setting it switches analysis onto
-  // the governed path; it never changes the final result.
+  // granularity (`wolf analyze --live`). It never changes the final result.
   CycleSubscriber on_cycle;
   // Pull-mode live surfacing: Session::poll() returns the cycles first
-  // sighted since the last poll. Like on_cycle (the two compose), setting
-  // it switches Session::open onto the governed path and never changes what
-  // finish() returns. The serve sidecar runs sessions with live = true.
+  // sighted since the last poll. Composes with on_cycle and, like it,
+  // never changes what finish() returns. The serve sidecar runs sessions
+  // with live = true.
   bool live = false;
 
-  bool governed() const {
-    return memory_budget_mb != 0 || window_deadline_ms != 0 || live ||
-           static_cast<bool>(on_cycle);
-  }
+  // True when a Session opened from this config closes windows
+  // (GovernorOptions::windowed(); live attaches poll()'s collector as a
+  // subscriber). Otherwise the session only builds D_σ until finish().
+  bool governed() const { return live || governor_options().windowed(); }
 
   // Checks the configuration for fatal errors and conflicting settings.
   // Empty result = clean. Callers decide how to surface non-fatal issues.
@@ -136,14 +134,16 @@ struct SessionCycle {
 //   }
 //   Session::Verdict v = s.finish();            // authoritative, final
 //
-// open() dispatches on Config::governed(): a governed config gets the full
-// windowed/budgeted/laddered machinery of core/governor.hpp; an ungoverned
-// one gets the unbounded batch-equivalent StreamingDetector. Both modes
-// share the containment contract an always-on service needs: a malformed
-// event *poisons* the session (feed returns false, ingestion stops, the
-// verdict is honestly incomplete) instead of propagating out of feed, and
-// governed finish() never throws. Everything a Session does runs on the
-// calling thread; Config::jobs does not reach it.
+// Every session runs on one engine, core/governor.hpp's detector. It pays
+// for windows only when something reads them (Config::governed(): a
+// budget, a window deadline, or a live subscriber or collector); otherwise
+// it builds D_σ as events arrive and enumerates once at finish(), the
+// cost of batch detect(). Every session keeps the containment contract an
+// always-on service needs: a malformed event *poisons* the session (feed
+// returns false, ingestion stops, the verdict is honestly incomplete)
+// instead of propagating out of feed, and finish() never throws.
+// Everything a Session does runs on the calling thread; Config::jobs does
+// not reach it.
 //
 // A Session is single-owner state, not a thread-safe object: feed, poll and
 // finish must be externally serialized (the serve sidecar gives each
@@ -152,9 +152,9 @@ class Session {
  public:
   // Everything finish() knows, in one struct. `detection` is authoritative;
   // `governor.coverage_complete` is the honesty bit (true iff the detection
-  // provably equals batch analysis of the same event stream — ungoverned
-  // sessions set it false only when poisoned). `windows` is empty for
-  // ungoverned sessions.
+  // provably equals batch analysis of the same event stream). `governed`
+  // is Config::governed() of the opening config; `windows` is empty when
+  // it is false.
   struct Verdict {
     Detection detection;
     std::vector<WindowReport> windows;
@@ -163,9 +163,9 @@ class Session {
   };
 
   // Builds a session from a validated Config (throws std::invalid_argument
-  // listing the fatal issues otherwise) and dispatches on
-  // Config::governed(). Live cycles are collected for poll() iff
-  // config.live; Config::on_cycle still fires push-mode either way.
+  // listing the fatal issues otherwise). Live cycles are collected for
+  // poll() iff config.live; Config::on_cycle still fires push-mode either
+  // way.
   static Session open(const Config& config);
 
   Session(Session&& other) noexcept;
@@ -192,19 +192,17 @@ class Session {
   std::vector<SessionCycle> poll();
 
   // Observation (valid any time).
-  bool governed() const;
   bool poisoned() const;
   std::size_t events_seen() const;
   std::size_t windows_closed() const;
   DetectionLevel level() const;
   std::size_t cycles_surfaced_live() const;
 
-  // Closes the trailing window, runs the authoritative enumeration and
-  // returns everything. Final: feed() after finish() is an error (asserts
-  // in debug builds, no-op otherwise). Governed sessions never throw from
-  // finish (a detection fault yields an honest incomplete verdict);
-  // ungoverned sessions preserve StreamingDetector::finish semantics and
-  // let a detection fault propagate.
+  // Closes the trailing window (if windowed), runs the authoritative
+  // enumeration and returns everything. Final: feed() after finish() is an
+  // error (asserts in debug builds, no-op otherwise). Never throws: a
+  // detection fault yields an empty detection and an honest incomplete
+  // verdict.
   Verdict finish();
 
  private:

@@ -120,7 +120,11 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   DetectorOptions reference_options = schedule.governor.detector;
   Detection reference = detect(salvaged.trace, reference_options);
 
-  // Governed run under the full fault schedule.
+  // Governed run under the full fault schedule. A counting subscriber
+  // reads the windows, so schedules with no budget or deadline close them
+  // too (subscription never changes what finish() returns).
+  std::size_t delivered = 0;
+  schedule.governor.on_cycle = [&delivered](const LiveCycle&) { ++delivered; };
   std::optional<test::EnumerationFault> enumeration_fault;
   if (schedule.enumeration_fault) enumeration_fault.emplace();
   GovernedStreamingDetector governed(schedule.governor);
@@ -128,6 +132,7 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   Detection detection = governed.finish();
   enumeration_fault.reset();
   GovernorVerdict verdict = governed.verdict();
+  EXPECT_EQ(delivered, governed.cycles_surfaced_live());
 
   // Structural consistency of the verdict, under every schedule.
   EXPECT_EQ(verdict.windows, governed.windows().size());

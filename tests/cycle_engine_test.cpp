@@ -41,19 +41,6 @@ DetectorOptions options_for(bool clock_prune = false,
   return options;
 }
 
-// The delta of counter `name` across `run()`.
-template <class Run>
-std::uint64_t counted(const char* name, Run run) {
-  obs::CounterRegistry& registry = obs::CounterRegistry::instance();
-  const bool was_enabled = obs::counters_enabled();
-  obs::set_counters_enabled(true);
-  const obs::CounterSnapshot before = registry.snapshot();
-  run();
-  const obs::CounterSnapshot after = registry.snapshot();
-  obs::set_counters_enabled(was_enabled);
-  return obs::delta(after, before).value(name);
-}
-
 void expect_same_cycles(const std::vector<PotentialDeadlock>& a,
                         const std::vector<PotentialDeadlock>& b,
                         const char* what) {
@@ -144,8 +131,9 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
     EXPECT_TRUE(ref.truncated);
     EXPECT_EQ(ref.cycle_cap, cap);
     // One serial search stops at the cap, so the counter is exact.
-    EXPECT_EQ(counted("detector.cycles",
-                      [&] { detect(trace, options_for(false, cap)); }),
+    EXPECT_EQ(test::counter_delta(
+                  [&] { detect(trace, options_for(false, cap)); })
+                  .value("detector.cycles"),
               cap);
     // The capped enumeration is the prefix of the full one.
     for (std::size_t i = 0; i < cap; ++i)
@@ -231,8 +219,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,
 
 // detector.mask_words of one SCC-engine run over dep.unique.
 std::uint64_t mask_words(const LockDependency& dep) {
-  return counted("detector.mask_words",
-                 [&] { enumerate_cycles_scc(dep, options_for()); });
+  return test::counter_delta(
+             [&] { enumerate_cycles_scc(dep, options_for()); })
+      .value("detector.mask_words");
 }
 
 // The bound, computed independently of the engine: tuples in nontrivial SCCs

@@ -6,9 +6,12 @@
 //     cycle, the lock graph is suspicious (differentially, over random
 //     programs); the refinements (single-thread SCCs, common guard locks)
 //     only discharge windows that provably contain no cycle;
-//   * governed ≡ ungoverned — with no budget, no deadline and no faults,
-//     the governed detector's final Detection matches StreamingDetector's
-//     bit for bit, at every window size;
+//   * governed ≡ batch — with no budget, no deadline and no faults, the
+//     governed detector's final Detection matches batch detect() bit for
+//     bit, at every window size;
+//   * one Session contract — a session with nothing reading its windows
+//     closes none and builds no pre-filter, and it poisons on a malformed
+//     event and never throws from finish(), like a windowed one;
 //   * honesty — eviction flips coverage_complete and marks the window
 //     kShedding; a per-window detection fault degrades only that window
 //     (finish() re-enumerates, coverage stays complete); a fault in the
@@ -201,17 +204,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefilterSoundnessTest,
 
 // --------------------------------------------------------------- governor
 
+// A subscriber that ignores every cycle. Subscription is observation-only
+// (LiveSubscriberSeesEveryCycleBeforeFinish), so attaching one makes a
+// detector with no budget or deadline close windows without changing its
+// answer.
+void ignore_cycle(const LiveCycle&) {}
+
 // With no budget, no deadline and no faults, the governed detector's final
 // Detection must equal batch detection bit for bit at every window size.
 void expect_governed_matches_batch(const Trace& trace,
                                    std::initializer_list<std::size_t> windows) {
-  StreamingDetector plain;
-  for (const Event& e : trace.events) plain.add(e);
-  Detection expected = plain.finish();
+  Detection expected = detect(trace);
 
   for (std::size_t window : windows) {
     GovernorOptions options;
     options.window_events = window;
+    options.on_cycle = ignore_cycle;
     GovernedStreamingDetector governed(options);
     for (const Event& e : trace.events) governed.add(e);
     Detection got = governed.finish();
@@ -230,7 +238,7 @@ void expect_governed_matches_batch(const Trace& trace,
   }
 }
 
-TEST(GovernorTest, UngovernedMatchesStreamingDetectorBitForBit) {
+TEST(GovernorTest, UnboundedWindowsMatchBatchBitForBit) {
   Rng rng(77);
   sim::Program program = test::random_program(rng);
   auto trace = sim::record_trace(program, 5, 40);
@@ -259,6 +267,7 @@ TEST(GovernorTest, SuspiciousWindowsSurfaceCyclesBeforeFinish) {
   Trace trace = ab_ba_trace(false);
   GovernorOptions options;
   options.window_events = 4;  // boundaries inside and after the pattern
+  options.on_cycle = ignore_cycle;
   GovernedStreamingDetector governed(options);
   for (const Event& e : trace.events) governed.add(e);
   Detection det = governed.finish();
@@ -396,6 +405,7 @@ TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
 
   GovernorOptions options;
   options.window_events = 4;
+  options.on_cycle = ignore_cycle;
   options.fault = &fault;
   GovernedStreamingDetector governed(options);
   for (const Event& e : trace.events) governed.add(e);
@@ -426,12 +436,98 @@ TEST(GovernorTest, FinalEnumerationFaultIsIncompleteNotClean) {
 
   GovernorVerdict verdict = governed.verdict();
   EXPECT_TRUE(det.cycles.empty());
-  // The trailing window's enumeration hits the injected fault too (it is
-  // contained); the final enumeration's is the one that loses coverage.
-  EXPECT_GE(verdict.detection_faults, 1u);
+  // Nothing reads windows here (no budget, deadline or subscriber), so none
+  // closes: the final enumeration is the only one, and its fault is the
+  // one that loses coverage.
+  EXPECT_EQ(verdict.detection_faults, 1u);
   EXPECT_FALSE(verdict.coverage_complete)
       << "an empty report after a failed final enumeration must not look "
          "like a clean bill of health";
+}
+
+// ------------------------------------------------ the one Session contract
+//
+// A Session whose config sets no budget, deadline, subscriber or live
+// collector runs the same detector as a windowed one, minus the windows:
+// the containment contract is the same.
+
+TEST(SessionTest, UngovernedMalformedEventFinishesThePrefixIncomplete) {
+  const Trace trace = ab_ba_trace(false);
+  Config cfg;
+  ASSERT_FALSE(cfg.governed());
+  Session session = Session::open(cfg);
+  for (const Event& e : trace.events) ASSERT_TRUE(session.feed(e));
+  Event bad = release(1, 99);  // t1 never acquired lock 99
+  bad.seq = trace.events.size();
+  EXPECT_FALSE(session.feed(bad));
+  EXPECT_TRUE(session.poisoned());
+  // Later input is ignored, whole blocks included.
+  EXPECT_FALSE(session.feed(trace.events));
+  const Session::Verdict v = session.finish();
+
+  const Detection prefix = detect(trace);
+  ASSERT_FALSE(prefix.cycles.empty());
+  ASSERT_EQ(v.detection.cycles.size(), prefix.cycles.size());
+  for (std::size_t i = 0; i < prefix.cycles.size(); ++i)
+    EXPECT_EQ(v.detection.cycles[i].tuple_idx, prefix.cycles[i].tuple_idx);
+  EXPECT_FALSE(v.governed);
+  EXPECT_FALSE(v.governor.coverage_complete);
+  ASSERT_EQ(v.governor.notes.size(), 1u);
+  EXPECT_NE(v.governor.notes[0].find("malformed event rejected"),
+            std::string::npos)
+      << v.governor.notes[0];
+}
+
+TEST(SessionTest, UngovernedFinalEnumerationFaultIsIncompleteNotThrown) {
+  const Trace trace = ab_ba_trace(false);
+  Session session = Session::open(Config{});
+  VectorTraceReader reader(trace);
+  session.ingest(reader);
+  Session::Verdict v;
+  {
+    test::EnumerationFault fault;
+    EXPECT_NO_THROW(v = session.finish());
+  }
+  EXPECT_TRUE(v.detection.cycles.empty());
+  EXPECT_FALSE(v.governor.coverage_complete)
+      << "an empty report after a failed final enumeration must not look "
+         "like a clean bill of health";
+  EXPECT_EQ(v.governor.detection_faults, 1u);
+  EXPECT_TRUE(v.governor.degraded());
+  ASSERT_FALSE(v.governor.notes.empty());
+  EXPECT_NE(v.governor.notes[0].find("final detection fault"),
+            std::string::npos)
+      << v.governor.notes[0];
+}
+
+TEST(SessionTest, UngovernedRunClosesNoWindowsAndBuildsNoPrefilter) {
+  // Long enough for several default-sized windows had any closed.
+  Trace trace;
+  std::uint64_t seq = 0;
+  for (int rep = 0; rep < 40000; ++rep)
+    for (Event e : ab_ba_trace(false).events) {
+      e.seq = seq++;
+      trace.events.push_back(e);
+    }
+  ASSERT_GT(trace.size(), 4 * Config{}.window_events);
+
+  Session::Verdict v;
+  std::size_t closed = 1;
+  const obs::CounterSnapshot counters = test::counter_delta([&] {
+    Session session = Session::open(Config{});
+    VectorTraceReader reader(trace);
+    session.ingest(reader);
+    closed = session.windows_closed();
+    v = session.finish();
+  });
+  EXPECT_EQ(counters.value("governor.windows"), 0u);
+  EXPECT_EQ(counters.value("prefilter.edges"), 0u);
+  EXPECT_EQ(closed, 0u);
+  EXPECT_TRUE(v.windows.empty());
+  EXPECT_EQ(v.governor.windows, 0u);
+  EXPECT_TRUE(v.governor.coverage_complete);
+  EXPECT_FALSE(v.governed);
+  EXPECT_EQ(signatures_of(v.detection), signatures_of(detect(trace)));
 }
 
 // ---------------------------------------------- incremental SCC pre-filter

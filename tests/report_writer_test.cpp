@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "core/report_writer.hpp"
+#include "sim/scheduler.hpp"
+#include "trace/trace_reader.hpp"
+#include "wolf.hpp"
 #include "workloads/collections.hpp"
 
 namespace wolf {
@@ -72,6 +75,37 @@ TEST(ReportWriterTest, WarnsWhenEnumerationTruncated) {
   // (truncation_message), so the texts cannot drift.
   EXPECT_NE(md.find(truncation_message(report.detection)),
             std::string::npos);
+}
+
+TEST(ReportWriterTest, WarnsWhenAnUngovernedSessionIsPoisoned) {
+  // A release of a lock its thread never took poisons the session. The
+  // report over the consistent prefix must say so even though nothing
+  // governed the session (no budget, deadline or live reader).
+  auto w = workloads::make_collections_map("HashMap");
+  auto trace = sim::record_trace(w.program, 2014, 20);
+  ASSERT_TRUE(trace.has_value());
+  Event bad;
+  bad.kind = EventKind::kLockRelease;
+  bad.thread = 0;
+  bad.lock = 999;
+  bad.seq = trace->events.back().seq + 1;
+  trace->events.push_back(bad);
+
+  Config config;
+  config.jobs = 1;
+  config.replay.attempts = 2;
+  Session session = Session::open(config);
+  VectorTraceReader reader(*trace);
+  WolfReport report =
+      analyze_session(w.program, session, reader, config.wolf_options());
+  EXPECT_FALSE(report.governed);
+  EXPECT_FALSE(report.governor.coverage_complete);
+  const std::string md = write_markdown_report(report, w.program.sites());
+  EXPECT_NE(md.find("**Warning:** governed detection is INCOMPLETE — a "
+                    "malformed event stopped ingestion"),
+            std::string::npos)
+      << md;
+  EXPECT_NE(md.find("malformed event rejected"), std::string::npos);
 }
 
 TEST(ReportWriterTest, HandlesUnrecordedTrace) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/counters.hpp"
 #include "obs/progress.hpp"
 #include "sim/program.hpp"
 #include "sim/scheduler.hpp"
@@ -35,6 +36,20 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
+
+// Counter deltas across `run()`, with counter collection on for its
+// duration (the registry is process-wide and monotonic).
+template <class Run>
+obs::CounterSnapshot counter_delta(Run run) {
+  obs::CounterRegistry& registry = obs::CounterRegistry::instance();
+  const bool was_enabled = obs::counters_enabled();
+  obs::set_counters_enabled(true);
+  const obs::CounterSnapshot before = registry.snapshot();
+  run();
+  const obs::CounterSnapshot after = registry.snapshot();
+  obs::set_counters_enabled(was_enabled);
+  return obs::delta(after, before);
+}
 
 // While in scope, every cycle enumeration that has a start tuple throws: the
 // engine ticks progress after each start, and this installs a throwing

@@ -132,17 +132,17 @@ TEST(StreamingDetectionTest, IdenticalAcrossAllFormatAndPathCombos) {
   }
 }
 
-TEST(StreamingDetectionTest, StreamingDetectorIngestsIncrementally) {
+TEST(StreamingDetectionTest, SessionIngestsIncrementally) {
   const auto suite = workloads::standard_suite();
   const workloads::Benchmark& bench =
       workloads::find_benchmark(suite, "ArrayList");
   auto trace = sim::record_trace(bench.program, 3, 20, bench.max_steps);
   ASSERT_TRUE(trace.has_value());
 
-  StreamingDetector streaming;
-  for (const Event& e : trace->events) streaming.add(e);
-  EXPECT_EQ(streaming.events_seen(), trace->events.size());
-  EXPECT_EQ(detection_fingerprint(streaming.finish()),
+  Session session = Session::open(Config{});
+  for (const Event& e : trace->events) ASSERT_TRUE(session.feed(e));
+  EXPECT_EQ(session.events_seen(), trace->events.size());
+  EXPECT_EQ(detection_fingerprint(session.finish().detection),
             detection_fingerprint(detect(*trace)));
 }
 

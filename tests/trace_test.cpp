@@ -833,33 +833,73 @@ TEST(TraceIndexTest, MissingFileReportsCleanly) {
 }
 
 TEST(TraceIndexTest, CorruptBlockSalvagesIdenticallyAtEveryJobsLevel) {
-  Trace trace = block_trace(4);
-  std::string bytes = trace_to_string(trace, TraceFormat::kV3);
-  bytes[end_of_block(bytes, 1) + 20] ^= 0x01;  // damage block 2's payload
-  TraceFile file(bytes);
+  // Block 2's payload, then each field of its header. A damaged payload
+  // leaves the framing intact, so salvage skips the block and keeps the
+  // ones after it; a damaged tag or header breaks the framing, so the scan
+  // stops there. Either way every jobs level must agree with the
+  // sequential scan, in salvage and in strict mode.
+  struct Damage {
+    const char* name;
+    std::size_t offset;  // from block 2's tag byte
+    char value;          // XOR mask
+    std::size_t events;  // events salvage delivers
+    std::size_t dropped;
+    const char* diagnostic;
+  };
+  const Trace trace = block_trace(4);
+  const std::string clean = trace_to_string(trace, TraceFormat::kV3);
+  const std::size_t block2 = end_of_block(clean, 1);
+  ASSERT_EQ(clean[block2 + 1] & 0x80, 0x80) << "count varint is 2 bytes";
+  const Damage damages[] = {
+      {"payload", 20, 0x01, 3 * wire::kBlockEvents, wire::kBlockEvents,
+       "block 2"},
+      // The tag byte, the count varint's first byte (count -> 0) and the
+      // payload-size varint's first byte (size -> below the minimum).
+      {"tag", 0, 0x7f, 2 * wire::kBlockEvents, 0, "block tag (block 2)"},
+      {"count", 1, static_cast<char>(0x80), 2 * wire::kBlockEvents, 0,
+       "block 2: malformed header"},
+      {"payload size", 3, static_cast<char>(0x80 | 0x7f),
+       2 * wire::kBlockEvents, 0, "block 2: malformed header"},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.name);
+    std::string bytes = clean;
+    bytes[block2 + damage.offset] ^= damage.value;
+    TraceFile file(bytes);
 
-  std::vector<std::vector<Event>> events;
-  std::vector<std::vector<std::string>> diags;
-  std::vector<std::size_t> dropped;
-  for (int jobs : {1, 2, 4}) {
-    StreamTraceReader::Options options;
-    options.jobs = jobs;
-    StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                             options);
-    events.push_back(drain(reader));
-    diags.push_back(reader.diagnostics());
-    dropped.push_back(reader.events_dropped());
-    EXPECT_FALSE(reader.complete());
+    std::vector<std::vector<Event>> events;
+    std::vector<std::vector<std::string>> diags;
+    std::vector<std::size_t> dropped;
+    std::vector<std::string> errors;
+    for (int jobs : {1, 2, 4}) {
+      StreamTraceReader::Options options;
+      options.jobs = jobs;
+      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
+                               options);
+      events.push_back(drain(reader));
+      diags.push_back(reader.diagnostics());
+      dropped.push_back(reader.events_dropped());
+      EXPECT_FALSE(reader.complete());
+
+      StreamTraceReader strict(file.path, StreamTraceReader::Mode::kStrict,
+                               options);
+      drain(strict);
+      EXPECT_FALSE(strict.ok()) << "jobs=" << jobs;
+      errors.push_back(strict.error());
+    }
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      EXPECT_EQ(events[i], events[0]) << "jobs level " << i;
+      EXPECT_EQ(diags[i], diags[0]) << "jobs level " << i;
+      EXPECT_EQ(dropped[i], dropped[0]) << "jobs level " << i;
+      EXPECT_EQ(errors[i], errors[0]) << "jobs level " << i;
+    }
+    EXPECT_EQ(events[0].size(), damage.events);
+    EXPECT_EQ(dropped[0], damage.dropped);
+    ASSERT_FALSE(diags[0].empty());
+    EXPECT_NE(diags[0][0].find(damage.diagnostic), std::string::npos)
+        << diags[0][0];
+    EXPECT_NE(errors[0].find("block 2"), std::string::npos) << errors[0];
   }
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i], events[0]);
-    EXPECT_EQ(diags[i], diags[0]);
-    EXPECT_EQ(dropped[i], dropped[0]);
-  }
-  EXPECT_EQ(events[0].size(), 3 * wire::kBlockEvents);
-  EXPECT_EQ(dropped[0], wire::kBlockEvents);
-  ASSERT_FALSE(diags[0].empty());
-  EXPECT_NE(diags[0][0].find("block 2"), std::string::npos);
 }
 
 TEST(TraceIndexTest, TruncationAtEveryByteOffsetNeverPassesStrict) {

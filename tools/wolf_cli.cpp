@@ -46,7 +46,8 @@
 // --jobs N classifies detected cycles N-way parallel (default 0 = hardware
 // concurrency); reports are identical at every N, and --jobs 1 runs the
 // historical serial pipeline. The same flag parallelizes indexed v3 block
-// decode. Cycle enumeration (governed windows included) is serial. Every
+// decode of strict reads (salvage reads are sequential at every level).
+// Cycle enumeration (governed windows included) is serial. Every
 // output, including governed verdicts and live-cycle order, is identical at
 // every --jobs level.
 //
@@ -445,32 +446,30 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   MetricsScope metrics(flags);
   WolfReport report;
   const std::string trace_path = flags.get_string("trace");
-  if (!trace_path.empty() && !flags.get_bool("salvage")) {
-    // Stream the file through detection block-by-block; the full event
-    // vector is never materialized. The path constructor mmaps v3 files and
-    // decodes indexed blocks on --jobs threads.
-    StreamTraceReader::Options read_options;
-    read_options.jobs = config.jobs;
-    StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict,
-                             read_options);
-    // One facade for both modes: Session::open picks governed vs plain
-    // streaming from the config, and analyze_session drives ingest/finish.
+  if (!trace_path.empty()) {
+    // Every trace analysis runs through one wolf::Session, which closes
+    // windows only when the config asks for them; analyze_session drives
+    // ingest/finish.
     Session session = Session::open(config);
-    report = analyze_session(program, session, reader, options);
-    if (!reader.ok()) {
-      std::cerr << "bad trace: " << reader.error() << " (try --salvage)"
-                << '\n';
-      return 1;
-    }
-  } else if (!trace_path.empty()) {
-    auto trace = load_or_record(program, trace_path, options.seed, flags);
-    if (!trace) return 1;
-    if (config.governed()) {
-      VectorTraceReader reader(*trace);
-      Session session = Session::open(config);
+    if (!flags.get_bool("salvage")) {
+      // Stream the file block-by-block; the full event vector is never
+      // materialized. The path constructor mmaps v3 files and decodes
+      // indexed blocks on --jobs threads.
+      StreamTraceReader::Options read_options;
+      read_options.jobs = config.jobs;
+      StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict,
+                               read_options);
       report = analyze_session(program, session, reader, options);
+      if (!reader.ok()) {
+        std::cerr << "bad trace: " << reader.error() << " (try --salvage)"
+                  << '\n';
+        return 1;
+      }
     } else {
-      report = analyze_trace(program, *trace, options);
+      auto trace = load_or_record(program, trace_path, options.seed, flags);
+      if (!trace) return 1;
+      VectorTraceReader reader(*trace);
+      report = analyze_session(program, session, reader, options);
     }
   } else {
     if (config.governed())
@@ -484,7 +483,9 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
   }
 
   warn_if_truncated(report.detection);
-  if (report.governed) {
+  // An ungoverned session surfaces here only when its verdict is degraded
+  // (a malformed event or a final enumeration fault).
+  if (report.governed || report.governor.degraded()) {
     const std::string degraded = degradation_message(report.governor);
     if (!degraded.empty()) std::cerr << "warning: " << degraded << '\n';
     std::cout << "governed: " << report.governor.summary() << '\n';
@@ -791,7 +792,7 @@ int main(int argc, char** argv) {
                      "ladder (0 = none)");
     flags.define_bool("live", false,
                       "print each cycle when a window first finds it "
-                      "(switches onto the governed streaming path)");
+                      "(closes detection windows)");
   } else if (command == "replay") {
     flags.define_int("attempts", 10, "replay attempts");
     flags.define_int("cycle", 0, "cycle index for `replay`");
