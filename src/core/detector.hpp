@@ -92,8 +92,8 @@ Detection detect_reader(TraceReader& reader,
 
 // Shared back half of detect_reader and the governed detector
 // (core/governor.hpp): enumerates cycles and groups defects over an
-// already-built relation (`unique` must be computed, e.g. by
-// LockDependencyBuilder::take_dependency or snapshot_dependency).
+// already-built relation (`unique` must be current, as every relation
+// LockDependencyBuilder hands out keeps it).
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/counters.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace wolf {
@@ -117,6 +118,8 @@ void GovernedStreamingDetector::add(const Event& e) {
   // after the throw — stop ingesting, keep what was built, and report the
   // run as incomplete rather than crashing or silently analyzing garbage.
   if (poisoned_) return;
+  const std::size_t stored = builder_.tuple_count();
+  const std::size_t canonical = builder_.pending().unique.size();
   try {
     builder_.add(e);
   } catch (const std::exception& ex) {
@@ -130,13 +133,16 @@ void GovernedStreamingDetector::add(const Event& e) {
     return;
   }
   if (!windowed_) return;  // nothing reads windows: D_σ is all we keep
-  const auto& tuples = builder_.pending().tuples;
-  for (std::size_t i = tuples_fed_; i < tuples.size(); ++i) {
-    prefilter_.on_tuple(tuples[i]);
-    store_bytes_ += tuple_bytes(tuples[i]);
-    tuples_by_lock_[tuples[i].lock].push_back(i);
+  const LockDependency& dep = builder_.pending();
+  for (std::size_t i = stored; i < dep.tuples.size(); ++i)
+    store_bytes_ += tuple_bytes(dep.tuples[i]);
+  // Only canonical arrivals reach the pre-filter and the by-lock index:
+  // enumeration searches the canonical view, so a duplicate adds no cycle.
+  for (std::size_t k = canonical; k < dep.unique.size(); ++k) {
+    const LockTuple& t = dep.tuples[dep.unique[k]];
+    prefilter_.on_tuple(t);
+    canonical_by_lock_[t.lock].push_back(k);
   }
-  tuples_fed_ = tuples.size();
   if (++window_events_ >= options_.window_events) close_window();
 }
 
@@ -198,14 +204,17 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
   // window drains the accumulated dirt and catches up.
   if (w.level >= DetectionLevel::kPrefilterOnly) return;
 
-  // A cycle's requested locks all lie in one lock-graph SCC, so the tuples
-  // whose request lock belongs to a dirty suspicious SCC form a complete
-  // enumeration domain for every cycle those SCCs could newly carry.
+  // A cycle's requested locks all lie in one lock-graph SCC, so the
+  // canonical tuples whose request lock belongs to a dirty suspicious SCC
+  // form a complete enumeration domain for every cycle those SCCs could
+  // newly carry. The subset is closed under TupleKey (a key fixes the lock)
+  // and holds no duplicate, so snapshot_subset's view is all canonical.
+  const std::vector<std::size_t>& unique = builder_.pending().unique;
   std::vector<std::size_t> subset;
   for (LockId lock : prefilter_.drain_dirty_suspicious_locks()) {
-    auto it = tuples_by_lock_.find(lock);
-    if (it == tuples_by_lock_.end()) continue;
-    subset.insert(subset.end(), it->second.begin(), it->second.end());
+    auto it = canonical_by_lock_.find(lock);
+    if (it == canonical_by_lock_.end()) continue;
+    for (std::size_t k : it->second) subset.push_back(unique[k]);
   }
   if (subset.empty()) return;
   std::sort(subset.begin(), subset.end());  // canonical trace order
@@ -221,10 +230,10 @@ void GovernedStreamingDetector::recompute_store_bytes() {
 }
 
 void GovernedStreamingDetector::rebuild_lock_index() {
-  tuples_by_lock_.clear();
-  const auto& tuples = builder_.pending().tuples;
-  for (std::size_t i = 0; i < tuples.size(); ++i)
-    tuples_by_lock_[tuples[i].lock].push_back(i);
+  canonical_by_lock_.clear();
+  const LockDependency& dep = builder_.pending();
+  for (std::size_t k = 0; k < dep.unique.size(); ++k)
+    canonical_by_lock_[dep.tuples[dep.unique[k]].lock].push_back(k);
 }
 
 void GovernedStreamingDetector::govern_memory(WindowReport& w) {
@@ -232,33 +241,35 @@ void GovernedStreamingDetector::govern_memory(WindowReport& w) {
   const std::size_t budget = options_.memory_budget_mb << 20;
   if (store_bytes_ <= budget) return;
 
-  // Every dropped tuple is reported to the pre-filter so its lock-graph
-  // edge refcounts (and hence SCCs) track the live store.
-  const LockDependencyBuilder::RemovalHook expire =
-      [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); };
-
   // Rung 1: compaction — lossless for the cycle set (enumeration runs over
-  // the canonical view), so it is always tried first.
-  w.tuples_compacted = builder_.compact(expire);
+  // the canonical view), so it is always tried first. It drops exactly the
+  // duplicates, which the pre-filter never saw, and keeps every canonical
+  // ordinal, so neither the lock graph nor the by-lock index changes.
+  w.tuples_compacted = builder_.compact();
   recompute_store_bytes();
-  tuples_fed_ = builder_.pending().tuples.size();
   if (w.tuples_compacted > 0) kCompactionsCounter.add();
   if (store_bytes_ > budget) {
     // Rung 2: aging — evict the oldest tuples down to ~90% of the budget so
-    // the next window has headroom. Lossy; the report must say so.
+    // the next window has headroom. Lossy; the report must say so. The
+    // store is all canonical after compaction, so every evicted tuple is
+    // one the pre-filter counted, and its expiry keeps the lock graph's
+    // edge refcounts (and hence SCCs) equal to the live canonical view.
     const std::size_t live = builder_.pending().tuples.size();
+    WOLF_CHECK_MSG(builder_.pending().unique.size() == live,
+                   "eviction would expire duplicates the pre-filter never saw");
     const std::size_t avg =
         live == 0 ? 1 : std::max<std::size_t>(1, store_bytes_ / live);
     const std::size_t max_tuples = (budget - budget / 10) / avg;
-    w.tuples_evicted = builder_.evict_oldest(max_tuples, expire);
+    w.tuples_evicted = builder_.evict_oldest(
+        max_tuples,
+        [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); });
     recompute_store_bytes();
-    tuples_fed_ = builder_.pending().tuples.size();
     if (w.tuples_evicted > 0) {
       w.level = DetectionLevel::kShedding;
       kEvictedCounter.add(w.tuples_evicted);
+      rebuild_lock_index();  // eviction renumbered the canonical ordinals
     }
   }
-  if (w.tuples_compacted + w.tuples_evicted > 0) rebuild_lock_index();
 }
 
 void GovernedStreamingDetector::close_window() {
@@ -321,7 +332,7 @@ Detection GovernedStreamingDetector::finish() {
     LockDependency dep = builder_.take_dependency();
     ClockTracker clocks = builder_.clocks();
     builder_.clear();
-    tuples_by_lock_.clear();
+    canonical_by_lock_.clear();
     det = finish_detection(std::move(dep), std::move(clocks),
                            options_.detector);
   } catch (const std::exception& ex) {

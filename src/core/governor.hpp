@@ -13,12 +13,16 @@
 //   1. consults the linear-time sound pre-filter (core/prefilter.hpp) — the
 //      expensive tuple-level cycle enumeration fires only on windows the
 //      lock graph flags as suspicious, and only at ladder rungs that allow
-//      it;
+//      it. The builder keeps D_σ's canonical view at insert, and only
+//      canonical arrivals (the first retained tuple of each TupleKey) reach
+//      the lock graph, so a window in which only duplicates arrived dirties
+//      nothing and is not suspicious;
 //   2. enforces the memory budget on the tuple store: first *compaction*
 //      (dropping non-canonical duplicate tuples — lossless for cycle
-//      enumeration, which runs over the canonical view), then, only if the
-//      budget is still exceeded, *aging* (evicting the oldest tuples —
-//      lossy, and therefore reported);
+//      enumeration, which runs over the canonical view, and invisible to
+//      the lock graph, which never saw them), then, only if the budget is
+//      still exceeded, *aging* (evicting the oldest tuples — lossy, and
+//      therefore reported);
 //   3. drives the degradation ladder off the window's detection latency:
 //
 //          kFullScc → kClockPruned → kPrefilterOnly   (deadline pressure)
@@ -43,13 +47,13 @@
 // and flips coverage_complete; finish() never throws.
 //
 // Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
-// maintains its SCC decomposition under tuple arrival and expiry
-// (graph/dynamic_scc.hpp), and a window enumerates only the tuples whose
-// request lock lies in a *dirty* suspicious SCC — one whose membership,
-// edges, or fed tuples changed since the last enumerating window — through
-// LockDependencyBuilder::snapshot_subset. finish() enumerates the whole
-// retained store, so batch detect() over the same events is the oracle the
-// window path is tested against. Windows can also surface each
+// maintains its SCC decomposition under canonical arrival and eviction
+// (graph/dynamic_scc.hpp), and a window enumerates only the canonical
+// tuples whose request lock lies in a *dirty* suspicious SCC — one whose
+// membership, edges, or fed tuples changed since the last enumerating
+// window — through LockDependencyBuilder::snapshot_subset. finish()
+// enumerates the whole retained store, so batch detect() over the same
+// events is the oracle the window path is tested against. Windows can also surface each
 // first-sighted cycle to a CycleSubscriber the moment it is found.
 //
 // Everything runs on the ingesting thread (DESIGN.md §17): a suspicious
@@ -88,7 +92,9 @@ struct LiveCycle {
   std::size_t window = 0;    // WindowReport::index that surfaced it
   std::size_t sequence = 0;  // 1-based count of cycles surfaced so far
   const PotentialDeadlock* cycle = nullptr;
-  const LockDependency* dep = nullptr;  // the enumeration's tuple view
+  // The enumerated subset, canonical tuples only; cycle->tuple_idx indexes
+  // its tuples, not the session's store.
+  const LockDependency* dep = nullptr;
 };
 
 // Subscription must be observation-only: finish() returns byte-identical
@@ -135,7 +141,10 @@ struct WindowReport {
   std::size_t tuples_live = 0;  // tuples retained after governance
   std::size_t store_bytes = 0;  // approx store footprint after governance
   DetectionLevel level = DetectionLevel::kFullScc;  // rung the window ran at
-  bool suspicious = false;      // pre-filter verdict for this window
+  // A canonical tuple arrived or expired since the last drain (or earlier
+  // marks are still queued) and the lock graph has a suspicious SCC. A
+  // window of duplicates only is never suspicious.
+  bool suspicious = false;
   std::size_t new_cycles = 0;   // cycles first surfaced in this window
   std::size_t tuples_compacted = 0;
   std::size_t tuples_evicted = 0;  // > 0 ⇒ lossy (level == kShedding)
@@ -214,7 +223,8 @@ class GovernedStreamingDetector {
   // Budget enforcement: compaction, then aging. Updates store_bytes_.
   void govern_memory(WindowReport& w);
   void recompute_store_bytes();
-  // Re-keys tuples_by_lock_ after compaction/eviction renumbered the store.
+  // Re-keys canonical_by_lock_ after eviction renumbered the canonical
+  // ordinals (compaction keeps them).
   void rebuild_lock_index();
   void note_event(GovernorVerdict& v, std::string note) const;
 
@@ -233,7 +243,6 @@ class GovernedStreamingDetector {
   DetectionLevel rung_ = DetectionLevel::kFullScc;
   int fast_streak_ = 0;
   std::size_t window_events_ = 0;      // events in the open window
-  std::size_t tuples_fed_ = 0;         // tuples already fed to the prefilter
   std::size_t store_bytes_ = 0;
   // Cycles already surfaced by per-window enumeration, keyed by their
   // tuples' dedup keys (key_of) in cycle order — exact, so new_cycles
@@ -245,10 +254,11 @@ class GovernedStreamingDetector {
   };
   std::unordered_set<CycleKey, CycleKeyHash> seen_cycles_;
   std::size_t live_cycles_ = 0;
-  // Store indices by request lock, so a dirty SCC's lock list maps straight
-  // to the tuple subset to enumerate. Rebuilt after compaction/eviction
-  // (which renumber the store).
-  std::unordered_map<LockId, std::vector<std::size_t>> tuples_by_lock_;
+  // Canonical ordinals (indices into builder_.pending().unique) by request
+  // lock, so a dirty SCC's lock list maps straight to the tuple subset to
+  // enumerate. Compaction keeps every ordinal; eviction renumbers them and
+  // rebuilds this.
+  std::unordered_map<LockId, std::vector<std::size_t>> canonical_by_lock_;
 };
 
 }  // namespace wolf

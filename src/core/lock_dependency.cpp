@@ -1,10 +1,7 @@
 #include "core/lock_dependency.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
-#include <tuple>
-#include <unordered_map>
 
 #include "obs/counters.hpp"
 #include "support/check.hpp"
@@ -13,17 +10,45 @@
 namespace wolf {
 
 namespace {
+
 const obs::Counter kTuplesCounter("detector.tuples");
+
+// Key hashing, shared by TupleKeyHash, key_hash and the builder's hashing
+// of an arriving acquisition, so all three agree: mix the (thread, lock)
+// word, then chain each context site.
+std::uint64_t key_seed(ThreadId thread, LockId lock) {
+  return mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(thread))
+                << 32) ^
+               static_cast<std::uint32_t>(lock));
+}
+
+std::uint64_t key_step(std::uint64_t h, SiteId site) {
+  return mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(site)) +
+                    0x9e3779b97f4a7c15ULL));
+}
+
+// TupleKeyHash{}(key_of(t)) and key_of(a) == key_of(b), computed on the
+// tuples themselves: the builder's index never builds a TupleKey.
+std::uint64_t key_hash(const LockTuple& t) {
+  std::uint64_t h = key_seed(t.thread, t.lock);
+  for (const ExecIndex& idx : t.context) h = key_step(h, idx.site);
+  return h;
+}
+
+bool same_key(const LockTuple& a, const LockTuple& b) {
+  if (a.thread != b.thread || a.lock != b.lock ||
+      a.context.size() != b.context.size())
+    return false;
+  for (std::size_t i = 0; i < a.context.size(); ++i)
+    if (a.context[i].site != b.context[i].site) return false;
+  return true;
+}
+
 }  // namespace
 
 std::size_t TupleKeyHash::operator()(const TupleKey& k) const {
-  std::uint64_t h =
-      mix64((static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.thread))
-             << 32) ^
-            static_cast<std::uint32_t>(k.lock));
-  for (SiteId s : k.sites)
-    h = mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) +
-                   0x9e3779b97f4a7c15ULL));
+  std::uint64_t h = key_seed(k.thread, k.lock);
+  for (SiteId s : k.sites) h = key_step(h, s);
   return static_cast<std::size_t>(h);
 }
 
@@ -80,6 +105,13 @@ void LockDependencyBuilder::add(const Event& e) {
   switch (e.kind) {
     case EventKind::kLockAcquire: {
       auto& stack = held_stack(e.thread);
+      // Hash the key straight from the held stack and start fetching its
+      // home slot, so the likely cache miss overlaps building the tuple.
+      std::uint64_t hash = key_seed(e.thread, e.lock);
+      for (const auto& held : stack) hash = key_step(hash, held.second.site);
+      hash = key_step(hash, e.site);
+      reserve_slot();
+      __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
       LockTuple tuple;
       tuple.thread = e.thread;
       tuple.lock = e.lock;
@@ -91,7 +123,9 @@ void LockDependencyBuilder::add(const Event& e) {
       }
       tuple.context.push_back(e.index());
       kTuplesCounter.add();
+      const bool first = index_tuple(tuple, hash, dep_.tuples.size());
       dep_.tuples.push_back(std::move(tuple));
+      canonical_.push_back(first);
       stack.emplace_back(e.lock, e.index());
       break;
     }
@@ -110,60 +144,86 @@ void LockDependencyBuilder::add(const Event& e) {
   }
 }
 
-namespace {
+void LockDependencyBuilder::reserve_slot() {
+  if (4 * (dep_.unique.size() + 1) > 3 * slots_.size()) grow_index();
+}
 
-// Deduplicate by (thread, lock, context site signature): the canonical
-// representative is the first occurrence. Hash-indexed — the ordered map
-// this replaces paid an O(|context|) lexicographic compare per tree level
-// on every lookup, which dominated D_σ construction on long traces.
-void compute_unique(LockDependency& dep) {
-  std::unordered_map<TupleKey, std::size_t, TupleKeyHash> seen;
-  seen.reserve(dep.tuples.size());
-  dep.unique.clear();
-  for (std::size_t i = 0; i < dep.tuples.size(); ++i) {
-    if (seen.emplace(key_of(dep.tuples[i]), i).second) dep.unique.push_back(i);
+bool LockDependencyBuilder::index_tuple(const LockTuple& tuple,
+                                        std::uint64_t hash, std::size_t pos) {
+  const auto tag = static_cast<std::uint32_t>(hash);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.ordinal == kNoOrdinal) {
+      WOLF_CHECK_MSG(dep_.unique.size() < kNoOrdinal,
+                     "more canonical tuples than the index can number");
+      slot.hash = tag;
+      slot.ordinal = static_cast<std::uint32_t>(dep_.unique.size());
+      dep_.unique.push_back(pos);
+      return true;
+    }
+    if (slot.hash == tag &&
+        same_key(dep_.tuples[dep_.unique[slot.ordinal]], tuple))
+      return false;
   }
 }
 
-}  // namespace
-
-LockDependency LockDependencyBuilder::take_dependency() {
-  compute_unique(dep_);
-  LockDependency out = std::move(dep_);
-  dep_ = LockDependency{};
-  return out;
+void LockDependencyBuilder::grow_index() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 16 : 2 * old.size(), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  // The stored hash places each slot again; no tuple is rehashed.
+  for (const Slot& slot : old) {
+    if (slot.ordinal == kNoOrdinal) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].ordinal != kNoOrdinal) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
 }
 
-LockDependency LockDependencyBuilder::snapshot_dependency() const {
-  LockDependency copy = dep_;
-  compute_unique(copy);
-  return copy;
+void LockDependencyBuilder::rebuild_index() {
+  slots_.clear();
+  dep_.unique.clear();
+  canonical_.clear();
+  for (std::size_t i = 0; i < dep_.tuples.size(); ++i) {
+    reserve_slot();
+    canonical_.push_back(
+        index_tuple(dep_.tuples[i], key_hash(dep_.tuples[i]), i));
+  }
+}
+
+LockDependency LockDependencyBuilder::take_dependency() {
+  LockDependency out = std::move(dep_);
+  dep_ = LockDependency{};
+  slots_ = {};
+  canonical_ = {};
+  return out;
 }
 
 LockDependency LockDependencyBuilder::snapshot_subset(
     const std::vector<std::size_t>& indices) const {
   LockDependency sub;
   sub.tuples.reserve(indices.size());
-  for (std::size_t i : indices) sub.tuples.push_back(dep_.tuples[i]);
-  compute_unique(sub);
+  for (std::size_t i : indices) {
+    if (canonical_[i]) sub.unique.push_back(sub.tuples.size());
+    sub.tuples.push_back(dep_.tuples[i]);
+  }
   return sub;
 }
 
-std::size_t LockDependencyBuilder::compact(const RemovalHook& on_remove) {
-  std::unordered_map<TupleKey, std::size_t, TupleKeyHash> seen;
-  seen.reserve(dep_.tuples.size());
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < dep_.tuples.size(); ++i) {
-    if (!seen.emplace(key_of(dep_.tuples[i]), i).second) {
-      if (on_remove) on_remove(dep_.tuples[i]);
-      continue;
-    }
-    if (kept != i) dep_.tuples[kept] = std::move(dep_.tuples[i]);
-    ++kept;
-  }
+std::size_t LockDependencyBuilder::compact() {
+  const std::size_t kept = dep_.unique.size();
   const std::size_t removed = dep_.tuples.size() - kept;
+  // unique[k] >= k, so moving canonical k down to k never overwrites a
+  // canonical tuple not yet moved.
+  for (std::size_t k = 0; k < kept; ++k) {
+    const std::size_t i = dep_.unique[k];
+    if (i != k) dep_.tuples[k] = std::move(dep_.tuples[i]);
+    dep_.unique[k] = k;
+  }
   dep_.tuples.resize(kept);
   dep_.tuples.shrink_to_fit();
+  canonical_.assign(kept, true);
   return removed;
 }
 
@@ -177,11 +237,14 @@ std::size_t LockDependencyBuilder::evict_oldest(std::size_t max_tuples,
   dep_.tuples.erase(dep_.tuples.begin(),
                     dep_.tuples.begin() + static_cast<std::ptrdiff_t>(evicted));
   dep_.tuples.shrink_to_fit();
+  rebuild_index();
   return evicted;
 }
 
 void LockDependencyBuilder::clear() {
   dep_ = LockDependency{};
+  slots_ = {};
+  canonical_ = {};
   clocks_ = ClockTracker{};
   held_.clear();
   held_other_.clear();

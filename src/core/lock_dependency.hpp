@@ -50,7 +50,9 @@ struct LockTuple {
 // Dedup key of a tuple: its thread, acquired lock, and context site
 // signature. Tuples with equal keys are duplicates — `unique` keeps the
 // first of them and compaction drops the rest. Equality is exact; the hash
-// only indexes.
+// only indexes. LockDependencyBuilder hashes and compares the tuples
+// themselves, the same way, and never builds one of these; live cycle
+// dedup (core/governor) keys on them.
 struct TupleKey {
   ThreadId thread = kInvalidThread;
   LockId lock = kInvalidLock;
@@ -72,7 +74,8 @@ struct LockDependency {
   // deduplication by (thread, lock, context sites): repeated executions of
   // the same code path produce one representative, exactly as iGoodLock's
   // set-based D_σ collapses them. Cycle enumeration runs over this view;
-  // the Generator walks the full sequence.
+  // the Generator walks the full sequence. LockDependencyBuilder keeps it
+  // current as tuples arrive.
   std::vector<std::size_t> unique;
 
   static LockDependency from_trace(const Trace& trace);
@@ -88,6 +91,13 @@ struct LockDependency {
 // (offline), OnlineAnalysisSink (during execution), detect_reader and every
 // wolf::Session (block-by-block off a TraceReader) — because all of them
 // feed the same builder, batch and streaming detection cannot diverge.
+//
+// `unique` is kept at insert: a flat open-addressing index (linear probing)
+// maps each key to its canonical ordinal k (the tuple at
+// pending().unique[k]). A slot holds the key hash's low 32 bits and k; a
+// probe compares hashes first and then the stored tuple's fields, so each
+// tuple is hashed once, on arrival, and an insert allocates nothing beyond
+// amortized growth.
 class LockDependencyBuilder {
  public:
   // Feeds the next event in trace order. Clocks are applied before any tuple
@@ -100,53 +110,73 @@ class LockDependencyBuilder {
   std::size_t events_seen() const { return pos_; }
   const ClockTracker& clocks() const { return clocks_; }
 
-  // Finalizes the relation: computes the deduplicated `unique` view and
-  // moves it out. The clock state and held-lock stacks stay in place, so
+  // Moves the relation out (`unique` is already current) and starts a new,
+  // empty one. The clock state and held-lock stacks stay in place, so
   // callers can still read clocks() afterwards; clear() resets everything.
   LockDependency take_dependency();
   void clear();
 
   // ---- governed-store surface (core/governor.hpp) -----------------------
-  // The accumulating relation, read-only (`unique` is not yet computed).
+  // The accumulating relation, read-only, `unique` current through the
+  // last add(): a tuple is canonical iff it is the first retained one of
+  // its key.
   const LockDependency& pending() const { return dep_; }
 
-  // Copy of the relation so far with `unique` computed, without consuming
-  // the builder — what per-window cycle enumeration runs on.
-  LockDependency snapshot_dependency() const;
-
   // Copy of just the tuples at `indices` (ascending positions into
-  // pending().tuples), with `unique` computed over that subset. The
-  // governor enumerates dirty-SCC tuple subsets through this instead of
+  // pending().tuples); `unique` marks the canonical ones. `indices` must be
+  // closed under TupleKey — every retained tuple of each key it touches,
+  // e.g. all tuples of some request locks — so that the canonical tuples
+  // are exactly the first occurrences within the subset. The governor
+  // enumerates dirty-SCC tuple subsets through this instead of
   // snapshotting the whole store.
   LockDependency snapshot_subset(const std::vector<std::size_t>& indices) const;
 
-  // Notification hook for the compaction/eviction overloads below: invoked
-  // once per dropped tuple, before the store forgets it. The incremental
-  // pre-filter uses it to refcount lock-graph edges down.
+  // Site-table compaction: drops every non-canonical duplicate tuple,
+  // keeping exactly `unique` in order — canonical k lands at position k, so
+  // the index and every canonical ordinal stay as they were. Cycle
+  // enumeration runs over the canonical view only, so the cycle set is
+  // unchanged; returns the number of tuples removed.
+  std::size_t compact();
+
+  // Invoked once per evicted tuple, before the store forgets it.
   using RemovalHook = std::function<void(const LockTuple&)>;
 
-  // Site-table compaction: drops every non-canonical duplicate tuple (same
-  // thread, lock and context-site signature as an earlier one), keeping the
-  // first occurrence. Cycle enumeration runs over the canonical view only,
-  // so the cycle set is unchanged; returns the number of tuples removed.
-  std::size_t compact() { return compact(RemovalHook{}); }
-  std::size_t compact(const RemovalHook& on_remove);
-
-  // Aging: drops the *oldest* tuples until at most `max_tuples` remain.
-  // Lossy — evicted tuples can carry cycles — so callers must surface the
-  // returned count as lost coverage. Clock and held-lock state are
-  // untouched (they are O(threads + locks), not O(trace)).
-  std::size_t evict_oldest(std::size_t max_tuples) {
-    return evict_oldest(max_tuples, RemovalHook{});
-  }
-  std::size_t evict_oldest(std::size_t max_tuples, const RemovalHook& on_remove);
+  // Aging: drops the *oldest* tuples until at most `max_tuples` remain, and
+  // rebuilds the index over the rest (a later tuple of an evicted key
+  // becomes canonical). Lossy — evicted tuples can carry cycles — so
+  // callers must surface the returned count as lost coverage. Clock and
+  // held-lock state are untouched (they are O(threads + locks), not
+  // O(trace)).
+  std::size_t evict_oldest(std::size_t max_tuples,
+                           const RemovalHook& on_remove = {});
 
  private:
   // Per-thread held-lock state: (lock, acquisition index), acquisition order.
   using HeldStack = std::vector<std::pair<LockId, ExecIndex>>;
   HeldStack& held_stack(ThreadId thread);
 
+  // One index slot: the low 32 bits of key_hash and the canonical ordinal,
+  // kNoOrdinal when empty.
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t ordinal = kNoOrdinal;
+  };
+  static constexpr std::uint32_t kNoOrdinal = 0xffffffffu;
+
+  // Indexes `tuple`, about to be stored at `pos`, under its key's hash: a
+  // new key gets the next ordinal and `pos` joins `unique`. Returns whether
+  // it is canonical. The caller reserves the slot first.
+  bool index_tuple(const LockTuple& tuple, std::uint64_t hash,
+                   std::size_t pos);
+  // Grows the index when one more key would fill it past 3/4.
+  void reserve_slot();
+  void grow_index();
+  // Drops the index and `unique` and re-indexes every stored tuple.
+  void rebuild_index();
+
   LockDependency dep_;
+  std::vector<Slot> slots_;      // power-of-two size, at most 3/4 full
+  std::vector<bool> canonical_;  // per stored tuple: in `unique`?
   ClockTracker clocks_;
   // Recorder thread ids are dense from 0, so the hot lookup is a vector
   // index; anything else (defensive: a hand-built trace with odd ids) falls

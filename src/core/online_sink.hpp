@@ -19,8 +19,9 @@ class OnlineAnalysisSink final : public TraceSink {
  public:
   void on_event(Event e) override { builder_.add(e); }
 
-  // Finalizes and returns the accumulated relation (computing the
-  // deduplicated view); leaves the sink reusable after clear().
+  // Returns the accumulated relation, deduplicated view included (the
+  // builder keeps it as events arrive); leaves the sink reusable after
+  // clear().
   LockDependency take_dependency() { return builder_.take_dependency(); }
   const ClockTracker& clocks() const { return builder_.clocks(); }
   std::size_t tuple_count() const { return builder_.tuple_count(); }

@@ -54,8 +54,8 @@ void LockGraph::on_tuple(const LockTuple& tuple) {
       continue;
     }
     // Existing edge: count the contributor, widen the thread set, narrow the
-    // guard intersection. The dirty marks above are unconditional because a
-    // re-fed edge can still carry a brand-new canonical tuple.
+    // guard intersection. The dirty marks above are unconditional because
+    // every fed tuple is a new canonical one, even on an edge already here.
     ++it->refcount;
     if (it->first_thread != tuple.thread) it->multi_thread = true;
     it->guard_mask &= guards;

@@ -16,6 +16,17 @@
 // cycle — which is exactly the right direction for a *sound* cheap pass:
 // enumeration is only skipped when skipping provably loses nothing.
 //
+// The governor feeds it canonical arrivals and evictions only: a tuple
+// reaches on_tuple when it arrives as the first retained tuple of its
+// TupleKey, and on_tuple_removed when eviction drops it. Enumeration
+// searches exactly that canonical view (LockDependency::unique), and every
+// edge of a canonical cycle's induced lock cycle is contributed by one of
+// its canonical tuples, so the argument above holds for the graph of the
+// canonical view. A duplicate, whose lockset may differ from its
+// canonical's, is never part of an enumerated cycle, so leaving its edges
+// out loses nothing. Compaction drops only duplicates, so it never touches
+// the graph.
+//
 // Two refinements sharpen "suspicious" while preserving soundness:
 //   * threads — each edge records which threads contributed it; a cycle
 //     needs pairwise-distinct threads, so an SCC whose edges all come from
@@ -95,12 +106,13 @@ struct GuardMask {
 
 class LockGraph {
  public:
-  // Folds one D_σ tuple into the graph. Also marks the tuple's locks dirty:
-  // a re-fed canonical shape can still be a *new* tuple whose cycle has not
-  // been enumerated, so the consumer must revisit its component.
+  // Folds one canonical D_σ tuple into the graph. Also marks the tuple's
+  // locks dirty: even when all its edges exist already, the tuple itself
+  // is new and its cycles have not been enumerated, so the consumer must
+  // revisit its component.
   void on_tuple(const LockTuple& tuple);
 
-  // Retracts one tuple's contribution (compaction/eviction expiry). Each
+  // Retracts one fed tuple's contribution (eviction expiry). Each
   // held→request edge is refcounted; the edge leaves the graph — possibly
   // splitting its SCC — only when its last contributor expires. Thread and
   // guard refinements are left stale-but-conservative (see header comment).

@@ -68,7 +68,11 @@ std::string live_line(const SessionCycle& cycle);
 // The end-of-session verdict. stream_complete reports transport/framing
 // honesty (v3 footer seen, no salvage diagnostics, no eviction);
 // coverage_complete comes from the governor. "complete" is their AND — the
-// one bit a client must check.
+// one bit a client must check. "suspicious" counts the windows the
+// pre-filter flagged (WindowReport::suspicious): a canonical tuple — the
+// first of its thread, lock and context sites — arrived or was evicted
+// while the lock graph held a suspicious SCC. A window that only re-ran
+// code paths already seen brings duplicates alone and is never counted.
 std::string verdict_line(const Session::Verdict& verdict, bool stream_complete,
                          const std::string& stream_note,
                          std::uint64_t events_seen);

@@ -26,6 +26,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -290,7 +291,7 @@ TEST(GovernorTest, CompactionIsLosslessForTheCycleSet) {
   for (int rep = 0; rep < 50; ++rep)
     for (const Event& e : ab_ba_trace(false).events) builder.add(e);
   const std::size_t before = builder.tuple_count();
-  LockDependency full = builder.snapshot_dependency();
+  LockDependency full = builder.pending();
 
   const std::size_t removed = builder.compact();
   EXPECT_GT(removed, 0u);
@@ -298,7 +299,7 @@ TEST(GovernorTest, CompactionIsLosslessForTheCycleSet) {
 
   Detection with_full = finish_detection(full, builder.clocks(), {});
   Detection compacted =
-      finish_detection(builder.snapshot_dependency(), builder.clocks(), {});
+      finish_detection(builder.pending(), builder.clocks(), {});
   EXPECT_EQ(signatures_of(with_full), signatures_of(compacted));
   EXPECT_EQ(with_full.cycles.size(), compacted.cycles.size());
 }
@@ -819,6 +820,177 @@ TEST(GovernorTest, LiveSurfacingKeepsSameSiteCyclesOnOtherLocksApart) {
   EXPECT_EQ(polled[0].window, 0u);
   EXPECT_EQ(polled[1].window, 1u);
   EXPECT_NE(polled[0].description, polled[1].description);
+}
+
+// ------------------------------------------- canonical arrivals only
+// The pre-filter and the by-lock index see a tuple only when it arrives as
+// the first of its TupleKey: windows of duplicates dirty nothing,
+// compaction expires no lock-graph edge, and eviction expires only tuples
+// the pre-filter counted — with every answer equal to batch detect().
+
+// Cycle renderings of a detection, in order (tuple contents, not indices,
+// so a compacted store compares equal to the full one).
+std::vector<std::string> cycle_strings(const Detection& det) {
+  std::vector<std::string> out;
+  for (const PotentialDeadlock& cycle : det.cycles)
+    out.push_back(cycle.to_string(det.dep));
+  return out;
+}
+
+struct LiveRun {
+  Session::Verdict verdict;
+  std::vector<std::string> live;  // "window #sequence description"
+  obs::CounterSnapshot counters;
+};
+
+LiveRun run_live_session(const Trace& trace, std::size_t budget_mb,
+                         std::size_t window_events) {
+  LiveRun run;
+  run.counters = test::counter_delta([&] {
+    Config cfg;
+    cfg.memory_budget_mb = budget_mb;
+    cfg.window_events = window_events;
+    cfg.live = true;
+    Session session = Session::open(cfg);
+    for (const Event& e : trace.events) session.feed(e);
+    run.verdict = session.finish();
+    for (const SessionCycle& c : session.poll())
+      run.live.push_back(std::to_string(c.window) + " #" +
+                         std::to_string(c.sequence) + " " + c.description);
+  });
+  return run;
+}
+
+// Thread 1's inner acquisition at sites (1, 2) always takes lock 20, but
+// its outer lock alternates between 10 and 30: every (1, {30}, 20) tuple is
+// a duplicate of the first (1, {10}, 20), with another lockset. Thread 2
+// closes the AB/BA ring on 10/20; thread 3 takes 20 → 30, which with a
+// (1, {30}, 20) duplicate would close a second ring — one batch detection
+// does not report, because enumeration runs over the canonical view.
+Trace differing_lockset_trace(int reps) {
+  Trace trace;
+  auto nest = [&](ThreadId t, LockId outer, SiteId s1, LockId inner,
+                  SiteId s2) {
+    trace.events.push_back(acquire(t, outer, s1));
+    trace.events.push_back(acquire(t, inner, s2));
+    trace.events.push_back(release(t, inner));
+    trace.events.push_back(release(t, outer));
+  };
+  for (int rep = 0; rep < reps; ++rep) {
+    nest(1, rep % 2 == 0 ? 10 : 30, 1, 20, 2);
+    nest(2, 20, 3, 10, 4);
+    nest(3, 20, 5, 30, 6);
+  }
+  std::uint64_t seq = 0;
+  for (Event& e : trace.events) e.seq = seq++;
+  return trace;
+}
+
+TEST(GovernorTest, RepeatedRingIsSuspiciousOnlyInTheWindowItArrives) {
+  // One AB/BA ring per window, ten times: from the second window on, every
+  // tuple is a duplicate, so no window but the first dirties the lock graph.
+  const Trace ring = ab_ba_trace(false);
+  Trace trace;
+  for (int rep = 0; rep < 10; ++rep)
+    trace.events.insert(trace.events.end(), ring.events.begin(),
+                        ring.events.end());
+  std::uint64_t seq = 0;
+  for (Event& e : trace.events) e.seq = seq++;
+
+  const LiveRun run = run_live_session(trace, 0, ring.size());
+  ASSERT_EQ(run.verdict.windows.size(), 10u);
+  std::size_t suspicious = 0;
+  for (const WindowReport& w : run.verdict.windows) suspicious += w.suspicious;
+  EXPECT_EQ(suspicious, 1u);
+  EXPECT_TRUE(run.verdict.windows[0].suspicious);
+  EXPECT_EQ(run.verdict.governor.suspicious_windows, 1u);
+  ASSERT_EQ(run.live.size(), 1u);
+  EXPECT_EQ(run.live[0].rfind("0 #1 ", 0), 0u) << run.live[0];
+  EXPECT_EQ(cycle_strings(run.verdict.detection), cycle_strings(detect(trace)));
+  // Only the four canonical tuples were fed: two edges, 10→20 and 20→10.
+  EXPECT_EQ(run.counters.value("prefilter.edges"), 2u);
+}
+
+TEST(GovernorTest, CompactionExpiresNoLockGraphEdge) {
+  const Trace trace = differing_lockset_trace(4000);  // ~2.4 MB of tuples
+  const Detection batch = detect(trace);
+  ASSERT_EQ(batch.cycles.size(), 1u) << "the duplicate closed a ring";
+
+  const LiveRun budgeted = run_live_session(trace, 1, 4096);
+  const GovernorVerdict& v = budgeted.verdict.governor;
+  EXPECT_GT(v.tuples_compacted, 0u);
+  EXPECT_EQ(v.tuples_evicted, 0u);
+  EXPECT_TRUE(v.coverage_complete);
+  // Duplicates never reached the lock graph, so dropping them expires
+  // nothing; the three canonical edges are 10→20, 20→10 and 20→30.
+  EXPECT_EQ(budgeted.counters.value("prefilter.edge_expiries"), 0u);
+  EXPECT_EQ(budgeted.counters.value("prefilter.edges"), 3u);
+
+  const LiveRun unbounded = run_live_session(trace, 0, 4096);
+  EXPECT_EQ(unbounded.verdict.governor.tuples_compacted, 0u);
+  EXPECT_EQ(budgeted.live, unbounded.live);
+  EXPECT_EQ(budgeted.live.size(), 1u);
+  EXPECT_EQ(cycle_strings(budgeted.verdict.detection), cycle_strings(batch));
+  EXPECT_EQ(cycle_strings(unbounded.verdict.detection), cycle_strings(batch));
+  EXPECT_EQ(unbounded.verdict.detection.dep.unique,
+            batch.dep.unique);
+}
+
+TEST(GovernorTest, DuplicateWithAnotherLocksetStillEqualsBatch) {
+  const Trace trace = differing_lockset_trace(8);
+  const Detection batch = detect(trace);
+  ASSERT_EQ(batch.cycles.size(), 1u);
+  for (std::size_t window : {std::size_t{1}, std::size_t{4}, std::size_t{12},
+                             std::size_t{1} << 20}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    const LiveRun run = run_live_session(trace, 0, window);
+    EXPECT_EQ(cycle_strings(run.verdict.detection), cycle_strings(batch));
+    for (std::size_t i = 0; i < batch.cycles.size(); ++i)
+      EXPECT_EQ(run.verdict.detection.cycles[i].tuple_idx,
+                batch.cycles[i].tuple_idx);
+    EXPECT_EQ(run.verdict.detection.dep.unique, batch.dep.unique);
+    EXPECT_EQ(run.live.size(), batch.cycles.size());
+    EXPECT_TRUE(run.verdict.governor.coverage_complete);
+  }
+}
+
+TEST(GovernorTest, EvictionExpiresOnlyTuplesThePrefilterCounted) {
+  // Fresh-site filler forces eviction under a 1 MiB budget while the
+  // differing-lockset duplicates keep arriving, so every governed window
+  // holds duplicates when its budget check starts.
+  const Trace dups = differing_lockset_trace(6000);
+  Trace trace;
+  SiteId site = 100;
+  for (std::size_t i = 0; i < dups.events.size(); i += 12) {
+    trace.events.insert(trace.events.end(), dups.events.begin() + i,
+                        dups.events.begin() + i + 12);
+    const ThreadId t = static_cast<ThreadId>(4 + (i / 12) % 2);
+    trace.events.push_back(acquire(t, 40, site++));
+    trace.events.push_back(acquire(t, 50, site++));
+    trace.events.push_back(release(t, 50));
+    trace.events.push_back(release(t, 40));
+  }
+  std::uint64_t seq = 0;
+  for (Event& e : trace.events) e.seq = seq++;
+
+  const LiveRun run = run_live_session(trace, 1, 4096);
+  const GovernorVerdict& v = run.verdict.governor;
+  ASSERT_GT(v.tuples_evicted, 0u);
+  EXPECT_GT(v.tuples_compacted, 0u);
+  EXPECT_FALSE(v.coverage_complete);
+  EXPECT_EQ(v.detection_faults, 0u);
+
+  // The live lock graph is exactly the retained canonical view's: had
+  // eviction expired a duplicate the pre-filter never counted, an edge
+  // would have lost a contributor it never had.
+  const LockDependency& dep = run.verdict.detection.dep;
+  std::set<std::pair<LockId, LockId>> edges;
+  for (std::size_t u : dep.unique)
+    for (LockId held : dep.tuples[u].lockset)
+      edges.emplace(held, dep.tuples[u].lock);
+  EXPECT_EQ(run.counters.value("prefilter.edges") -
+                run.counters.value("prefilter.edge_expiries"),
+            edges.size());
 }
 
 TEST(PrefilterTest, UndrainedDirtyMarksAccumulateAcrossWindows) {

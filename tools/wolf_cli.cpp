@@ -207,28 +207,84 @@ robust::RetryPolicy retry_from_flags(const Flags& flags) {
   return retry;
 }
 
+// Reads --trace, strictly or (--salvage) recovering what it can.
+std::optional<Trace> read_trace_file(const std::string& trace_path,
+                                     const Flags& flags) {
+  // The path readers mmap v3 files and decode indexed blocks on --jobs
+  // threads; the decoded trace is byte-identical to a buffered read.
+  const int jobs = static_cast<int>(flags.get_int("jobs"));
+  if (flags.get_bool("salvage")) {
+    SalvageReport salvaged = read_trace_salvage(trace_path, jobs);
+    std::cout << salvaged.summary() << '\n';
+    for (const std::string& d : salvaged.diagnostics)
+      std::cerr << "  " << d << '\n';
+    if (salvaged.trace.empty()) {
+      std::cerr << "nothing salvageable in " << trace_path << '\n';
+      return std::nullopt;
+    }
+    return std::move(salvaged.trace);
+  }
+  std::string error;
+  auto trace = read_trace(trace_path, &error, jobs);
+  if (!trace)
+    std::cerr << "bad trace: " << error << " (try --salvage)" << '\n';
+  return trace;
+}
+
+// The first site id in `events` that the workload's site table does not
+// name. A trace recorded from another workload carries such ids, and
+// rendering or replaying one would trip the table's bounds check.
+std::optional<SiteId> first_unknown_site(const std::vector<Event>& events,
+                                         const SiteTable& sites) {
+  for (const Event& e : events)
+    if (e.site != kInvalidSite && (e.site < 0 || e.site >= sites.size()))
+      return e.site;
+  return std::nullopt;
+}
+
+void report_foreign_trace(const Flags& flags, SiteId site,
+                          const SiteTable& sites) {
+  std::cerr << "trace " << flags.get_string("trace")
+            << " was not recorded from workload '"
+            << flags.get_string("workload") << "': site id " << site
+            << " is not one of its " << sites.size() << " sites\n";
+}
+
+// Passes a reader's blocks through and ends the stream at the first block
+// that names a site the workload does not, so no event of a foreign trace
+// reaches the session.
+class WorkloadSiteReader final : public TraceReader {
+ public:
+  WorkloadSiteReader(TraceReader& inner, const SiteTable& sites)
+      : inner_(inner), sites_(sites) {}
+
+  bool next_block(std::vector<Event>& out) override {
+    if (!unknown_ && inner_.next_block(out)) {
+      unknown_ = first_unknown_site(out, sites_);
+      if (!unknown_) return true;
+    }
+    out.clear();
+    return false;
+  }
+
+  const std::optional<SiteId>& unknown() const { return unknown_; }
+
+ private:
+  TraceReader& inner_;
+  const SiteTable& sites_;
+  std::optional<SiteId> unknown_;
+};
+
 std::optional<Trace> load_or_record(const sim::Program& program,
                                     const std::string& trace_path,
                                     std::uint64_t seed, const Flags& flags) {
   if (!trace_path.empty()) {
-    // The path readers mmap v3 files and decode indexed blocks on --jobs
-    // threads; the decoded trace is byte-identical to a buffered read.
-    const int jobs = static_cast<int>(flags.get_int("jobs"));
-    if (flags.get_bool("salvage")) {
-      SalvageReport salvaged = read_trace_salvage(trace_path, jobs);
-      std::cout << salvaged.summary() << '\n';
-      for (const std::string& d : salvaged.diagnostics)
-        std::cerr << "  " << d << '\n';
-      if (salvaged.trace.empty()) {
-        std::cerr << "nothing salvageable in " << trace_path << '\n';
-        return std::nullopt;
-      }
-      return std::move(salvaged.trace);
+    auto trace = read_trace_file(trace_path, flags);
+    if (!trace) return std::nullopt;
+    if (auto site = first_unknown_site(trace->events, program.sites())) {
+      report_foreign_trace(flags, *site, program.sites());
+      return std::nullopt;
     }
-    std::string error;
-    auto trace = read_trace(trace_path, &error, jobs);
-    if (!trace)
-      std::cerr << "bad trace: " << error << " (try --salvage)" << '\n';
     return trace;
   }
   auto trace = sim::record_trace(program, seed, retry_from_flags(flags));
@@ -459,7 +515,12 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
       read_options.jobs = config.jobs;
       StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict,
                                read_options);
-      report = analyze_session(program, session, reader, options);
+      WorkloadSiteReader checked(reader, program.sites());
+      report = analyze_session(program, session, checked, options);
+      if (checked.unknown()) {
+        report_foreign_trace(flags, *checked.unknown(), program.sites());
+        return 1;
+      }
       if (!reader.ok()) {
         std::cerr << "bad trace: " << reader.error() << " (try --salvage)"
                   << '\n';
