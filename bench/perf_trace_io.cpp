@@ -11,12 +11,12 @@
 //   2. formats — suite-workload traces (plus a large synthetic one in full
 //      mode) encoded and decoded in v2 and v3; bytes/event, encode/decode
 //      MB/s, the v3:v2 size ratio, and a round-trip identity check.
-//   3. decode_paths — one indexed v3 file decoded through every file read
-//      path (buffered-serial, mmap-serial, mmap-indexed-parallel at jobs
-//      2/4); MB/s over *total file bytes* for each, the reader's
-//      mmap_used/index_present introspection, and an event-checksum identity
-//      gate across all paths. --huge streams a 10^8-event file through this
-//      section in O(block) memory (the events are never materialized).
+//   3. decode_paths — one indexed v3 file decoded by the one sequential
+//      StreamTraceReader through both of its constructors (an opened binary
+//      std::ifstream, and the path); MB/s over *total file bytes* for each,
+//      the reader's index_present introspection, and an event-checksum
+//      identity gate across both. --huge streams a 10^8-event file through
+//      this section in O(block) memory (the events are never materialized).
 //   4. rt_slowdown — a deadlock-free rt workload run uninstrumented, with
 //      the serial recorder, and with the sharded recorder; paired seeds,
 //      wall-clock slowdown factors vs uninstrumented.
@@ -32,6 +32,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,15 +204,12 @@ FormatResult bench_formats(const std::string& name, const Trace& trace,
   return r;
 }
 
-// --- decode_paths: the file read paths of StreamTraceReader ---
+// --- decode_paths: StreamTraceReader over a file, through both ctors ---
 
 struct DecodeRow {
   std::string label;
-  int jobs = 1;
   double mb_s = 0;  // total file bytes / best wall time
-  bool mmap_used = false;
   bool index_present = false;
-  bool parallel_decode = false;
   bool identical = false;  // event count + checksum match the writer's
 };
 
@@ -219,8 +217,6 @@ struct DecodePathsResult {
   std::uint64_t events = 0;
   std::size_t file_bytes = 0;
   std::vector<DecodeRow> rows;
-  // Best indexed-parallel MB/s over buffered-serial MB/s.
-  double indexed_parallel_speedup = 0;
 };
 
 // Streams `events` synthetic events through a StreamTraceWriter into an
@@ -243,36 +239,38 @@ std::uint64_t write_synthetic_file(const std::string& path,
   return checksum;
 }
 
-DecodeRow measure_decode_path(const std::string& path, std::string label,
-                              bool allow_mmap, bool use_index, int jobs,
+// Decodes `path` `reps` times, through the istream constructor over an
+// opened binary std::ifstream or through the path constructor; the best
+// rep sets the row's MB/s.
+DecodeRow measure_decode_path(const std::string& path, bool via_istream,
                               int reps, std::size_t file_bytes,
                               std::uint64_t want_events,
                               std::uint64_t want_checksum) {
   DecodeRow row;
-  row.label = std::move(label);
-  row.jobs = jobs;
+  row.label = via_istream ? "istream" : "path";
   double best_s = 1e30;
   for (int rep = 0; rep < reps; ++rep) {
-    StreamTraceReader::Options options;
-    options.allow_mmap = allow_mmap;
-    options.use_index = use_index;
-    options.jobs = jobs;
     Stopwatch watch;
-    StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict, options);
+    std::ifstream file;
+    std::optional<StreamTraceReader> reader;
+    if (via_istream) {
+      file.open(path, std::ios::binary);
+      reader.emplace(file);
+    } else {
+      reader.emplace(path);
+    }
     std::uint64_t checksum = wire::kChecksumSeed;
     std::uint64_t count = 0;
     std::vector<Event> block;
-    while (reader.next_block(block)) {
+    while (reader->next_block(block)) {
       for (const Event& e : block)
         checksum = wire::checksum_event(checksum, e);
       count += block.size();
     }
     best_s = std::min(best_s, watch.seconds());
     row.identical =
-        reader.ok() && count == want_events && checksum == want_checksum;
-    row.mmap_used = reader.mmap_used();
-    row.index_present = reader.index_present();
-    row.parallel_decode = reader.parallel_decode();
+        reader->ok() && count == want_events && checksum == want_checksum;
+    row.index_present = reader->index_present();
   }
   row.mb_s = static_cast<double>(file_bytes) / 1e6 / best_s;
   return row;
@@ -289,23 +287,9 @@ DecodePathsResult bench_decode_paths(const std::string& tmp_path,
     std::ifstream probe(tmp_path, std::ios::binary | std::ios::ate);
     r.file_bytes = static_cast<std::size_t>(probe.tellg());
   }
-  r.rows.push_back(measure_decode_path(tmp_path, "buffered-serial",
-                                       /*allow_mmap=*/false,
-                                       /*use_index=*/false, 1, reps,
-                                       r.file_bytes, events, checksum));
-  r.rows.push_back(measure_decode_path(tmp_path, "mmap-serial",
-                                       /*allow_mmap=*/true,
-                                       /*use_index=*/false, 1, reps,
-                                       r.file_bytes, events, checksum));
-  for (int jobs : {2, 4})
-    r.rows.push_back(measure_decode_path(
-        tmp_path, "mmap-indexed-parallel", /*allow_mmap=*/true,
-        /*use_index=*/true, jobs, reps, r.file_bytes, events, checksum));
-  const double base = r.rows[0].mb_s;
-  for (const DecodeRow& row : r.rows)
-    if (row.parallel_decode && base > 0)
-      r.indexed_parallel_speedup =
-          std::max(r.indexed_parallel_speedup, row.mb_s / base);
+  for (bool via_istream : {true, false})
+    r.rows.push_back(measure_decode_path(tmp_path, via_istream, reps,
+                                         r.file_bytes, events, checksum));
   std::remove(tmp_path.c_str());
   return r;
 }
@@ -402,18 +386,13 @@ void write_json(std::ostream& os, bool quick, bool huge,
      << "    \"rows\": [\n";
   for (std::size_t i = 0; i < decode.rows.size(); ++i) {
     const DecodeRow& row = decode.rows[i];
-    os << "      {\"path\": \"" << row.label << "\", \"jobs\": " << row.jobs
-       << ", \"mb_per_s\": " << row.mb_s
-       << ", \"mmap_used\": " << (row.mmap_used ? "true" : "false")
+    os << "      {\"constructor\": \"" << row.label
+       << "\", \"mb_per_s\": " << row.mb_s
        << ", \"index_present\": " << (row.index_present ? "true" : "false")
-       << ", \"parallel_decode\": "
-       << (row.parallel_decode ? "true" : "false")
        << ", \"identical\": " << (row.identical ? "true" : "false") << "}"
        << (i + 1 < decode.rows.size() ? "," : "") << '\n';
   }
-  os << "    ],\n"
-     << "    \"indexed_parallel_speedup\": "
-     << decode.indexed_parallel_speedup << "\n"
+  os << "    ]\n"
      << "  },\n"
      << "  \"rt_slowdown\": {\n"
      << "    \"workload\": \"" << slowdown.workload << "\",\n"
@@ -477,7 +456,8 @@ int main(int argc, char** argv) {
       "synthetic",
       make_synthetic_trace(quick ? 100'000 : 1'000'000, mix64(seed)), reps));
 
-  // 3. File decode paths over one indexed v3 file.
+  // 3. File decode, through both reader constructors, of one indexed v3
+  //    file.
   const std::uint64_t decode_events =
       huge ? 100'000'000 : (quick ? 200'000 : 2'000'000);
   DecodePathsResult decode =
@@ -513,19 +493,14 @@ int main(int argc, char** argv) {
   fmt_table.render(std::cout);
   std::cout << '\n';
 
-  TextTable decode_table(
-      {"Decode path", "Jobs", "MB/s", "mmap", "Index", "Parallel", "Events"});
+  TextTable decode_table({"Constructor", "MB/s", "Index", "Events"});
   for (const DecodeRow& row : decode.rows)
-    decode_table.add_row({row.label, std::to_string(row.jobs),
-                          TextTable::num(row.mb_s, 0),
-                          row.mmap_used ? "yes" : "no",
+    decode_table.add_row({row.label, TextTable::num(row.mb_s, 0),
                           row.index_present ? "yes" : "no",
-                          row.parallel_decode ? "yes" : "no",
                           row.identical ? "ok" : "BROKEN"});
   decode_table.render(std::cout);
   std::cout << "decode_paths: " << decode.events << " events, "
-            << decode.file_bytes << " bytes, indexed-parallel speedup "
-            << TextTable::num(decode.indexed_parallel_speedup, 2) << "x\n";
+            << decode.file_bytes << " bytes\n";
 
   std::cout << "\nrt slowdown (" << slowdown.workload << ", " << slowdown.runs
             << " paired runs): uninstrumented "

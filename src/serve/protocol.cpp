@@ -226,7 +226,9 @@ bool parse_hello(const std::string& line, HelloRequest& out,
               value + "'";
       return false;
     }
-    out.params[key] = value;
+    // parse_int trims and accepts leading zeros: keep the number, not the
+    // text, so format_hello re-renders a line that parses the same.
+    out.params[key] = std::to_string(parsed);
   }
   return true;
 }

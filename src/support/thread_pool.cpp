@@ -18,10 +18,10 @@ namespace wolf {
 namespace {
 
 // pool.tasks counts fn invocations (serial path included) and pool.batches
-// counts parallel_for_each calls; both depend on the jobs level (indexed
-// v3 decode skips the pool at jobs=1), and pool.parks — a worker finding
-// the queue momentarily empty — depends on raw scheduling, so all three
-// are registered non-stable and excluded from byte-stable reports.
+// counts parallel_for_each calls; both depend on the jobs level, and
+// pool.parks — a worker finding the queue momentarily empty — depends on
+// raw scheduling, so all three are registered non-stable and excluded from
+// byte-stable reports.
 const obs::Counter kTasks("pool.tasks", /*stable=*/false);
 const obs::Counter kBatches("pool.batches", /*stable=*/false);
 const obs::Counter kParks("pool.parks", /*stable=*/false);

@@ -169,11 +169,8 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error) {
   return drain_strict(reader, error);
 }
 
-std::optional<Trace> read_trace(const std::string& path, std::string* error,
-                                int jobs) {
-  StreamTraceReader::Options options;
-  options.jobs = jobs;
-  StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict, options);
+std::optional<Trace> read_trace(const std::string& path, std::string* error) {
+  StreamTraceReader reader(path, StreamTraceReader::Mode::kStrict);
   return drain_strict(reader, error);
 }
 
@@ -194,47 +191,40 @@ namespace {
 // the events with per-thread held stacks and cut at the first violation.
 void validate_salvaged_events(SalvageReport& report) {
   std::unordered_map<ThreadId, std::vector<LockId>> held;
-  std::size_t bad = report.trace.events.size();
-  std::string what;
-  for (std::size_t i = 0; i < report.trace.events.size(); ++i) {
-    const Event& e = report.trace.events[i];
-    std::ostringstream os;
-    if (e.thread < 0) {
-      os << "negative thread id " << e.thread;
-    } else if ((e.kind == EventKind::kThreadStart ||
-                e.kind == EventKind::kThreadJoin) &&
-               e.other < 0) {
-      os << "negative child thread id " << e.other;
-    } else if (e.kind == EventKind::kLockAcquire) {
+  // What `e` violates ("" when nothing); applies it to `held` otherwise.
+  // The message is built only at a violation.
+  auto violation = [&held](const Event& e) -> std::string {
+    if (e.thread < 0) return "negative thread id " + std::to_string(e.thread);
+    if ((e.kind == EventKind::kThreadStart ||
+         e.kind == EventKind::kThreadJoin) &&
+        e.other < 0)
+      return "negative child thread id " + std::to_string(e.other);
+    if (e.kind == EventKind::kLockAcquire) {
       held[e.thread].push_back(e.lock);
-      continue;
     } else if (e.kind == EventKind::kLockRelease) {
       auto& stack = held[e.thread];
       auto it = std::find(stack.rbegin(), stack.rend(), e.lock);
-      if (it == stack.rend()) {
-        os << "t" << e.thread << " releases lock " << e.lock
-           << " it does not hold";
-      } else {
-        stack.erase(std::next(it).base());
-        continue;
-      }
-    } else {
-      continue;
+      if (it == stack.rend())
+        return "t" + std::to_string(e.thread) + " releases lock " +
+               std::to_string(e.lock) + " it does not hold";
+      stack.erase(std::next(it).base());
     }
-    bad = i;
-    what = os.str();
-    break;
+    return {};
+  };
+  std::vector<Event>& events = report.trace.events;
+  for (std::size_t bad = 0; bad < events.size(); ++bad) {
+    const std::string what = violation(events[bad]);
+    if (what.empty()) continue;
+    const std::size_t dropped = events.size() - bad;
+    std::ostringstream os;
+    os << "event " << bad << " (seq " << events[bad].seq << "): " << what
+       << "; dropping it and the " << (dropped - 1) << " event(s) after it";
+    events.resize(bad);
+    report.events_dropped += dropped;
+    report.complete = false;
+    report.diagnostics.push_back(os.str());
+    return;
   }
-  if (bad == report.trace.events.size()) return;
-  const std::size_t dropped = report.trace.events.size() - bad;
-  std::ostringstream os;
-  os << "event " << bad << " (seq " << report.trace.events[bad].seq
-     << "): " << what << "; dropping it and the " << (dropped - 1)
-     << " event(s) after it";
-  report.trace.events.resize(bad);
-  report.events_dropped += dropped;
-  report.complete = false;
-  report.diagnostics.push_back(os.str());
 }
 
 // Drains a salvage-mode reader into a batch report, applying the semantic
@@ -260,10 +250,8 @@ SalvageReport read_trace_salvage(std::istream& is) {
   return drain_salvage(reader);
 }
 
-SalvageReport read_trace_salvage(const std::string& path, int jobs) {
-  StreamTraceReader::Options options;
-  options.jobs = jobs;
-  StreamTraceReader reader(path, StreamTraceReader::Mode::kSalvage, options);
+SalvageReport read_trace_salvage(const std::string& path) {
+  StreamTraceReader reader(path, StreamTraceReader::Mode::kSalvage);
   return drain_salvage(reader);
 }
 

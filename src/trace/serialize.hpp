@@ -71,7 +71,7 @@ std::optional<TraceFormat> trace_format_from_string(std::string_view name);
 //
 // For v3 the writer tracks every block's file offset, seq range, count,
 // and running checksum, and finish() appends the footer block index
-// (wire.hpp) that enables mmap + seek + parallel decode. Options.index
+// (wire.hpp), which readers validate and tools may seek by. Options.index
 // turns that off (the resulting file is still a valid v3 trace — readers
 // treat the index as optional).
 class StreamTraceWriter {
@@ -127,11 +127,10 @@ std::uint64_t trace_checksum(const Trace& trace);
 
 // Strict readers: return nullopt and fill *error on malformed input.
 std::optional<Trace> read_trace(std::istream& is, std::string* error = nullptr);
-// Path overload: opens the file itself, which unlocks the mmap and (for
-// indexed v3 with jobs > 1) parallel-decode fast paths of the streaming
-// reader. Accepts and rejects exactly the same inputs as the stream form.
+// Path overload: opens the file itself (binary). It runs the same reader
+// as the stream form, so it accepts and rejects exactly the same inputs.
 std::optional<Trace> read_trace(const std::string& path,
-                                std::string* error = nullptr, int jobs = 1);
+                                std::string* error = nullptr);
 std::optional<Trace> trace_from_string(const std::string& text,
                                        std::string* error = nullptr);
 
@@ -153,9 +152,8 @@ struct SalvageReport {
 // diagnostic); a damaged v3 block is skipped by name while later blocks
 // still load.
 SalvageReport read_trace_salvage(std::istream& is);
-// Path overload: same fast paths as the path form of read_trace, same
-// block-granularity recovery and diagnostics as the stream form.
-SalvageReport read_trace_salvage(const std::string& path, int jobs = 1);
+// Path overload: the same recovery and diagnostics as the stream form.
+SalvageReport read_trace_salvage(const std::string& path);
 SalvageReport salvage_trace_from_string(const std::string& text);
 
 }  // namespace wolf

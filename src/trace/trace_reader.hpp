@@ -27,15 +27,12 @@
 // payload is damaged is skipped by name while the blocks after it still
 // load; a damaged tag or header breaks the framing and ends the scan).
 //
-// The path constructor unlocks the 10^8-event fast path (DESIGN.md §15):
-// a v3 file is mmap'd (support/mmap_file) and decoded zero-copy, and when
-// a strict read of it finds the footer block index and Options.jobs > 1,
-// blocks are decoded in parallel on a support/thread_pool — with
-// bit-identical event delivery and defect messages at every jobs level.
-// Salvage reads are sequential at every jobs level: the scan stops at a
-// block whose framing is damaged, which the index would let a parallel
-// decode skip. Every acceleration degrades gracefully: no mmap → buffered
-// reads, no index → sequential scan, no parallelism → serial decode.
+// There is one v3 loop (DESIGN.md §15). The path constructor opens the
+// file as a binary std::ifstream, so files, `wolf convert` and `wolf serve`
+// sockets all read the same way: each frame header comes off the stream
+// buffer, a block's payload and checksum land in one reused buffer, and
+// the footer block index is validated (trailer offset included) but never
+// used to seek.
 #pragma once
 
 #include <cstdint>
@@ -43,17 +40,14 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "support/mmap_file.hpp"
 #include "support/ring_queue.hpp"
 #include "trace/event.hpp"
-#include "trace/wire.hpp"
 
 namespace wolf {
-
-class ThreadPool;
 
 class TraceReader {
  public:
@@ -81,28 +75,12 @@ class StreamTraceReader final : public TraceReader {
  public:
   enum class Mode { kStrict, kSalvage };
 
-  struct Options {
-    // Try to mmap v3 files opened by path; failure silently falls back to
-    // buffered stream reads.
-    bool allow_mmap = true;
-    // Decode indexed v3 blocks on this many threads (<= 1: serial). Only
-    // effective for strict reads with mmap and a valid footer index;
-    // delivery order, event bytes, and diagnostics are identical at every
-    // level.
-    int jobs = 1;
-    // Ignore a footer index even when present (forces the sequential
-    // scan; used by tests and honesty-mode benchmarks).
-    bool use_index = true;
-  };
-
   // Borrows `is`; the caller keeps the stream alive while reading. v3
   // streams must be opened in binary mode.
   explicit StreamTraceReader(std::istream& is, Mode mode = Mode::kStrict);
-  // Opens `path` itself; enables the mmap / indexed-parallel fast paths.
+  // Opens `path` itself, in binary mode, on the first next_block().
   explicit StreamTraceReader(const std::string& path,
-                             Mode mode = Mode::kStrict)
-      : StreamTraceReader(path, mode, Options{}) {}
-  StreamTraceReader(const std::string& path, Mode mode, Options options);
+                             Mode mode = Mode::kStrict);
   ~StreamTraceReader();
 
   bool next_block(std::vector<Event>& out) override;
@@ -119,41 +97,36 @@ class StreamTraceReader final : public TraceReader {
   std::size_t events_dropped() const { return events_dropped_; }
   const std::vector<std::string>& diagnostics() const { return diagnostics_; }
   std::uint64_t events_read() const { return count_; }
-
-  // Fast-path introspection (perf_trace_io records these in its JSON).
-  bool mmap_used() const { return mem_mode_; }
+  // True once a v3 footer block index was read and found valid.
   bool index_present() const { return index_present_; }
-  bool parallel_decode() const { return !index_.empty() && pool_ != nullptr; }
 
  private:
-  enum class Stage { kStart, kText, kBinary, kBinaryMem, kBinaryIndexed,
-                     kDone };
+  enum class Stage { kStart, kText, kBinary, kDone };
 
   // Records a defect: strict mode sets error_ and ends the stream; salvage
   // mode appends a (capped) diagnostic and leaves the stage alone.
   void defect(std::string msg);
   bool start();
-  bool open_memory_v3();  // true when the mmap path is usable
-  bool load_index();      // true when a valid footer index was adopted
   bool next_text(std::vector<Event>& out);
   bool next_binary(std::vector<Event>& out);
-  bool next_binary_mem(std::vector<Event>& out);
-  bool next_binary_indexed(std::vector<Event>& out);
-  void decode_batch();    // indexed mode: decode the next run of blocks
-  void finish_indexed();  // indexed mode: footer + tail checks
   // One parsed text line; returns true when an event was appended to `out`.
   bool consume_text_line(std::string_view text, std::vector<Event>& out);
   void finish_footer_checks(bool dropped_any);
-  // Consumes the index section (tag already consumed) from the sequential
-  // position `cursor` to end-of-data; defects on any damage.
-  void consume_index_section_mem();
-  void consume_index_section_stream();
+  // Consumes the index section (tag already read) to the end of input;
+  // defects on any damage.
+  void consume_index_section();
+
+  // v3 byte reads off in_; each advances offset_ by what it consumed.
+  int get_byte();
+  bool get_varint(std::uint64_t& out);
+  bool get_u64le(std::uint64_t& out);
+  // Reads up to `n` bytes into frame_; returns how many arrived.
+  std::size_t get_frame(std::size_t n);
 
   std::istream* is_ = nullptr;           // borrowed or owned (file_)
-  std::unique_ptr<std::istream> file_;   // path-mode buffered fallback
+  std::unique_ptr<std::istream> file_;   // path constructor's stream
   std::string path_;                     // empty for the istream ctor
   Mode mode_;
-  Options options_;
   Stage stage_ = Stage::kStart;
   int version_ = 0;
   std::string error_;
@@ -176,27 +149,11 @@ class StreamTraceReader final : public TraceReader {
   bool reparse_first_ = false;
 
   // Binary state.
+  std::streambuf* in_ = nullptr;  // is_'s buffer, read directly
+  std::uint64_t offset_ = 0;      // bytes consumed: the next byte's offset
+  std::string frame_;             // one block's payload + checksum, reused
   std::size_t next_block_index_ = 0;
-
-  // Memory-mode (mmap) state.
-  std::optional<support::MmapFile> map_;
-  std::string_view data_;       // whole file when mem_mode_
-  std::size_t pos_ = 0;         // sequential cursor into data_
-  bool mem_mode_ = false;
-  std::size_t data_end_ = 0;    // end of block+footer region (before index)
-
-  // Footer-index state.
   bool index_present_ = false;
-  std::uint64_t index_offset_ = 0;  // file offset of the 'I' section
-  std::vector<wire::IndexEntry> index_;
-  std::size_t next_entry_ = 0;      // next index entry to decode
-  std::unique_ptr<ThreadPool> pool_;
-  struct DecodedBlock;
-  std::vector<DecodedBlock> batch_;
-  std::size_t batch_pos_ = 0;
-  // Indexed mode (strict reads only): file offset just past the last
-  // delivered block, where the next one must start.
-  std::size_t last_block_end_ = 0;
 };
 
 // Stage-pipelining adapter (DESIGN.md §17): moves a source reader's block

@@ -262,15 +262,16 @@ inline void put_event(std::string& out, const Event& e, bool first_in_block,
 // against the previous entry; the first entry is absolute), its first and
 // last sequence numbers (first_seq is delta-1 coded against the previous
 // entry's last_seq, mirroring the event encoding), its event count, and
-// `chain` — the running whole-trace checksum after that block, so a
-// parallel decoder can verify block i against entry i-1's chain without
+// `chain` — the running whole-trace checksum after that block, so a tool
+// that seeks to block i can verify it against entry i-1's chain without
 // replaying the prefix (the last entry's chain equals the footer
 // checksum). index_checksum chains mix64 over every decoded entry field.
 //
-// The fixed-size trailer is the random-access hook: a reader maps the
-// file, checks the last 8 bytes for the index magic, and jumps straight
-// to the section. Everything about the index is advisory — a reader that
-// finds it missing or damaged falls back to the sequential scan.
+// The fixed-size trailer is the random-access hook: a tool checks the last
+// 8 bytes for the index magic and jumps straight to the section. The index
+// is optional, and StreamTraceReader never seeks by it: its one sequential
+// pass validates the section (entries, checksum, and a trailer offset that
+// points back at the 'I' tag) and reports any damage as a defect.
 
 inline constexpr char kIndexTag = 'I';
 inline constexpr char kIndexMagic[8] = {'\x89', 'W', 'I', 'D', 'X', '3',

@@ -48,10 +48,10 @@ struct ConfigIssue {
 struct Config {
   // ---- shared scalars, read by every stage ------------------------------
   std::uint64_t seed = 2014;
-  // Parallelism of classification, multi-run and indexed v3 decode: 0 =
-  // hardware concurrency, 1 = the serial pipeline. Reports are identical at
-  // every level. Overrides the per-run jobs split. Cycle enumeration (batch,
-  // window and final) is one serial search and does not read it.
+  // Parallelism of classification and multi-run: 0 = hardware
+  // concurrency, 1 = the serial pipeline. Reports are identical at every
+  // level. Overrides the per-run jobs split. Trace decode and cycle
+  // enumeration (batch, window and final) are serial and do not read it.
   int jobs = 0;
   // Per-trial wall-clock budget in ms (0 = unlimited). Arms the rt watchdog
   // and the recording retry deadline. Overrides replay.retry and

@@ -143,6 +143,19 @@ TEST(ServeProtocolTest, HelloFormatParseRoundTrip) {
   EXPECT_EQ(req.name, "worker-1");
   EXPECT_EQ(req.params, params);
 
+  // parse_int trims and takes leading zeros, so the request must hold the
+  // number, not the text: "64\t" rendered last would lose its tab.
+  ASSERT_TRUE(parse_hello(
+      "WOLFSERVE/1 session name=a window=64\t live=1 budget-mb=007", req,
+      error))
+      << error;
+  const std::map<std::string, std::string> canonical{
+      {"budget-mb", "7"}, {"live", "1"}, {"window", "64"}};
+  EXPECT_EQ(req.params, canonical);
+  ASSERT_TRUE(parse_hello(format_hello(req.name, req.params), req, error))
+      << error;
+  EXPECT_EQ(req.params, canonical);
+
   ASSERT_TRUE(parse_hello("WOLFSERVE/1 status", req, error)) << error;
   EXPECT_EQ(req.kind, HelloRequest::Kind::kStatus);
   ASSERT_TRUE(parse_hello("WOLFSERVE/1 stop", req, error)) << error;

@@ -17,7 +17,6 @@
 #include "support/check.hpp"
 #include "support/flags.hpp"
 #include "support/io.hpp"
-#include "support/mmap_file.hpp"
 #include "support/ring_queue.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -407,39 +406,6 @@ TEST(AtomicFileWriterTest, FailsCleanlyOnUnwritableDirectory) {
   std::string error;
   EXPECT_FALSE(writer.commit(&error));
   EXPECT_FALSE(error.empty());
-}
-
-// ------------------------------------------------------------- mmap file
-
-TEST(MmapFileTest, MapsFileContents) {
-  TempDir dir;
-  const std::string target = (dir.path / "data.bin").string();
-  std::string contents = "mapped bytes";
-  contents.push_back('\0');  // binary-safe: a nul must survive the trip
-  contents += " with a nul inside";
-  ASSERT_TRUE(support::atomic_write_file(target, contents));
-  auto map = support::MmapFile::open(target);
-  ASSERT_TRUE(map.has_value());
-  EXPECT_EQ(map->bytes(), contents);
-  auto moved = std::move(*map);
-  EXPECT_EQ(moved.bytes(), contents);
-}
-
-TEST(MmapFileTest, EmptyFileMapsToEmptyView) {
-  TempDir dir;
-  const std::string target = (dir.path / "empty.bin").string();
-  ASSERT_TRUE(support::atomic_write_file(target, ""));
-  auto map = support::MmapFile::open(target);
-  ASSERT_TRUE(map.has_value());
-  EXPECT_TRUE(map->bytes().empty());
-}
-
-TEST(MmapFileTest, MissingFileAndDirectoryReturnNullopt) {
-  TempDir dir;
-  EXPECT_FALSE(
-      support::MmapFile::open((dir.path / "nope.bin").string()).has_value());
-  // Directories are not mappable traces.
-  EXPECT_FALSE(support::MmapFile::open(dir.path.string()).has_value());
 }
 
 // ---------------------------------------------------------------- RingQueue

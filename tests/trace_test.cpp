@@ -375,6 +375,40 @@ TEST(SalvageCorpusTest, IntactTraceIsComplete) {
   EXPECT_NE(report.summary().find("complete"), std::string::npos);
 }
 
+TEST(SalvageCorpusTest, LockDisciplineViolationsAreNamedExactly) {
+  // v1 carries no checksum, so a damaged field still parses; salvage must
+  // cut at the violating event and say exactly what it dropped.
+  struct Violation {
+    const char* name;
+    std::size_t event;  // the sample_trace() event that is damaged
+    void (*damage)(Event&);
+    const char* diagnostic;
+  };
+  const Violation violations[] = {
+      {"negative thread id", 3, [](Event& e) { e.thread = -2; },
+       "event 3 (seq 3): negative thread id -2; dropping it and the 4 "
+       "event(s) after it"},
+      {"negative child id", 1, [](Event& e) { e.other = -3; },
+       "event 1 (seq 1): negative child thread id -3; dropping it and the 6 "
+       "event(s) after it"},
+      {"unheld release", 4, [](Event& e) { e.lock = 7; },
+       "event 4 (seq 4): t1 releases lock 7 it does not hold; dropping it "
+       "and the 3 event(s) after it"},
+  };
+  for (const Violation& v : violations) {
+    SCOPED_TRACE(v.name);
+    Trace trace = sample_trace();
+    v.damage(trace.events[v.event]);
+    const std::string text = trace_to_string(trace, TraceFormat::kV1);
+    ASSERT_NE(trace_from_string(text), std::nullopt);  // well-formed v1
+    SalvageReport report = salvage_trace_from_string(text);
+    EXPECT_FALSE(report.complete);
+    EXPECT_EQ(report.trace.size(), v.event);
+    EXPECT_EQ(report.events_dropped, sample_trace().size() - v.event);
+    EXPECT_EQ(report.diagnostics, std::vector<std::string>{v.diagnostic});
+  }
+}
+
 // ------------------------------------------------------------ v3 format ----
 
 // A dense trace spanning `blocks` full v3 blocks (wire::kBlockEvents each).
@@ -729,10 +763,9 @@ TEST(ShardedRecorderTest, TwoRecordersOnOneThreadStayIndependent) {
   EXPECT_EQ(b.take().size(), 1u);
 }
 
-// --------------------------------------- v3 footer index + mmap readers ----
+// ------------------------------------ v3 footer index + the path reader ----
 
-// Writes trace bytes to a real file so the path-based reader can exercise
-// mmap, the footer index, and parallel decode.
+// Writes trace bytes to a real file for the path constructor.
 struct TraceFile {
   std::filesystem::path dir;
   std::string path;
@@ -758,6 +791,20 @@ std::vector<Event> drain(StreamTraceReader& reader) {
   return all;
 }
 
+// Runs `check(reader, how)` on a fresh reader of `path` built through each
+// constructor: over an opened binary std::ifstream, and from the path.
+template <typename Check>
+void for_each_constructor(const std::string& path,
+                          StreamTraceReader::Mode mode, Check check) {
+  {
+    std::ifstream is(path, std::ios::binary);
+    StreamTraceReader reader(is, mode);
+    check(reader, "istream");
+  }
+  StreamTraceReader reader(path, mode);
+  check(reader, "path");
+}
+
 TEST(TraceIndexTest, StreamWriterMatchesBatchWriterByteForByte) {
   Trace trace = block_trace(2, 7);
   for (TraceFormat format :
@@ -774,53 +821,38 @@ TEST(TraceIndexTest, StreamWriterMatchesBatchWriterByteForByte) {
 TEST(TraceIndexTest, IndexRoundTripsAcrossEveryDecodePath) {
   Trace trace = block_trace(5, 7);
   TraceFile file(trace_to_string(trace, TraceFormat::kV3));
-  for (bool allow_mmap : {false, true}) {
-    for (int jobs : {1, 2, 4}) {
-      StreamTraceReader::Options options;
-      options.allow_mmap = allow_mmap;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events)
-          << "mmap=" << allow_mmap << " jobs=" << jobs;
-      EXPECT_TRUE(reader.ok()) << reader.error();
-      EXPECT_EQ(reader.mmap_used(), allow_mmap);
-      EXPECT_TRUE(reader.index_present());
-      EXPECT_EQ(reader.parallel_decode(), allow_mmap && jobs > 1);
-    }
-  }
+  for_each_constructor(
+      file.path, StreamTraceReader::Mode::kStrict,
+      [&](StreamTraceReader& reader, const char* how) {
+        EXPECT_EQ(drain(reader), trace.events) << how;
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        EXPECT_TRUE(reader.index_present()) << how;
+      });
 }
 
 TEST(TraceIndexTest, UnindexedFileLoadsOnEveryPathToo) {
   Trace trace = block_trace(3, 1);
   TraceFile file(
       trace_to_string(trace, TraceFormat::kV3, {.index = false}));
-  for (bool allow_mmap : {false, true}) {
-    for (int jobs : {1, 4}) {
-      StreamTraceReader::Options options;
-      options.allow_mmap = allow_mmap;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events);
-      EXPECT_TRUE(reader.ok()) << reader.error();
-      EXPECT_FALSE(reader.index_present());
-      EXPECT_FALSE(reader.parallel_decode());  // no index to parallelize on
-    }
-  }
+  for_each_constructor(
+      file.path, StreamTraceReader::Mode::kStrict,
+      [&](StreamTraceReader& reader, const char* how) {
+        EXPECT_EQ(drain(reader), trace.events) << how;
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        EXPECT_FALSE(reader.index_present()) << how;
+      });
 }
 
 TEST(TraceIndexTest, TextTraceThroughPathReaderFallsBackToBuffered) {
   Trace trace = sample_trace();
   TraceFile file(trace_to_string(trace, TraceFormat::kV2), "t.v2");
-  StreamTraceReader::Options options;
-  options.jobs = 4;
-  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kStrict,
-                           options);
-  EXPECT_EQ(drain(reader), trace.events);
-  EXPECT_TRUE(reader.ok()) << reader.error();
-  EXPECT_FALSE(reader.mmap_used());
-  EXPECT_EQ(reader.version(), 2);
+  for_each_constructor(
+      file.path, StreamTraceReader::Mode::kStrict,
+      [&](StreamTraceReader& reader, const char* how) {
+        EXPECT_EQ(drain(reader), trace.events) << how;
+        EXPECT_TRUE(reader.ok()) << reader.error();
+        EXPECT_EQ(reader.version(), 2) << how;
+      });
 }
 
 TEST(TraceIndexTest, MissingFileReportsCleanly) {
@@ -836,8 +868,8 @@ TEST(TraceIndexTest, CorruptBlockSalvagesIdenticallyAtEveryJobsLevel) {
   // Block 2's payload, then each field of its header. A damaged payload
   // leaves the framing intact, so salvage skips the block and keeps the
   // ones after it; a damaged tag or header breaks the framing, so the scan
-  // stops there. Either way every jobs level must agree with the
-  // sequential scan, in salvage and in strict mode.
+  // stops there. Either way both constructors must give the same answer,
+  // in salvage and in strict mode.
   struct Damage {
     const char* name;
     std::size_t offset;  // from block 2's tag byte
@@ -871,27 +903,25 @@ TEST(TraceIndexTest, CorruptBlockSalvagesIdenticallyAtEveryJobsLevel) {
     std::vector<std::vector<std::string>> diags;
     std::vector<std::size_t> dropped;
     std::vector<std::string> errors;
-    for (int jobs : {1, 2, 4}) {
-      StreamTraceReader::Options options;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                               options);
-      events.push_back(drain(reader));
-      diags.push_back(reader.diagnostics());
-      dropped.push_back(reader.events_dropped());
-      EXPECT_FALSE(reader.complete());
-
-      StreamTraceReader strict(file.path, StreamTraceReader::Mode::kStrict,
-                               options);
-      drain(strict);
-      EXPECT_FALSE(strict.ok()) << "jobs=" << jobs;
-      errors.push_back(strict.error());
-    }
+    for_each_constructor(
+        file.path, StreamTraceReader::Mode::kSalvage,
+        [&](StreamTraceReader& reader, const char*) {
+          events.push_back(drain(reader));
+          diags.push_back(reader.diagnostics());
+          dropped.push_back(reader.events_dropped());
+          EXPECT_FALSE(reader.complete());
+        });
+    for_each_constructor(file.path, StreamTraceReader::Mode::kStrict,
+                         [&](StreamTraceReader& strict, const char* how) {
+                           drain(strict);
+                           EXPECT_FALSE(strict.ok()) << how;
+                           errors.push_back(strict.error());
+                         });
     for (std::size_t i = 1; i < events.size(); ++i) {
-      EXPECT_EQ(events[i], events[0]) << "jobs level " << i;
-      EXPECT_EQ(diags[i], diags[0]) << "jobs level " << i;
-      EXPECT_EQ(dropped[i], dropped[0]) << "jobs level " << i;
-      EXPECT_EQ(errors[i], errors[0]) << "jobs level " << i;
+      EXPECT_EQ(events[i], events[0]) << "constructor " << i;
+      EXPECT_EQ(diags[i], diags[0]) << "constructor " << i;
+      EXPECT_EQ(dropped[i], dropped[0]) << "constructor " << i;
+      EXPECT_EQ(errors[i], errors[0]) << "constructor " << i;
     }
     EXPECT_EQ(events[0].size(), damage.events);
     EXPECT_EQ(dropped[0], damage.dropped);
@@ -935,23 +965,21 @@ TEST(TraceIndexTest, TruncatedIndexFallsBackToSequentialLoad) {
       trace_to_string(trace, TraceFormat::kV3, {.index = false});
   // Every cut strictly inside the footer-index region (the bytes the
   // index-free encoding does not have) leaves the events and the 'E'
-  // footer intact: salvage through the path reader must still deliver the
-  // complete event list, with the damage named, at every jobs level. (A
-  // cut at exactly plain.size() is a complete unindexed trace, so start
-  // one byte past it.)
+  // footer intact: salvage through either constructor must still deliver
+  // the complete event list, with the damage named. (A cut at exactly
+  // plain.size() is a complete unindexed trace, so start one byte past it.)
   for (std::size_t cut = plain.size() + 1; cut < bytes.size(); ++cut) {
     TraceFile file(bytes.substr(0, cut));
-    for (int jobs : {1, 4}) {
-      StreamTraceReader::Options options;
-      options.jobs = jobs;
-      StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                               options);
-      EXPECT_EQ(drain(reader), trace.events) << "cut=" << cut;
-      EXPECT_EQ(reader.events_dropped(), 0u);
-      EXPECT_FALSE(reader.complete());
-      ASSERT_FALSE(reader.diagnostics().empty());
-      EXPECT_NE(reader.diagnostics()[0].find("footer"), std::string::npos);
-    }
+    for_each_constructor(
+        file.path, StreamTraceReader::Mode::kSalvage,
+        [&](StreamTraceReader& reader, const char* how) {
+          EXPECT_EQ(drain(reader), trace.events) << how << " cut=" << cut;
+          EXPECT_EQ(reader.events_dropped(), 0u);
+          EXPECT_FALSE(reader.complete());
+          ASSERT_FALSE(reader.diagnostics().empty());
+          EXPECT_NE(reader.diagnostics()[0].find("footer"),
+                    std::string::npos);
+        });
   }
 }
 
@@ -962,17 +990,55 @@ TEST(TraceIndexTest, CorruptIndexChecksumFallsBackAndIsNamed) {
   // trailer) — the entry checksum must catch it.
   bytes[bytes.size() - wire::kIndexTrailerBytes - 4] ^= 0x01;
   TraceFile file(bytes);
-  StreamTraceReader::Options options;
-  options.jobs = 4;
-  StreamTraceReader reader(file.path, StreamTraceReader::Mode::kSalvage,
-                           options);
-  EXPECT_EQ(drain(reader), trace.events);  // events still load sequentially
-  EXPECT_FALSE(reader.parallel_decode());
-  EXPECT_FALSE(reader.complete());
+  for_each_constructor(
+      file.path, StreamTraceReader::Mode::kSalvage,
+      [&](StreamTraceReader& reader, const char* how) {
+        EXPECT_EQ(drain(reader), trace.events) << how;  // events still load
+        EXPECT_FALSE(reader.complete());
+      });
 
   std::string error;
   EXPECT_EQ(trace_from_string(bytes, &error), std::nullopt);
   EXPECT_NE(error.find("footer"), std::string::npos);
+}
+
+TEST(TraceIndexTest, DamagedTrailerOffsetIsRejectedByEveryReader) {
+  // The trailer's section offset must point back at the index tag. Flip its
+  // low byte: the string, istream and path readers all reject the file,
+  // and salvage keeps every event but names the damage.
+  const Trace trace = block_trace(2, 476);  // 1500 events
+  std::string bytes = trace_to_string(trace, TraceFormat::kV3);
+  bytes[bytes.size() - wire::kIndexTrailerBytes] ^= 0x01;
+  TraceFile file(bytes);
+  const std::string want =
+      "malformed data after wolf-trace v3 footer (block index)";
+
+  std::string error;
+  EXPECT_EQ(trace_from_string(bytes, &error), std::nullopt);
+  EXPECT_EQ(error, want);
+  error.clear();
+  {
+    std::ifstream is(file.path, std::ios::binary);
+    EXPECT_EQ(read_trace(is, &error), std::nullopt);
+    EXPECT_EQ(error, want);
+  }
+  error.clear();
+  EXPECT_EQ(read_trace(file.path, &error), std::nullopt);
+  EXPECT_EQ(error, want);
+
+  std::vector<SalvageReport> salvaged;
+  salvaged.push_back(salvage_trace_from_string(bytes));
+  {
+    std::ifstream is(file.path, std::ios::binary);
+    salvaged.push_back(read_trace_salvage(is));
+  }
+  salvaged.push_back(read_trace_salvage(file.path));
+  for (const SalvageReport& report : salvaged) {
+    EXPECT_EQ(report.trace.events, trace.events);
+    EXPECT_FALSE(report.complete);
+    EXPECT_EQ(report.events_dropped, 0u);
+    EXPECT_EQ(report.diagnostics, std::vector<std::string>{want});
+  }
 }
 
 }  // namespace

@@ -12,11 +12,11 @@
 //
 // Workloads are the built-in benchmark suite plus the paper's figure
 // programs; `record` serializes a trace to disk (text v1/v2 or binary v3),
-// `detect`/`analyze` consume a recorded trace (or record one on the fly) —
-// `analyze --trace` streams the file through detection block-by-block —
-// `replay` reproduces one detected cycle, optionally on real OS threads
-// (--rt), and `convert` rewrites a trace in another format, preserving the
-// checksum.
+// `detect`/`analyze`/`replay` consume a recorded trace (or record one on
+// the fly) — a strict `--trace` read streams the file through detection
+// block-by-block, so the event vector is never materialized — `replay`
+// reproduces one detected cycle, optionally on real OS threads (--rt), and
+// `convert` rewrites a trace in another format, preserving the checksum.
 //
 // Every subcommand parses its own flag set: the shared surface
 // (register_common_flags: --seed, --jobs, --deadline-ms, plus the
@@ -45,11 +45,9 @@
 //
 // --jobs N classifies detected cycles N-way parallel (default 0 = hardware
 // concurrency); reports are identical at every N, and --jobs 1 runs the
-// historical serial pipeline. The same flag parallelizes indexed v3 block
-// decode of strict reads (salvage reads are sequential at every level).
-// Cycle enumeration (governed windows included) is serial. Every
-// output, including governed verdicts and live-cycle order, is identical at
-// every --jobs level.
+// historical serial pipeline. Trace decode and cycle enumeration (governed
+// windows included) are serial. Every output, including governed verdicts
+// and live-cycle order, is identical at every --jobs level.
 //
 // Detector flags: --max-cycles caps enumeration (a warning is printed when
 // the cap is hit), and --clock-prune folds the Pruner's vector-clock test
@@ -80,6 +78,7 @@
 #include "rt/replay_rt.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "support/check.hpp"
 #include "support/flags.hpp"
 #include "support/io.hpp"
 #include "trace/serialize.hpp"
@@ -207,30 +206,6 @@ robust::RetryPolicy retry_from_flags(const Flags& flags) {
   return retry;
 }
 
-// Reads --trace, strictly or (--salvage) recovering what it can.
-std::optional<Trace> read_trace_file(const std::string& trace_path,
-                                     const Flags& flags) {
-  // The path readers mmap v3 files and decode indexed blocks on --jobs
-  // threads; the decoded trace is byte-identical to a buffered read.
-  const int jobs = static_cast<int>(flags.get_int("jobs"));
-  if (flags.get_bool("salvage")) {
-    SalvageReport salvaged = read_trace_salvage(trace_path, jobs);
-    std::cout << salvaged.summary() << '\n';
-    for (const std::string& d : salvaged.diagnostics)
-      std::cerr << "  " << d << '\n';
-    if (salvaged.trace.empty()) {
-      std::cerr << "nothing salvageable in " << trace_path << '\n';
-      return std::nullopt;
-    }
-    return std::move(salvaged.trace);
-  }
-  std::string error;
-  auto trace = read_trace(trace_path, &error, jobs);
-  if (!trace)
-    std::cerr << "bad trace: " << error << " (try --salvage)" << '\n';
-  return trace;
-}
-
 // The first site id in `events` that the workload's site table does not
 // name. A trace recorded from another workload carries such ids, and
 // rendering or replaying one would trip the table's bounds check.
@@ -275,21 +250,77 @@ class WorkloadSiteReader final : public TraceReader {
   std::optional<SiteId> unknown_;
 };
 
-std::optional<Trace> load_or_record(const sim::Program& program,
-                                    const std::string& trace_path,
-                                    std::uint64_t seed, const Flags& flags) {
+// After a strict --trace stream has ended: prints the one error line a
+// foreign or damaged trace gets and returns false.
+bool stream_is_clean(const Flags& flags, const StreamTraceReader& reader,
+                     const WorkloadSiteReader& checked,
+                     const SiteTable& sites) {
+  if (checked.unknown()) {
+    report_foreign_trace(flags, *checked.unknown(), sites);
+    return false;
+  }
+  if (!reader.ok()) {
+    std::cerr << "bad trace: " << reader.error() << " (try --salvage)" << '\n';
+    return false;
+  }
+  return true;
+}
+
+// The whole event vector of a --salvage read of --trace (printing the
+// salvage summary and diagnostics), or, without --trace, of a fresh
+// recording. Strict --trace reads stream instead.
+std::optional<Trace> salvage_or_record(const sim::Program& program,
+                                       const Flags& flags) {
+  const std::string trace_path = flags.get_string("trace");
   if (!trace_path.empty()) {
-    auto trace = read_trace_file(trace_path, flags);
-    if (!trace) return std::nullopt;
-    if (auto site = first_unknown_site(trace->events, program.sites())) {
+    SalvageReport salvaged = read_trace_salvage(trace_path);
+    std::cout << salvaged.summary() << '\n';
+    for (const std::string& d : salvaged.diagnostics)
+      std::cerr << "  " << d << '\n';
+    if (salvaged.trace.empty()) {
+      std::cerr << "nothing salvageable in " << trace_path << '\n';
+      return std::nullopt;
+    }
+    if (auto site = first_unknown_site(salvaged.trace.events,
+                                       program.sites())) {
       report_foreign_trace(flags, *site, program.sites());
       return std::nullopt;
     }
-    return trace;
+    return std::move(salvaged.trace);
   }
-  auto trace = sim::record_trace(program, seed, retry_from_flags(flags));
+  auto trace = sim::record_trace(
+      program, static_cast<std::uint64_t>(flags.get_int("seed")),
+      retry_from_flags(flags));
   if (!trace) std::cerr << "every recording run deadlocked\n";
   return trace;
+}
+
+// Detection for detect/replay. A strict --trace read streams the file
+// through detect_reader block by block; --salvage and recordings detect
+// over the loaded events. Returns nullopt after printing one error line.
+std::optional<Detection> detect_from_flags(const sim::Program& program,
+                                           const Flags& flags,
+                                           const DetectorOptions& options) {
+  const std::string trace_path = flags.get_string("trace");
+  if (trace_path.empty() || flags.get_bool("salvage")) {
+    auto trace = salvage_or_record(program, flags);
+    if (!trace) return std::nullopt;
+    return detect(*trace, options);
+  }
+  StreamTraceReader reader(trace_path);
+  WorkloadSiteReader checked(reader, program.sites());
+  std::optional<Detection> det;
+  try {
+    det = detect_reader(checked, options);
+  } catch (const CheckFailure& ex) {
+    // A well-framed trace can still carry an event D_σ's builder rejects,
+    // such as a release of a lock its thread does not hold.
+    std::cerr << "bad trace: " << ex.what() << " (try --salvage)" << '\n';
+    return std::nullopt;
+  }
+  if (!stream_is_clean(flags, reader, checked, program.sites()))
+    return std::nullopt;
+  return det;
 }
 
 // Shared by detect/analyze: detector knobs from flags.
@@ -365,7 +396,7 @@ int cmd_record(const sim::Program& program, const Flags& flags) {
   return metrics.write_counters(/*jobs=*/1) ? 0 : 1;
 }
 
-// wolf convert <in> <out> [--format=v1|v2|v3] [--jobs=N] — rewrites a trace
+// wolf convert <in> <out> [--format=v1|v2|v3] — rewrites a trace
 // in another format. The input format is auto-detected; the event checksum
 // (carried by v2 and v3 footers) is a function of the events alone, so it
 // survives every conversion and is echoed for scripts to compare.
@@ -373,13 +404,11 @@ int cmd_record(const sim::Program& program, const Flags& flags) {
 // The conversion is a block pipeline, not a load-then-dump: the streaming
 // reader hands blocks straight to a StreamTraceWriter on the atomic temp
 // file, so peak memory is O(block), independent of trace length — a 10^8-
-// event file converts in a few hundred KB of heap. Indexed v3 input decodes
-// on --jobs threads; the output is byte-identical at every jobs level.
+// event file converts in a few hundred KB of heap.
 int cmd_convert(int argc, char** argv) {
   if (argc < 2 || std::string_view(argv[0]).substr(0, 2) == "--" ||
       std::string_view(argv[1]).substr(0, 2) == "--") {
-    std::cerr << "usage: wolf convert <in> <out> [--format=v1|v2|v3]"
-                 " [--jobs=N]\n";
+    std::cerr << "usage: wolf convert <in> <out> [--format=v1|v2|v3]\n";
     return 1;
   }
   const std::string in_path = argv[0];
@@ -387,7 +416,6 @@ int cmd_convert(int argc, char** argv) {
   Flags flags;
   flags.set_context("wolf convert");
   flags.define_string("format", "v3", "output trace format (v1|v2|v3)");
-  flags.define_int("jobs", 1, "decode threads for indexed v3 input");
   // parse() treats its argv[0] as the program name, so hand it the slot
   // before the first flag.
   if (!flags.parse(argc - 1, argv + 1)) return 1;
@@ -398,10 +426,7 @@ int cmd_convert(int argc, char** argv) {
     return 1;
   }
 
-  StreamTraceReader::Options read_options;
-  read_options.jobs = static_cast<int>(flags.get_int("jobs"));
-  StreamTraceReader reader(in_path, StreamTraceReader::Mode::kStrict,
-                           read_options);
+  StreamTraceReader reader(in_path);
   support::AtomicFileWriter writer(out_path);
   if (!writer.ok()) {
     std::cerr << "cannot write " << out_path << ": cannot open temp file\n";
@@ -436,14 +461,12 @@ int cmd_convert(int argc, char** argv) {
 
 int cmd_detect(const sim::Program& program, const Flags& flags) {
   MetricsScope metrics(flags);
-  auto trace =
-      load_or_record(program, flags.get_string("trace"),
-                     static_cast<std::uint64_t>(flags.get_int("seed")), flags);
-  if (!trace) return 1;
-
   DetectorOptions options;
   detector_from_flags(flags, options);
-  Detection det = detect(*trace, options);
+  const std::optional<Detection> found =
+      detect_from_flags(program, flags, options);
+  if (!found) return 1;
+  const Detection& det = *found;
   warn_if_truncated(det);
   auto verdicts = prune(det);
   const DependencyIndex dep_index = DependencyIndex::build(det.dep);
@@ -509,25 +532,13 @@ int cmd_analyze(const sim::Program& program, const Flags& flags) {
     Session session = Session::open(config);
     if (!flags.get_bool("salvage")) {
       // Stream the file block-by-block; the full event vector is never
-      // materialized. The path constructor mmaps v3 files and decodes
-      // indexed blocks on --jobs threads.
-      StreamTraceReader::Options read_options;
-      read_options.jobs = config.jobs;
-      StreamTraceReader reader(trace_path, StreamTraceReader::Mode::kStrict,
-                               read_options);
+      // materialized.
+      StreamTraceReader reader(trace_path);
       WorkloadSiteReader checked(reader, program.sites());
       report = analyze_session(program, session, checked, options);
-      if (checked.unknown()) {
-        report_foreign_trace(flags, *checked.unknown(), program.sites());
-        return 1;
-      }
-      if (!reader.ok()) {
-        std::cerr << "bad trace: " << reader.error() << " (try --salvage)"
-                  << '\n';
-        return 1;
-      }
+      if (!stream_is_clean(flags, reader, checked, program.sites())) return 1;
     } else {
-      auto trace = load_or_record(program, trace_path, options.seed, flags);
+      auto trace = salvage_or_record(program, flags);
       if (!trace) return 1;
       VectorTraceReader reader(*trace);
       report = analyze_session(program, session, reader, options);
@@ -575,9 +586,10 @@ int cmd_replay(const sim::Program& program, const Flags& flags) {
   MetricsScope metrics(flags);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed"));
-  auto trace = load_or_record(program, flags.get_string("trace"), seed, flags);
-  if (!trace) return 1;
-  Detection det = detect(*trace);
+  const std::optional<Detection> found =
+      detect_from_flags(program, flags, DetectorOptions{});
+  if (!found) return 1;
+  const Detection& det = *found;
   const auto cycle_index =
       static_cast<std::size_t>(flags.get_int("cycle"));
   if (cycle_index >= det.cycles.size()) {
