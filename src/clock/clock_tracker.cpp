@@ -8,6 +8,9 @@ namespace wolf {
 
 void ClockTracker::ensure(ThreadId t) {
   WOLF_CHECK_MSG(t >= 0, "negative thread id " << t);
+  WOLF_CHECK_MSG(t < kThreadIdBound, "thread id " << t
+                                         << " is not below the bound "
+                                         << kThreadIdBound);
   if (static_cast<std::size_t>(t) >= tau_.size()) {
     tau_.resize(static_cast<std::size_t>(t) + 1, kTsBottom);
     clocks_.resize(static_cast<std::size_t>(t) + 1);

@@ -3,6 +3,8 @@
 #include <limits>
 #include <sstream>
 
+#include "robust/fault.hpp"
+
 namespace wolf {
 
 namespace {
@@ -122,17 +124,6 @@ baseline::DfOptions Config::df_options() const {
   // has no jobs knob, so only the seed and deadline fold in.
   o.replay.seed = seed;
   if (deadline_ms != 0) o.replay.retry.attempt_deadline_ms = deadline_ms;
-  return o;
-}
-
-GovernorOptions Config::governor_options() const {
-  GovernorOptions o;
-  o.memory_budget_mb = memory_budget_mb;
-  o.window_events = window_events;
-  o.window_deadline_ms = window_deadline_ms;
-  o.on_cycle = on_cycle;
-  o.detector = detector;
-  o.fault = fault;
   return o;
 }
 

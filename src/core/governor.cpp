@@ -1,14 +1,25 @@
+// wolf::Session (wolf.hpp) and the governor behind it (core/governor.hpp):
+// Session::Impl ingests events into D_σ, closes windows when the Config
+// asks for them (Config::governed()), and reads its budget, window size,
+// deadline, detector options, subscriber and fault plan from that Config.
 #include "core/governor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
+#include "core/prefilter.hpp"
 #include "obs/counters.hpp"
+#include "robust/fault.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "trace/trace_reader.hpp"
+#include "wolf.hpp"
 
 namespace wolf {
 
@@ -33,6 +44,26 @@ double now_seconds() {
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
 }
+
+void note_event(GovernorVerdict& v, std::string note) {
+  if (v.notes.size() < kMaxNotes) {
+    v.notes.push_back(std::move(note));
+  } else if (v.notes.size() == kMaxNotes) {
+    v.notes.push_back("(further notes suppressed)");
+  }
+}
+
+// A surfaced cycle's identity: its tuples' dedup keys (key_of) in cycle
+// order — exact, so two cycles over the same sites but other locks stay
+// distinct.
+using CycleKey = std::vector<TupleKey>;
+struct CycleKeyHash {
+  std::size_t operator()(const CycleKey& key) const {
+    std::uint64_t h = 0x90be17a9c0bef5ULL ^ key.size();
+    for (const TupleKey& k : key) h = mix64(h ^ TupleKeyHash{}(k));
+    return static_cast<std::size_t>(h);
+  }
+};
 
 }  // namespace
 
@@ -95,109 +126,149 @@ std::size_t tuple_bytes(const LockTuple& tuple) {
          tuple.context.capacity() * sizeof(ExecIndex);
 }
 
-GovernedStreamingDetector::GovernedStreamingDetector(
-    const GovernorOptions& options)
-    : options_(options), windowed_(options.windowed()) {
-  if (options_.window_events == 0) options_.window_events = 65536;
-}
+struct Session::Impl {
+  explicit Impl(const Config& c) : config(c), windowed(c.governed()) {}
 
-GovernedStreamingDetector::~GovernedStreamingDetector() = default;
+  void add(const Event& e);
+  // Closes the trailing partial window, runs the authoritative enumeration
+  // over every retained tuple and returns the completed Detection. Never
+  // throws on detection failure — a fault there yields an empty cycle set
+  // and coverage_complete = false.
+  Detection finish();
 
-std::size_t GovernedStreamingDetector::CycleKeyHash::operator()(
-    const CycleKey& key) const {
-  std::uint64_t h = 0x90be17a9c0bef5ULL ^ key.size();
-  for (const TupleKey& k : key) h = mix64(h ^ TupleKeyHash{}(k));
-  return static_cast<std::size_t>(h);
-}
+  void close_window();
+  // Pre-filter + (rung-permitting) enumeration for the closing window.
+  void run_window_detection(WindowReport& w);
+  // First-sighting dedup, then delivery to poll()'s list and on_cycle.
+  void surface_new_cycles(const Detection& det, WindowReport& w);
+  // Budget enforcement: compaction, then aging. Updates store_bytes.
+  void govern_memory(WindowReport& w);
+  void recompute_store_bytes();
+  // Files canonical ordinal k under its request lock's lock-graph node.
+  void index_canonical(std::size_t k, int node);
+  // Re-keys canonical_by_node after eviction renumbered the canonical
+  // ordinals (compaction keeps them).
+  void rebuild_lock_index();
 
-void GovernedStreamingDetector::add(const Event& e) {
+  const Config config;
+  // config.governed(): whether windows close at all. Only then does the
+  // session feed the pre-filter and keep its by-lock index; otherwise it
+  // builds D_σ and enumerates once, at finish().
+  const bool windowed;
+  LockDependencyBuilder builder;
+  LockGraph prefilter;
+  std::vector<WindowReport> windows;
+  GovernorVerdict verdict;
+  bool finished = false;
+  // Set when an event fired a builder invariant check (malformed input,
+  // e.g. from a corrupted live feed): ingestion stops, coverage_complete is
+  // cleared, and finish() analyzes only what was consistently built.
+  bool poisoned = false;
+
+  DetectionLevel rung = DetectionLevel::kFullScc;
+  int fast_streak = 0;
+  std::size_t open_events = 0;  // events in the open window
+  std::size_t store_bytes = 0;
+  // Cycles already surfaced by per-window enumeration, so new_cycles
+  // counts first sightings only.
+  std::unordered_set<CycleKey, CycleKeyHash> seen_cycles;
+  std::size_t live_cycles = 0;
+  // Cycles surfaced since the last poll(); filled only when config.live.
+  std::vector<SessionCycle> pending;
+  // Canonical ordinals (indices into builder.pending().unique) by their
+  // request lock's lock-graph node, so a dirty SCC's nodes map straight to
+  // the tuple subset to enumerate. Tuples with an empty lockset close no
+  // cycle and are not filed. Compaction keeps every ordinal; eviction
+  // renumbers them and rebuilds this.
+  std::vector<std::vector<std::size_t>> canonical_by_node;
+};
+
+void Session::Impl::add(const Event& e) {
   // Malformed input containment: a semantically inconsistent event (e.g. a
   // release of a lock the thread does not hold, from a corrupted live feed)
   // fires an invariant check inside the builder. The builder commits its
   // tuple before mutating held-lock state, so its store is still consistent
   // after the throw — stop ingesting, keep what was built, and report the
   // run as incomplete rather than crashing or silently analyzing garbage.
-  if (poisoned_) return;
-  const std::size_t stored = builder_.tuple_count();
-  const std::size_t canonical = builder_.pending().unique.size();
+  if (poisoned) return;
+  const std::size_t stored = builder.tuple_count();
+  const std::size_t canonical = builder.pending().unique.size();
   try {
-    builder_.add(e);
+    builder.add(e);
   } catch (const std::exception& ex) {
-    poisoned_ = true;
-    if (verdict_.coverage_complete) {
-      verdict_.coverage_complete = false;
-      note_event(verdict_,
-                 std::string("malformed event rejected, later input ignored: ") +
-                     ex.what());
+    poisoned = true;
+    if (verdict.coverage_complete) {
+      verdict.coverage_complete = false;
+      note_event(verdict,
+                 "malformed event rejected, later input ignored: " +
+                     check_message(ex));
     }
     return;
   }
-  if (!windowed_) return;  // nothing reads windows: D_σ is all we keep
-  const LockDependency& dep = builder_.pending();
+  if (!windowed) return;  // nothing reads windows: D_σ is all we keep
+  const LockDependency& dep = builder.pending();
   for (std::size_t i = stored; i < dep.tuples.size(); ++i)
-    store_bytes_ += tuple_bytes(dep.tuples[i]);
+    store_bytes += tuple_bytes(dep.tuples[i]);
   // Only canonical arrivals reach the pre-filter and the by-lock index:
   // enumeration searches the canonical view, so a duplicate adds no cycle.
   for (std::size_t k = canonical; k < dep.unique.size(); ++k) {
-    const LockTuple& t = dep.tuples[dep.unique[k]];
-    prefilter_.on_tuple(t);
-    canonical_by_lock_[t.lock].push_back(k);
+    const int node = prefilter.on_tuple(dep.tuples[dep.unique[k]]);
+    if (node >= 0) index_canonical(k, node);
   }
-  if (++window_events_ >= options_.window_events) close_window();
+  if (++open_events >= config.window_events) close_window();
 }
 
-void GovernedStreamingDetector::add_block(const std::vector<Event>& events) {
-  for (const Event& e : events) add(e);
+void Session::Impl::index_canonical(std::size_t k, int node) {
+  const auto n = static_cast<std::size_t>(node);
+  if (n >= canonical_by_node.size()) canonical_by_node.resize(n + 1);
+  canonical_by_node[n].push_back(k);
 }
 
-void GovernedStreamingDetector::note_event(GovernorVerdict& v,
-                                           std::string note) const {
-  if (v.notes.size() < kMaxNotes) {
-    v.notes.push_back(std::move(note));
-  } else if (v.notes.size() == kMaxNotes) {
-    v.notes.push_back("(further notes suppressed)");
-  }
-}
-
-void GovernedStreamingDetector::surface_new_cycles(const Detection& det,
-                                                   WindowReport& w) {
+void Session::Impl::surface_new_cycles(const Detection& det,
+                                       WindowReport& w) {
   for (const PotentialDeadlock& cycle : det.cycles) {
     CycleKey key;
     key.reserve(cycle.tuple_idx.size());
     for (std::size_t idx : cycle.tuple_idx)
       key.push_back(key_of(det.dep.tuples[idx]));
-    if (!seen_cycles_.insert(std::move(key)).second) continue;
+    if (!seen_cycles.insert(std::move(key)).second) continue;
     ++w.new_cycles;
-    ++live_cycles_;
-    if (options_.on_cycle) {
+    ++live_cycles;
+    // poll()'s copy first, then the push-mode subscriber: a throwing
+    // subscriber is contained like any window fault, and the cycle it
+    // threw on still reaches poll().
+    if (config.live)
+      pending.push_back(
+          SessionCycle{w.index, live_cycles, cycle.to_string(det.dep)});
+    if (config.on_cycle) {
       LiveCycle lc;
       lc.window = w.index;
-      lc.sequence = live_cycles_;
+      lc.sequence = live_cycles;
       lc.cycle = &cycle;
       lc.dep = &det.dep;
-      options_.on_cycle(lc);
+      config.on_cycle(lc);
     }
   }
 }
 
-void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
-  if (options_.fault != nullptr &&
-      options_.fault->detect_throw_window == static_cast<int>(w.index)) {
+void Session::Impl::run_window_detection(WindowReport& w) {
+  if (config.fault != nullptr &&
+      config.fault->detect_throw_window == static_cast<int>(w.index)) {
     throw std::runtime_error("injected detection fault (window " +
                              std::to_string(w.index) + ")");
   }
 
-  DetectorOptions opt = options_.detector;
+  DetectorOptions opt = config.detector;
   if (w.level == DetectionLevel::kClockPruned)
     opt.clock_prune_during_search = true;
 
   // Nothing marked dirty since the last boundary ⇒ nothing to re-examine.
-  if (!prefilter_.has_dirty()) return;
-  w.suspicious = prefilter_.suspicious();
+  if (!prefilter.has_dirty()) return;
+  w.suspicious = prefilter.suspicious();
   if (!w.suspicious) {
     // All dirty components are benign; consume their marks (any change that
     // could flip a verdict later will re-mark).
-    prefilter_.drain_dirty_suspicious_locks();
+    prefilter.drain_dirty_suspicious_nodes();
     return;
   }
   // At a non-enumerating rung keep the marks queued: a later promoted
@@ -209,60 +280,66 @@ void GovernedStreamingDetector::run_window_detection(WindowReport& w) {
   // form a complete enumeration domain for every cycle those SCCs could
   // newly carry. The subset is closed under TupleKey (a key fixes the lock)
   // and holds no duplicate, so snapshot_subset's view is all canonical.
-  const std::vector<std::size_t>& unique = builder_.pending().unique;
+  const std::vector<std::size_t>& unique = builder.pending().unique;
   std::vector<std::size_t> subset;
-  for (LockId lock : prefilter_.drain_dirty_suspicious_locks()) {
-    auto it = canonical_by_lock_.find(lock);
-    if (it == canonical_by_lock_.end()) continue;
-    for (std::size_t k : it->second) subset.push_back(unique[k]);
+  for (int node : prefilter.drain_dirty_suspicious_nodes()) {
+    const auto n = static_cast<std::size_t>(node);
+    if (n >= canonical_by_node.size()) continue;
+    for (std::size_t k : canonical_by_node[n]) subset.push_back(unique[k]);
   }
   if (subset.empty()) return;
   std::sort(subset.begin(), subset.end());  // canonical trace order
-  surface_new_cycles(finish_detection(builder_.snapshot_subset(subset),
-                                      builder_.clocks(), opt),
+  surface_new_cycles(finish_detection(builder.snapshot_subset(subset),
+                                      builder.clocks(), opt),
                      w);
 }
 
-void GovernedStreamingDetector::recompute_store_bytes() {
-  store_bytes_ = 0;
-  for (const LockTuple& t : builder_.pending().tuples)
-    store_bytes_ += tuple_bytes(t);
+void Session::Impl::recompute_store_bytes() {
+  store_bytes = 0;
+  for (const LockTuple& t : builder.pending().tuples)
+    store_bytes += tuple_bytes(t);
 }
 
-void GovernedStreamingDetector::rebuild_lock_index() {
-  canonical_by_lock_.clear();
-  const LockDependency& dep = builder_.pending();
-  for (std::size_t k = 0; k < dep.unique.size(); ++k)
-    canonical_by_lock_[dep.tuples[dep.unique[k]].lock].push_back(k);
+void Session::Impl::rebuild_lock_index() {
+  canonical_by_node.clear();
+  const LockDependency& dep = builder.pending();
+  for (std::size_t k = 0; k < dep.unique.size(); ++k) {
+    const LockTuple& t = dep.tuples[dep.unique[k]];
+    if (t.lockset.empty()) continue;
+    // Every retained canonical tuple was fed, and nodes outlive eviction.
+    const int node = prefilter.node_of(t.lock);
+    WOLF_DCHECK(node >= 0);
+    index_canonical(k, node);
+  }
 }
 
-void GovernedStreamingDetector::govern_memory(WindowReport& w) {
-  if (options_.memory_budget_mb == 0) return;
-  const std::size_t budget = options_.memory_budget_mb << 20;
-  if (store_bytes_ <= budget) return;
+void Session::Impl::govern_memory(WindowReport& w) {
+  if (config.memory_budget_mb == 0) return;
+  const std::size_t budget = config.memory_budget_mb << 20;
+  if (store_bytes <= budget) return;
 
   // Rung 1: compaction — lossless for the cycle set (enumeration runs over
   // the canonical view), so it is always tried first. It drops exactly the
   // duplicates, which the pre-filter never saw, and keeps every canonical
   // ordinal, so neither the lock graph nor the by-lock index changes.
-  w.tuples_compacted = builder_.compact();
+  w.tuples_compacted = builder.compact();
   recompute_store_bytes();
   if (w.tuples_compacted > 0) kCompactionsCounter.add();
-  if (store_bytes_ > budget) {
+  if (store_bytes > budget) {
     // Rung 2: aging — evict the oldest tuples down to ~90% of the budget so
     // the next window has headroom. Lossy; the report must say so. The
     // store is all canonical after compaction, so every evicted tuple is
     // one the pre-filter counted, and its expiry keeps the lock graph's
     // edge refcounts (and hence SCCs) equal to the live canonical view.
-    const std::size_t live = builder_.pending().tuples.size();
-    WOLF_CHECK_MSG(builder_.pending().unique.size() == live,
+    const std::size_t live = builder.pending().tuples.size();
+    WOLF_CHECK_MSG(builder.pending().unique.size() == live,
                    "eviction would expire duplicates the pre-filter never saw");
     const std::size_t avg =
-        live == 0 ? 1 : std::max<std::size_t>(1, store_bytes_ / live);
+        live == 0 ? 1 : std::max<std::size_t>(1, store_bytes / live);
     const std::size_t max_tuples = (budget - budget / 10) / avg;
-    w.tuples_evicted = builder_.evict_oldest(
+    w.tuples_evicted = builder.evict_oldest(
         max_tuples,
-        [this](const LockTuple& t) { prefilter_.on_tuple_removed(t); });
+        [this](const LockTuple& t) { prefilter.on_tuple_removed(t); });
     recompute_store_bytes();
     if (w.tuples_evicted > 0) {
       w.level = DetectionLevel::kShedding;
@@ -272,11 +349,11 @@ void GovernedStreamingDetector::govern_memory(WindowReport& w) {
   }
 }
 
-void GovernedStreamingDetector::close_window() {
+void Session::Impl::close_window() {
   WindowReport w;
-  w.index = windows_.size();
-  w.events = window_events_;
-  w.level = rung_;
+  w.index = windows.size();
+  w.events = open_events;
+  w.level = rung;
   const double t0 = now_seconds();
   try {
     run_window_detection(w);
@@ -285,72 +362,132 @@ void GovernedStreamingDetector::close_window() {
     // early surfacing — finish() re-enumerates over everything retained —
     // so coverage stays complete. It is still a degraded window.
     w.note = ex.what();
-    ++verdict_.detection_faults;
+    ++verdict.detection_faults;
     kFaultsCounter.add();
-    note_event(verdict_, "window " + std::to_string(w.index) +
-                             " detection fault: " + w.note);
+    note_event(verdict, "window " + std::to_string(w.index) +
+                            " detection fault: " + w.note);
   }
   w.detect_seconds = now_seconds() - t0;
   govern_memory(w);
-  w.tuples_live = builder_.pending().tuples.size();
-  w.store_bytes = store_bytes_;
+  w.tuples_live = builder.pending().tuples.size();
+  w.store_bytes = store_bytes;
 
-  rung_ = next_rung(rung_, w.detect_seconds, options_.window_deadline_ms,
-                    fast_streak_);
+  rung = next_rung(rung, w.detect_seconds, config.window_deadline_ms,
+                   fast_streak);
 
-  ++verdict_.windows;
+  ++verdict.windows;
   kWindowsCounter.add();
   if (w.suspicious) {
-    ++verdict_.suspicious_windows;
+    ++verdict.suspicious_windows;
     kSuspiciousCounter.add();
   }
-  verdict_.tuples_compacted += w.tuples_compacted;
+  verdict.tuples_compacted += w.tuples_compacted;
   if (w.tuples_evicted > 0) {
-    verdict_.tuples_evicted += w.tuples_evicted;
-    if (verdict_.coverage_complete) {
-      verdict_.coverage_complete = false;
-      note_event(verdict_, "window " + std::to_string(w.index) +
-                               ": memory budget forced eviction of " +
-                               std::to_string(w.tuples_evicted) +
-                               " tuples; coverage is incomplete from here");
+    verdict.tuples_evicted += w.tuples_evicted;
+    if (verdict.coverage_complete) {
+      verdict.coverage_complete = false;
+      note_event(verdict, "window " + std::to_string(w.index) +
+                              ": memory budget forced eviction of " +
+                              std::to_string(w.tuples_evicted) +
+                              " tuples; coverage is incomplete from here");
     }
   }
   if (w.degraded()) {
-    ++verdict_.degraded_windows;
+    ++verdict.degraded_windows;
     kDegradedCounter.add();
   }
-  windows_.push_back(std::move(w));
-  window_events_ = 0;
+  windows.push_back(std::move(w));
+  open_events = 0;
 }
 
-Detection GovernedStreamingDetector::finish() {
-  if (window_events_ > 0) close_window();
-  finished_ = true;
-  verdict_.final_level = rung_;
+Detection Session::Impl::finish() {
+  if (open_events > 0) close_window();
+  finished = true;
+  verdict.final_level = rung;
   Detection det;
   try {
-    LockDependency dep = builder_.take_dependency();
-    ClockTracker clocks = builder_.clocks();
-    builder_.clear();
-    canonical_by_lock_.clear();
-    det = finish_detection(std::move(dep), std::move(clocks),
-                           options_.detector);
+    LockDependency dep = builder.take_dependency();
+    ClockTracker clocks = builder.clocks();
+    builder.clear();
+    canonical_by_node.clear();
+    det = finish_detection(std::move(dep), std::move(clocks), config.detector);
   } catch (const std::exception& ex) {
     // The authoritative enumeration failed: the empty cycle set below is
     // NOT a clean bill of health, and the verdict says so.
-    ++verdict_.detection_faults;
+    ++verdict.detection_faults;
     kFaultsCounter.add();
-    verdict_.coverage_complete = false;
-    note_event(verdict_,
-               std::string("final detection fault: ") + ex.what());
+    verdict.coverage_complete = false;
+    note_event(verdict, std::string("final detection fault: ") + ex.what());
     det = Detection{};
   }
   return det;
 }
 
-GovernorVerdict GovernedStreamingDetector::verdict() const {
-  GovernorVerdict v = verdict_;
-  if (!finished_) v.final_level = rung_;
+Session::Session() = default;
+Session::Session(Session&& other) noexcept = default;
+Session& Session::operator=(Session&& other) noexcept = default;
+Session::~Session() = default;
+
+Session Session::open(const Config& config) {
+  std::string fatal;
+  for (const ConfigIssue& issue : config.validate()) {
+    if (!issue.fatal) continue;
+    if (!fatal.empty()) fatal += "; ";
+    fatal += issue.message;
+  }
+  if (!fatal.empty())
+    throw std::invalid_argument("wolf::Session::open: " + fatal);
+  Session s;
+  s.impl_ = std::make_unique<Impl>(config);
+  return s;
+}
+
+bool Session::feed(const Event& e) {
+  assert(!impl_->finished && "feed() after finish()");
+  if (impl_->finished) return false;
+  impl_->add(e);
+  return !impl_->poisoned;
+}
+
+bool Session::feed(const std::vector<Event>& events) {
+  assert(!impl_->finished && "feed() after finish()");
+  if (impl_->finished) return false;
+  for (const Event& e : events) impl_->add(e);
+  return !impl_->poisoned;
+}
+
+void Session::ingest(TraceReader& reader) {
+  std::vector<Event> block;
+  while (reader.next_block(block)) feed(block);
+}
+
+std::vector<SessionCycle> Session::poll() {
+  std::vector<SessionCycle> out;
+  out.swap(impl_->pending);
+  return out;
+}
+
+bool Session::poisoned() const { return impl_->poisoned; }
+
+std::size_t Session::events_seen() const {
+  return impl_->builder.events_seen();
+}
+
+std::size_t Session::windows_closed() const { return impl_->windows.size(); }
+
+DetectionLevel Session::level() const { return impl_->rung; }
+
+std::size_t Session::cycles_surfaced_live() const {
+  return impl_->live_cycles;
+}
+
+Session::Verdict Session::finish() {
+  assert(!impl_->finished && "finish() called twice");
+  Verdict v;
+  v.detection = impl_->finish();
+  v.windows = impl_->windows;
+  v.governor = impl_->verdict;
+  v.governed = impl_->windowed;
   return v;
 }
 

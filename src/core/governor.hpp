@@ -1,12 +1,14 @@
-// Resource-governed online detection (DESIGN.md §14) — the one engine behind
-// every wolf::Session.
+// Resource-governed online detection (DESIGN.md §14) — the engine of
+// wolf::Session. Session::Impl (core/governor.cpp) is the governor: it reads
+// the session's Config directly; this header holds the types its reports
+// are made of.
 //
 // Events stream into the same LockDependencyBuilder batch detect() uses, and
 // finish() enumerates the whole retained store once. What a window boundary
 // adds is paid for only when something reads it: a memory budget to
-// enforce, a window deadline to keep, or a cycle subscriber to feed
-// (GovernorOptions::windowed()). Without one, the detector only builds
-// D_σ — batch detect() over a stream — and finish() runs the one
+// enforce, a window deadline to keep, or a live subscriber or poll()
+// collector to feed (Config::governed()). Without one, the session only
+// builds D_σ — batch detect() over a stream — and finish() runs the one
 // enumeration. With one, ingestion is chopped into fixed-size
 // event windows, and at every window boundary the governor
 //
@@ -53,25 +55,22 @@
 // membership, edges, or fed tuples changed since the last enumerating
 // window — through LockDependencyBuilder::snapshot_subset. finish()
 // enumerates the whole retained store, so batch detect() over the same
-// events is the oracle the window path is tested against. Windows can also surface each
-// first-sighted cycle to a CycleSubscriber the moment it is found.
+// events is the oracle the window path is tested against. Windows also
+// surface each first-sighted cycle, the moment it is found, to poll()'s
+// list and then to Config::on_cycle.
 //
 // Everything runs on the ingesting thread (DESIGN.md §17): a suspicious
 // window's dirty components are enumerated as one combined subset with
-// options.detector, by the same serial engine batch detect() runs.
+// Config::detector, by the same serial engine batch detect() runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/detector.hpp"
-#include "core/prefilter.hpp"
-#include "robust/fault.hpp"
 
 namespace wolf {
 
@@ -102,36 +101,6 @@ struct LiveCycle {
 // contained like any per-window detection fault (that window degrades; the
 // final enumeration still covers everything retained).
 using CycleSubscriber = std::function<void(const LiveCycle&)>;
-
-struct GovernorOptions {
-  // Tuple-store budget in MiB; 0 = unbounded (the store grows like batch
-  // detect()'s). Approximate accounting — see tuple_bytes().
-  std::size_t memory_budget_mb = 0;
-  // Events per detection window. Also the granularity of budget and
-  // deadline enforcement.
-  std::size_t window_events = 65536;
-  // Wall-clock budget for one window's detection work; 0 = no deadline
-  // (the ladder never demotes).
-  std::int64_t window_deadline_ms = 0;
-  // Engine configuration for per-window and final enumeration.
-  DetectorOptions detector;
-  // Live cycle surfacing: invoked once per first-sighted cycle at window
-  // granularity; empty = no mid-run surfacing. Never changes what finish()
-  // returns.
-  CycleSubscriber on_cycle;
-  // Injected faults (robust/fault.hpp): detect_throw_window exercises the
-  // per-window containment path. Not owned.
-  const robust::FaultPlan* fault = nullptr;
-
-  // True when something reads the windows — a budget to enforce, a
-  // deadline to keep or a subscriber to feed. Only then does the detector
-  // close windows, feed the pre-filter and keep its by-lock index;
-  // otherwise it builds D_σ and enumerates once, at finish().
-  bool windowed() const {
-    return memory_budget_mb != 0 || window_deadline_ms != 0 ||
-           static_cast<bool>(on_cycle);
-  }
-};
 
 // What happened in one window — the structured, honestly-reported verdict
 // of the degradation machinery.
@@ -184,81 +153,5 @@ DetectionLevel next_rung(DetectionLevel current, double detect_seconds,
 // Approximate heap footprint of one stored tuple (vector capacities
 // included) — the unit of the governor's memory accounting.
 std::size_t tuple_bytes(const LockTuple& tuple);
-
-class GovernedStreamingDetector {
- public:
-  explicit GovernedStreamingDetector(const GovernorOptions& options = {});
-  ~GovernedStreamingDetector();
-
-  void add(const Event& e);
-  void add_block(const std::vector<Event>& events);
-
-  std::size_t events_seen() const { return builder_.events_seen(); }
-  // options.windowed() at construction: whether windows close at all.
-  bool windowed() const { return windowed_; }
-  DetectionLevel level() const { return rung_; }
-  // True once a malformed event fired a builder invariant: ingestion has
-  // stopped and the verdict is honestly incomplete.
-  bool poisoned() const { return poisoned_; }
-  const std::vector<WindowReport>& windows() const { return windows_; }
-  // Cycles surfaced by per-window enumeration so far (first sightings; the
-  // number of LiveCycle deliveries when a subscriber is attached).
-  std::size_t cycles_surfaced_live() const { return live_cycles_; }
-
-  // Closes the trailing partial window, runs the authoritative enumeration
-  // over every retained tuple and returns the completed Detection. The
-  // verdict is final after this call. Never throws on detection failure —
-  // a fault there yields an empty cycle set and coverage_complete = false.
-  Detection finish();
-
-  // Valid (final) after finish(); before that it reflects windows so far.
-  GovernorVerdict verdict() const;
-
- private:
-  void close_window();
-  // Pre-filter + (rung-permitting) enumeration for the closing window.
-  void run_window_detection(WindowReport& w);
-  // First-sighting dedup + subscriber delivery for one window's detection.
-  void surface_new_cycles(const Detection& det, WindowReport& w);
-  // Budget enforcement: compaction, then aging. Updates store_bytes_.
-  void govern_memory(WindowReport& w);
-  void recompute_store_bytes();
-  // Re-keys canonical_by_lock_ after eviction renumbered the canonical
-  // ordinals (compaction keeps them).
-  void rebuild_lock_index();
-  void note_event(GovernorVerdict& v, std::string note) const;
-
-  GovernorOptions options_;
-  bool windowed_ = false;
-  LockDependencyBuilder builder_;
-  LockGraph prefilter_;
-  std::vector<WindowReport> windows_;
-  GovernorVerdict verdict_;
-  bool finished_ = false;
-  // Set when an event fired a builder invariant check (malformed input,
-  // e.g. from a corrupted live feed): ingestion stops, coverage_complete is
-  // cleared, and finish() analyzes only what was consistently built.
-  bool poisoned_ = false;
-
-  DetectionLevel rung_ = DetectionLevel::kFullScc;
-  int fast_streak_ = 0;
-  std::size_t window_events_ = 0;      // events in the open window
-  std::size_t store_bytes_ = 0;
-  // Cycles already surfaced by per-window enumeration, keyed by their
-  // tuples' dedup keys (key_of) in cycle order — exact, so new_cycles
-  // counts first sightings only, and two cycles over the same sites but
-  // other locks stay distinct.
-  using CycleKey = std::vector<TupleKey>;
-  struct CycleKeyHash {
-    std::size_t operator()(const CycleKey& key) const;
-  };
-  std::unordered_set<CycleKey, CycleKeyHash> seen_cycles_;
-  std::size_t live_cycles_ = 0;
-  // Canonical ordinals (indices into builder_.pending().unique) by request
-  // lock, so a dirty SCC's lock list maps straight to the tuple subset to
-  // enumerate. Compaction keeps every ordinal; eviction renumbers them and
-  // rebuilds this.
-  std::unordered_map<LockId, std::vector<std::size_t>> canonical_by_lock_;
-};
 
 }  // namespace wolf

@@ -91,12 +91,9 @@ std::string LockTuple::to_string() const {
 
 LockDependencyBuilder::HeldStack& LockDependencyBuilder::held_stack(
     ThreadId thread) {
-  if (thread >= 0) {
-    const std::size_t i = static_cast<std::size_t>(thread);
-    if (i >= held_.size()) held_.resize(i + 1);
-    return held_[i];
-  }
-  return held_other_[thread];
+  const std::size_t i = static_cast<std::size_t>(thread);
+  if (i >= held_.size()) held_.resize(i + 1);
+  return held_[i];
 }
 
 void LockDependencyBuilder::add(const Event& e) {
@@ -247,7 +244,6 @@ void LockDependencyBuilder::clear() {
   canonical_ = {};
   clocks_ = ClockTracker{};
   held_.clear();
-  held_other_.clear();
   pos_ = 0;
 }
 

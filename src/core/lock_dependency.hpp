@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -178,11 +177,9 @@ class LockDependencyBuilder {
   std::vector<Slot> slots_;      // power-of-two size, at most 3/4 full
   std::vector<bool> canonical_;  // per stored tuple: in `unique`?
   ClockTracker clocks_;
-  // Recorder thread ids are dense from 0, so the hot lookup is a vector
-  // index; anything else (defensive: a hand-built trace with odd ids) falls
-  // back to the ordered map.
+  // Indexed by thread id: clocks_ rejects ids outside [0, kThreadIdBound)
+  // before an event reaches them.
   std::vector<HeldStack> held_;
-  std::map<ThreadId, HeldStack> held_other_;
   std::size_t pos_ = 0;
 };
 

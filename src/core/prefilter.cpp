@@ -30,8 +30,13 @@ int LockGraph::intern(LockId lock) {
   return it->second;
 }
 
-void LockGraph::on_tuple(const LockTuple& tuple) {
-  if (tuple.lockset.empty()) return;  // top-of-stack acquisitions add no edge
+int LockGraph::node_of(LockId lock) const {
+  auto it = lock_ids_.find(lock);
+  return it == lock_ids_.end() ? -1 : it->second;
+}
+
+int LockGraph::on_tuple(const LockTuple& tuple) {
+  if (tuple.lockset.empty()) return -1;  // top-of-stack acquisitions add no edge
   const int to = intern(tuple.lock);
   const GuardMask guards = lockset_mask(tuple.lockset);
   scc_.mark_dirty(to);
@@ -60,6 +65,7 @@ void LockGraph::on_tuple(const LockTuple& tuple) {
     if (it->first_thread != tuple.thread) it->multi_thread = true;
     it->guard_mask &= guards;
   }
+  return to;
 }
 
 void LockGraph::on_tuple_removed(const LockTuple& tuple) {
@@ -153,13 +159,13 @@ std::size_t LockGraph::suspicious_scc_count() const {
   return suspicious_.size();
 }
 
-std::vector<LockId> LockGraph::drain_dirty_suspicious_locks() {
+std::vector<int> LockGraph::drain_dirty_suspicious_nodes() {
   refresh_verdicts();
-  std::vector<LockId> result;
+  std::vector<int> result;
   for (int comp : scc_.drain_dirty()) {
     if (!comp_suspicious_[static_cast<std::size_t>(comp)]) continue;
-    for (DynamicScc::Node v : scc_.members(comp))
-      result.push_back(locks_[static_cast<std::size_t>(v)]);
+    const std::vector<DynamicScc::Node>& members = scc_.members(comp);
+    result.insert(result.end(), members.begin(), members.end());
   }
   return result;
 }

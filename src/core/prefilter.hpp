@@ -106,11 +106,13 @@ struct GuardMask {
 
 class LockGraph {
  public:
-  // Folds one canonical D_σ tuple into the graph. Also marks the tuple's
-  // locks dirty: even when all its edges exist already, the tuple itself
-  // is new and its cycles have not been enumerated, so the consumer must
-  // revisit its component.
-  void on_tuple(const LockTuple& tuple);
+  // Folds one canonical D_σ tuple into the graph and returns its request
+  // lock's node, or -1 for a tuple with an empty lockset (it adds no edge
+  // and can close no cycle: every cycle member holds the previous member's
+  // lock). Also marks the tuple's locks dirty: even when all its edges
+  // exist already, the tuple itself is new and its cycles have not been
+  // enumerated, so the consumer must revisit its component.
+  int on_tuple(const LockTuple& tuple);
 
   // Retracts one fed tuple's contribution (eviction expiry). Each
   // held→request edge is refcounted; the edge leaves the graph — possibly
@@ -126,11 +128,12 @@ class LockGraph {
   // Number of components currently flagged suspicious.
   std::size_t suspicious_scc_count() const;
 
-  // Dirty-SCC drain for the governor: the locks of every *suspicious*
+  // Dirty-SCC drain for the governor: the lock nodes of every *suspicious*
   // component that changed (membership, edges, or a fed tuple) since the
-  // last drain. Clears the dirty set — benign components' marks are
-  // consumed too, so a drain with an empty result still means "caught up".
-  std::vector<LockId> drain_dirty_suspicious_locks();
+  // last drain (lock_of maps them back). Clears the dirty set — benign
+  // components' marks are consumed too, so a drain with an empty result
+  // still means "caught up".
+  std::vector<int> drain_dirty_suspicious_nodes();
   // True when a drain would observe any change since the last one.
   bool has_dirty() const;
 
@@ -143,6 +146,8 @@ class LockGraph {
   LockId lock_of(int node) const {
     return locks_[static_cast<std::size_t>(node)];
   }
+  // The node of a lock some fed tuple named, or -1.
+  int node_of(LockId lock) const;
 
   void clear();
 

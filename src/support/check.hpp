@@ -10,16 +10,32 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace wolf {
 
 // Thrown by WOLF_CHECK failures so that harnesses and tests can observe the
-// failure instead of the process dying. Carries the failing expression and
-// location.
+// failure instead of the process dying. what() carries the failing
+// expression and location; message() carries the check's message alone,
+// for lines a user reads.
 class CheckFailure : public std::logic_error {
  public:
-  explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  CheckFailure(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
+
+// The text of `ex` for a user-facing line: a CheckFailure's message, what()
+// of anything else.
+inline std::string check_message(const std::exception& ex) {
+  if (const auto* check = dynamic_cast<const CheckFailure*>(&ex))
+    return check->message();
+  return ex.what();
+}
 
 namespace detail {
 
@@ -28,7 +44,8 @@ namespace detail {
   std::ostringstream os;
   os << "WOLF_CHECK failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckFailure(os.str());
+  throw CheckFailure(os.str(),
+                     msg.empty() ? std::string("check failed: ") + expr : msg);
 }
 
 }  // namespace detail

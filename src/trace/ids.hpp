@@ -31,6 +31,14 @@ inline constexpr ThreadId kInvalidThread = -1;
 inline constexpr LockId kInvalidLock = -1;
 inline constexpr SiteId kInvalidSite = -1;
 
+// Thread ids are dense from 0 (see above), and analysis sizes per-thread
+// state by the largest id it sees: vector clocks, held-lock stacks, and the
+// Pruner's T×T clock matrix, which at this bound is about 8 MiB. An event
+// naming a thread at or above it is malformed input (ClockTracker rejects
+// it; a salvage read ends its prefix there). Every built-in program, test
+// stream and benchmark stream uses fewer than 64 threads.
+inline constexpr ThreadId kThreadIdBound = 1 << 10;
+
 // Logical timestamp per Algorithm 1. kTsBottom (⊥) marks "thread not started"
 // and unset vector-clock entries; live timestamps start at 1.
 using Timestamp = std::int32_t;

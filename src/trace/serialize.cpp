@@ -182,6 +182,17 @@ std::optional<Trace> trace_from_string(const std::string& text,
 
 namespace {
 
+// What is wrong with thread id `t` ("" when nothing): analysis accepts
+// [0, kThreadIdBound). `role` prefixes "thread id" in the message.
+std::string thread_id_violation(ThreadId t, const char* role) {
+  if (t < 0) return std::string("negative ") + role + "thread id " +
+                    std::to_string(t);
+  if (t >= kThreadIdBound)
+    return std::string(role) + "thread id " + std::to_string(t) +
+           " is not below the bound " + std::to_string(kThreadIdBound);
+  return {};
+}
+
 // Semantic lock-discipline validation over salvaged events. Format-level
 // salvage catches framing damage (and v3 checksums catch payload damage),
 // but a flipped bit inside a *text* trace can yield a line that still
@@ -194,11 +205,11 @@ void validate_salvaged_events(SalvageReport& report) {
   // What `e` violates ("" when nothing); applies it to `held` otherwise.
   // The message is built only at a violation.
   auto violation = [&held](const Event& e) -> std::string {
-    if (e.thread < 0) return "negative thread id " + std::to_string(e.thread);
-    if ((e.kind == EventKind::kThreadStart ||
-         e.kind == EventKind::kThreadJoin) &&
-        e.other < 0)
-      return "negative child thread id " + std::to_string(e.other);
+    std::string bad = thread_id_violation(e.thread, "");
+    if (bad.empty() && (e.kind == EventKind::kThreadStart ||
+                        e.kind == EventKind::kThreadJoin))
+      bad = thread_id_violation(e.other, "child ");
+    if (!bad.empty()) return bad;
     if (e.kind == EventKind::kLockAcquire) {
       held[e.thread].push_back(e.lock);
     } else if (e.kind == EventKind::kLockRelease) {

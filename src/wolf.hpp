@@ -20,7 +20,9 @@
 //   ReportWriterOptions::*       -> Config::report.*
 //   DfOptions::*                 -> df_options() (derived from the above)
 // Online analysis has exactly one public entry point: wolf::Session
-// (declared below), opened from a Config (DESIGN.md §18).
+// (declared below), opened from a Config (DESIGN.md §18). The governor's
+// fields (memory_budget_mb, window_events, window_deadline_ms, on_cycle,
+// live) are Config fields, read by the session as they are.
 #pragma once
 
 #include <memory>
@@ -92,10 +94,14 @@ struct Config {
   // with live = true.
   bool live = false;
 
-  // True when a Session opened from this config closes windows
-  // (GovernorOptions::windowed(); live attaches poll()'s collector as a
-  // subscriber). Otherwise the session only builds D_σ until finish().
-  bool governed() const { return live || governor_options().windowed(); }
+  // True when a Session opened from this config closes windows: something
+  // reads them — a budget to enforce, a deadline to keep, or a live
+  // subscriber or poll() collector to feed. Otherwise the session only
+  // builds D_σ until finish().
+  bool governed() const {
+    return memory_budget_mb != 0 || window_deadline_ms != 0 ||
+           static_cast<bool>(on_cycle) || live;
+  }
 
   // Checks the configuration for fatal errors and conflicting settings.
   // Empty result = clean. Callers decide how to surface non-fatal issues.
@@ -111,7 +117,6 @@ struct Config {
   MultiRunOptions multi_options() const;
   baseline::DfOptions df_options() const;
   rt::ExecutorOptions executor_options() const;
-  GovernorOptions governor_options() const;
 };
 
 // One cycle surfaced between two Session::poll() calls — an owned copy of a
@@ -134,7 +139,8 @@ struct SessionCycle {
 //   }
 //   Session::Verdict v = s.finish();            // authoritative, final
 //
-// Every session runs on one engine, core/governor.hpp's detector. It pays
+// Session is the engine: its implementation (core/governor.cpp) is the
+// governor of core/governor.hpp and reads this Config directly. It pays
 // for windows only when something reads them (Config::governed(): a
 // budget, a window deadline, or a live subscriber or collector); otherwise
 // it builds D_σ as events arrive and enumerates once at finish(), the

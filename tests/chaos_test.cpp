@@ -4,9 +4,10 @@
 // Each seed drives one schedule: a random program is recorded, serialized
 // in a random format, corrupted by a random combination of byte-level
 // faults (torn write, bit flips, text garbling, fractional truncation),
-// salvage-read, and finally analyzed by the governed detector under random
-// memory budgets, window sizes, deadlines and injected detection faults —
-// per-window throws and faults inside the cycle engine's search included.
+// salvage-read, and finally analyzed by a governed wolf::Session under
+// random memory budgets, window sizes, deadlines and injected detection
+// faults — per-window throws and faults inside the cycle engine's search
+// included.
 //
 // The invariant under EVERY schedule:
 //
@@ -27,11 +28,11 @@
 #include <string>
 
 #include "core/detector.hpp"
-#include "core/governor.hpp"
 #include "robust/fault.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
 #include "trace/serialize.hpp"
+#include "wolf.hpp"
 
 namespace wolf {
 namespace {
@@ -46,8 +47,8 @@ std::set<DefectSignature> signatures_of(const Detection& det) {
 struct Schedule {
   TraceFormat format = TraceFormat::kV3;
   robust::FaultPlan corruption;  // applied to the serialized bytes
-  robust::FaultPlan detection;   // applied inside the governed detector
-  GovernorOptions governor;
+  robust::FaultPlan detection;   // applied inside the governed session
+  Config session;
   bool enumeration_fault = false;  // every enumeration throws (testutil)
 };
 
@@ -75,16 +76,16 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
     s.detection.detect_throw_window = static_cast<int>(rng.below(8));
   s.enumeration_fault = rng.chance(0.15);
 
-  s.governor.window_events = 8 + rng.below(120);
+  s.session.window_events = 8 + rng.below(120);
   if (rng.chance(0.4))
-    s.governor.memory_budget_mb = 1;  // tiny: forces compaction/aging
-  if (rng.chance(0.3)) s.governor.window_deadline_ms = 1 + rng.below(20);
+    s.session.memory_budget_mb = 1;  // tiny: forces compaction/aging
+  if (rng.chance(0.3)) s.session.window_deadline_ms = 1 + rng.below(20);
   // Unused draws, kept so every seed still derives the same later values
   // and corruption seed.
   (void)rng.chance(0.3);
   (void)rng.below(3);
   (void)rng.chance(0.5);
-  // NOTE: governor.fault is wired by the caller — pointing it at s.detection
+  // NOTE: session.fault is wired by the caller — pointing it at s.detection
   // here would dangle once the Schedule is returned by value.
   return s;
 }
@@ -106,7 +107,7 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
   // hands back is the event stream the detectors actually see.
   std::string bytes = trace_to_string(*trace, TraceFormat::kV3);
   Schedule schedule = draw_schedule(rng, bytes.size());
-  schedule.governor.fault = &schedule.detection;
+  schedule.session.fault = &schedule.detection;
   bytes = trace_to_string(*trace, schedule.format);
   if (schedule.corruption.garble_line >= 0 ||
       schedule.corruption.truncate_fraction >= 0.0)
@@ -117,34 +118,35 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
 
   // Differential reference: plain batch detection over the salvaged
   // events, same engine configuration, no faults.
-  DetectorOptions reference_options = schedule.governor.detector;
+  DetectorOptions reference_options = schedule.session.detector;
   Detection reference = detect(salvaged.trace, reference_options);
 
   // Governed run under the full fault schedule. A counting subscriber
   // reads the windows, so schedules with no budget or deadline close them
   // too (subscription never changes what finish() returns).
   std::size_t delivered = 0;
-  schedule.governor.on_cycle = [&delivered](const LiveCycle&) { ++delivered; };
+  schedule.session.on_cycle = [&delivered](const LiveCycle&) { ++delivered; };
   std::optional<test::EnumerationFault> enumeration_fault;
   if (schedule.enumeration_fault) enumeration_fault.emplace();
-  GovernedStreamingDetector governed(schedule.governor);
-  for (const Event& e : salvaged.trace.events) governed.add(e);
-  Detection detection = governed.finish();
+  Session governed = Session::open(schedule.session);
+  governed.feed(salvaged.trace.events);
+  Session::Verdict v = governed.finish();
   enumeration_fault.reset();
-  GovernorVerdict verdict = governed.verdict();
+  const Detection& detection = v.detection;
+  const GovernorVerdict& verdict = v.governor;
   EXPECT_EQ(delivered, governed.cycles_surfaced_live());
 
   // Structural consistency of the verdict, under every schedule.
-  EXPECT_EQ(verdict.windows, governed.windows().size());
+  EXPECT_EQ(verdict.windows, v.windows.size());
   std::size_t evicted = 0, degraded = 0;
-  for (const WindowReport& w : governed.windows()) {
+  for (const WindowReport& w : v.windows) {
     evicted += w.tuples_evicted;
     if (w.degraded()) ++degraded;
     if (w.tuples_evicted > 0) {
       EXPECT_EQ(w.level, DetectionLevel::kShedding) << w.index;
     }
-    if (schedule.governor.memory_budget_mb > 0) {
-      EXPECT_LE(w.store_bytes, schedule.governor.memory_budget_mb << 20)
+    if (schedule.session.memory_budget_mb > 0) {
+      EXPECT_LE(w.store_bytes, schedule.session.memory_budget_mb << 20)
           << "window " << w.index << " blew the memory budget";
     }
   }
@@ -236,22 +238,23 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
     }
   }
 
-  GovernorOptions options;
-  options.window_events = 16 + rng.below(112);
-  options.memory_budget_mb = 1;
+  Config cfg;
+  cfg.window_events = 16 + rng.below(112);
+  cfg.memory_budget_mb = 1;
 
-  Detection reference = detect(trace, options.detector);
+  Detection reference = detect(trace, cfg.detector);
 
   std::size_t delivered = 0;
-  options.on_cycle = [&](const LiveCycle&) { ++delivered; };
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
+  cfg.on_cycle = [&](const LiveCycle&) { ++delivered; };
+  Session governed = Session::open(cfg);
+  governed.feed(trace.events);
+  const Session::Verdict v = governed.finish();
+  const Detection& det = v.detection;
   EXPECT_EQ(delivered, governed.cycles_surfaced_live());
 
   // The budget genuinely bit (that is the point of this family), so the
   // verdict must say so — and degraded output never fabricates defects.
-  const GovernorVerdict verdict = governed.verdict();
+  const GovernorVerdict& verdict = v.governor;
   EXPECT_GT(verdict.tuples_evicted, 0u) << "schedule failed to force churn";
   EXPECT_FALSE(verdict.coverage_complete);
   EXPECT_FALSE(verdict.notes.empty());

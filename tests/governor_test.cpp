@@ -94,6 +94,14 @@ LockGraph graph_of(const Trace& trace) {
   return g;
 }
 
+// The locks of one dirty-SCC drain, in drain order.
+std::vector<LockId> drain_locks(LockGraph& g) {
+  std::vector<LockId> locks;
+  for (int node : g.drain_dirty_suspicious_nodes())
+    locks.push_back(g.lock_of(node));
+  return locks;
+}
+
 // ------------------------------------------------------------- pre-filter
 
 TEST(PrefilterTest, FlagsTheUngatedAbBaPattern) {
@@ -207,23 +215,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PrefilterSoundnessTest,
 
 // A subscriber that ignores every cycle. Subscription is observation-only
 // (LiveSubscriberSeesEveryCycleBeforeFinish), so attaching one makes a
-// detector with no budget or deadline close windows without changing its
+// session with no budget or deadline close windows without changing its
 // answer.
 void ignore_cycle(const LiveCycle&) {}
 
-// With no budget, no deadline and no faults, the governed detector's final
+// Feeds every event of `trace` to a Session opened from `cfg`, event by
+// event, and finishes it.
+Session::Verdict run_session(const Config& cfg, const Trace& trace) {
+  Session session = Session::open(cfg);
+  for (const Event& e : trace.events) session.feed(e);
+  return session.finish();
+}
+
+// With no budget, no deadline and no faults, the governed session's final
 // Detection must equal batch detection bit for bit at every window size.
 void expect_governed_matches_batch(const Trace& trace,
                                    std::initializer_list<std::size_t> windows) {
   Detection expected = detect(trace);
 
   for (std::size_t window : windows) {
-    GovernorOptions options;
-    options.window_events = window;
-    options.on_cycle = ignore_cycle;
-    GovernedStreamingDetector governed(options);
-    for (const Event& e : trace.events) governed.add(e);
-    Detection got = governed.finish();
+    Config cfg;
+    cfg.window_events = window;
+    cfg.on_cycle = ignore_cycle;
+    const Session::Verdict v = run_session(cfg, trace);
+    const Detection& got = v.detection;
 
     EXPECT_EQ(got.cycles.size(), expected.cycles.size()) << window;
     for (std::size_t i = 0;
@@ -232,7 +247,7 @@ void expect_governed_matches_batch(const Trace& trace,
     EXPECT_EQ(got.defects.size(), expected.defects.size());
     EXPECT_EQ(got.dep.unique.size(), expected.dep.unique.size());
 
-    GovernorVerdict verdict = governed.verdict();
+    const GovernorVerdict& verdict = v.governor;
     EXPECT_TRUE(verdict.coverage_complete);
     EXPECT_EQ(verdict.tuples_evicted, 0u);
     EXPECT_EQ(verdict.windows, (trace.size() + window - 1) / window);
@@ -266,17 +281,15 @@ TEST(GovernorTest, UnboundedWindowsMatchBatchBitForBit) {
 
 TEST(GovernorTest, SuspiciousWindowsSurfaceCyclesBeforeFinish) {
   Trace trace = ab_ba_trace(false);
-  GovernorOptions options;
-  options.window_events = 4;  // boundaries inside and after the pattern
-  options.on_cycle = ignore_cycle;
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
-  ASSERT_FALSE(det.cycles.empty());
+  Config cfg;
+  cfg.window_events = 4;  // boundaries inside and after the pattern
+  cfg.on_cycle = ignore_cycle;
+  const Session::Verdict v = run_session(cfg, trace);
+  ASSERT_FALSE(v.detection.cycles.empty());
 
   std::size_t surfaced = 0;
   bool any_suspicious = false;
-  for (const WindowReport& w : governed.windows()) {
+  for (const WindowReport& w : v.windows) {
     surfaced += w.new_cycles;
     any_suspicious |= w.suspicious;
   }
@@ -332,14 +345,12 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
   }
   for (Event& e : trace.events) e.seq = seq++;
 
-  GovernorOptions options;
-  options.memory_budget_mb = 1;
-  options.window_events = 4096;
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  (void)governed.finish();
+  Config cfg;
+  cfg.memory_budget_mb = 1;
+  cfg.window_events = 4096;
+  const Session::Verdict v = run_session(cfg, trace);
 
-  GovernorVerdict verdict = governed.verdict();
+  const GovernorVerdict& verdict = v.governor;
   EXPECT_GT(verdict.tuples_evicted, 0u);
   EXPECT_FALSE(verdict.coverage_complete);
   EXPECT_TRUE(verdict.degraded());
@@ -348,8 +359,8 @@ TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
   // The budget actually held: every post-governance window footprint is
   // under 1 MiB, and shedding windows are marked as such.
   std::size_t evicted = 0;
-  for (const WindowReport& w : governed.windows()) {
-    EXPECT_LE(w.store_bytes, options.memory_budget_mb << 20) << w.index;
+  for (const WindowReport& w : v.windows) {
+    EXPECT_LE(w.store_bytes, cfg.memory_budget_mb << 20) << w.index;
     if (w.tuples_evicted > 0) {
       EXPECT_EQ(w.level, DetectionLevel::kShedding);
       EXPECT_TRUE(w.degraded());
@@ -404,39 +415,36 @@ TEST(GovernorTest, PerWindowDetectionFaultIsContained) {
   robust::FaultPlan fault;
   fault.detect_throw_window = 0;
 
-  GovernorOptions options;
-  options.window_events = 4;
-  options.on_cycle = ignore_cycle;
-  options.fault = &fault;
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
+  Config cfg;
+  cfg.window_events = 4;
+  cfg.on_cycle = ignore_cycle;
+  cfg.fault = &fault;
+  const Session::Verdict v = run_session(cfg, trace);
 
-  GovernorVerdict verdict = governed.verdict();
+  const GovernorVerdict& verdict = v.governor;
   EXPECT_EQ(verdict.detection_faults, 1u);
   // finish() re-enumerated over everything retained: the fault cost window
   // 0 its early surfacing, not final coverage.
   EXPECT_TRUE(verdict.coverage_complete);
-  EXPECT_FALSE(det.cycles.empty());
-  ASSERT_FALSE(governed.windows().empty());
-  EXPECT_FALSE(governed.windows()[0].note.empty());
-  EXPECT_TRUE(governed.windows()[0].degraded());
+  EXPECT_FALSE(v.detection.cycles.empty());
+  ASSERT_FALSE(v.windows.empty());
+  EXPECT_FALSE(v.windows[0].note.empty());
+  EXPECT_TRUE(v.windows[0].degraded());
 }
 
 TEST(GovernorTest, FinalEnumerationFaultIsIncompleteNotClean) {
   Trace trace = ab_ba_trace(false);
-  GovernorOptions options;
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
+  Session governed = Session::open(Config{});
+  for (const Event& e : trace.events) governed.feed(e);
 
-  Detection det;
+  Session::Verdict v;
   {
     test::EnumerationFault fault;
-    det = governed.finish();
+    v = governed.finish();
   }
 
-  GovernorVerdict verdict = governed.verdict();
-  EXPECT_TRUE(det.cycles.empty());
+  const GovernorVerdict& verdict = v.governor;
+  EXPECT_TRUE(v.detection.cycles.empty());
   // Nothing reads windows here (no budget, deadline or subscriber), so none
   // closes: the final enumeration is the only one, and its fault is the
   // one that loses coverage.
@@ -623,12 +631,12 @@ TEST(PrefilterTest, DirtyDrainReturnsSuspiciousLocksExactlyOnce) {
   LockDependency dep = LockDependency::from_trace(ab_ba_trace(false));
   for (const LockTuple& t : dep.tuples) g.on_tuple(t);
   ASSERT_TRUE(g.has_dirty());
-  std::vector<LockId> locks = g.drain_dirty_suspicious_locks();
+  std::vector<LockId> locks = drain_locks(g);
   std::set<LockId> lock_set(locks.begin(), locks.end());
   EXPECT_EQ(lock_set, (std::set<LockId>{10, 20}));
   // Caught up: nothing dirty, second drain is empty.
   EXPECT_FALSE(g.has_dirty());
-  EXPECT_TRUE(g.drain_dirty_suspicious_locks().empty());
+  EXPECT_TRUE(drain_locks(g).empty());
   // A re-fed identical edge-bearing tuple still re-marks its component (it
   // could be a brand-new canonical tuple in a stable SCC). Tuples with an
   // empty lockset carry no edge and leave no mark.
@@ -686,23 +694,23 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   feed(ring_a);
   feed(ring_b);
   check(2, "two rings");
-  (void)g.drain_dirty_suspicious_locks();
+  (void)g.drain_dirty_suspicious_nodes();
 
   feed(bridge);  // merge: one of the two ring labels is retired
   ASSERT_EQ(g.scc().component_count(), 1u);
   check(1, "merged");
-  std::vector<LockId> drained = g.drain_dirty_suspicious_locks();
+  std::vector<LockId> drained = drain_locks(g);
   EXPECT_EQ(std::set<LockId>(drained.begin(), drained.end()),
             (std::set<LockId>{10, 20, 30, 40}));
 
   expire(bridge);  // the bridge edges expire: a lazy split
   check(2, "split by expiry");
   EXPECT_EQ(g.scc().component_count(), 2u);
-  (void)g.drain_dirty_suspicious_locks();
+  (void)g.drain_dirty_suspicious_nodes();
 
   feed(bridge);  // re-merge retires a label again
   check(1, "re-merged");
-  (void)g.drain_dirty_suspicious_locks();
+  (void)g.drain_dirty_suspicious_nodes();
 
   expire(ring_b);  // splits {10, 20} from the singletons 30 and 40
   check(1, "ring b expired");
@@ -715,8 +723,8 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
 
 TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
   Trace trace = ab_ba_trace(false);
-  GovernorOptions options;
-  options.window_events = 4;
+  Config cfg;
+  cfg.window_events = 4;
 
   struct Sighting {
     std::size_t window;
@@ -725,20 +733,20 @@ TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
   };
   std::vector<Sighting> sightings;
   bool finished = false;
-  options.on_cycle = [&](const LiveCycle& lc) {
+  cfg.on_cycle = [&](const LiveCycle& lc) {
     EXPECT_FALSE(finished) << "LiveCycle delivered after finish()";
     sightings.push_back(
         {lc.window, lc.sequence, signature_of(*lc.cycle, *lc.dep)});
   };
-  GovernedStreamingDetector subscribed(options);
-  for (const Event& e : trace.events) subscribed.add(e);
-  Detection sub_det = subscribed.finish();
+  Session subscribed = Session::open(cfg);
+  for (const Event& e : trace.events) subscribed.feed(e);
+  const Session::Verdict sub = subscribed.finish();
+  const Detection& sub_det = sub.detection;
   finished = true;
 
-  options.on_cycle = nullptr;
-  GovernedStreamingDetector plain(options);
-  for (const Event& e : trace.events) plain.add(e);
-  Detection plain_det = plain.finish();
+  cfg.on_cycle = nullptr;
+  const Session::Verdict plain = run_session(cfg, trace);
+  const Detection& plain_det = plain.detection;
 
   // Every committed cycle was surfaced mid-run, in sequence order.
   ASSERT_FALSE(sub_det.cycles.empty());
@@ -756,27 +764,25 @@ TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
   for (std::size_t i = 0; i < sub_det.cycles.size(); ++i)
     EXPECT_EQ(sub_det.cycles[i].tuple_idx, plain_det.cycles[i].tuple_idx);
   EXPECT_EQ(signatures_of(sub_det), signatures_of(plain_det));
-  EXPECT_EQ(subscribed.verdict().coverage_complete,
-            plain.verdict().coverage_complete);
+  EXPECT_EQ(sub.governor.coverage_complete,
+            plain.governor.coverage_complete);
 }
 
 TEST(GovernorTest, ThrowingSubscriberIsContainedAsAWindowFault) {
   Trace trace = ab_ba_trace(false);
-  GovernorOptions options;
-  options.window_events = 4;
-  options.on_cycle = [](const LiveCycle&) {
+  Config cfg;
+  cfg.window_events = 4;
+  cfg.on_cycle = [](const LiveCycle&) {
     throw std::runtime_error("subscriber exploded");
   };
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection det = governed.finish();
+  const Session::Verdict v = run_session(cfg, trace);
 
-  GovernorVerdict verdict = governed.verdict();
+  const GovernorVerdict& verdict = v.governor;
   EXPECT_GE(verdict.detection_faults, 1u);
   // finish() never delivers to the subscriber, so the authoritative pass
   // is untouched: full coverage, cycles present.
   EXPECT_TRUE(verdict.coverage_complete);
-  EXPECT_FALSE(det.cycles.empty());
+  EXPECT_FALSE(v.detection.cycles.empty());
 }
 
 TEST(GovernorTest, LiveSurfacingKeepsSameSiteCyclesOnOtherLocksApart) {
@@ -993,6 +999,72 @@ TEST(GovernorTest, EvictionExpiresOnlyTuplesThePrefilterCounted) {
             edges.size());
 }
 
+// The every-window-churn shape: each window opens with an AB/BA ring on a
+// fresh lock pair at fresh sites (a new cycle and a new SCC per window),
+// then fills with ordered fresh lock pairs (every tuple canonical, so the
+// store only grows and the dirty-SCC path sees one small SCC per window).
+// Fed in blocks through a live Session with no budget, every final cycle
+// must reach poll() before finish(), and the answer must be batch's.
+TEST(GovernorTest, ChurnStreamPollsEveryCycleBeforeFinish) {
+  constexpr std::size_t kWindow = 256;
+  constexpr std::size_t kWindows = 16;
+  Trace trace;
+  LockId next_lock = 1000;
+  SiteId next_site = 1000;
+  auto nest = [&](ThreadId t, LockId a, SiteId sa, LockId b, SiteId sb) {
+    trace.events.push_back(acquire(t, a, sa));
+    trace.events.push_back(acquire(t, b, sb));
+    trace.events.push_back(release(t, b));
+    trace.events.push_back(release(t, a));
+  };
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const LockId ra = next_lock++, rb = next_lock++;
+    nest(1, ra, next_site, rb, next_site + 1);
+    nest(2, rb, next_site + 2, ra, next_site + 3);
+    next_site += 4;
+    for (int filler = 0; trace.size() < (w + 1) * kWindow; ++filler) {
+      const LockId la = next_lock++, lb = next_lock++;  // la < lb: no cycle
+      nest(static_cast<ThreadId>(3 + filler % 4), la, next_site, lb,
+           next_site + 1);
+      next_site += 2;
+    }
+  }
+  std::uint64_t seq = 0;
+  for (Event& e : trace.events) e.seq = seq++;
+  ASSERT_EQ(trace.size(), kWindows * kWindow);
+  const Detection batch = detect(trace);
+  ASSERT_EQ(batch.cycles.size(), kWindows);
+
+  Config cfg;
+  cfg.window_events = kWindow;
+  cfg.live = true;
+  Session session = Session::open(cfg);
+  std::vector<std::string> polled;
+  constexpr std::size_t kBlock = 64;
+  for (std::size_t i = 0; i < trace.size(); i += kBlock) {
+    session.feed(std::vector<Event>(
+        trace.events.begin() + static_cast<std::ptrdiff_t>(i),
+        trace.events.begin() + static_cast<std::ptrdiff_t>(i + kBlock)));
+    for (SessionCycle& c : session.poll())
+      polled.push_back(std::move(c.description));
+  }
+  const Session::Verdict v = session.finish();
+  EXPECT_TRUE(session.poll().empty())
+      << "a cycle reached poll() only after finish()";
+
+  EXPECT_EQ(cycle_strings(v.detection), cycle_strings(batch));
+  ASSERT_EQ(v.detection.cycles.size(), batch.cycles.size());
+  for (std::size_t i = 0; i < batch.cycles.size(); ++i)
+    EXPECT_EQ(v.detection.cycles[i].tuple_idx, batch.cycles[i].tuple_idx);
+  std::vector<std::string> expected = cycle_strings(batch);
+  std::sort(expected.begin(), expected.end());
+  std::sort(polled.begin(), polled.end());
+  EXPECT_EQ(polled, expected);
+  EXPECT_EQ(v.windows.size(), kWindows);
+  EXPECT_TRUE(v.governor.coverage_complete);
+  EXPECT_EQ(v.governor.tuples_evicted, 0u);
+}
+
 TEST(PrefilterTest, UndrainedDirtyMarksAccumulateAcrossWindows) {
   // The governor's catch-up contract: a kPrefilterOnly window skips the
   // drain, so the marks must still be there — folded onto current labels —
@@ -1009,7 +1081,7 @@ TEST(PrefilterTest, UndrainedDirtyMarksAccumulateAcrossWindows) {
     }
   }
   ASSERT_GE(fed, 2u);
-  std::vector<LockId> locks = g.drain_dirty_suspicious_locks();
+  std::vector<LockId> locks = drain_locks(g);
   std::set<LockId> lock_set(locks.begin(), locks.end());
   EXPECT_EQ(lock_set, (std::set<LockId>{10, 20}));
   EXPECT_FALSE(g.has_dirty());
@@ -1068,21 +1140,17 @@ TEST(LadderTest, DeadlinePressureDemotesARealRun) {
       trace.events.back().seq = seq++;
     }
   }
-  GovernorOptions options;
-  options.window_events = 64;
-  options.window_deadline_ms = 0;  // ungoverned reference
-  GovernedStreamingDetector reference(options);
-  for (const Event& e : trace.events) reference.add(e);
-  Detection expected = reference.finish();
+  Config cfg;
+  cfg.window_events = 64;
+  cfg.window_deadline_ms = 0;  // ungoverned reference
+  const Detection expected = run_session(cfg, trace).detection;
 
-  options.window_deadline_ms = 1;
-  GovernedStreamingDetector governed(options);
-  for (const Event& e : trace.events) governed.add(e);
-  Detection got = governed.finish();
+  cfg.window_deadline_ms = 1;
+  const Session::Verdict governed = run_session(cfg, trace);
 
-  EXPECT_EQ(signatures_of(got), signatures_of(expected))
+  EXPECT_EQ(signatures_of(governed.detection), signatures_of(expected))
       << "ladder demotions must not change the final detection";
-  EXPECT_TRUE(governed.verdict().coverage_complete);
+  EXPECT_TRUE(governed.governor.coverage_complete);
 }
 
 // ------------------------------------------------------------ end-to-end

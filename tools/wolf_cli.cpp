@@ -315,7 +315,7 @@ std::optional<Detection> detect_from_flags(const sim::Program& program,
   } catch (const CheckFailure& ex) {
     // A well-framed trace can still carry an event D_σ's builder rejects,
     // such as a release of a lock its thread does not hold.
-    std::cerr << "bad trace: " << ex.what() << " (try --salvage)" << '\n';
+    std::cerr << "bad trace: " << ex.message() << " (try --salvage)" << '\n';
     return std::nullopt;
   }
   if (!stream_is_clean(flags, reader, checked, program.sites()))
@@ -482,9 +482,16 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
       std::cout << ' ' << program.sites().name(s);
     std::cout << "\n  pruner: " << to_string(verdicts[c]);
     if (!is_false(verdicts[c])) {
-      GeneratorResult gen = generate(det.cycles[c], det.dep, dep_index);
-      std::cout << ", Gs: " << gen.gs.vertex_count() << " vertices, "
-                << (gen.feasible ? "acyclic" : "CYCLIC (false positive)");
+      // Per-cycle isolation, as analyze classifies: a trace whose thread
+      // repeats an execution index fails Gs construction for the cycles
+      // that reach it, and only those.
+      try {
+        GeneratorResult gen = generate(det.cycles[c], det.dep, dep_index);
+        std::cout << ", Gs: " << gen.gs.vertex_count() << " vertices, "
+                  << (gen.feasible ? "acyclic" : "CYCLIC (false positive)");
+      } catch (const std::exception& ex) {
+        std::cout << ", Gs: failed: " << check_message(ex);
+      }
     }
     std::cout << '\n';
   }
@@ -597,7 +604,14 @@ int cmd_replay(const sim::Program& program, const Flags& flags) {
               << det.cycles.size() << ")\n";
     return 1;
   }
-  GeneratorResult gen = generate(det.cycles[cycle_index], det.dep);
+  GeneratorResult gen;
+  try {
+    gen = generate(det.cycles[cycle_index], det.dep);
+  } catch (const std::exception& ex) {
+    std::cerr << "cycle " << cycle_index
+              << ": Gs construction failed: " << check_message(ex) << '\n';
+    return 1;
+  }
   if (!gen.feasible) {
     std::cout << "Gs is cyclic: this cycle is a false positive; nothing to "
                  "replay\n";
