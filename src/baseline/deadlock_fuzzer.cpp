@@ -128,18 +128,9 @@ ReplayTrial fuzz_once(const sim::Program& program,
 
 ReplayStats fuzz(const sim::Program& program, const PotentialDeadlock& cycle,
                  const LockDependency& dep, const ReplayOptions& options) {
-  ReplayStats stats;
-  Rng seeds(options.seed);
-  robust::RetryPolicy policy = options.retry;
-  policy.max_attempts = options.attempts;
-  robust::RetryState attempts(policy, options.seed);
-  while (attempts.next_attempt()) {
-    ReplayTrial trial =
-        fuzz_once(program, cycle, dep, seeds(), options.max_steps);
-    record_outcome(stats, trial.outcome);
-    if (stats.hits > 0 && options.stop_on_first_hit) break;
-  }
-  return stats;
+  return run_trials(options, [&](std::uint64_t seed) {
+    return fuzz_once(program, cycle, dep, seed, options.max_steps);
+  });
 }
 
 }  // namespace wolf::baseline

@@ -30,7 +30,12 @@ struct SJPair {
     auto fmt = [](Timestamp v) {
       return v == kTsBottom ? std::string("_") : std::to_string(v);
     };
-    return "(" + fmt(S) + "," + fmt(J) + ")";
+    std::string s = "(";
+    s += fmt(S);
+    s += ',';
+    s += fmt(J);
+    s += ')';
+    return s;
   }
 };
 

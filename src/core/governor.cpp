@@ -147,7 +147,8 @@ struct Session::Impl {
   // Files canonical ordinal k under its request lock's lock-graph node.
   void index_canonical(std::size_t k, int node);
   // Re-keys canonical_by_node after eviction renumbered the canonical
-  // ordinals (compaction keeps them).
+  // ordinals (compaction keeps them), first rebuilding the lock graph from
+  // the retained canonical tuples once it has doubled.
   void rebuild_lock_index();
 
   const Config config;
@@ -181,6 +182,12 @@ struct Session::Impl {
   // cycle and are not filed. Compaction keeps every ordinal; eviction
   // renumbers them and rebuilds this.
   std::vector<std::vector<std::size_t>> canonical_by_node;
+  // The lock graph's size (locks plus edges) after its last rebuild, or at
+  // the first eviction; 0 until then. Eviction leaves the graph a superset
+  // of the retained view's, and it is rebuilt once it is twice this size.
+  // Edges count too: a stream over a fixed set of locks whose held→request
+  // pairs keep changing grows the graph by edges alone.
+  std::size_t graph_size_at_rebuild = 0;
 };
 
 void Session::Impl::add(const Event& e) {
@@ -301,12 +308,28 @@ void Session::Impl::recompute_store_bytes() {
 }
 
 void Session::Impl::rebuild_lock_index() {
-  canonical_by_node.clear();
   const LockDependency& dep = builder.pending();
+  // A rebuild re-feeds the retained store, a walk this re-key makes anyway,
+  // but through the lock graph's costlier inserts; waiting until the graph
+  // has doubled makes it rare (each follows at least as many fresh locks
+  // and edges as the last one kept) while keeping the graph within about
+  // twice the retained view's.
+  auto graph_size = [this] {
+    return std::max<std::size_t>(
+        1, prefilter.lock_count() + prefilter.edge_count());
+  };
+  if (graph_size_at_rebuild == 0) {
+    graph_size_at_rebuild = graph_size();
+  } else if (graph_size() > 2 * graph_size_at_rebuild) {
+    prefilter.rebuild(dep);
+    graph_size_at_rebuild = graph_size();
+  }
+  canonical_by_node.clear();
   for (std::size_t k = 0; k < dep.unique.size(); ++k) {
     const LockTuple& t = dep.tuples[dep.unique[k]];
     if (t.lockset.empty()) continue;
-    // Every retained canonical tuple was fed, and nodes outlive eviction.
+    // Every retained canonical tuple was fed since the last rebuild, or by
+    // it, and the graph never drops a node between rebuilds.
     const int node = prefilter.node_of(t.lock);
     WOLF_DCHECK(node >= 0);
     index_canonical(k, node);
@@ -328,18 +351,20 @@ void Session::Impl::govern_memory(WindowReport& w) {
   if (store_bytes > budget) {
     // Rung 2: aging — evict the oldest tuples down to ~90% of the budget so
     // the next window has headroom. Lossy; the report must say so. The
-    // store is all canonical after compaction, so every evicted tuple is
-    // one the pre-filter counted, and its expiry keeps the lock graph's
-    // edge refcounts (and hence SCCs) equal to the live canonical view.
+    // store is all canonical after compaction, so no retained duplicate
+    // becomes canonical without the pre-filter having seen it. The lock
+    // graph keeps the evicted tuples' edges: a superset of the retained
+    // view's graph, whose SCCs contain the retained view's, so it can only
+    // overstate suspicion (DESIGN.md §16). Eviction only removes tuples, so
+    // it closes no cycle that would need a new dirty mark.
     const std::size_t live = builder.pending().tuples.size();
-    WOLF_CHECK_MSG(builder.pending().unique.size() == live,
-                   "eviction would expire duplicates the pre-filter never saw");
+    WOLF_CHECK_MSG(
+        builder.pending().unique.size() == live,
+        "eviction would promote a duplicate the pre-filter never saw");
     const std::size_t avg =
         live == 0 ? 1 : std::max<std::size_t>(1, store_bytes / live);
     const std::size_t max_tuples = (budget - budget / 10) / avg;
-    w.tuples_evicted = builder.evict_oldest(
-        max_tuples,
-        [this](const LockTuple& t) { prefilter.on_tuple_removed(t); });
+    w.tuples_evicted = builder.evict_oldest(max_tuples);
     recompute_store_bytes();
     if (w.tuples_evicted > 0) {
       w.level = DetectionLevel::kShedding;

@@ -49,11 +49,15 @@
 // and flips coverage_complete; finish() never throws.
 //
 // Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
-// maintains its SCC decomposition under canonical arrival and eviction
+// maintains its SCC decomposition as canonical tuples arrive
 // (graph/dynamic_scc.hpp), and a window enumerates only the canonical
 // tuples whose request lock lies in a *dirty* suspicious SCC — one whose
 // membership, edges, or fed tuples changed since the last enumerating
-// window — through LockDependencyBuilder::snapshot_subset. finish()
+// window — through LockDependencyBuilder::snapshot_subset. Eviction leaves
+// the lock graph alone (a superset of the retained view's graph is still
+// sound), and once the graph's locks plus edges have doubled since its
+// last rebuild, it is rebuilt from the retained canonical tuples, so a
+// memory budget bounds the lock graph as well as the tuple store. finish()
 // enumerates the whole retained store, so batch detect() over the same
 // events is the oracle the window path is tested against. Windows also
 // surface each first-sighted cycle, the moment it is found, to poll()'s
@@ -110,9 +114,9 @@ struct WindowReport {
   std::size_t tuples_live = 0;  // tuples retained after governance
   std::size_t store_bytes = 0;  // approx store footprint after governance
   DetectionLevel level = DetectionLevel::kFullScc;  // rung the window ran at
-  // A canonical tuple arrived or expired since the last drain (or earlier
-  // marks are still queued) and the lock graph has a suspicious SCC. A
-  // window of duplicates only is never suspicious.
+  // A canonical tuple arrived since the last drain (or earlier marks are
+  // still queued) and the lock graph has a suspicious SCC. A window of
+  // duplicates only is never suspicious.
   bool suspicious = false;
   std::size_t new_cycles = 0;   // cycles first surfaced in this window
   std::size_t tuples_compacted = 0;

@@ -224,13 +224,10 @@ std::size_t LockDependencyBuilder::compact() {
   return removed;
 }
 
-std::size_t LockDependencyBuilder::evict_oldest(std::size_t max_tuples,
-                                                const RemovalHook& on_remove) {
+std::size_t LockDependencyBuilder::evict_oldest(std::size_t max_tuples) {
   if (dep_.tuples.size() <= max_tuples) return 0;
   const std::size_t evicted = dep_.tuples.size() - max_tuples;
   // Tuples are in trace order, so the oldest are the front.
-  if (on_remove)
-    for (std::size_t i = 0; i < evicted; ++i) on_remove(dep_.tuples[i]);
   dep_.tuples.erase(dep_.tuples.begin(),
                     dep_.tuples.begin() + static_cast<std::ptrdiff_t>(evicted));
   dep_.tuples.shrink_to_fit();

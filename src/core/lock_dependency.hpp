@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -137,17 +136,16 @@ class LockDependencyBuilder {
   // unchanged; returns the number of tuples removed.
   std::size_t compact();
 
-  // Invoked once per evicted tuple, before the store forgets it.
-  using RemovalHook = std::function<void(const LockTuple&)>;
-
   // Aging: drops the *oldest* tuples until at most `max_tuples` remain, and
   // rebuilds the index over the rest (a later tuple of an evicted key
   // becomes canonical). Lossy — evicted tuples can carry cycles — so
-  // callers must surface the returned count as lost coverage. Clock and
-  // held-lock state are untouched (they are O(threads + locks), not
-  // O(trace)).
-  std::size_t evict_oldest(std::size_t max_tuples,
-                           const RemovalHook& on_remove = {});
+  // callers must surface the returned count as lost coverage. Nothing is
+  // told which tuples went: state derived from the store is re-read from
+  // pending() afterwards (the governor re-keys its by-lock index, and its
+  // insert-only lock graph stays a sound superset until it is rebuilt).
+  // Clock and held-lock state are untouched (they are O(threads + locks),
+  // not O(trace)).
+  std::size_t evict_oldest(std::size_t max_tuples);
 
  private:
   // Per-thread held-lock state: (lock, acquisition index), acquisition order.

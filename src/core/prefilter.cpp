@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/counters.hpp"
-#include "support/check.hpp"
 
 namespace wolf {
 
@@ -49,7 +48,6 @@ int LockGraph::on_tuple(const LockTuple& tuple) {
     if (it == edges.end()) {
       Edge e;
       e.to = to;
-      e.refcount = 1;
       e.first_thread = tuple.thread;
       e.guard_mask = guards;
       edges.push_back(e);
@@ -58,42 +56,29 @@ int LockGraph::on_tuple(const LockTuple& tuple) {
       scc_.add_edge(from, to);
       continue;
     }
-    // Existing edge: count the contributor, widen the thread set, narrow the
-    // guard intersection. The dirty marks above are unconditional because
-    // every fed tuple is a new canonical one, even on an edge already here.
-    ++it->refcount;
+    // Existing edge: widen the thread set, narrow the guard intersection.
+    // The dirty marks above are unconditional because every fed tuple is a
+    // new canonical one, even on an edge already here.
     if (it->first_thread != tuple.thread) it->multi_thread = true;
     it->guard_mask &= guards;
   }
   return to;
 }
 
-void LockGraph::on_tuple_removed(const LockTuple& tuple) {
-  if (tuple.lockset.empty()) return;
-  auto to_it = lock_ids_.find(tuple.lock);
-  WOLF_CHECK_MSG(to_it != lock_ids_.end(),
-                 "on_tuple_removed: unknown request lock " << tuple.lock);
-  const int to = to_it->second;
-  for (LockId held : tuple.lockset) {
-    auto from_it = lock_ids_.find(held);
-    WOLF_CHECK_MSG(from_it != lock_ids_.end(),
-                   "on_tuple_removed: unknown held lock " << held);
-    const int from = from_it->second;
-    std::vector<Edge>& edges = out_[static_cast<std::size_t>(from)];
-    auto it = std::find_if(edges.begin(), edges.end(),
-                           [&](const Edge& e) { return e.to == to; });
-    WOLF_CHECK_MSG(it != edges.end() && it->refcount > 0,
-                   "on_tuple_removed: edge " << held << "->" << tuple.lock
-                                             << " has no live contributor");
-    if (--it->refcount > 0) continue;  // survivors keep (stale, sound) masks
-    edges.erase(it);
-    --edge_count_;
-    kExpiriesCounter.add();
-    scc_.remove_edge(from, to);
-    // An expiry can only shrink the component's cycle set, but the cached
-    // verdict may now be stale-suspicious; mark so it gets re-evaluated.
-    scc_.mark_dirty(from);
-    scc_.mark_dirty(to);
+void LockGraph::rebuild(const LockDependency& dep) {
+  std::vector<LockId> carried;
+  carried.reserve(scc_.dirty_nodes().size());
+  for (DynamicScc::Node v : scc_.dirty_nodes()) carried.push_back(lock_of(v));
+  kExpiriesCounter.add(edge_count_);
+  clear();
+  for (std::size_t i : dep.unique) on_tuple(dep.tuples[i]);
+  // Every node is new and marked: evaluate each component once, then keep
+  // only the carried marks.
+  refresh_verdicts();
+  (void)scc_.drain_dirty();
+  for (LockId lock : carried) {
+    const int node = node_of(lock);
+    if (node >= 0) scc_.mark_dirty(node);
   }
 }
 
@@ -125,8 +110,6 @@ bool LockGraph::evaluate(int comp) const {
 void LockGraph::refresh_verdicts() const {
   if (!scc_.has_dirty()) return;
   kChecksCounter.add();
-  // dirty_components() applies pending lazy splits first (they add their own
-  // marks), so the label space is final before the cache is sized.
   const std::vector<int> dirty = scc_.dirty_components();
   comp_suspicious_.resize(scc_.component_capacity(), 0);
   for (int c : dirty) {
@@ -135,8 +118,9 @@ void LockGraph::refresh_verdicts() const {
     if (now && !flag) suspicious_.push_back(c);
     flag = now;
   }
-  // Drop labels that turned benign or were retired by a merge or split.
-  // Labels are never reused, so a retired label can never be counted again.
+  // Drop labels that turned benign or were retired by a merge. Labels are
+  // not reused until a rebuild clears them all, so a retired label can
+  // never be counted again.
   std::size_t kept = 0;
   for (int c : suspicious_) {
     const auto ci = static_cast<std::size_t>(c);

@@ -16,9 +16,8 @@
 // cycle — which is exactly the right direction for a *sound* cheap pass:
 // enumeration is only skipped when skipping provably loses nothing.
 //
-// The governor feeds it canonical arrivals and evictions only: a tuple
-// reaches on_tuple when it arrives as the first retained tuple of its
-// TupleKey, and on_tuple_removed when eviction drops it. Enumeration
+// The governor feeds it canonical arrivals only: a tuple reaches on_tuple
+// when it arrives as the first retained tuple of its TupleKey. Enumeration
 // searches exactly that canonical view (LockDependency::unique), and every
 // edge of a canonical cycle's induced lock cycle is contributed by one of
 // its canonical tuples, so the argument above holds for the graph of the
@@ -26,6 +25,15 @@
 // canonical's, is never part of an enumerated cycle, so leaving its edges
 // out loses nothing. Compaction drops only duplicates, so it never touches
 // the graph.
+//
+// The graph is insert-only. Eviction leaves it alone, so between rebuilds
+// it is a *superset* of the retained canonical view's graph: each of its
+// SCCs contains the retained view's SCCs, and the extra edges can only
+// make a component more suspicious, never hide a cycle. rebuild() replaces
+// it with the retained view's graph exactly; the governor calls it once the
+// graph's locks plus edges are twice what they were after the last
+// rebuild, which bounds the graph by the retained store instead of by
+// every lock and lock pair ever seen.
 //
 // Two refinements sharpen "suspicious" while preserving soundness:
 //   * threads — each edge records which threads contributed it; a cycle
@@ -38,24 +46,23 @@
 //     holding g, violating lockset disjointness — the classic gate-lock
 //     idiom is discharged without enumerating anything.
 //
-// Since ROADMAP item 2 landed, the SCC decomposition is maintained
-// *incrementally* (graph/dynamic_scc.hpp) instead of recomputed per query:
-// edge insertions run Pearce–Kelly order maintenance with cycle collapse,
-// contributor expiry refcounts edges down and lazily rebuilds only the
-// component an erased edge lived in, and per-component verdicts are cached
+// The SCC decomposition is maintained *incrementally* (graph/dynamic_scc.hpp)
+// instead of recomputed per query: edge insertions run Pearce–Kelly order
+// maintenance with cycle collapse, and per-component verdicts are cached
 // and re-evaluated only for components whose membership or edges changed.
-// `drain_dirty_suspicious_locks()` hands the governor exactly the locks
+// `drain_dirty_suspicious_nodes()` hands the governor exactly the locks
 // whose component changed since the last drain — the dirty-SCC set that
 // bounds per-window enumeration to tuples that could be involved in a new
 // cycle. A window's pre-filter work is linear in what it dirtied: dirty
 // labels are deduplicated by a per-label stamp, and the aggregate verdict
 // walks a list of the suspicious labels (dropping retired ones) instead of
-// the whole label space, which grows with every lock ever seen.
+// the whole label space.
 //
-// Expiry keeps the refinements conservative rather than exact: removing a
-// contributor never re-widens an edge's guard intersection and never
-// retracts multi_thread. Both errors only make an SCC *more* suspicious, so
-// soundness (no-cycle verdicts stay trustworthy) is preserved.
+// Eviction keeps the refinements conservative rather than exact: an
+// evicted contributor never re-widens an edge's guard intersection and
+// never retracts multi_thread until the next rebuild. Both errors only make
+// an SCC *more* suspicious, so soundness (no-cycle verdicts stay
+// trustworthy) is preserved.
 #pragma once
 
 #include <array>
@@ -114,11 +121,14 @@ class LockGraph {
   // enumerated, so the consumer must revisit its component.
   int on_tuple(const LockTuple& tuple);
 
-  // Retracts one fed tuple's contribution (eviction expiry). Each
-  // held→request edge is refcounted; the edge leaves the graph — possibly
-  // splitting its SCC — only when its last contributor expires. Thread and
-  // guard refinements are left stale-but-conservative (see header comment).
-  void on_tuple_removed(const LockTuple& tuple);
+  // Replaces the graph with the one `dep`'s canonical view induces (every
+  // tuple at dep.unique fed through on_tuple, in order) and evaluates every
+  // component once. Pending dirty marks carry over by lock: a marked lock
+  // that the view still names stays marked; every other mark is dropped,
+  // since its tuples are gone. Every edge of the old graph counts as a
+  // `prefilter.edge_expiries` and every edge of the new one as a
+  // `prefilter.edges`, so the counters' difference stays edge_count().
+  void rebuild(const LockDependency& dep);
 
   // Sound verdict over everything added so far: false guarantees that the
   // live tuples admit no potential-deadlock cycle. Re-evaluates only the
@@ -141,7 +151,7 @@ class LockGraph {
   std::size_t edge_count() const { return edge_count_; }
 
   // The incremental decomposition, exposed read-only for the differential
-  // fuzz tests (compare against its own tarjan_components() oracle).
+  // fuzz tests (compared against Digraph::strongly_connected_components).
   const DynamicScc& scc() const { return scc_; }
   LockId lock_of(int node) const {
     return locks_[static_cast<std::size_t>(node)];
@@ -154,7 +164,6 @@ class LockGraph {
  private:
   struct Edge {
     int to = -1;
-    int refcount = 0;  // contributing live tuples (held,request) pairs
     ThreadId first_thread = kInvalidThread;
     bool multi_thread = false;  // contributed by >= 2 distinct threads
     GuardMask guard_mask = GuardMask::all();  // AND of contributors' masks

@@ -205,18 +205,10 @@ void record_outcome(ReplayStats& stats, ReplayOutcome outcome) {
 ReplayStats replay(const sim::Program& program, const PotentialDeadlock& cycle,
                    const LockDependency& dep, const SyncDependencyGraph& gs,
                    const ReplayOptions& options) {
-  ReplayStats stats;
-  Rng seeds(options.seed);
-  robust::RetryPolicy policy = options.retry;
-  policy.max_attempts = options.attempts;
-  robust::RetryState attempts(policy, options.seed);
-  while (attempts.next_attempt()) {
-    ReplayTrial trial = replay_once(program, cycle, dep, gs, seeds(),
-                                    options.max_steps, options.fault);
-    record_outcome(stats, trial.outcome);
-    if (stats.hits > 0 && options.stop_on_first_hit) break;
-  }
-  return stats;
+  return run_trials(options, [&](std::uint64_t seed) {
+    return replay_once(program, cycle, dep, gs, seed, options.max_steps,
+                       options.fault);
+  });
 }
 
 }  // namespace wolf

@@ -29,6 +29,7 @@
 #include "robust/retry.hpp"
 #include "sim/controller.hpp"
 #include "sim/scheduler.hpp"
+#include "support/rng.hpp"
 
 namespace wolf {
 
@@ -86,8 +87,8 @@ ReplayTrial replay_once(const sim::Program& program,
                         std::uint64_t max_steps = 2'000'000,
                         const robust::FaultPlan* fault = nullptr);
 
-// Deprecated as a public entry type: prefer wolf::Config::replay
-// (wolf.hpp). Kept for one release as the underlying section type.
+// The replay section of wolf::Config (Config::replay, wolf.hpp); also what
+// replay() and the rt and baseline trial series take directly.
 struct ReplayOptions {
   int attempts = 5;              // the paper's "pre-determined number"
   bool stop_on_first_hit = true;  // false for hit-rate measurements
@@ -118,6 +119,26 @@ struct ReplayStats {
 // Folds one finished trial into the stats (incrementing `attempts`); shared
 // by every trial series (sim replay, rt replay, the fuzzer baseline).
 void record_outcome(ReplayStats& stats, ReplayOutcome outcome);
+
+// The one trial loop behind every series (replay(), baseline::fuzz(),
+// rt::replay_rt() and rt::fuzz_rt()): `once(seed)` runs one trial and
+// returns its ReplayTrial. Seeds come from one chain started at
+// options.seed, the retry policy paces the attempts, and the series stops
+// at the first hit when options.stop_on_first_hit. A template, so the sim
+// path calls its trial directly.
+template <typename Trial>
+ReplayStats run_trials(const ReplayOptions& options, Trial&& once) {
+  ReplayStats stats;
+  Rng seeds(options.seed);
+  robust::RetryPolicy policy = options.retry;
+  policy.max_attempts = options.attempts;
+  robust::RetryState attempts(policy, options.seed);
+  while (attempts.next_attempt()) {
+    record_outcome(stats, once(seeds()).outcome);
+    if (stats.hits > 0 && options.stop_on_first_hit) break;
+  }
+  return stats;
+}
 
 ReplayStats replay(const sim::Program& program, const PotentialDeadlock& cycle,
                    const LockDependency& dep, const SyncDependencyGraph& gs,

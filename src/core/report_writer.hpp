@@ -10,8 +10,7 @@
 
 namespace wolf {
 
-// Deprecated as a public entry type: prefer wolf::Config::report
-// (wolf.hpp). Kept for one release as the underlying section type.
+// The report section of wolf::Config (Config::report, wolf.hpp).
 struct ReportWriterOptions {
   std::string title = "WOLF deadlock analysis";
   bool include_ranking = true;

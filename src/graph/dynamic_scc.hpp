@@ -1,13 +1,12 @@
-// Incremental SCC maintenance under edge insertions and deletions
-// (ROADMAP item 2; DESIGN.md §16).
+// Incremental SCC maintenance under edge insertions (DESIGN.md §16).
 //
 // The governed streaming detector consults the lock-level holds→requests
 // digraph every window. Recomputing its SCC decomposition from scratch is
 // cheap only while suspicious windows are rare; an adversarial stream that
-// mutates an edge every window turns the per-window Tarjan — and, far
-// worse, the full tuple-store enumeration it gates — into a quadratic
-// recompute loop. This class maintains the decomposition *as the graph
-// changes*, so a window's cost is proportional to what the window touched:
+// adds an edge every window turns the per-window Tarjan — and, far worse,
+// the full tuple-store enumeration it gates — into a quadratic recompute
+// loop. This class maintains the decomposition *as edges arrive*, so a
+// window's cost is proportional to what the window touched:
 //
 //   * insertions — Pearce–Kelly topological-order maintenance on the
 //     condensation ("A Dynamic Topological Sort Algorithm for Directed
@@ -20,24 +19,19 @@
 //     affected components held are reassigned, never the whole label
 //     space. Components are explicit label sets merged smaller-into-larger,
 //     so collapse is amortized O(n log n) relabels over the graph's
-//     lifetime — no union-find deletion problem later;
-//   * deletions — removing a cross-component edge cannot change any SCC or
-//     invalidate the order: O(1). Removing an intra-component edge can
-//     split the component; the split is *lazy and bounded*: the component
-//     is queued, and the next structural operation re-runs Tarjan over
-//     that component's members only (the affected condensation region).
-//     A batch of expiries therefore costs one bounded rebuild per touched
-//     component, not one per edge. Soundness is inherited from the same
-//     Tarjan the batch path runs;
+//     lifetime;
+//   * no deletions — the graph only grows. Its one consumer (the lock-graph
+//     pre-filter, core/prefilter.hpp) keeps the edges of evicted tuples,
+//     which only overstates suspicion, and rebuilds it anew through
+//     clear() when the graph has doubled;
 //   * dirty tracking — node-granular marks, folded upward: any membership
-//     change (merge, split, node creation) and any caller-reported touch
-//     leaves a mark, and drain_dirty() maps the marks to their *current*
-//     components. Consumers enumerate only tuples of dirty components.
+//     change (merge, node creation) and any caller-reported touch leaves a
+//     mark, and drain_dirty() maps the marks to their *current* components.
+//     Consumers enumerate only tuples of dirty components.
 //
-// Every query answers over the fully-applied mutation history (pending
-// splits are flushed first), so `component_of` and the Tarjan oracle
-// `tarjan_components()` always agree — the differential contract the fuzz
-// tests assert after every mutation.
+// The differential tests check the label partition against
+// Digraph::strongly_connected_components over the same edges after every
+// insertion.
 #pragma once
 
 #include <cstddef>
@@ -55,70 +49,55 @@ class DynamicScc {
   std::size_t node_count() const { return out_.size(); }
 
   // Inserts the directed edge u -> v. The caller guarantees the edge is not
-  // currently present (parallel edges are the caller's refcounting job).
+  // already present (parallel edges are the caller's bookkeeping).
   // Returns true when the insertion created a cycle and merged components.
   bool add_edge(Node u, Node v);
 
-  // Removes the directed edge u -> v (which must be present). A deletion
-  // inside a component queues that component for a lazy bounded rebuild;
-  // cross-component deletions are O(1).
-  void remove_edge(Node u, Node v);
-
-  // Component label of `v` — stable until a merge or split relabels it.
-  int component_of(Node v) const;
-  bool same_component(Node u, Node v) const;
-  std::size_t component_count() const;
+  // Component label of `v` — stable until a merge retires it.
+  int component_of(Node v) const { return comp_[static_cast<std::size_t>(v)]; }
+  bool same_component(Node u, Node v) const {
+    return component_of(u) == component_of(v);
+  }
+  std::size_t component_count() const { return live_components_; }
 
   // Member nodes of a live component (unordered). `component_alive` is
-  // false for labels retired by merges/splits; `component_capacity` bounds
-  // the label space for iteration.
-  const std::vector<Node>& members(int comp) const;
+  // false for labels retired by merges; `component_capacity` bounds the
+  // label space for iteration.
+  const std::vector<Node>& members(int comp) const {
+    return members_[static_cast<std::size_t>(comp)];
+  }
   bool component_alive(int comp) const;
-  std::size_t component_capacity() const;
+  std::size_t component_capacity() const { return members_.size(); }
 
   // Topological position of a live component in the condensation: for every
   // cross-component edge u -> v, order_of(u's comp) < order_of(v's comp).
-  std::int64_t order_of(int comp) const;
+  std::int64_t order_of(int comp) const {
+    return ord_[static_cast<std::size_t>(comp)];
+  }
 
   // Marks `v` dirty without mutating the graph — the caller's hook for
   // "something about this node's tuples changed" (new contribution, guard
-  // narrowing, contributor expiry).
+  // narrowing, a mark carried over a rebuild).
   void mark_dirty(Node v);
-  // True when drain_dirty() would return anything — including marks a queued
-  // lazy split will add once flushed.
-  bool has_dirty() const;
+  // True when drain_dirty() would return anything.
+  bool has_dirty() const { return !dirty_nodes_.empty(); }
+  // The marked nodes, each once, in the order they were first marked.
+  const std::vector<Node>& dirty_nodes() const { return dirty_nodes_; }
   // Current component labels carrying at least one dirty mark, each once, in
-  // the order their first mark was made (split-induced marks included).
-  // Marks survive merges and splits because they are stored per node and
-  // mapped through the live labels here. Linear in the marked nodes: labels
-  // are deduplicated by a per-label stamp, not a search.
+  // the order their first mark was made (merge-induced marks included).
+  // Marks survive merges because they are stored per node and mapped
+  // through the live labels here. Linear in the marked nodes: labels are
+  // deduplicated by a per-label stamp, not a search.
   std::vector<int> dirty_components() const;
   // dirty_components(), then clears the dirty set.
   std::vector<int> drain_dirty();
 
-  // Fresh Tarjan over the stored adjacency — the executable specification
-  // the incremental state must match. Components come back as member lists
-  // in reverse topological order. Used by the lazy rebuild (restricted to
-  // one component) and by the differential fuzz tests (whole graph).
-  std::vector<std::vector<Node>> tarjan_components() const;
-
-  // Mutation statistics, surfaced for tests and bench diagnostics.
+  // Merges performed, surfaced for tests.
   std::size_t merges() const { return merges_; }
-  std::size_t splits() const { return splits_; }
-  std::size_t order_rebuilds() const { return order_rebuilds_; }
 
   void clear();
 
  private:
-  // Applies queued split rebuilds; every public accessor funnels through
-  // this so reads always see a consistent decomposition.
-  void flush() const;
-  void rebuild_component(int comp) const;
-  void recompute_order() const;
-  // Tarjan restricted to `nodes` (empty = all nodes), using only edges whose
-  // endpoints are both in the set.
-  std::vector<std::vector<Node>> tarjan_over(
-      const std::vector<Node>& nodes) const;
   // Condensation successors/predecessors of `comp` whose order lies in
   // [lo, hi], deduplicated via stamp_.
   void bounded_search(int comp, std::int64_t lo, std::int64_t hi, bool forward,
@@ -127,33 +106,23 @@ class DynamicScc {
   std::vector<std::vector<Node>> out_;  // node-level adjacency (unique edges)
   std::vector<std::vector<Node>> in_;
 
-  // The decomposition. Everything mutable: deletions queue work that the
-  // next (possibly const) read applies.
-  mutable std::vector<int> comp_;                  // node -> component label
-  mutable std::vector<std::vector<Node>> members_; // label -> nodes ([] = dead)
-  mutable std::vector<std::int64_t> ord_;          // label -> topo position
-  mutable std::size_t live_components_ = 0;
+  std::vector<int> comp_;                  // node -> component label
+  std::vector<std::vector<Node>> members_; // label -> nodes ([] = retired)
+  std::vector<std::int64_t> ord_;          // label -> topo position
+  std::size_t live_components_ = 0;
+  // Next free topological position: fresh nodes have no order constraints
+  // yet and park after every existing position.
+  std::int64_t next_ord_ = 0;
+  std::size_t merges_ = 0;
 
-  mutable std::vector<int> pending_split_;         // labels queued for rebuild
-  mutable std::vector<char> pending_flag_;         // label -> queued?
-
-  mutable std::vector<Node> dirty_nodes_;
-  mutable std::vector<char> dirty_flag_;           // node -> marked?
+  std::vector<Node> dirty_nodes_;
+  std::vector<char> dirty_flag_;  // node -> marked?
 
   // Per-operation visited stamps over component labels (avoids clearing a
-  // bool vector on every bounded search or dirty-label walk).
+  // bool vector on every bounded search or dirty-label walk). Working state
+  // only: no answer depends on their values between operations.
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::uint32_t stamp_gen_ = 0;
-
-  // Next free topological position for components with no order constraints
-  // yet (fresh nodes, split remainders before the order pass runs).
-  mutable std::int64_t next_ord_ = 0;
-
-  mutable std::size_t merges_ = 0;
-  mutable std::size_t splits_ = 0;
-  mutable std::size_t order_rebuilds_ = 0;
-
-  int new_component_label() const;
 };
 
 }  // namespace wolf

@@ -45,9 +45,8 @@ struct FaultPlan;
 
 namespace wolf::rt {
 
-// Deprecated as a public entry type: prefer wolf::Config::executor plus
-// Config::executor_options() (wolf.hpp). Kept for one release as the
-// underlying section type.
+// The executor section of wolf::Config (Config::executor, wolf.hpp);
+// Config::executor_options() folds the shared scalars into a copy.
 struct ExecutorOptions {
   TraceSink* sink = nullptr;                 // trace recording (optional)
   sim::ScheduleController* controller = nullptr;  // replay steering (optional)

@@ -6,25 +6,6 @@
 
 namespace wolf::rt {
 
-namespace {
-
-ReplayStats run_series(const ReplayOptions& options,
-                       const std::function<ReplayTrial(std::uint64_t)>& once) {
-  ReplayStats stats;
-  Rng seeds(options.seed);
-  robust::RetryPolicy policy = options.retry;
-  policy.max_attempts = options.attempts;
-  robust::RetryState attempts(policy, options.seed);
-  while (attempts.next_attempt()) {
-    ReplayTrial trial = once(seeds());
-    record_outcome(stats, trial.outcome);
-    if (stats.hits > 0 && options.stop_on_first_hit) break;
-  }
-  return stats;
-}
-
-}  // namespace
-
 ReplayTrial replay_once_rt(const sim::Program& program,
                            const PotentialDeadlock& cycle,
                            const LockDependency& dep,
@@ -73,7 +54,7 @@ ReplayStats replay_rt(const sim::Program& program,
                       const LockDependency& dep,
                       const SyncDependencyGraph& gs,
                       const ReplayOptions& options) {
-  return run_series(options, [&](std::uint64_t seed) {
+  return run_trials(options, [&](std::uint64_t seed) {
     return replay_once_rt(program, cycle, dep, gs, seed,
                           options.retry.attempt_deadline_ms, options.fault);
   });
@@ -81,7 +62,7 @@ ReplayStats replay_rt(const sim::Program& program,
 
 ReplayStats fuzz_rt(const sim::Program& program, const PotentialDeadlock& cycle,
                     const LockDependency& dep, const ReplayOptions& options) {
-  return run_series(options, [&](std::uint64_t seed) {
+  return run_trials(options, [&](std::uint64_t seed) {
     return fuzz_once_rt(program, cycle, dep, seed,
                         options.retry.attempt_deadline_ms, options.fault);
   });

@@ -76,24 +76,11 @@ struct Server::Impl {
   // One registry entry per accepted connection. Entries are kept after
   // their session ends (the status endpoint reports history); all mutable
   // fields are guarded by `mu` except `spans`, which locks itself.
+  // `stats.spans` stays empty: snapshots read `spans` instead.
   struct Entry {
-    std::uint64_t id = 0;
-    std::string name;
-    SessionState state = SessionState::kHandshake;
-    bool session_kind = false;
+    SessionStats stats;
     int fd = -1;  // valid while the handler owns the socket; -1 after
     std::thread thread;
-    std::uint64_t events = 0;
-    std::uint64_t blocks = 0;
-    std::uint64_t bytes_in = 0;
-    std::uint64_t windows = 0;
-    std::uint64_t live_cycles = 0;
-    std::uint64_t cycles = 0;
-    bool complete = false;
-    double p99_window_seconds = 0;
-    double ingest_seconds = 0;
-    double finish_seconds = 0;
-    std::string note;
     obs::SpanSink spans;
   };
 
@@ -130,7 +117,7 @@ void Server::Impl::accept_loop() {
       std::lock_guard<std::mutex> lock(mu);
       ++stats.accepted;
       auto entry = std::make_unique<Entry>();
-      entry->id = next_id++;
+      entry->stats.id = next_id++;
       entry->fd = client.get();
       e = entry.get();
       entries.push_back(std::move(entry));
@@ -150,12 +137,12 @@ void Server::Impl::accept_loop() {
 void Server::Impl::finish_entry(Entry* e, SessionState state,
                                 const std::string& note) {
   std::lock_guard<std::mutex> lock(mu);
-  e->state = state;
-  if (!note.empty()) e->note = note;
+  e->stats.state = state;
+  if (!note.empty()) e->stats.note = note;
   // Lifecycle tallies cover analysis sessions only — a status/stop exchange
   // also ends kDone but is not a "session served". Rejections are counted
   // for every connection kind (they are the protocol-failure signal).
-  if (!e->session_kind && state != SessionState::kRejected) return;
+  if (!e->stats.session_kind && state != SessionState::kRejected) return;
   switch (state) {
     case SessionState::kDone:
       ++stats.sessions_done;
@@ -243,15 +230,16 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   {
     std::lock_guard<std::mutex> lock(mu);
     for (const auto& other : entries)
-      if (other.get() != e && other->session_kind && is_active(other->state))
+      if (other.get() != e && other->stats.session_kind &&
+          is_active(other->stats.state))
         ++active;
-    e->session_kind = true;
-    e->name = req.name;
+    e->stats.session_kind = true;
+    e->stats.name = req.name;
     if (active >= static_cast<std::size_t>(options.max_sessions)) {
       ++stats.rejected;
       c_rejected.add();
-      e->state = SessionState::kRejected;
-      e->note = "busy";
+      e->stats.state = SessionState::kRejected;
+      e->stats.note = "busy";
     }
   }
   if (active >= static_cast<std::size_t>(options.max_sessions)) {
@@ -278,11 +266,11 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   Session session = Session::open(cfg);
   {
     std::lock_guard<std::mutex> lock(mu);
-    e->state = SessionState::kStreaming;
+    e->stats.state = SessionState::kStreaming;
     ++stats.sessions_started;
   }
   c_started.add();
-  if (!write_all(fd.get(), hello_line(e->id, req.name, cfg))) {
+  if (!write_all(fd.get(), hello_line(e->stats.id, req.name, cfg))) {
     finish_entry(e, SessionState::kTorn, "client gone before hello reply");
     return;
   }
@@ -310,10 +298,10 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
       session.feed(block);
       {
         std::lock_guard<std::mutex> lock(mu);
-        e->events = session.events_seen();
-        ++e->blocks;
-        e->bytes_in = inbuf.bytes_read();
-        e->windows = session.windows_closed();
+        e->stats.events = session.events_seen();
+        ++e->stats.blocks;
+        e->stats.bytes_in = inbuf.bytes_read();
+        e->stats.windows = session.windows_closed();
       }
       if (cfg.live && live_ok) {
         for (const SessionCycle& c : session.poll()) {
@@ -347,9 +335,9 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
   const std::uint64_t events_seen = session.events_seen();
   {
     std::lock_guard<std::mutex> lock(mu);
-    e->state = SessionState::kFinishing;
-    e->events = events_seen;
-    e->bytes_in = inbuf.bytes_read();
+    e->stats.state = SessionState::kFinishing;
+    e->stats.events = events_seen;
+    e->stats.bytes_in = inbuf.bytes_read();
   }
   c_events.add(events_seen);
 
@@ -404,35 +392,21 @@ void Server::Impl::run_session(Entry* e, const Fd& fd, std::istream& in,
                                   : SessionState::kDone;
   {
     std::lock_guard<std::mutex> lock(mu);
-    e->windows = verdict.governor.windows;
-    e->live_cycles = live_written;
-    e->cycles = verdict.detection.cycles.size();
-    e->complete = stream_complete && verdict.governor.coverage_complete &&
-                  !verdict.detection.truncated;
-    e->p99_window_seconds = p99_window_seconds(verdict.windows);
-    e->ingest_seconds = ingest_seconds;
-    e->finish_seconds = finish_seconds;
+    e->stats.windows = verdict.governor.windows;
+    e->stats.live_cycles = live_written;
+    e->stats.cycles = verdict.detection.cycles.size();
+    e->stats.complete = stream_complete &&
+                        verdict.governor.coverage_complete &&
+                        !verdict.detection.truncated;
+    e->stats.p99_window_seconds = p99_window_seconds(verdict.windows);
+    e->stats.ingest_seconds = ingest_seconds;
+    e->stats.finish_seconds = finish_seconds;
   }
   finish_entry(e, final_state, stream_note);
 }
 
 SessionStats Server::Impl::snapshot_entry_locked(const Entry& e) const {
-  SessionStats s;
-  s.id = e.id;
-  s.name = e.name;
-  s.state = e.state;
-  s.session_kind = e.session_kind;
-  s.events = e.events;
-  s.blocks = e.blocks;
-  s.bytes_in = e.bytes_in;
-  s.windows = e.windows;
-  s.live_cycles = e.live_cycles;
-  s.cycles = e.cycles;
-  s.complete = e.complete;
-  s.p99_window_seconds = e.p99_window_seconds;
-  s.ingest_seconds = e.ingest_seconds;
-  s.finish_seconds = e.finish_seconds;
-  s.note = e.note;
+  SessionStats s = e.stats;
   s.spans = e.spans.snapshot();
   return s;
 }
@@ -444,9 +418,9 @@ void Server::Impl::handle_status(int fd) {
   {
     std::lock_guard<std::mutex> lock(mu);
     for (const auto& e : entries) {
-      if (!e->session_kind) continue;
+      if (!e->stats.session_kind) continue;
       sessions.push_back(snapshot_entry_locked(*e));
-      if (is_active(e->state)) ++active;
+      if (is_active(e->stats.state)) ++active;
     }
     st = stats;
   }
@@ -550,7 +524,7 @@ void Server::stop() {
     {
       std::lock_guard<std::mutex> lock(impl_->mu);
       for (const auto& e : impl_->entries)
-        if (is_active(e->state)) {
+        if (is_active(e->stats.state)) {
           active = true;
           break;
         }
@@ -563,7 +537,7 @@ void Server::stop() {
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     for (const auto& e : impl_->entries)
-      if (is_active(e->state) && e->fd >= 0) shutdown_read(e->fd);
+      if (is_active(e->stats.state) && e->fd >= 0) shutdown_read(e->fd);
   }
   {
     // Handler threads never take long once their read is gone; join all.

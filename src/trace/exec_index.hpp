@@ -32,8 +32,14 @@ struct ExecIndex {
   bool valid() const { return thread != kInvalidThread && site != kInvalidSite; }
 
   std::string to_string() const {
-    std::string s = "t" + std::to_string(thread) + "@s" + std::to_string(site);
-    if (occurrence != 0) s += "#" + std::to_string(occurrence);
+    std::string s = "t";
+    s += std::to_string(thread);
+    s += "@s";
+    s += std::to_string(site);
+    if (occurrence != 0) {
+      s += '#';
+      s += std::to_string(occurrence);
+    }
     return s;
   }
 };

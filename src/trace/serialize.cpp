@@ -215,9 +215,14 @@ void validate_salvaged_events(SalvageReport& report) {
     } else if (e.kind == EventKind::kLockRelease) {
       auto& stack = held[e.thread];
       auto it = std::find(stack.rbegin(), stack.rend(), e.lock);
-      if (it == stack.rend())
-        return "t" + std::to_string(e.thread) + " releases lock " +
-               std::to_string(e.lock) + " it does not hold";
+      if (it == stack.rend()) {
+        std::string msg = "t";
+        msg += std::to_string(e.thread);
+        msg += " releases lock ";
+        msg += std::to_string(e.lock);
+        msg += " it does not hold";
+        return msg;
+      }
       stack.erase(std::next(it).base());
     }
     return {};

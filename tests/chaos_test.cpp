@@ -187,8 +187,9 @@ INSTANTIATE_TEST_SUITE_P(Schedules, ChaosTest, ::testing::Range(0, 120));
 // Expiry-heavy family: streams built to churn the tuple store — mostly
 // fresh canonical tuples (eviction fodder), some duplicates (compaction
 // fodder) — under a 1 MiB budget and small windows, so nearly every window
-// runs the compaction/eviction removal hooks that drive DynamicScc edge
-// expiry. Each schedule must report the lossy budget honestly, never
+// compacts or evicts while the lock graph keeps the evicted tuples' edges
+// (a superset of the retained view's graph until it doubles and is
+// rebuilt). Each schedule must report the lossy budget honestly, never
 // fabricate a defect batch detection would not find, and deliver every
 // first-sighted cycle to a live subscriber.
 class ExpiryChaosTest : public ::testing::TestWithParam<int> {};
@@ -210,7 +211,7 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
     trace.events.push_back(e);
   };
   // Sized to overflow 1 MiB of tuple store with margin, so the tail windows
-  // all run the eviction/compaction removal hooks. Fresh reps are depth-4
+  // all run compaction and eviction. Fresh reps are depth-4
   // nests: every tuple is canonical (eviction fodder) and carries a fat
   // lockset/context. The recurring AB/BA pair at recurring sites mixes in
   // compaction work and keeps a real defect alive through the churn.

@@ -1,7 +1,8 @@
-// DynamicScc contract tests: the incremental decomposition must equal its
-// own fresh-Tarjan oracle after EVERY mutation, the maintained order must
-// stay topological over the condensation, and dirty marks must map to live
-// labels across merges and splits (DESIGN.md §16).
+// DynamicScc contract tests: the incremental decomposition must equal a
+// fresh Tarjan (Digraph::strongly_connected_components over the same edges)
+// after EVERY insertion, the maintained order must stay topological over
+// the condensation, and dirty marks must map to live labels across merges
+// (DESIGN.md §16).
 #include "graph/dynamic_scc.hpp"
 
 #include <gtest/gtest.h>
@@ -11,16 +12,40 @@
 #include <utility>
 #include <vector>
 
+#include "graph/digraph.hpp"
 #include "support/rng.hpp"
 
 namespace wolf {
 namespace {
 
+// DynamicScc with a Digraph mirror of every node and edge it is given; the
+// mirror's Tarjan is the oracle.
+class MirroredScc : public DynamicScc {
+ public:
+  Node add_node() {
+    oracle_.add_node();
+    return DynamicScc::add_node();
+  }
+  bool add_edge(Node u, Node v) {
+    oracle_.add_edge(u, v);
+    return DynamicScc::add_edge(u, v);
+  }
+  void clear() {
+    oracle_ = Digraph{};
+    DynamicScc::clear();
+  }
+  const Digraph& oracle() const { return oracle_; }
+
+ private:
+  Digraph oracle_;
+};
+
 using Partition = std::set<std::vector<DynamicScc::Node>>;
 
-Partition partition_from_oracle(const DynamicScc& scc) {
+Partition partition_from_oracle(const MirroredScc& scc) {
   Partition p;
-  for (std::vector<DynamicScc::Node> comp : scc.tarjan_components()) {
+  for (std::vector<Digraph::Node> comp :
+       scc.oracle().strongly_connected_components()) {
     std::sort(comp.begin(), comp.end());
     p.insert(std::move(comp));
   }
@@ -38,18 +63,19 @@ Partition partition_from_labels(const DynamicScc& scc) {
   return p;
 }
 
-// The differential contract plus the order invariant: every cross-component
-// edge must go forward in the maintained topological order.
-void expect_consistent(const DynamicScc& scc) {
-  EXPECT_EQ(partition_from_labels(scc), partition_from_oracle(scc));
-  EXPECT_EQ(scc.component_count(), partition_from_oracle(scc).size());
-  for (const auto& comp : scc.tarjan_components())
+// The differential contract: the live labels partition the nodes exactly as
+// the oracle does, and every node maps to a live label.
+void expect_consistent(const MirroredScc& scc) {
+  const Partition oracle = partition_from_oracle(scc);
+  EXPECT_EQ(partition_from_labels(scc), oracle);
+  EXPECT_EQ(scc.component_count(), oracle.size());
+  for (const auto& comp : oracle)
     for (DynamicScc::Node v : comp)
       EXPECT_TRUE(scc.component_alive(scc.component_of(v)));
 }
 
 TEST(DynamicSccTest, SingletonsStartAlone) {
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 5; ++i) scc.add_node();
   EXPECT_EQ(scc.component_count(), 5u);
   EXPECT_FALSE(scc.same_component(0, 4));
@@ -57,7 +83,7 @@ TEST(DynamicSccTest, SingletonsStartAlone) {
 }
 
 TEST(DynamicSccTest, ChainStaysAcyclicAndOrdered) {
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 6; ++i) scc.add_node();
   // Insert in an order that forces reordering work (back-to-front).
   for (int i = 4; i >= 0; --i) EXPECT_FALSE(scc.add_edge(i, i + 1));
@@ -70,7 +96,7 @@ TEST(DynamicSccTest, ChainStaysAcyclicAndOrdered) {
 }
 
 TEST(DynamicSccTest, BackEdgeCollapsesThePath) {
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 5; ++i) scc.add_node();
   for (int i = 0; i < 4; ++i) scc.add_edge(i, i + 1);
   EXPECT_TRUE(scc.add_edge(4, 0));  // closes 0→1→2→3→4→0
@@ -81,7 +107,7 @@ TEST(DynamicSccTest, BackEdgeCollapsesThePath) {
 }
 
 TEST(DynamicSccTest, CollapseIsBoundedToThePath) {
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 6; ++i) scc.add_node();
   // 0→1→2 and bystanders 3→4, 5 isolated; cycle only through 0..2.
   scc.add_edge(0, 1);
@@ -98,7 +124,7 @@ TEST(DynamicSccTest, CollapseKeepsBystanderEdgesForward) {
   // folds {v, x, u} and reorders only that range; d hangs off v, and the
   // bystander z sits inside the range with an edge z→d, so d must move up
   // past z, never down.
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 5; ++i) scc.add_node();
   scc.add_edge(0, 1);
   scc.add_edge(1, 4);
@@ -113,60 +139,18 @@ TEST(DynamicSccTest, CollapseKeepsBystanderEdgesForward) {
   expect_consistent(scc);
 }
 
-TEST(DynamicSccTest, RemovalSplitsLazilyButReadsStayConsistent) {
-  DynamicScc scc;
-  for (int i = 0; i < 3; ++i) scc.add_node();
-  scc.add_edge(0, 1);
-  scc.add_edge(1, 2);
-  scc.add_edge(2, 0);
-  ASSERT_EQ(scc.component_count(), 1u);
-  scc.remove_edge(2, 0);  // queues the lazy rebuild
-  // The very next read must already see the split decomposition.
-  EXPECT_EQ(scc.component_count(), 3u);
-  EXPECT_FALSE(scc.same_component(0, 2));
-  EXPECT_EQ(scc.splits(), 1u);
-  expect_consistent(scc);
-}
-
-TEST(DynamicSccTest, ChordKeepsSubcycleAliveAfterRemoval) {
-  DynamicScc scc;
-  for (int i = 0; i < 3; ++i) scc.add_node();
-  scc.add_edge(0, 1);
-  scc.add_edge(1, 2);
-  scc.add_edge(2, 0);
-  scc.add_edge(1, 0);  // chord: 0↔1 survives without 2
-  ASSERT_EQ(scc.component_count(), 1u);
-  scc.remove_edge(2, 0);
-  EXPECT_EQ(scc.component_count(), 2u);  // {0,1}, {2}
-  EXPECT_TRUE(scc.same_component(0, 1));
-  EXPECT_FALSE(scc.same_component(0, 2));
-  expect_consistent(scc);
-}
-
-TEST(DynamicSccTest, CrossComponentRemovalIsStructurallyFree) {
-  DynamicScc scc;
-  scc.add_node();
-  scc.add_node();
-  scc.add_edge(0, 1);
-  const std::size_t splits_before = scc.splits();
-  scc.remove_edge(0, 1);
-  EXPECT_EQ(scc.splits(), splits_before);
-  EXPECT_EQ(scc.component_count(), 2u);
-  expect_consistent(scc);
-}
-
 TEST(DynamicSccTest, SelfLoopDoesNotMerge) {
-  DynamicScc scc;
+  MirroredScc scc;
   scc.add_node();
   scc.add_node();
   EXPECT_FALSE(scc.add_edge(0, 0));
   EXPECT_EQ(scc.component_count(), 2u);
-  scc.remove_edge(0, 0);
+  EXPECT_EQ(scc.merges(), 0u);
   expect_consistent(scc);
 }
 
 TEST(DynamicSccTest, DirtyMarksSurviveMergesAndMapToLiveLabels) {
-  DynamicScc scc;
+  MirroredScc scc;
   for (int i = 0; i < 4; ++i) scc.add_node();
   (void)scc.drain_dirty();  // consume the add_node marks
   EXPECT_FALSE(scc.has_dirty());
@@ -183,27 +167,11 @@ TEST(DynamicSccTest, DirtyMarksSurviveMergesAndMapToLiveLabels) {
   EXPECT_FALSE(scc.has_dirty());
 }
 
-TEST(DynamicSccTest, SplitMarksEveryMemberDirty) {
-  DynamicScc scc;
-  for (int i = 0; i < 3; ++i) scc.add_node();
-  scc.add_edge(0, 1);
-  scc.add_edge(1, 2);
-  scc.add_edge(2, 0);
-  (void)scc.drain_dirty();
-  scc.remove_edge(1, 2);
-  EXPECT_TRUE(scc.has_dirty());  // pending split counts as dirt
-  std::vector<int> dirty = scc.drain_dirty();
-  std::set<int> labels(dirty.begin(), dirty.end());
-  // After the split all three singleton components must be reported.
-  EXPECT_EQ(labels.size(), 3u);
-  expect_consistent(scc);
-}
-
 // drain_dirty() hands back each current dirty label exactly once, in the
 // order its first mark was made, and dirty_components() is its
 // non-clearing twin.
 TEST(DynamicSccTest, DrainReturnsEachDirtyLabelOnceInFirstMarkOrder) {
-  DynamicScc scc;
+  MirroredScc scc;
   constexpr int kNodes = 10000;
   std::vector<int> expected;
   for (int i = 0; i < kNodes; ++i)
@@ -228,28 +196,12 @@ TEST(DynamicSccTest, DrainReturnsEachDirtyLabelOnceInFirstMarkOrder) {
   ASSERT_TRUE(scc.same_component(3, 4));
   EXPECT_EQ(scc.drain_dirty(),
             (std::vector<int>{scc.component_of(7), scc.component_of(3)}));
-
-  // Lazy split: the ring 10 -> 11 -> 12 -> 10 breaks when 11 -> 12 goes;
-  // the split's marks come after 20's, one per surviving piece.
-  scc.add_edge(10, 11);
-  scc.add_edge(11, 12);
-  scc.add_edge(12, 10);
-  (void)scc.drain_dirty();
-  scc.mark_dirty(20);
-  scc.remove_edge(11, 12);
-  const std::vector<int> dirty = scc.drain_dirty();
-  ASSERT_EQ(dirty.size(), 4u);
-  EXPECT_EQ(dirty[0], scc.component_of(20));
-  EXPECT_EQ(std::set<int>(dirty.begin() + 1, dirty.end()),
-            (std::set<int>{scc.component_of(10), scc.component_of(11),
-                           scc.component_of(12)}));
-  for (int c : dirty) EXPECT_TRUE(scc.component_alive(c));
   EXPECT_FALSE(scc.has_dirty());
   expect_consistent(scc);
 }
 
 TEST(DynamicSccTest, ClearResetsEverything) {
-  DynamicScc scc;
+  MirroredScc scc;
   scc.add_node();
   scc.add_node();
   scc.add_edge(0, 1);
@@ -261,30 +213,34 @@ TEST(DynamicSccTest, ClearResetsEverything) {
   EXPECT_EQ(scc.component_count(), 1u);
 }
 
-// Randomized differential campaign: arbitrary insert/remove interleavings,
-// checked against the Tarjan oracle after EVERY mutation. Seeds beyond the
-// first few are the regression net for order-maintenance corner cases
-// (reorder vs collapse vs lazy split interactions).
+// Randomized differential campaign: inserts interleaved with clear() (the
+// lock graph's rebuild), checked against the Tarjan oracle after EVERY
+// mutation. Seeds beyond the first few are the regression net for
+// order-maintenance corner cases (reorder vs collapse interactions).
 class DynamicSccFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DynamicSccFuzz, MatchesFreshTarjanAfterEveryMutation) {
   Rng rng(0xD15Cu + static_cast<std::uint64_t>(GetParam()) * 7919u);
-  DynamicScc scc;
-  const int nodes = 4 + static_cast<int>(rng.below(8));  // 4..11
-  for (int i = 0; i < nodes; ++i) scc.add_node();
+  MirroredScc scc;
+  int nodes = 0;
+  auto populate = [&] {
+    nodes = 4 + static_cast<int>(rng.below(8));  // 4..11
+    for (int i = 0; i < nodes; ++i) scc.add_node();
+  };
+  populate();
   std::vector<std::pair<int, int>> live_edges;
   const int steps = 120;
   for (int s = 0; s < steps; ++s) {
-    const bool removal = !live_edges.empty() && rng.chance(0.35);
-    if (removal) {
-      const std::size_t pick = rng.below(live_edges.size());
-      auto [u, v] = live_edges[pick];
-      live_edges.erase(live_edges.begin() +
-                       static_cast<std::ptrdiff_t>(pick));
-      scc.remove_edge(u, v);
+    if (rng.chance(0.05)) {
+      scc.clear();
+      live_edges.clear();
+      EXPECT_EQ(scc.node_count(), 0u);
+      EXPECT_FALSE(scc.has_dirty());
+      populate();
     } else {
-      const int u = static_cast<int>(rng.below(static_cast<std::size_t>(nodes)));
-      const int v = static_cast<int>(rng.below(static_cast<std::size_t>(nodes)));
+      const auto n = static_cast<std::size_t>(nodes);
+      const int u = static_cast<int>(rng.below(n));
+      const int v = static_cast<int>(rng.below(n));
       if (std::find(live_edges.begin(), live_edges.end(),
                     std::make_pair(u, v)) != live_edges.end())
         continue;  // caller contract: no parallel edges

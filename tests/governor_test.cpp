@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -33,6 +34,7 @@
 #include "core/governor.hpp"
 #include "core/pipeline.hpp"
 #include "core/prefilter.hpp"
+#include "graph/digraph.hpp"
 #include "robust/fault.hpp"
 #include "testutil.hpp"
 #include "trace/trace_reader.hpp"
@@ -541,47 +543,99 @@ TEST(SessionTest, UngovernedRunClosesNoWindowsAndBuildsNoPrefilter) {
 
 // ---------------------------------------------- incremental SCC pre-filter
 
-using Partition = std::set<std::vector<DynamicScc::Node>>;
+// A canonical view over `tuples`: every tuple is its own canonical one.
+LockDependency canonical_view(const std::vector<LockTuple>& tuples) {
+  LockDependency dep;
+  dep.tuples = tuples;
+  for (std::size_t i = 0; i < tuples.size(); ++i) dep.unique.push_back(i);
+  return dep;
+}
 
-Partition oracle_partition(const DynamicScc& scc) {
+// The held→request lock edges of `tuples`.
+std::set<std::pair<LockId, LockId>> lock_edges(
+    const std::vector<LockTuple>& tuples) {
+  std::set<std::pair<LockId, LockId>> edges;
+  for (const LockTuple& t : tuples)
+    for (LockId held : t.lockset) edges.emplace(held, t.lock);
+  return edges;
+}
+
+// The lock edges of `dep`'s canonical view.
+std::set<std::pair<LockId, LockId>> canonical_edges(const LockDependency& dep) {
+  std::vector<LockTuple> canonical;
+  for (std::size_t u : dep.unique) canonical.push_back(dep.tuples[u]);
+  return lock_edges(canonical);
+}
+
+using Partition = std::set<std::vector<LockId>>;
+
+// The SCC partition a fresh Tarjan finds over `edges`, in lock ids.
+Partition oracle_partition(const std::set<std::pair<LockId, LockId>>& edges) {
+  std::vector<LockId> locks;
+  for (const auto& [from, to] : edges) {
+    locks.push_back(from);
+    locks.push_back(to);
+  }
+  std::sort(locks.begin(), locks.end());
+  locks.erase(std::unique(locks.begin(), locks.end()), locks.end());
+  auto node = [&](LockId l) {
+    return static_cast<Digraph::Node>(
+        std::lower_bound(locks.begin(), locks.end(), l) - locks.begin());
+  };
+  Digraph graph(static_cast<int>(locks.size()));
+  for (const auto& [from, to] : edges) graph.add_edge(node(from), node(to));
   Partition p;
-  for (std::vector<DynamicScc::Node> comp : scc.tarjan_components()) {
-    std::sort(comp.begin(), comp.end());
-    p.insert(std::move(comp));
+  for (const std::vector<Digraph::Node>& comp :
+       graph.strongly_connected_components()) {
+    std::vector<LockId> members;
+    for (Digraph::Node v : comp)
+      members.push_back(locks[static_cast<std::size_t>(v)]);
+    std::sort(members.begin(), members.end());
+    p.insert(std::move(members));
   }
   return p;
 }
 
-Partition label_partition(const DynamicScc& scc) {
+// The partition the lock graph's live labels hold, in lock ids.
+Partition label_partition(const LockGraph& g) {
+  const DynamicScc& scc = g.scc();
   Partition p;
   for (std::size_t c = 0; c < scc.component_capacity(); ++c) {
     if (!scc.component_alive(static_cast<int>(c))) continue;
-    std::vector<DynamicScc::Node> comp = scc.members(static_cast<int>(c));
-    std::sort(comp.begin(), comp.end());
-    p.insert(std::move(comp));
+    std::vector<LockId> members;
+    for (DynamicScc::Node v : scc.members(static_cast<int>(c)))
+      members.push_back(g.lock_of(v));
+    std::sort(members.begin(), members.end());
+    p.insert(std::move(members));
   }
   return p;
 }
 
-// Random insert/expire interleavings through the LockGraph's tuple surface,
-// with the differential oracle checked after EVERY mutation: the maintained
-// decomposition must equal a fresh Tarjan over the same adjacency, and the
-// incremental verdict must stay sound versus a graph rebuilt from only the
-// live tuples (staleness may only ever point toward "more suspicious").
+// Random insert/evict interleavings through the LockGraph's tuple surface,
+// with the differential oracle checked after EVERY step. Eviction leaves
+// the graph alone, as the governor's does, and half the evictions rebuild
+// it from the live tuples. The maintained decomposition must equal a fresh
+// Tarjan over every edge fed since the last rebuild, and the verdict must
+// stay sound versus a graph built from only the live tuples (the superset
+// may only ever point toward "more suspicious").
 class LockGraphMutationFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(LockGraphMutationFuzz, CondensationEqualsFreshTarjanAfterEveryStep) {
   Rng rng(0x10c6 + static_cast<std::uint64_t>(GetParam()) * 6364136223846793005ULL);
   LockGraph g;
   std::vector<LockTuple> live;
+  std::vector<LockTuple> fed;  // tuples the graph holds: since the last rebuild
   const int lock_universe = 3 + static_cast<int>(rng.below(5));
   SiteId next_site = 1;
   const int steps = 60;
   for (int s = 0; s < steps; ++s) {
     if (!live.empty() && rng.chance(0.4)) {
       const std::size_t pick = rng.below(live.size());
-      g.on_tuple_removed(live[pick]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (rng.chance(0.5)) {
+        g.rebuild(canonical_view(live));
+        fed = live;
+      }
     } else {
       LockTuple t;
       t.thread = static_cast<ThreadId>(1 + rng.below(3));
@@ -606,19 +660,23 @@ TEST_P(LockGraphMutationFuzz, CondensationEqualsFreshTarjanAfterEveryStep) {
       idx.occurrence = 1;
       t.context.push_back(idx);
       g.on_tuple(t);
-      live.push_back(std::move(t));
+      live.push_back(t);
+      fed.push_back(std::move(t));
     }
-    ASSERT_EQ(label_partition(g.scc()), oracle_partition(g.scc()))
+    const std::set<std::pair<LockId, LockId>> edges = lock_edges(fed);
+    ASSERT_EQ(g.edge_count(), edges.size())
+        << "seed " << GetParam() << " step " << s;
+    ASSERT_EQ(label_partition(g), oracle_partition(edges))
         << "seed " << GetParam() << " step " << s;
 
-    // Soundness of the (stale-refinement) incremental verdict: a graph
-    // rebuilt from exactly the live tuples may only be LESS suspicious.
+    // Soundness of the superset verdict: a graph built from exactly the
+    // live tuples may only be LESS suspicious.
     LockGraph fresh;
     for (const LockTuple& t : live) fresh.on_tuple(t);
     if (fresh.suspicious()) {
       ASSERT_TRUE(g.suspicious())
           << "seed " << GetParam() << " step " << s
-          << ": incremental verdict cleared a live suspicious graph";
+          << ": superset verdict cleared a live suspicious graph";
     }
   }
 }
@@ -653,19 +711,25 @@ TEST(PrefilterTest, ExpiryToZeroRefcountRemovesTheEdgeAndVerdict) {
   LockDependency dep = LockDependency::from_trace(ab_ba_trace(false));
   for (const LockTuple& t : dep.tuples) g.on_tuple(t);
   ASSERT_TRUE(g.suspicious());
-  const std::size_t edges = g.edge_count();
-  // Remove every contributing tuple: the AB/BA SCC must dissolve.
+  ASSERT_GT(g.edge_count(), 0u);
+  // Every contributing tuple is evicted and the graph rebuilt from what is
+  // left: the AB/BA SCC must dissolve, and its edges count as expired.
+  std::vector<LockTuple> left;
   for (const LockTuple& t : dep.tuples)
-    if (!t.lockset.empty()) g.on_tuple_removed(t);
-  EXPECT_LT(g.edge_count(), edges);
+    if (t.lockset.empty()) left.push_back(t);
+  const std::size_t edges = g.edge_count();
+  const obs::CounterSnapshot counters =
+      test::counter_delta([&] { g.rebuild(canonical_view(left)); });
+  EXPECT_EQ(counters.value("prefilter.edge_expiries"), edges);
+  EXPECT_EQ(counters.value("prefilter.edges"), 0u);
   EXPECT_EQ(g.edge_count(), 0u);
   EXPECT_FALSE(g.suspicious());
   EXPECT_EQ(g.suspicious_scc_count(), 0u);
 }
 
-// A suspicious ring through a merge, a split caused by expiry and a
+// A suspicious ring through a merge, a rebuild after eviction and a
 // re-merge: the count must follow the live components, so a label retired
-// by a merge or split is never counted.
+// by a merge or a rebuild is never counted.
 TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   auto tuple = [](ThreadId thread, LockId held, LockId requested) {
     LockTuple t;
@@ -680,11 +744,21 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   const std::vector<LockTuple> ring_b = {tuple(3, 30, 40), tuple(4, 40, 30)};
   const std::vector<LockTuple> bridge = {tuple(5, 20, 30), tuple(6, 40, 10)};
   LockGraph g;
-  auto feed = [&g](const std::vector<LockTuple>& tuples) {
-    for (const LockTuple& t : tuples) g.on_tuple(t);
+  std::vector<LockTuple> live;
+  auto feed = [&](const std::vector<LockTuple>& tuples) {
+    for (const LockTuple& t : tuples) {
+      g.on_tuple(t);
+      live.push_back(t);
+    }
   };
-  auto expire = [&g](const std::vector<LockTuple>& tuples) {
-    for (const LockTuple& t : tuples) g.on_tuple_removed(t);
+  // Evicts `tuples` and rebuilds the graph from the rest.
+  auto expire = [&](const std::vector<LockTuple>& tuples) {
+    for (const LockTuple& gone : tuples)
+      live.erase(std::find_if(
+          live.begin(), live.end(), [&](const LockTuple& t) {
+            return t.thread == gone.thread && t.lock == gone.lock;
+          }));
+    g.rebuild(canonical_view(live));
   };
   auto check = [&g](std::size_t count, const char* step) {
     EXPECT_EQ(g.suspicious_scc_count(), count) << step;
@@ -703,8 +777,8 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   EXPECT_EQ(std::set<LockId>(drained.begin(), drained.end()),
             (std::set<LockId>{10, 20, 30, 40}));
 
-  expire(bridge);  // the bridge edges expire: a lazy split
-  check(2, "split by expiry");
+  expire(bridge);  // the rebuild splits the rings apart
+  check(2, "split by rebuild");
   EXPECT_EQ(g.scc().component_count(), 2u);
   (void)g.drain_dirty_suspicious_nodes();
 
@@ -712,13 +786,68 @@ TEST(PrefilterTest, RetiredLabelsAreNeverCountedAcrossMergeSplitAndRemerge) {
   check(1, "re-merged");
   (void)g.drain_dirty_suspicious_nodes();
 
-  expire(ring_b);  // splits {10, 20} from the singletons 30 and 40
+  expire(ring_b);  // {10, 20} and the singletons 30 and 40
   check(1, "ring b expired");
   EXPECT_EQ(g.scc().component_count(), 3u);
   expire(bridge);
   check(1, "bridge expired again");
   expire(ring_a);
   check(0, "everything expired");
+}
+
+// A rebuild replaces the superset graph with the retained view's: marks on
+// retained locks carry over and drain, marks on evicted locks and the
+// rebuild's own marks do not, and every verdict equals that of a graph
+// built fresh from the retained tuples, stale refinements included.
+TEST(PrefilterTest, RebuildCarriesMarksByLockAndMatchesAFreshGraph) {
+  auto tuple = [](ThreadId thread, LockId held, LockId requested, SiteId site) {
+    LockTuple t;
+    t.thread = thread;
+    t.lockset = {held};
+    t.lock = requested;
+    ExecIndex idx;
+    idx.thread = thread;
+    idx.site = site;
+    t.context = {idx, idx};
+    return t;
+  };
+  const LockTuple a1 = tuple(1, 10, 20, 1), a2 = tuple(2, 20, 10, 2);
+  const LockTuple b1 = tuple(1, 30, 40, 3), b2 = tuple(2, 40, 30, 4);
+  const LockTuple c1 = tuple(1, 50, 60, 5), c2 = tuple(2, 60, 50, 6);
+  // {70, 80} is suspicious only through thread 2's tuple: once it is
+  // evicted, one thread contributes every edge left.
+  const LockTuple d1 = tuple(1, 70, 80, 7), d2 = tuple(2, 80, 70, 8),
+                  d3 = tuple(1, 80, 70, 9);
+  LockGraph g;
+  for (const LockTuple& t : {a1, a2, b1, b2, c1, c2, d1, d2, d3}) g.on_tuple(t);
+  ASSERT_EQ(g.suspicious_scc_count(), 4u);
+  (void)g.drain_dirty_suspicious_nodes();
+
+  // New canonical tuples on rings a and c mark their locks; then ring c and
+  // d2 are evicted.
+  const LockTuple a3 = tuple(3, 20, 10, 10), c3 = tuple(3, 60, 50, 11);
+  g.on_tuple(a3);
+  g.on_tuple(c3);
+  const std::vector<LockTuple> retained = {a1, a2, b1, b2, d1, d3, a3};
+  ASSERT_EQ(g.suspicious_scc_count(), 4u);  // the superset still holds c, d2
+
+  g.rebuild(canonical_view(retained));
+  LockGraph fresh;
+  for (const LockTuple& t : retained) fresh.on_tuple(t);
+  EXPECT_EQ(g.lock_count(), fresh.lock_count());
+  EXPECT_EQ(g.edge_count(), fresh.edge_count());
+  EXPECT_EQ(label_partition(g), label_partition(fresh));
+  EXPECT_EQ(g.suspicious_scc_count(), fresh.suspicious_scc_count());
+  EXPECT_EQ(g.suspicious_scc_count(), 2u);  // a and b; d is single-thread
+  EXPECT_EQ(g.node_of(50), -1);
+  EXPECT_EQ(g.node_of(60), -1);
+
+  ASSERT_TRUE(g.has_dirty());
+  const std::vector<LockId> drained = drain_locks(g);
+  EXPECT_EQ(std::set<LockId>(drained.begin(), drained.end()),
+            (std::set<LockId>{10, 20}));
+  EXPECT_FALSE(g.has_dirty());
+  EXPECT_TRUE(drain_locks(g).empty());
 }
 
 TEST(GovernorTest, LiveSubscriberSeesEveryCycleBeforeFinish) {
@@ -961,42 +1090,218 @@ TEST(GovernorTest, DuplicateWithAnotherLocksetStillEqualsBatch) {
 }
 
 TEST(GovernorTest, EvictionExpiresOnlyTuplesThePrefilterCounted) {
-  // Fresh-site filler forces eviction under a 1 MiB budget while the
+  // Fresh-lock filler forces eviction under a 1 MiB budget while the
   // differing-lockset duplicates keep arriving, so every governed window
-  // holds duplicates when its budget check starts.
-  const Trace dups = differing_lockset_trace(6000);
+  // holds duplicates when its budget check starts; the filler's fresh locks
+  // keep doubling the lock graph, so eviction rebuilds it along the way.
+  const Trace dups = differing_lockset_trace(20000);
   Trace trace;
+  LockId lock = 100;
   SiteId site = 100;
   for (std::size_t i = 0; i < dups.events.size(); i += 12) {
     trace.events.insert(trace.events.end(), dups.events.begin() + i,
                         dups.events.begin() + i + 12);
     const ThreadId t = static_cast<ThreadId>(4 + (i / 12) % 2);
-    trace.events.push_back(acquire(t, 40, site++));
-    trace.events.push_back(acquire(t, 50, site++));
-    trace.events.push_back(release(t, 50));
-    trace.events.push_back(release(t, 40));
+    trace.events.push_back(acquire(t, lock, site++));
+    trace.events.push_back(acquire(t, lock + 1, site++));
+    trace.events.push_back(release(t, lock + 1));
+    trace.events.push_back(release(t, lock));
+    lock += 2;
   }
   std::uint64_t seq = 0;
   for (Event& e : trace.events) e.seq = seq++;
 
-  const LiveRun run = run_live_session(trace, 1, 4096);
-  const GovernorVerdict& v = run.verdict.governor;
+  // Feeds whole windows and finishes right after the first window that
+  // moved `stop_at`, or at the end. The graph's edge count is always
+  // prefilter.edges minus prefilter.edge_expiries: a rebuild counts every
+  // old edge as an expiry and every re-inserted one as an edge.
+  struct Stop {
+    obs::CounterSnapshot counters;
+    Session::Verdict verdict;
+    std::size_t fed = 0;  // events fed before finish()
+  };
+  constexpr std::size_t kWindow = 4096;
+  auto run_until = [&](const char* stop_at) {
+    Stop stop;
+    stop.counters = test::counter_delta([&] {
+      Config cfg;
+      cfg.memory_budget_mb = 1;
+      cfg.window_events = kWindow;
+      Session session = Session::open(cfg);
+      const obs::CounterRegistry& registry = obs::CounterRegistry::instance();
+      while (stop.fed < trace.size()) {
+        const std::uint64_t before = registry.snapshot().value(stop_at);
+        const std::size_t end = std::min(stop.fed + kWindow, trace.size());
+        session.feed(std::vector<Event>(
+            trace.events.begin() + static_cast<std::ptrdiff_t>(stop.fed),
+            trace.events.begin() + static_cast<std::ptrdiff_t>(end)));
+        stop.fed = end;
+        if (registry.snapshot().value(stop_at) > before) break;
+      }
+      stop.verdict = session.finish();
+    });
+    return stop;
+  };
+  // The first eviction only sets the rebuild baseline, so the graph still
+  // holds every edge fed so far: the prefix's canonical view's, since
+  // nothing was evicted before it. Every retained canonical tuple's edges
+  // must be among them. Had eviction promoted a duplicate the pre-filter
+  // never saw (thread 1's 30→20 behind its canonical 10→20), its edge
+  // would not be.
+  const Stop evicted = run_until("governor.tuples_evicted");
+  const GovernorVerdict& v = evicted.verdict.governor;
   ASSERT_GT(v.tuples_evicted, 0u);
   EXPECT_GT(v.tuples_compacted, 0u);
   EXPECT_FALSE(v.coverage_complete);
   EXPECT_EQ(v.detection_faults, 0u);
+  EXPECT_EQ(evicted.counters.value("prefilter.edge_expiries"), 0u);
+  Trace prefix;
+  prefix.events.assign(
+      trace.events.begin(),
+      trace.events.begin() + static_cast<std::ptrdiff_t>(evicted.fed));
+  const std::set<std::pair<LockId, LockId>> fed =
+      canonical_edges(LockDependency::from_trace(prefix));
+  const std::set<std::pair<LockId, LockId>> retained =
+      canonical_edges(evicted.verdict.detection.dep);
+  EXPECT_EQ(evicted.counters.value("prefilter.edges"), fed.size());
+  EXPECT_TRUE(std::includes(fed.begin(), fed.end(), retained.begin(),
+                            retained.end()));
+  EXPECT_LT(retained.size(), fed.size()) << "the graph kept evicted edges";
 
-  // The live lock graph is exactly the retained canonical view's: had
-  // eviction expired a duplicate the pre-filter never counted, an edge
-  // would have lost a contributor it never had.
-  const LockDependency& dep = run.verdict.detection.dep;
-  std::set<std::pair<LockId, LockId>> edges;
-  for (std::size_t u : dep.unique)
-    for (LockId held : dep.tuples[u].lockset)
-      edges.emplace(held, dep.tuples[u].lock);
-  EXPECT_EQ(run.counters.value("prefilter.edges") -
-                run.counters.value("prefilter.edge_expiries"),
-            edges.size());
+  // Right after the first rebuild the graph is exactly the retained
+  // canonical view's.
+  const Stop rebuilt = run_until("prefilter.edge_expiries");
+  ASSERT_GT(rebuilt.counters.value("prefilter.edge_expiries"), 0u)
+      << "no rebuild";
+  EXPECT_GT(rebuilt.verdict.governor.tuples_evicted, v.tuples_evicted);
+  EXPECT_EQ(rebuilt.counters.value("prefilter.edges") -
+                rebuilt.counters.value("prefilter.edge_expiries"),
+            canonical_edges(rebuilt.verdict.detection.dep).size());
+}
+
+// A budget bounds the lock graph's edges, not only its locks. In the
+// transfer(a, b) shape (two fixed sites, any pair from a fixed set of
+// locks) a tuple's TupleKey leaves out its held lock, so once eviction
+// drops a key's tuple, the key's next arrival is a new canonical tuple
+// that may bring a new a→b edge while the lock count stays put. Pairs are
+// ordered (a < b), so the graph stays acyclic and no window enumerates.
+TEST(GovernorTest, MemoryBudgetBoundsAFixedLockSetsEdges) {
+  constexpr LockId kLocks = 512;
+  constexpr std::uint64_t kThreads = 16;
+  constexpr std::size_t kWindow = 4096;
+  constexpr std::size_t kWindows = 120;
+  Rng rng(2014);
+  std::vector<Event> events;
+  events.reserve(kWindow * kWindows);
+  while (events.size() < kWindow * kWindows) {
+    const auto t = static_cast<ThreadId>(1 + rng.below(kThreads));
+    LockId a = static_cast<LockId>(rng.below(kLocks));
+    LockId b = static_cast<LockId>(rng.below(kLocks));
+    if (a == b) continue;
+    if (a > b) std::swap(a, b);
+    events.push_back(acquire(t, a, 1));
+    events.push_back(acquire(t, b, 2));
+    events.push_back(release(t, b));
+    events.push_back(release(t, a));
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) events[i].seq = i;
+
+  std::uint64_t most_edges = 0;
+  Session::Verdict v;
+  const obs::CounterSnapshot counters = test::counter_delta([&] {
+    Config cfg;
+    cfg.memory_budget_mb = 1;
+    cfg.window_events = kWindow;
+    Session session = Session::open(cfg);
+    const obs::CounterRegistry& registry = obs::CounterRegistry::instance();
+    const obs::CounterSnapshot start = registry.snapshot();
+    for (std::size_t at = 0; at < events.size(); at += kWindow) {
+      session.feed(std::vector<Event>(
+          events.begin() + static_cast<std::ptrdiff_t>(at),
+          events.begin() + static_cast<std::ptrdiff_t>(at + kWindow)));
+      const obs::CounterSnapshot now = obs::delta(registry.snapshot(), start);
+      most_edges =
+          std::max(most_edges, now.value("prefilter.edges") -
+                                   now.value("prefilter.edge_expiries"));
+    }
+    v = session.finish();
+  });
+  const std::size_t retained = canonical_edges(v.detection.dep).size();
+  EXPECT_GT(v.governor.tuples_evicted, 0u);
+  EXPECT_GT(counters.value("prefilter.edge_expiries"), 0u) << "never rebuilt";
+  EXPECT_TRUE(v.detection.cycles.empty());
+  // The graph's locks plus edges stay within twice the retained view's at
+  // the last rebuild, plus one window's arrivals; 4x the retained edges
+  // leaves room for the 512 locks and that window. Counting locks only, the
+  // graph never rebuilds here and keeps every pair ever fed.
+  EXPECT_LE(most_edges, 4 * retained)
+      << "the graph kept " << most_edges << " edges for " << retained
+      << " retained";
+}
+
+// This process's resident set (VmRSS), in KiB; 0 where /proc is absent.
+long resident_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::stol(line.substr(6));
+  return 0;
+}
+
+// A memory budget bounds the lock graph, not only the tuple store: on a
+// stream whose every nest takes fresh locks, the lock graph is rebuilt from
+// the retained tuples each time it doubles, so resident memory stops
+// growing once the store is full. A graph that kept every lock it had ever
+// seen grew by about 1.2 MB per window of this stream.
+TEST(GovernorTest, MemoryBudgetBoundsAFreshLockSession) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators keep freed memory resident";
+#endif
+  constexpr std::size_t kWindow = 8192;
+  constexpr std::size_t kWindows = 100;
+  // Each window opens with an AB/BA ring on a fresh lock pair, then fills
+  // with ordered nests on fresh lock pairs.
+  std::vector<Event> events;
+  events.reserve(kWindow * kWindows);
+  LockId next_lock = 1000;
+  SiteId next_site = 1000;
+  auto nest = [&](ThreadId t, LockId a, LockId b) {
+    events.push_back(acquire(t, a, next_site++));
+    events.push_back(acquire(t, b, next_site++));
+    events.push_back(release(t, b));
+    events.push_back(release(t, a));
+  };
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const LockId ra = next_lock++, rb = next_lock++;
+    nest(1, ra, rb);
+    nest(2, rb, ra);
+    for (std::size_t filler = 0; events.size() < (w + 1) * kWindow; ++filler) {
+      const LockId la = next_lock++, lb = next_lock++;
+      nest(static_cast<ThreadId>(3 + filler % 4), la, lb);
+    }
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) events[i].seq = i;
+
+  const long before_kb = resident_kb();
+  Config cfg;
+  cfg.memory_budget_mb = 1;
+  cfg.window_events = kWindow;
+  cfg.live = true;
+  Session session = Session::open(cfg);
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    session.feed(events[i]);
+    if ((i + 1) % kWindow == 0) live += session.poll().size();
+  }
+  // Signed, and clamped: the allocator may hand back memory that earlier
+  // tests left resident, so VmRSS can end below the baseline.
+  const long grown_kb = std::max(0L, resident_kb() - before_kb);
+  const Session::Verdict v = session.finish();
+  EXPECT_EQ(v.governor.windows, kWindows);
+  EXPECT_GT(v.governor.tuples_evicted, 0u);
+  EXPECT_EQ(live, kWindows);  // every window's ring surfaced as it closed
+  EXPECT_LT(grown_kb, 32L * 1024L)
+      << "VmRSS grew " << grown_kb << " KiB over " << kWindows << " windows";
 }
 
 // The every-window-churn shape: each window opens with an AB/BA ring on a

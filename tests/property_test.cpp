@@ -369,10 +369,11 @@ TEST_P(SerializationPropertyTest, TruncationAtEveryByteOffset) {
       }
       // Anything detectably dropped must be named: the diagnostics point
       // at the torn line (text) or the damaged/missing block/footer (v3).
-      if (report.trace.size() < original.events.size() && !report.complete)
+      if (report.trace.size() < original.events.size() && !report.complete) {
         ASSERT_FALSE(report.diagnostics.empty())
             << to_string(format) << " cut at " << cut
             << " dropped events without a diagnostic";
+      }
     }
   }
 }

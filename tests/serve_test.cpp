@@ -404,9 +404,11 @@ TEST(ServeServerTest, SlowConsumerDoesNotPerturbOtherSessionsVerdicts) {
   slow.join();
 
   // The registry recorded per-session latency for every lane.
-  for (const SessionStats& s : ts.server.sessions())
-    if (s.session_kind && s.state == SessionState::kDone)
+  for (const SessionStats& s : ts.server.sessions()) {
+    if (s.session_kind && s.state == SessionState::kDone) {
       EXPECT_LT(s.p99_window_seconds, 60.0);
+    }
+  }
 }
 
 // ---- lifecycle ------------------------------------------------------------
@@ -636,7 +638,9 @@ TEST(ServeChaosTest, NeverCrashesNeverSilentlyWrong) {
           EXPECT_FALSE(kill);
           EXPECT_EQ(r.verdict_line, chomp(ref.verdict));
         }
-        if (corrupt || kill) EXPECT_FALSE(r.verdict.stream_complete);
+        if (corrupt || kill) {
+          EXPECT_FALSE(r.verdict.stream_complete);
+        }
       });
     }
     for (std::thread& t : clients) t.join();

@@ -6,13 +6,21 @@ namespace wolf::test {
 
 namespace {
 
+// `prefix` followed by `n`, built by appending: g++ 12 at -O3 reports a
+// false -Wrestrict on `"literal" + std::string`.
+std::string numbered(const char* prefix, int n) {
+  std::string s = prefix;
+  s += std::to_string(n);
+  return s;
+}
+
 // Emits one well-nested lock region for `thread`, choosing locks uniformly
 // (re-acquiring a held lock exercises re-entrancy on purpose).
 void emit_block(sim::Program& p, Rng& rng, const RandomProgramConfig& config,
                 ThreadId thread, const std::vector<LockId>& locks, int depth,
                 int& site_counter) {
   auto fresh_site = [&] {
-    return p.site("rand.t" + std::to_string(thread), site_counter++);
+    return p.site(numbered("rand.t", thread), site_counter++);
   };
   LockId lock = locks[rng.index(locks)];
   p.lock(thread, lock, fresh_site());
@@ -34,12 +42,12 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config) {
   std::vector<LockId> locks;
   for (int l = 0; l < config.locks; ++l)
     locks.push_back(
-        p.add_lock("L" + std::to_string(l), p.site("rand.alloc", l)));
+        p.add_lock(numbered("L", l), p.site("rand.alloc", l)));
 
   ThreadId main = p.add_thread("main");
   std::vector<ThreadId> workers;
   for (int w = 0; w < config.workers; ++w)
-    workers.push_back(p.add_thread("w" + std::to_string(w)));
+    workers.push_back(p.add_thread(numbered("w", w)));
 
   // Worker bodies.
   for (ThreadId w : workers) {
