@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/pruner.hpp"
 #include "graph/digraph.hpp"
 #include "obs/counters.hpp"
 #include "obs/progress.hpp"
@@ -22,7 +20,6 @@ namespace {
 // counts exactly max_cycles cycles.
 const obs::Counter kChains("detector.chains");
 const obs::Counter kSccsVisited("detector.sccs_nontrivial");
-const obs::Counter kClockCuts("detector.clock_cuts");
 const obs::Counter kCyclesFound("detector.cycles");
 // Lockset-mask words one engine allocates, before any search.
 const obs::Counter kMaskWords("detector.mask_words");
@@ -135,7 +132,7 @@ inline void flip_bit(Word* w, std::size_t i) {
 }
 
 // Dense model of the canonical tuple view (node i ↔ dep.unique[i]), with
-// the per-node thread/lock/τ scalars hoisted into flat arrays. Lock ids map
+// the per-node thread and lock scalars hoisted into flat arrays. Lock ids map
 // to a dense per-view index (the sorted distinct locks the view references),
 // so every array here is sized by the view, never by the largest lock id.
 // The holder index (dense lock → nodes holding it) is one flat array in node
@@ -146,17 +143,14 @@ inline void flip_bit(Word* w, std::size_t i) {
 // run_partitioned below read them directly.
 class SccEngine {
  public:
-  SccEngine(const LockDependency& dep, const DetectorOptions& options,
-            const ClockTracker* clocks)
+  SccEngine(const LockDependency& dep, const DetectorOptions& options)
       : dep_(dep), options_(options), tuple_of_(dep.unique) {
     index_locks();
     build_masks(partition());
-    if (options.clock_prune_during_search && clocks != nullptr)
-      matrix_.emplace(*clocks, dep);
   }
 
-  // Fills thread_/lock_/tau_, the per-node held-lock lists and the holder
-  // index, all over dense lock ids.
+  // Fills thread_/lock_, the per-node held-lock lists and the holder index,
+  // all over dense lock ids.
   void index_locks() {
     const std::size_t n = tuple_of_.size();
     std::vector<LockId> locks;
@@ -178,7 +172,6 @@ class SccEngine {
 
     thread_.reserve(n);
     lock_.reserve(n);
-    tau_.reserve(n);
     held_begin_.reserve(n + 1);
     held_begin_.push_back(0);
     holder_begin_.assign(lock_count_ + 1, 0);
@@ -186,7 +179,6 @@ class SccEngine {
       const LockTuple& t = dep_.tuples[u];
       thread_.push_back(t.thread);
       lock_.push_back(dense(t.lock));
-      tau_.push_back(t.tau);
       for (LockId l : t.lockset) {
         held_.push_back(dense(l));
         ++holder_begin_[held_.back() + 1];
@@ -296,7 +288,6 @@ class SccEngine {
   std::size_t thread_words_ = 1;
   std::vector<ThreadId> thread_;
   std::vector<std::uint32_t> lock_;  // node → dense requested lock
-  std::vector<Timestamp> tau_;
   std::vector<std::uint32_t> held_;         // dense held locks, node-major
   std::vector<std::size_t> held_begin_;     // node → offset into held_
   std::vector<std::uint32_t> holder_nodes_;  // holders, lock-major, node order
@@ -309,7 +300,6 @@ class SccEngine {
   std::vector<std::uint32_t> lock_bit_;  // node → its lock's bit in its SCC
   std::vector<std::size_t> comp_words_;  // SCC → mask words (0 = trivial)
   std::size_t max_comp_words_ = 1;
-  std::optional<ClockPairMatrix> matrix_;
 };
 
 // The DFS: bitset chain state sized once, reused across starts.
@@ -345,22 +335,6 @@ struct ChainSearch {
     chain.pop_back();
   }
 
-  // The in-search clock cut: true when `node` forms a provably
-  // non-overlapping pair with any chain member. Every cycle containing
-  // such a pair is pruned by Algorithm 2, so the whole branch is dead.
-  bool clock_cut(std::uint32_t node) const {
-    const ClockPairMatrix& m = *e.matrix_;
-    for (std::uint32_t member : chain) {
-      const ThreadId tm = e.thread_[member];
-      const ThreadId tn = e.thread_[node];
-      if (m.never_overlaps(tm, tn) || m.never_overlaps(tn, tm)) return true;
-      if (is_false(m.pair_verdict(tm, e.tau_[member], tn, e.tau_[node])) ||
-          is_false(m.pair_verdict(tn, e.tau_[node], tm, e.tau_[member])))
-        return true;
-    }
-    return false;
-  }
-
   void extend(std::uint32_t last) {
     if (out.size() >= e.options_.max_cycles) return;
     const std::uint32_t first = chain.front();
@@ -388,10 +362,6 @@ struct ChainSearch {
       for (std::size_t w = 0; w < lock_words; ++w)
         overlap |= (chain_locks[w] & mask[w]) != 0;
       if (overlap) continue;
-      if (e.matrix_.has_value() && clock_cut(next)) {
-        kClockCuts.add();
-        continue;
-      }
       push(next);
       extend(next);
       pop(next);
@@ -438,9 +408,8 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
 }
 
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
-                                       const DetectorOptions& options,
-                                       const ClockTracker* clocks) {
-  return run_partitioned(SccEngine(dep, options, clocks));
+                                       const DetectorOptions& options) {
+  return run_partitioned(SccEngine(dep, options));
 }
 
 }  // namespace wolf

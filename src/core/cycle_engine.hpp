@@ -11,22 +11,20 @@
 // nontrivial SCCs, each spanning only the locks its component's tuples
 // hold — at most nontrivial tuples × (their distinct held locks / 64 + 1)
 // words, counted as `detector.mask_words`. Chain state is dense-id bitsets
-// (thread word-mask, component lock word-mask) instead of hash sets, and
-// the Pruner's pairwise clock data (ClockPairMatrix) can optionally cut
-// never-overlapping branches during the search.
+// (thread word-mask, component lock word-mask) instead of hash sets.
+// Enumeration never reads the clocks: Algorithm 2 runs once, afterwards,
+// in the Pruner (core/pruner.hpp).
 //
 // enumerate_cycles_reference keeps the original iGoodLock-style DFS over
 // every canonical tuple as the executable specification of the cycle order.
-// It is a test oracle (cycle_engine_test, perf_detect), not a production
-// path. The SCC restriction and the clock cut only skip subtrees that emit
-// nothing, so the SCC engine's Detection is bit-identical to the
-// reference's.
+// It is a test oracle (cycle_engine_test), not a production path. The SCC
+// restriction only skips subtrees that emit nothing, so the SCC engine's
+// Detection is bit-identical to the reference's.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "clock/clock_tracker.hpp"
 #include "core/detector.hpp"
 
 namespace wolf {
@@ -38,18 +36,15 @@ struct EnumerationResult {
   bool truncated = false;
 };
 
-// The reference enumerator: DetectorOptions::clock_prune_during_search is
-// ignored (it is the unpruned baseline).
+// The reference enumerator, the specification enumerate_cycles_scc is
+// tested against.
 EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
 // The SCC-partitioned engine; what detect() and every Session call. One
-// serial search over the canonical tuple view dep.unique. `clocks` is only
-// consulted when options.clock_prune_during_search is set; passing nullptr
-// disables the in-search cut (the enumeration is then bit-identical to the
-// reference).
+// serial search over the canonical tuple view dep.unique, bit-identical to
+// the reference.
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
-                                       const DetectorOptions& options,
-                                       const ClockTracker* clocks = nullptr);
+                                       const DetectorOptions& options);
 
 }  // namespace wolf

@@ -72,7 +72,7 @@ Detection finish_detection(LockDependency dep, ClockTracker clocks,
   Detection det;
   det.dep = std::move(dep);
   det.clocks = std::move(clocks);
-  EnumerationResult res = enumerate_cycles_scc(det.dep, options, &det.clocks);
+  EnumerationResult res = enumerate_cycles_scc(det.dep, options);
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? options.max_cycles : 0;

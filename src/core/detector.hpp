@@ -52,12 +52,6 @@ struct DetectorOptions {
   // cycles (never hit by the workloads in this repo) and the Detection is
   // flagged truncated.
   std::size_t max_cycles = 100000;
-  // Folds the Pruner's (S,J) overlap test (Algorithm 2) into the DFS as a
-  // branch cut: a chain containing a thread pair that provably cannot
-  // overlap is abandoned before it spawns cycles, so the emitted cycle set
-  // equals the post-prune() survivors instead of the full enumeration.
-  // Changes Detection::cycles by design (default off).
-  bool clock_prune_during_search = false;
 };
 
 struct Detection {
@@ -90,10 +84,10 @@ Detection detect(const Trace& trace, const DetectorOptions& options = {});
 Detection detect_reader(TraceReader& reader,
                         const DetectorOptions& options = {});
 
-// Shared back half of detect_reader and the governed detector
-// (core/governor.hpp): enumerates cycles and groups defects over an
-// already-built relation (`unique` must be current, as every relation
-// LockDependencyBuilder hands out keeps it).
+// Shared back half of detect_reader and Session::finish (core/governor.hpp):
+// enumerates cycles and groups defects over an already-built relation
+// (`unique` must be current, as every relation LockDependencyBuilder hands
+// out keeps it).
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
 

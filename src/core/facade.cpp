@@ -52,13 +52,6 @@ std::vector<ConfigIssue> Config::validate() const {
 
   // Conflicts: legal, but one of the two settings silently wins. Non-fatal
   // so existing invocations keep working; callers surface these as warnings.
-  if (!enable_pruner && detector.clock_prune_during_search) {
-    issues.push_back(
-        warning("enable_pruner=false is contradicted by "
-                "detector.clock_prune_during_search, which applies the same "
-                "(S,J) clock cut during enumeration — the ablation will not "
-                "see the pruned cycles"));
-  }
   if (deadline_ms != 0 && replay.retry.attempt_deadline_ms != 0 &&
       replay.retry.attempt_deadline_ms != deadline_ms) {
     issues.push_back(

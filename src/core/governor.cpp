@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/cycle_engine.hpp"
 #include "core/prefilter.hpp"
 #include "obs/counters.hpp"
 #include "robust/fault.hpp"
@@ -71,8 +72,6 @@ const char* to_string(DetectionLevel level) {
   switch (level) {
     case DetectionLevel::kFullScc:
       return "full-scc";
-    case DetectionLevel::kClockPruned:
-      return "clock-pruned";
     case DetectionLevel::kPrefilterOnly:
       return "prefilter-only";
     case DetectionLevel::kShedding:
@@ -107,13 +106,12 @@ DetectionLevel next_rung(DetectionLevel current, double detect_seconds,
   const double deadline = static_cast<double>(deadline_ms) / 1000.0;
   if (detect_seconds > deadline) {
     fast_streak = 0;
-    if (current == DetectionLevel::kPrefilterOnly) return current;
-    return static_cast<DetectionLevel>(static_cast<int>(current) + 1);
+    return DetectionLevel::kPrefilterOnly;
   }
   if (detect_seconds < deadline / 2.0) {
     if (++fast_streak >= 2 && current != DetectionLevel::kFullScc) {
       fast_streak = 0;
-      return static_cast<DetectionLevel>(static_cast<int>(current) - 1);
+      return DetectionLevel::kFullScc;
     }
   } else {
     fast_streak = 0;
@@ -140,7 +138,9 @@ struct Session::Impl {
   // Pre-filter + (rung-permitting) enumeration for the closing window.
   void run_window_detection(WindowReport& w);
   // First-sighting dedup, then delivery to poll()'s list and on_cycle.
-  void surface_new_cycles(const Detection& det, WindowReport& w);
+  void surface_new_cycles(const LockDependency& dep,
+                          const std::vector<PotentialDeadlock>& cycles,
+                          WindowReport& w);
   // Budget enforcement: compaction, then aging. Updates store_bytes.
   void govern_memory(WindowReport& w);
   void recompute_store_bytes();
@@ -231,13 +231,14 @@ void Session::Impl::index_canonical(std::size_t k, int node) {
   canonical_by_node[n].push_back(k);
 }
 
-void Session::Impl::surface_new_cycles(const Detection& det,
-                                       WindowReport& w) {
-  for (const PotentialDeadlock& cycle : det.cycles) {
+void Session::Impl::surface_new_cycles(
+    const LockDependency& dep, const std::vector<PotentialDeadlock>& cycles,
+    WindowReport& w) {
+  for (const PotentialDeadlock& cycle : cycles) {
     CycleKey key;
     key.reserve(cycle.tuple_idx.size());
     for (std::size_t idx : cycle.tuple_idx)
-      key.push_back(key_of(det.dep.tuples[idx]));
+      key.push_back(key_of(dep.tuples[idx]));
     if (!seen_cycles.insert(std::move(key)).second) continue;
     ++w.new_cycles;
     ++live_cycles;
@@ -246,13 +247,13 @@ void Session::Impl::surface_new_cycles(const Detection& det,
     // threw on still reaches poll().
     if (config.live)
       pending.push_back(
-          SessionCycle{w.index, live_cycles, cycle.to_string(det.dep)});
+          SessionCycle{w.index, live_cycles, cycle.to_string(dep)});
     if (config.on_cycle) {
       LiveCycle lc;
       lc.window = w.index;
       lc.sequence = live_cycles;
       lc.cycle = &cycle;
-      lc.dep = &det.dep;
+      lc.dep = &dep;
       config.on_cycle(lc);
     }
   }
@@ -264,10 +265,6 @@ void Session::Impl::run_window_detection(WindowReport& w) {
     throw std::runtime_error("injected detection fault (window " +
                              std::to_string(w.index) + ")");
   }
-
-  DetectorOptions opt = config.detector;
-  if (w.level == DetectionLevel::kClockPruned)
-    opt.clock_prune_during_search = true;
 
   // Nothing marked dirty since the last boundary ⇒ nothing to re-examine.
   if (!prefilter.has_dirty()) return;
@@ -296,8 +293,8 @@ void Session::Impl::run_window_detection(WindowReport& w) {
   }
   if (subset.empty()) return;
   std::sort(subset.begin(), subset.end());  // canonical trace order
-  surface_new_cycles(finish_detection(builder.snapshot_subset(subset),
-                                      builder.clocks(), opt),
+  const LockDependency dep = builder.snapshot_subset(subset);
+  surface_new_cycles(dep, enumerate_cycles_scc(dep, config.detector).cycles,
                      w);
 }
 

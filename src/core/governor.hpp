@@ -27,16 +27,15 @@
 //      therefore reported);
 //   3. drives the degradation ladder off the window's detection latency:
 //
-//          kFullScc → kClockPruned → kPrefilterOnly   (deadline pressure)
-//                                      kShedding      (memory pressure)
+//          kFullScc ↔ kPrefilterOnly   (deadline pressure)
+//                     kShedding        (memory pressure)
 //
 //      A window that blows its deadline demotes the rung; two consecutive
-//      comfortably-fast windows promote it back (hysteresis). kClockPruned
-//      folds the Pruner's clock cut into the per-window search — cheaper,
-//      and principled: the cycles it skips are exactly the ones the Pruner
-//      would prove infeasible. kPrefilterOnly stops per-window enumeration
-//      entirely; windows are still flagged. kShedding is not a rung the
-//      deadline reaches — it marks windows where aging evicted tuples.
+//      comfortably-fast windows promote it back (hysteresis). kPrefilterOnly
+//      stops per-window enumeration entirely; windows are still flagged by
+//      the linear-time pre-filter, and the next enumerating window catches
+//      up on their marks. kShedding is not a rung the deadline reaches — it
+//      marks windows where aging evicted tuples.
 //
 // Honesty contract (the same one --max-cycles truncation already honors):
 // every downgrade is surfaced. Each window produces a WindowReport; the
@@ -65,7 +64,8 @@
 //
 // Everything runs on the ingesting thread (DESIGN.md §17): a suspicious
 // window's dirty components are enumerated as one combined subset with
-// Config::detector, by the same serial engine batch detect() runs.
+// Config::detector, by the same serial engine batch detect() runs. Windows
+// only enumerate; pruning and defect grouping run on finish()'s Detection.
 #pragma once
 
 #include <cstddef>
@@ -81,9 +81,8 @@ namespace wolf {
 // The degradation ladder, cheapest-last. Numeric order is demotion order.
 enum class DetectionLevel : std::uint8_t {
   kFullScc = 0,        // suspicious windows get full cycle enumeration
-  kClockPruned = 1,    // enumeration with the in-search clock cut
-  kPrefilterOnly = 2,  // windows only flagged; enumeration deferred
-  kShedding = 3,       // memory pressure: oldest tuples evicted (lossy)
+  kPrefilterOnly = 1,  // windows only flagged; enumeration deferred
+  kShedding = 2,       // memory pressure: oldest tuples evicted (lossy)
 };
 const char* to_string(DetectionLevel level);
 

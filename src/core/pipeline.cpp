@@ -363,7 +363,6 @@ WolfReport analyze_session(const sim::Program& program, Session& session,
   WolfReport report = classify_detection(program, std::move(verdict.detection),
                                          options, sink);
   report.governed = verdict.governed;
-  report.windows = std::move(verdict.windows);
   report.governor = std::move(verdict.governor);
   return report;
 }

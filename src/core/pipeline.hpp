@@ -129,13 +129,12 @@ struct WolfReport {
   int jobs_used = 1;           // effective classification parallelism
 
   // Session extras (core/governor.hpp), populated by analyze_session: the
-  // run-level verdict, plus per-window reports when the session was
-  // governed (windowed). When governor.coverage_complete is false the
-  // detection — and therefore everything classified from it — may be
-  // missing defects, and report writers must say so (the same honesty
-  // contract as Detection::truncated).
+  // run-level verdict, and whether the session was governed (windowed).
+  // When governor.coverage_complete is false the detection — and therefore
+  // everything classified from it — may be missing defects, and report
+  // writers must say so (the same honesty contract as
+  // Detection::truncated).
   bool governed = false;
-  std::vector<WindowReport> windows;
   GovernorVerdict governor;
 
   int count_cycles(Classification c) const;
@@ -158,7 +157,7 @@ class Session;  // wolf.hpp — the unified online-analysis facade
 // Runs the pipeline on a trace streamed from `reader` through an open
 // wolf::Session: the session ingests and finishes inside the "phase/detect"
 // span, then classification runs over the resulting detection, and the
-// session's verdict (and window reports, if governed) land in the report.
+// session's governor verdict lands in the report.
 // This is the one streaming entry point. A mid-stream reader failure
 // (reader.ok() false afterwards) analyzes the prefix delivered.
 WolfReport analyze_session(const sim::Program& program, Session& session,

@@ -2,24 +2,21 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <memory>
 
 namespace wolf::obs {
 
-namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
@@ -31,11 +28,18 @@ void append_escaped(std::string& out, const std::string& s) {
         }
     }
   }
+  return out;
+}
+
+namespace {
+
+void append_escaped(std::string& out, const std::string& s) {
+  out += '"';
+  out += json_escape(s);
   out += '"';
 }
 
-// %.17g prints enough digits that strtod recovers the exact double, which
-// is what makes the full-mode round-trip byte-stable.
+// %.17g prints enough digits that strtod recovers the exact double.
 void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -146,234 +150,6 @@ std::string to_json(const RunMetrics& metrics, bool stable) {
   out += funnel.empty() ? "]" : "\n  ]";
   out += "\n}\n";
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough shape to parse to_json's own output.
-
-namespace {
-
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string text;  // raw number text for exact re-parse, or string value
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> fields;
-
-  const JsonValue* get(const char* key) const {
-    for (const auto& f : fields)
-      if (f.first == key) return &f.second;
-    return nullptr;
-  }
-};
-
-struct Parser {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r'))
-      ++p;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    ok = false;
-    return false;
-  }
-
-  JsonValue parse_value() {
-    JsonValue v;
-    skip_ws();
-    if (p >= end) {
-      ok = false;
-      return v;
-    }
-    switch (*p) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return parse_string();
-      case 't':
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-          p += 4;
-          v.kind = JsonValue::kBool;
-          v.boolean = true;
-          return v;
-        }
-        break;
-      case 'f':
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-          p += 5;
-          v.kind = JsonValue::kBool;
-          return v;
-        }
-        break;
-      default: return parse_number();
-    }
-    ok = false;
-    return v;
-  }
-
-  JsonValue parse_string() {
-    JsonValue v;
-    v.kind = JsonValue::kString;
-    if (!consume('"')) return v;
-    while (p < end && *p != '"') {
-      char c = *p++;
-      if (c == '\\' && p < end) {
-        char e = *p++;
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u': {
-            if (end - p < 4) {
-              ok = false;
-              return v;
-            }
-            char hex[5] = {p[0], p[1], p[2], p[3], 0};
-            c = static_cast<char>(std::strtoul(hex, nullptr, 16));
-            p += 4;
-            break;
-          }
-          default: c = e;
-        }
-      }
-      v.text += c;
-    }
-    if (!consume('"')) ok = false;
-    return v;
-  }
-
-  JsonValue parse_number() {
-    JsonValue v;
-    v.kind = JsonValue::kNumber;
-    const char* start = p;
-    while (p < end && (std::strchr("+-.eE", *p) != nullptr ||
-                       (*p >= '0' && *p <= '9')))
-      ++p;
-    if (p == start) {
-      ok = false;
-      return v;
-    }
-    v.text.assign(start, p);
-    v.number = std::strtod(v.text.c_str(), nullptr);
-    return v;
-  }
-
-  JsonValue parse_array() {
-    JsonValue v;
-    v.kind = JsonValue::kArray;
-    consume('[');
-    skip_ws();
-    if (p < end && *p == ']') {
-      ++p;
-      return v;
-    }
-    while (ok) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      consume(']');
-      break;
-    }
-    return v;
-  }
-
-  JsonValue parse_object() {
-    JsonValue v;
-    v.kind = JsonValue::kObject;
-    consume('{');
-    skip_ws();
-    if (p < end && *p == '}') {
-      ++p;
-      return v;
-    }
-    while (ok) {
-      JsonValue key = parse_string();
-      if (!consume(':')) break;
-      v.fields.emplace_back(key.text, parse_value());
-      skip_ws();
-      if (p < end && *p == ',') {
-        ++p;
-        continue;
-      }
-      consume('}');
-      break;
-    }
-    return v;
-  }
-};
-
-std::uint64_t as_u64(const JsonValue* v) {
-  if (v == nullptr || v->kind != JsonValue::kNumber) return 0;
-  return std::strtoull(v->text.c_str(), nullptr, 10);
-}
-
-}  // namespace
-
-bool from_json(const std::string& text, RunMetrics* out) {
-  Parser parser{text.data(), text.data() + text.size()};
-  JsonValue root = parser.parse_value();
-  if (!parser.ok || root.kind != JsonValue::kObject) return false;
-
-  RunMetrics m;
-  const JsonValue* v = root.get("schema_version");
-  if (v == nullptr || v->kind != JsonValue::kNumber) return false;
-  m.schema_version = static_cast<int>(v->number);
-  if ((v = root.get("tool")) != nullptr) m.tool = v->text;
-  if ((v = root.get("jobs")) != nullptr) m.jobs = static_cast<int>(v->number);
-
-  if ((v = root.get("spans")) != nullptr) {
-    for (const JsonValue& item : v->items) {
-      SpanRecord s;
-      const JsonValue* f;
-      if ((f = item.get("id")) != nullptr)
-        s.id = static_cast<SpanId>(f->number);
-      if ((f = item.get("parent")) != nullptr &&
-          f->kind == JsonValue::kNumber)
-        s.parent = static_cast<SpanId>(f->number);
-      if ((f = item.get("name")) != nullptr) s.name = f->text;
-      s.tag = as_u64(item.get("tag"));
-      s.thread = as_u64(item.get("thread"));
-      if ((f = item.get("start")) != nullptr) s.start_seconds = f->number;
-      if ((f = item.get("duration")) != nullptr)
-        s.duration_seconds = f->number;
-      m.spans.push_back(std::move(s));
-    }
-  }
-  if ((v = root.get("counters")) != nullptr) {
-    for (const JsonValue& item : v->items) {
-      CounterSample c;
-      const JsonValue* f;
-      if ((f = item.get("name")) != nullptr) c.name = f->text;
-      c.value = as_u64(item.get("value"));
-      if ((f = item.get("stable")) != nullptr) c.stable = f->boolean;
-      m.counters.samples.push_back(std::move(c));
-    }
-  }
-  if ((v = root.get("funnel")) != nullptr) {
-    for (const JsonValue& item : v->items) {
-      FunnelEntry f;
-      f.run = as_u64(item.get("run"));
-      f.cycle = as_u64(item.get("cycle"));
-      const JsonValue* field;
-      if ((field = item.get("outcome")) != nullptr) f.outcome = field->text;
-      if ((field = item.get("degraded")) != nullptr)
-        f.degraded = field->boolean;
-      m.funnel.push_back(std::move(f));
-    }
-  }
-  *out = std::move(m);
-  return true;
 }
 
 bool write_metrics_file(const RunMetrics& metrics, const std::string& path,

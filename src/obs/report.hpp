@@ -4,8 +4,8 @@
 // infeasible → confirmed, per cycle, plus where the time went.
 //
 // Two serialization modes:
-//   * full (default) — everything, with %.17g doubles so a full report
-//     round-trips byte-exactly through from_json/to_json;
+//   * full (default) — everything, with %.17g doubles (enough digits to
+//     recover each double exactly);
 //   * stable — for byte-identical output across --jobs levels: timings,
 //     span/thread ids and the jobs field are omitted, spans are sorted by
 //     (name, tag) with the parent given by name, and only counters
@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -50,9 +51,11 @@ struct RunMetrics {
 // Serializes `metrics` (see modes above). Output ends with a newline.
 std::string to_json(const RunMetrics& metrics, bool stable = false);
 
-// Parses a full-mode report produced by to_json (not a general JSON
-// parser). Returns false (and leaves *out untouched) on malformed input.
-bool from_json(const std::string& text, RunMetrics* out);
+// The body of a JSON string literal for `s`, without the quotes: `"`, `\`
+// and every control character are escaped, the common ones by their short
+// forms (\n \t \r \b \f), the rest as \u00XX. The one escaper in the
+// tree: to_json and the serve protocol's lines both use it.
+std::string json_escape(std::string_view s);
 
 // Writes to_json(metrics, stable) to `path` ("-" for stdout). On failure
 // returns false and sets *error when non-null.

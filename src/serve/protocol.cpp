@@ -1,7 +1,6 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
-
+#include "obs/report.hpp"
 #include "support/str.hpp"
 
 namespace wolf::serve {
@@ -20,7 +19,7 @@ bool known_key(std::string_view key) {
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  out += json_escape(s);
+  out += obs::json_escape(s);
   out += '"';
 }
 
@@ -273,32 +272,6 @@ bool apply_params(const std::map<std::string, std::string>& params,
     }
   }
   return true;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string hello_line(std::uint64_t session_id, const std::string& name,

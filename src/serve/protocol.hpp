@@ -59,8 +59,7 @@ bool apply_params(const std::map<std::string, std::string>& params,
                   Config& config, std::string& error);
 
 // ---- JSON line builders (each returns one line ending in '\n') -----------
-
-std::string json_escape(std::string_view s);
+// Strings in them are escaped by obs::json_escape (obs/report.hpp).
 
 std::string hello_line(std::uint64_t session_id, const std::string& name,
                        const Config& config);

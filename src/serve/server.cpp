@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "obs/counters.hpp"
+#include "obs/report.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "support/stopwatch.hpp"
@@ -76,7 +77,8 @@ struct Server::Impl {
   // One registry entry per accepted connection. Entries are kept after
   // their session ends (the status endpoint reports history); all mutable
   // fields are guarded by `mu` except `spans`, which locks itself.
-  // `stats.spans` stays empty: snapshots read `spans` instead.
+  // `stats.spans` stays empty: snapshots read `spans` instead. `thread` is
+  // assigned and moved out by the accept thread only.
   struct Entry {
     SessionStats stats;
     int fd = -1;  // valid while the handler owns the socket; -1 after
@@ -94,10 +96,13 @@ struct Server::Impl {
 
   mutable std::mutex mu;
   std::vector<std::unique_ptr<Entry>> entries;
+  // Entries whose handler has returned and whose thread is not joined yet.
+  std::vector<Entry*> ended;
   ServerStats stats;
   std::uint64_t next_id = 1;
 
   void accept_loop();
+  void reap_ended_handlers();
   void run_connection(Entry* e, Fd fd);
   void run_session(Entry* e, const Fd& fd, std::istream& in, FdInBuf& inbuf,
                    const HelloRequest& req);
@@ -106,8 +111,23 @@ struct Server::Impl {
   SessionStats snapshot_entry_locked(const Entry& e) const;
 };
 
+// Joins the handler threads whose connection has ended: a finished thread
+// keeps its stack mapped until it is joined, so a server that joined only
+// at stop() would map one more stack per connection it ever served. The
+// accept thread is the only joiner besides stop(), which joins it first.
+void Server::Impl::reap_ended_handlers() {
+  std::vector<std::thread> threads;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (Entry* e : ended) threads.push_back(std::move(e->thread));
+    ended.clear();
+  }
+  for (std::thread& t : threads) t.join();
+}
+
 void Server::Impl::accept_loop() {
   while (!stopping.load(std::memory_order_relaxed)) {
+    reap_ended_handlers();
     const int fd = listener.accept_for(/*timeout_ms=*/200);
     if (fd == UnixListener::kTimeout) continue;
     if (fd == UnixListener::kClosed) break;
@@ -220,6 +240,7 @@ void Server::Impl::run_connection(Entry* e, Fd fd) {
   {
     std::lock_guard<std::mutex> lock(mu);
     e->fd = -1;
+    ended.push_back(e);
   }
 }
 
@@ -429,7 +450,7 @@ void Server::Impl::handle_status(int fd) {
     out += "{\"type\":\"session\",\"session\":";
     out += std::to_string(s.id);
     out += ",\"name\":\"";
-    out += json_escape(s.name);
+    out += obs::json_escape(s.name);
     out += "\",\"state\":\"";
     out += to_string(s.state);
     out += "\",\"events\":";
@@ -458,13 +479,13 @@ void Server::Impl::handle_status(int fd) {
       if (!first) out += ',';
       first = false;
       out += "{\"name\":\"";
-      out += json_escape(span.name);
+      out += obs::json_escape(span.name);
       out += "\",\"seconds\":";
       out += std::to_string(span.duration_seconds);
       out += '}';
     }
     out += "],\"note\":\"";
-    out += json_escape(s.note);
+    out += obs::json_escape(s.note);
     out += "\"}\n";
   }
   out += "{\"type\":\"server\",\"accepted\":";
@@ -540,9 +561,9 @@ void Server::stop() {
       if (is_active(e->stats.state) && e->fd >= 0) shutdown_read(e->fd);
   }
   {
-    // Handler threads never take long once their read is gone; join all.
-    // (Joining outside mu: thread objects are only assigned before any
-    // state transition, and stop() is the only joiner.)
+    // Handler threads never take long once their read is gone; join all
+    // the accept thread has not reaped. (Joining outside mu: the accept
+    // thread, the only other joiner, has exited.)
     std::vector<std::thread*> to_join;
     {
       std::lock_guard<std::mutex> lock(impl_->mu);

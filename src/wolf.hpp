@@ -40,8 +40,8 @@ namespace wolf {
 
 // One finding from Config::validate(). Fatal issues make the configuration
 // unusable (an exploded run would crash or silently do nothing); non-fatal
-// ones flag conflicting settings where one silently wins (e.g. a disabled
-// Pruner contradicted by the in-search clock cut).
+// ones flag conflicting settings where one silently wins (e.g. deadline_ms
+// overriding a different replay.retry.attempt_deadline_ms).
 struct ConfigIssue {
   bool fatal = false;
   std::string message;

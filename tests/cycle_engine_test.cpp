@@ -2,11 +2,9 @@
 // (DESIGN.md §12):
 //
 //   equivalence — the SCC engine emits the bit-identical cycle sequence of
-//                 enumerate_cycles_reference, over fixed workloads and
-//                 randomized programs, and at the max_cycles cap;
-//   clock cut   — with clock_prune_during_search, the emitted cycles equal
-//                 the order-preserving subsequence of the full enumeration
-//                 that survives Algorithm 2's prune();
+//                 enumerate_cycles_reference, over fixed workloads, the
+//                 layered/mixed/phased lock shapes and randomized programs,
+//                 and at the max_cycles cap;
 //   truncation  — Detection::truncated/cycle_cap surface the cap identically
 //                 in both engines, and detector.cycles counts exactly the
 //                 cap;
@@ -33,10 +31,8 @@
 namespace wolf {
 namespace {
 
-DetectorOptions options_for(bool clock_prune = false,
-                            std::size_t max_cycles = 100000) {
+DetectorOptions options_for(std::size_t max_cycles = 100000) {
   DetectorOptions options;
-  options.clock_prune_during_search = clock_prune;
   options.max_cycles = max_cycles;
   return options;
 }
@@ -69,7 +65,7 @@ Detection reference_detection(const Trace& trace,
   Detection det;
   det.dep = LockDependency::from_trace(trace);
   EnumerationResult res =
-      enumerate_cycles_reference(det.dep, options_for(false, max_cycles));
+      enumerate_cycles_reference(det.dep, options_for(max_cycles));
   det.cycles = std::move(res.cycles);
   det.truncated = res.truncated;
   det.cycle_cap = res.truncated ? max_cycles : 0;
@@ -82,7 +78,7 @@ Detection reference_detection(const Trace& trace,
 Detection check_engines_agree(const Trace& trace,
                               std::size_t max_cycles = 100000) {
   Detection ref = reference_detection(trace, max_cycles);
-  Detection scc = detect(trace, options_for(false, max_cycles));
+  Detection scc = detect(trace, options_for(max_cycles));
   expect_equivalent(ref, scc, "reference vs scc");
   return ref;
 }
@@ -132,7 +128,7 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
     EXPECT_EQ(ref.cycle_cap, cap);
     // One serial search stops at the cap, so the counter is exact.
     EXPECT_EQ(test::counter_delta(
-                  [&] { detect(trace, options_for(false, cap)); })
+                  [&] { detect(trace, options_for(cap)); })
                   .value("detector.cycles"),
               cap);
     // The capped enumeration is the prefix of the full one.
@@ -141,28 +137,78 @@ TEST(CycleEngineTest, TruncationIsIdenticalAcrossEnginesAndJobs) {
   }
 }
 
-// With the in-search clock cut, the emitted cycles must be exactly the
-// order-preserving subsequence of the full enumeration that prune() keeps.
-void check_clock_prune(const Trace& trace) {
-  Detection full = detect(trace, options_for());
-  const std::vector<PruneVerdict> verdicts = prune(full);
-  std::vector<PotentialDeadlock> survivors;
-  for (std::size_t i = 0; i < full.cycles.size(); ++i)
-    if (!is_false(verdicts[i])) survivors.push_back(full.cycles[i]);
-
-  Detection cut = detect(trace, options_for(/*clock_prune=*/true));
-  expect_same_cycles(survivors, cut.cycles, "prune() survivors vs clock cut");
-  // Everything emitted under the cut survives a batch prune.
-  for (PruneVerdict v : prune(cut)) EXPECT_FALSE(is_false(v));
+// The layered, mixed and phased lock shapes, small enough for the reference
+// DFS to take milliseconds (the ring shape is the philosophers ring above).
+test::LockShapeConfig layered_shape() {
+  test::LockShapeConfig config;
+  config.layered_threads = 16;
+  config.layered_locks = 20;
+  config.layered_pairs = 6;
+  return config;
 }
 
-TEST(CycleEngineTest, ClockPruneDuringSearchMatchesBatchPruner) {
-  for (const char* name : {"HashMap", "ArrayList", "TreeMap"}) {
-    SCOPED_TRACE(name);
-    Trace trace = record_workload(name);
-    if (trace.empty()) continue;
-    check_clock_prune(trace);
+test::LockShapeConfig mixed_shape() {
+  test::LockShapeConfig config = layered_shape();
+  config.ring_threads = 5;
+  config.ring_degree = 2;
+  return config;
+}
+
+test::LockShapeConfig phased_shape() {
+  test::LockShapeConfig config;
+  config.ring_threads = 4;
+  config.ring_degree = 2;
+  config.generations = 2;
+  return config;
+}
+
+TEST(CycleEngineTest, EnginesAgreeOnLockShapes) {
+  struct Shape {
+    const char* name;
+    test::LockShapeConfig config;
+    std::size_t tuples;
+    std::size_t cycles;
+  };
+  // layered: every SCC trivial; mixed: a ring amid acyclic noise the SCC
+  // engine never searches from; phased: a ring run twice.
+  for (const Shape& shape : {Shape{"layered", layered_shape(), 192, 0},
+                             Shape{"mixed", mixed_shape(), 212, 12},
+                             Shape{"phased", phased_shape(), 32, 56}}) {
+    SCOPED_TRACE(shape.name);
+    auto trace =
+        sim::record_trace(test::lock_shape_program(shape.config), 2014, 60);
+    ASSERT_TRUE(trace.has_value());
+    Detection ref = check_engines_agree(*trace);
+    EXPECT_EQ(ref.dep.unique.size(), shape.tuples);
+    EXPECT_EQ(ref.cycles.size(), shape.cycles);
   }
+}
+
+TEST(CycleEngineTest, PruneKeepsExactlyTheSingleGenerationCycles) {
+  // Two generations of a 4-ring behind a join barrier: Algorithm 2 proves
+  // every cross-generation cycle infeasible and no other.
+  const sim::Program program = test::lock_shape_program(phased_shape());
+  auto trace = sim::record_trace(program, 2014, 60);
+  ASSERT_TRUE(trace.has_value());
+  Detection det = detect(*trace);
+  ASSERT_EQ(det.cycles.size(), 56u);
+
+  auto generation = [&](std::size_t tuple) {  // "gen<g>-<i>" → "gen<g>"
+    const std::string& name = program.thread(det.dep.tuples[tuple].thread).name;
+    return name.substr(0, name.find('-'));
+  };
+  const std::vector<PruneVerdict> verdicts = prune(det);
+  ASSERT_EQ(verdicts.size(), det.cycles.size());
+  std::size_t survivors = 0;
+  for (std::size_t c = 0; c < det.cycles.size(); ++c) {
+    const std::vector<std::size_t>& tuples = det.cycles[c].tuple_idx;
+    bool one_generation = true;
+    for (std::size_t idx : tuples)
+      one_generation &= generation(idx) == generation(tuples.front());
+    EXPECT_EQ(is_false(verdicts[c]), !one_generation) << "cycle " << c;
+    if (one_generation) ++survivors;
+  }
+  EXPECT_EQ(survivors, 14u);
 }
 
 TEST(CycleEngineTest, EmptyAndAcyclicDependenciesProduceNoCycles) {
@@ -196,8 +242,7 @@ std::optional<Trace> random_program_trace(int seed_index) {
   return sim::record_trace(program, rng(), 40);
 }
 
-// Randomized differential test: scc must agree with the reference, and the
-// clock cut must match the batch pruner.
+// Randomized differential test: scc must agree with the reference.
 class CycleEnginePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
@@ -205,7 +250,6 @@ TEST_P(CycleEnginePropertyTest, EnginesAgreeOnRandomPrograms) {
   if (!trace.has_value()) GTEST_SKIP() << "every recording run deadlocked";
 
   Detection ref = check_engines_agree(*trace);
-  check_clock_prune(*trace);
 
   // Re-run capped at half the cycles: truncation must match the reference.
   if (ref.cycles.size() >= 2)

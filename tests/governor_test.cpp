@@ -1404,10 +1404,8 @@ TEST(LadderTest, DemotesOnMissAndStopsAtPrefilterOnly) {
   int streak = 5;
   DetectionLevel level = DetectionLevel::kFullScc;
   level = next_rung(level, 0.2, 100, streak);  // 200ms > 100ms deadline
-  EXPECT_EQ(level, DetectionLevel::kClockPruned);
-  EXPECT_EQ(streak, 0);
-  level = next_rung(level, 0.2, 100, streak);
   EXPECT_EQ(level, DetectionLevel::kPrefilterOnly);
+  EXPECT_EQ(streak, 0);
   level = next_rung(level, 0.2, 100, streak);
   EXPECT_EQ(level, DetectionLevel::kPrefilterOnly)
       << "deadline pressure never reaches kShedding";
@@ -1418,14 +1416,20 @@ TEST(LadderTest, PromotesOnlyAfterTwoConsecutiveFastWindows) {
   DetectionLevel level = DetectionLevel::kPrefilterOnly;
   level = next_rung(level, 0.01, 100, streak);  // fast #1
   EXPECT_EQ(level, DetectionLevel::kPrefilterOnly);
-  level = next_rung(level, 0.01, 100, streak);  // fast #2 -> promote
-  EXPECT_EQ(level, DetectionLevel::kClockPruned);
   // A merely-adequate window (over deadline/2) resets the streak.
   level = next_rung(level, 0.07, 100, streak);
-  EXPECT_EQ(level, DetectionLevel::kClockPruned);
+  EXPECT_EQ(level, DetectionLevel::kPrefilterOnly);
   level = next_rung(level, 0.01, 100, streak);
-  EXPECT_EQ(level, DetectionLevel::kClockPruned)
+  EXPECT_EQ(level, DetectionLevel::kPrefilterOnly)
       << "one fast window after a reset must not promote";
+  level = next_rung(level, 0.01, 100, streak);  // fast #2 -> promote
+  EXPECT_EQ(level, DetectionLevel::kFullScc);
+  EXPECT_EQ(streak, 0);
+  // kShedding marks a window, it is no rung: two fast windows promote it
+  // to full enumeration like kPrefilterOnly.
+  level = DetectionLevel::kShedding;
+  level = next_rung(level, 0.01, 100, streak);
+  EXPECT_EQ(level, DetectionLevel::kPrefilterOnly);
   level = next_rung(level, 0.01, 100, streak);
   EXPECT_EQ(level, DetectionLevel::kFullScc);
 }

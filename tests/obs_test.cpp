@@ -287,34 +287,14 @@ obs::RunMetrics metrics_for(const sim::Program& program, const Trace& trace,
   return metrics;
 }
 
-TEST(MetricsJsonTest, FullReportRoundTripsByteExactly) {
-  auto w = workloads::make_collections_map("HashMap");
-  auto trace = sim::record_trace(w.program, 2014);
-  ASSERT_TRUE(trace.has_value());
-  obs::RunMetrics metrics = metrics_for(w.program, *trace, 1);
-  ASSERT_FALSE(metrics.spans.empty());
-  ASSERT_FALSE(metrics.funnel.empty());
-
-  const std::string text = obs::to_json(metrics);
-  obs::RunMetrics parsed;
-  ASSERT_TRUE(obs::from_json(text, &parsed));
-  EXPECT_EQ(parsed.schema_version, obs::kMetricsSchemaVersion);
-  EXPECT_EQ(obs::to_json(parsed), text);
-}
-
-TEST(MetricsJsonTest, RejectsMalformedInput) {
-  obs::RunMetrics parsed;
-  EXPECT_FALSE(obs::from_json("", &parsed));
-  EXPECT_FALSE(obs::from_json("{\"schema_version\": }", &parsed));
-  EXPECT_FALSE(obs::from_json("[1, 2, 3]", &parsed));
-}
-
 TEST(MetricsJsonTest, StableReportIsByteIdenticalAcrossJobs) {
   auto w = workloads::make_collections_map("HashMap");
   auto trace = sim::record_trace(w.program, 2014);
   ASSERT_TRUE(trace.has_value());
-  const std::string serial =
-      obs::to_json(metrics_for(w.program, *trace, 1), /*stable=*/true);
+  const obs::RunMetrics metrics = metrics_for(w.program, *trace, 1);
+  ASSERT_FALSE(metrics.spans.empty());
+  ASSERT_FALSE(metrics.funnel.empty());
+  const std::string serial = obs::to_json(metrics, /*stable=*/true);
   const std::string parallel =
       obs::to_json(metrics_for(w.program, *trace, 4), /*stable=*/true);
   EXPECT_EQ(serial, parallel);
@@ -322,6 +302,15 @@ TEST(MetricsJsonTest, StableReportIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(serial.find("duration"), std::string::npos);
   EXPECT_EQ(serial.find("pool."), std::string::npos);
   EXPECT_NE(serial.find("\"funnel\""), std::string::npos);
+}
+
+TEST(MetricsJsonTest, JsonEscapeQuotesEveryControlCharacter) {
+  EXPECT_EQ(obs::json_escape("plain/name.1"), "plain/name.1");
+  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::json_escape("\n\t\r\b\f"), "\\n\\t\\r\\b\\f");
+  EXPECT_EQ(obs::json_escape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(obs::json_escape(std::string("nul\0!", 5)), "nul\\u0000!");
+  EXPECT_EQ(obs::json_escape("θ{ü}"), "θ{ü}") << "bytes >= 0x80 pass through";
 }
 
 // ------------------------------------------------------- wolf::Config
@@ -334,14 +323,17 @@ TEST(ConfigTest, DefaultConfigValidatesClean) {
 
 TEST(ConfigTest, ReferenceEngineWithJobsIsANonFatalConflict) {
   // Named for the first conflict validate() learned; the reference engine
-  // is no longer selectable, so a disabled Pruner contradicted by the
-  // in-search clock cut stands in.
+  // is no longer selectable, so the shared deadline overriding a different
+  // per-attempt replay deadline stands in.
   Config config;
-  config.enable_pruner = false;
-  config.detector.clock_prune_during_search = true;
+  config.deadline_ms = 2000;
+  config.replay.retry.attempt_deadline_ms = 500;
   config.jobs = 4;
   auto issues = config.validate();
-  ASSERT_FALSE(issues.empty());
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_FALSE(issues[0].fatal);
+  EXPECT_NE(issues[0].message.find("deadline_ms wins"), std::string::npos)
+      << issues[0].message;
   EXPECT_FALSE(config.fatal()) << "conflicts warn, they do not reject";
 }
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -580,6 +581,39 @@ TEST(ServeServerTest, StopDrainsStragglersAndStaysIdempotent) {
   slow.join();
   EXPECT_FALSE(ts.server.running());
   EXPECT_EQ(ts.server.stats().finished(), ts.server.stats().sessions_started);
+}
+
+// Lines of /proc/self/maps: one per mapping of this process's address space.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  std::string line;
+  while (std::getline(maps, line)) ++lines;
+  return lines;
+}
+
+// Each connection runs on its own handler thread, and an ended handler must
+// be joined while the server runs, not only at stop(): an unjoined thread
+// keeps its stack and guard page mapped, two mappings per connection, which
+// would be 128 over the 64 calls below.
+TEST(ServeServerTest, EndedConnectionsReleaseTheirHandlerThreads) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the thread sanitizer maps per-thread state of its own";
+#endif
+  TestServer ts(ServeOptions{});
+  ASSERT_TRUE(ts.started);
+  std::vector<std::string> lines;
+  std::string error;
+  ASSERT_TRUE(fetch_status(ts.path(), lines, &error)) << error;
+  const std::size_t before = mapping_count();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/maps";
+  for (int i = 0; i < 64; ++i) {
+    lines.clear();
+    ASSERT_TRUE(fetch_status(ts.path(), lines, &error)) << error;
+  }
+  const std::size_t after = mapping_count();
+  EXPECT_LT(after, before + 16) << before << " -> " << after;
+  EXPECT_EQ(ts.server.stats().accepted, 65u);
 }
 
 // ---- chaos ----------------------------------------------------------------

@@ -90,6 +90,64 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config) {
   return p;
 }
 
+sim::Program lock_shape_program(const LockShapeConfig& config) {
+  sim::Program p;
+  p.name = "lock-shape";
+  const ThreadId main = p.add_thread("main");
+  const SiteId spawn = p.site("Shape.spawn", 1);
+  const SiteId join = p.site("Shape.join", 2);
+  std::vector<ThreadId> batch;  // started and joined together
+
+  std::vector<LockId> order;
+  for (int l = 0; l < config.layered_locks; ++l)
+    order.push_back(p.add_lock(numbered("layer-", l), p.site("Layer.lock", l)));
+  for (int t = 0; t < config.layered_threads; ++t) {
+    const ThreadId tid = p.add_thread(numbered("layer-", t));
+    batch.push_back(tid);
+    for (int k = 0; k < config.layered_pairs; ++k) {
+      // A deterministic spread of ordered pairs (a < b) over the locks.
+      const int a = (t * 7 + k * 3) % (config.layered_locks - 1);
+      const int b = a + 1 + (t + k) % (config.layered_locks - 1 - a);
+      const int tag = t * 1000 + k;
+      const auto la = order[static_cast<std::size_t>(a)];
+      const auto lb = order[static_cast<std::size_t>(b)];
+      p.lock(tid, la, p.site("Layer.outer", tag));
+      p.lock(tid, lb, p.site("Layer.inner", tag));
+      p.unlock(tid, lb, p.site("Layer.innerX", tag));
+      p.unlock(tid, la, p.site("Layer.outerX", tag));
+    }
+  }
+
+  std::vector<LockId> ring;
+  for (int i = 0; i < config.ring_threads; ++i)
+    ring.push_back(p.add_lock(numbered("ring-", i), p.site("Ring.lock", i)));
+  for (int gen = 0; gen < config.generations; ++gen) {
+    for (int i = 0; i < config.ring_threads; ++i) {
+      std::string name = numbered("gen", gen);
+      name += '-';
+      name += std::to_string(i);
+      const ThreadId tid = p.add_thread(std::move(name));
+      batch.push_back(tid);
+      for (int d = 1; d <= config.ring_degree; ++d) {
+        const int tag = gen * 10000 + i * 100 + d;
+        const auto li = ring[static_cast<std::size_t>(i)];
+        const auto lj =
+            ring[static_cast<std::size_t>((i + d) % config.ring_threads)];
+        p.lock(tid, li, p.site("Ring.outer", tag));
+        p.lock(tid, lj, p.site("Ring.inner", tag));
+        p.unlock(tid, lj, p.site("Ring.innerX", tag));
+        p.unlock(tid, li, p.site("Ring.outerX", tag));
+      }
+    }
+    // The barrier: this batch is joined before the next generation starts.
+    for (ThreadId t : batch) p.start(main, t, spawn);
+    for (ThreadId t : batch) p.join(main, t, join);
+    batch.clear();
+  }
+  p.finalize();
+  return p;
+}
+
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result) {
   std::vector<SiteId> sig;
   sig.reserve(result.deadlock_cycle.size());

@@ -34,6 +34,29 @@ struct RandomProgramConfig {
 // Builds a random program; deterministic in `rng`.
 sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 
+// The shapes cycle-enumeration cost depends on, as one start/join program
+// (thread 0 is main, which starts and joins every other thread):
+//   * layered — each of `layered_threads` threads takes `layered_pairs`
+//     nested pairs of `layered_locks` globally ordered locks, outer before
+//     inner: many tuples, an acyclic D_σ, no cycle;
+//   * ring — `ring_threads` threads on a ring of as many locks, thread i
+//     nesting lock i → lock (i+d) mod n for d in 1..ring_degree: one
+//     nontrivial SCC carrying many cycles;
+//   * generations — the ring is run by this many thread generations, and
+//     main joins each before it starts the next, so every cycle across two
+//     generations is infeasible by Algorithm 2.
+// Ring thread i of generation g is named "gen<g>-<i>".
+struct LockShapeConfig {
+  int layered_threads = 0;
+  int layered_locks = 0;
+  int layered_pairs = 0;  // nested pairs per layered thread
+  int ring_threads = 0;
+  int ring_degree = 1;
+  int generations = 1;
+};
+
+sim::Program lock_shape_program(const LockShapeConfig& config);
+
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
 

@@ -1,7 +1,7 @@
 // wolf — command-line front end to the WOLF pipeline.
 //
 //   wolf record   --workload=HashMap --seed=7 --out=trace.txt [--format=v3]
-//   wolf detect   --workload=HashMap --trace=trace.txt [--clock-prune]
+//   wolf detect   --workload=HashMap --trace=trace.txt [--max-cycles=N]
 //   wolf analyze  --workload=HashMap [--trace=trace.txt] [--rank]
 //   wolf replay   --workload=HashMap --cycle=2 --attempts=10 [--rt]
 //   wolf convert  trace.txt trace.bin [--format=v1|v2|v3]
@@ -49,9 +49,8 @@
 // windows included) are serial. Every output, including governed verdicts
 // and live-cycle order, is identical at every --jobs level.
 //
-// Detector flags: --max-cycles caps enumeration (a warning is printed when
-// the cap is hit), and --clock-prune folds the Pruner's vector-clock test
-// into the search so provably-infeasible branches are never explored.
+// Detector flag: --max-cycles caps enumeration (a warning is printed when
+// the cap is hit).
 //
 // The sidecar trio (DESIGN.md §18): `serve` runs the always-on detection
 // server on a unix-domain socket, one governed wolf::Session per client;
@@ -129,9 +128,6 @@ void register_workload_flags(Flags& flags) {
 void register_detector_flags(Flags& flags) {
   flags.define_int("max-cycles", 100000,
                    "cap on enumerated cycles (a warning is printed when hit)");
-  flags.define_bool("clock-prune", false,
-                    "fold the Pruner's clock test into the search; "
-                    "enumerates only cycles the Pruner would keep");
 }
 
 // ---- observability wiring -------------------------------------------------
@@ -326,7 +322,6 @@ std::optional<Detection> detect_from_flags(const sim::Program& program,
 // Shared by detect/analyze: detector knobs from flags.
 void detector_from_flags(const Flags& flags, DetectorOptions& options) {
   options.max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles"));
-  options.clock_prune_during_search = flags.get_bool("clock-prune");
 }
 
 void warn_if_truncated(const Detection& det) {
