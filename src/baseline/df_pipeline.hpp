@@ -13,9 +13,8 @@
 
 namespace wolf::baseline {
 
-// Deprecated as a public entry type: prefer wolf::Config (wolf.hpp), whose
-// df_options() derives this struct from the shared sections. Kept for one
-// release as the underlying section type.
+// What wolf::Config::df_options() (wolf.hpp) derives from Config's shared
+// sections: the options run_deadlock_fuzzer takes.
 struct DfOptions {
   std::uint64_t seed = 1;
   DetectorOptions detector;

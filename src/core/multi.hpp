@@ -18,9 +18,8 @@
 
 namespace wolf {
 
-// Deprecated as a public entry type: prefer wolf::Config (wolf.hpp), whose
-// multi_options() produces this struct. Kept for one release as the
-// underlying section type.
+// What wolf::Config::multi_options() (wolf.hpp) produces: the options
+// run_wolf_multi takes.
 struct MultiRunOptions {
   int runs = 5;
   std::uint64_t seed = 1;  // run i uses a seed derived from this

@@ -89,9 +89,9 @@ struct PhaseTimings {
   static PhaseTimings from_spans(const std::vector<obs::SpanRecord>& spans);
 };
 
-// Deprecated as a public entry type: prefer wolf::Config (wolf.hpp), whose
-// wolf_options() produces this struct with the shared scalars folded in.
-// Kept for one release as the underlying section type.
+// What wolf::Config::wolf_options() (wolf.hpp) produces, with Config's
+// shared scalars folded in: the options run_wolf, analyze_trace and
+// analyze_session take.
 struct WolfOptions {
   std::uint64_t seed = 1;
   DetectorOptions detector;

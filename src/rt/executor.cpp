@@ -12,7 +12,6 @@
 #include "robust/fault.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
-#include "trace/sharded_recorder.hpp"
 
 namespace wolf::rt {
 
@@ -559,11 +558,10 @@ std::optional<Trace> record_trace_rt(const sim::Program& program,
   Rng rng(seed);
   robust::RetryState attempts(retry, seed);
   while (attempts.next_attempt()) {
-    // Sharded sink: the executor's monitor serializes emission today, but
-    // recording no longer depends on that — any future emission path that
-    // leaves the monitor stays correct, and take() (after execute() joined
-    // every worker) merges the per-thread buffers back into seq order.
-    ShardedTraceRecorder recorder;
+    // Every emission runs under the executor's monitor (emit_locked), which
+    // is the serialization TraceRecorder requires; take() runs after
+    // execute() has joined every worker.
+    TraceRecorder recorder;
     ExecutorOptions options;
     options.sink = &recorder;
     options.seed = rng();

@@ -1,5 +1,5 @@
 // Client side of the serve protocol: the library behind `wolf emit`, the
-// fairness/chaos tests, and bench/perf_serve.
+// fairness/chaos tests, and perfbench's serve workload.
 //
 // emit_* opens a connection, sends the session hello, then streams the
 // trace bytes in configurable chunks while a dedicated reader thread drains

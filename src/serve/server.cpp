@@ -74,8 +74,9 @@ const char* to_string(SessionState state) {
 struct Server::Impl {
   explicit Impl(ServeOptions opts) : options(std::move(opts)) {}
 
-  // One registry entry per accepted connection. Entries are kept after
-  // their session ends (the status endpoint reports history); all mutable
+  // One registry entry per accepted connection. A session's entry is kept
+  // after the session ends (the status endpoint reports history); any other
+  // connection's entry is erased once its handler is joined. All mutable
   // fields are guarded by `mu` except `spans`, which locks itself.
   // `stats.spans` stays empty: snapshots read `spans` instead. `thread` is
   // assigned and moved out by the accept thread only.
@@ -115,6 +116,9 @@ struct Server::Impl {
 // keeps its stack mapped until it is joined, so a server that joined only
 // at stop() would map one more stack per connection it ever served. The
 // accept thread is the only joiner besides stop(), which joins it first.
+// Then it drops the joined entries that never became a session (status,
+// stop, failed hellos): status never lists them, and keeping them would
+// grow the registry, and every admission scan of it, by one per call.
 void Server::Impl::reap_ended_handlers() {
   std::vector<std::thread> threads;
   {
@@ -122,7 +126,14 @@ void Server::Impl::reap_ended_handlers() {
     for (Entry* e : ended) threads.push_back(std::move(e->thread));
     ended.clear();
   }
+  if (threads.empty()) return;
   for (std::thread& t : threads) t.join();
+  // Every entry's thread was assigned before this call (the accept thread
+  // does both), so an entry without one is exactly a joined entry.
+  std::lock_guard<std::mutex> lock(mu);
+  std::erase_if(entries, [](const std::unique_ptr<Entry>& e) {
+    return !e->stats.session_kind && !e->thread.joinable();
+  });
 }
 
 void Server::Impl::accept_loop() {

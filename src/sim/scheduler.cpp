@@ -5,7 +5,6 @@
 #include "obs/counters.hpp"
 #include "robust/fault.hpp"
 #include "support/check.hpp"
-#include "trace/sharded_recorder.hpp"
 
 namespace wolf::sim {
 
@@ -475,10 +474,7 @@ std::optional<Trace> record_trace(const Program& program, std::uint64_t seed,
   Rng rng(seed);
   robust::RetryState attempts(retry, seed);
   while (attempts.next_attempt()) {
-    // The virtual-thread scheduler emits from one OS thread, so the sharded
-    // recorder runs with a single shard and take() degenerates to a move —
-    // same trace as the serial recorder, same sink as the rt substrate.
-    ShardedTraceRecorder recorder;
+    TraceRecorder recorder;
     SchedulerOptions options;
     options.sink = &recorder;
     options.max_steps = max_steps;

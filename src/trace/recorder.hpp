@@ -1,9 +1,7 @@
 // Trace sinks. Substrates report instrumentation callbacks to a TraceSink;
-// the standard sinks are TraceRecorder (serial: assigns global sequence
-// numbers and accumulates a Trace) and ShardedTraceRecorder
-// (trace/sharded_recorder.hpp — thread-safe, per-thread buffers, no lock on
-// the hot path). A NullSink supports "uninstrumented" baseline runs for
-// slowdown measurements.
+// the standard sink is TraceRecorder, which assigns global sequence numbers
+// and accumulates a Trace. A NullSink supports "uninstrumented" baseline
+// runs for slowdown measurements.
 #pragma once
 
 #include <cstdint>
@@ -16,10 +14,9 @@ class TraceSink {
  public:
   virtual ~TraceSink() = default;
   // `e.seq` is ignored on input; sinks that keep events assign their own
-  // sequence numbers. Unless a sink documents itself thread-safe (as
-  // ShardedTraceRecorder does), callers must already hold whatever lock
-  // serializes the substrate's event emission (sim is single-threaded; rt
-  // uses a global recording mutex).
+  // sequence numbers. Callers must already hold whatever lock serializes
+  // the substrate's event emission (sim emits from one OS thread; rt emits
+  // only under its executor's monitor).
   virtual void on_event(Event e) = 0;
 };
 
@@ -36,14 +33,9 @@ class TraceRecorder final : public TraceSink {
   }
 
   const Trace& trace() const { return trace_; }
-  Trace take() {
-    next_seq_ = 0;
-    return std::move(trace_);
-  }
-  void clear() {
-    trace_ = Trace{};
-    next_seq_ = 0;
-  }
+  // Hands over the recording (counted as trace.recorded_events) and leaves
+  // the recorder empty, its sequence restarted at 0.
+  Trace take();
 
  private:
   Trace trace_;

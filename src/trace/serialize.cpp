@@ -31,12 +31,8 @@ std::optional<TraceFormat> trace_format_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-StreamTraceWriter::StreamTraceWriter(std::ostream& os, TraceFormat format,
-                                     Options options)
-    : os_(os),
-      format_(format),
-      options_(options),
-      checksum_(wire::kChecksumSeed) {
+StreamTraceWriter::StreamTraceWriter(std::ostream& os, TraceFormat format)
+    : os_(os), format_(format), checksum_(wire::kChecksumSeed) {
   if (format_ == TraceFormat::kV3) {
     os_.write(wire::kMagicV3, sizeof wire::kMagicV3);
     bytes_ = sizeof wire::kMagicV3;
@@ -114,25 +110,21 @@ void StreamTraceWriter::finish() {
   wire::put_u64le(frame, checksum_);
   os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
   bytes_ += frame.size();
-  if (options_.index) {
-    frame.clear();
-    wire::put_index_section(frame, index_, bytes_);
-    os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    bytes_ += frame.size();
-  }
+  frame.clear();
+  wire::put_index_section(frame, index_, bytes_);
+  os_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  bytes_ += frame.size();
 }
 
-void write_trace(std::ostream& os, const Trace& trace, TraceFormat format,
-                 StreamTraceWriter::Options options) {
-  StreamTraceWriter writer(os, format, options);
+void write_trace(std::ostream& os, const Trace& trace, TraceFormat format) {
+  StreamTraceWriter writer(os, format);
   writer.write(trace.events);
   writer.finish();
 }
 
-std::string trace_to_string(const Trace& trace, TraceFormat format,
-                            StreamTraceWriter::Options options) {
+std::string trace_to_string(const Trace& trace, TraceFormat format) {
   std::ostringstream os;
-  write_trace(os, trace, format, options);
+  write_trace(os, trace, format);
   return os.str();
 }
 

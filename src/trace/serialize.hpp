@@ -71,19 +71,12 @@ std::optional<TraceFormat> trace_format_from_string(std::string_view name);
 //
 // For v3 the writer tracks every block's file offset, seq range, count,
 // and running checksum, and finish() appends the footer block index
-// (wire.hpp), which readers validate and tools may seek by. Options.index
-// turns that off (the resulting file is still a valid v3 trace — readers
-// treat the index as optional).
+// (wire.hpp), which readers validate and tools may seek by. Readers treat
+// the index as optional, so a v3 file cut just before it still loads.
 class StreamTraceWriter {
  public:
-  struct Options {
-    bool index = true;  // v3 only: append the footer block index
-  };
-
   // Writes the header/magic immediately. v3 streams must be binary.
-  StreamTraceWriter(std::ostream& os, TraceFormat format)
-      : StreamTraceWriter(os, format, Options{}) {}
-  StreamTraceWriter(std::ostream& os, TraceFormat format, Options options);
+  StreamTraceWriter(std::ostream& os, TraceFormat format);
   void write(const Event& e);
   void write(const std::vector<Event>& events) {
     for (const Event& e : events) write(e);
@@ -100,7 +93,6 @@ class StreamTraceWriter {
 
   std::ostream& os_;
   TraceFormat format_;
-  Options options_;
   bool finished_ = false;
   std::uint64_t bytes_ = 0;  // v3: file offset of the next byte
   std::uint64_t count_ = 0;
@@ -115,11 +107,9 @@ class StreamTraceWriter {
 // Streams opened for v3 traffic should be binary; text formats tolerate
 // either. Writers require strictly increasing sequence numbers.
 void write_trace(std::ostream& os, const Trace& trace,
-                 TraceFormat format = TraceFormat::kV2,
-                 StreamTraceWriter::Options options = {});
+                 TraceFormat format = TraceFormat::kV2);
 std::string trace_to_string(const Trace& trace,
-                            TraceFormat format = TraceFormat::kV2,
-                            StreamTraceWriter::Options options = {});
+                            TraceFormat format = TraceFormat::kV2);
 
 // The checksum a v2 or v3 footer carries for `trace`; identical across
 // formats, so conversion preserves it.

@@ -327,9 +327,8 @@ TEST_P(SerializationPropertyTest, TruncationAtEveryByteOffset) {
     // index-free trace — the one prefix where claiming completeness is
     // honest (same carve-out as trace_test's index truncation suite).
     const std::size_t plain_size =
-        format == TraceFormat::kV3
-            ? trace_to_string(original, format, {.index = false}).size()
-            : bytes.size();
+        format == TraceFormat::kV3 ? test::unindexed_v3(original).size()
+                                   : bytes.size();
     for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
       SalvageReport report = salvage_trace_from_string(bytes.substr(0, cut));
       ASSERT_LE(report.trace.size(), original.events.size())

@@ -31,14 +31,9 @@ TEST(RtExecutorTest, RecordsWellFormedTrace) {
 
   std::map<ThreadId, bool> begun;
   std::map<std::pair<ThreadId, LockId>, int> depth;
-  std::uint64_t last_seq = 0;
-  bool first = true;
-  for (const Event& e : trace->events) {
-    if (!first) {
-      EXPECT_GT(e.seq, last_seq);
-    }
-    last_seq = e.seq;
-    first = false;
+  for (std::size_t i = 0; i < trace->events.size(); ++i) {
+    const Event& e = trace->events[i];
+    EXPECT_EQ(e.seq, i);  // dense and in emission order
     if (e.kind == EventKind::kThreadBegin) {
       EXPECT_FALSE(begun[e.thread]);
       begun[e.thread] = true;

@@ -31,6 +31,7 @@
 #include "serve/server.hpp"
 #include "sim/scheduler.hpp"
 #include "support/rng.hpp"
+#include "testutil.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
@@ -412,6 +413,62 @@ TEST(ServeServerTest, SlowConsumerDoesNotPerturbOtherSessionsVerdicts) {
   }
 }
 
+// Eight clients at once, each streaming a recorded lock ring through many
+// small windows: every session's live transcript and verdict must equal the
+// solo reference, and all eight must end complete.
+TEST(ServeServerTest, EightConcurrentSessionsMatchTheSoloReference) {
+  ServeOptions opts;
+  opts.session.window_events = 8;
+  TestServer ts(opts);
+  ASSERT_TRUE(ts.started);
+
+  test::LockShapeConfig shape;
+  shape.ring_threads = 6;
+  shape.ring_degree = 2;
+  shape.generations = 2;
+  const auto trace =
+      sim::record_trace(test::lock_shape_program(shape), /*seed=*/7);
+  ASSERT_TRUE(trace.has_value());
+  const std::string bytes = trace_to_string(*trace, TraceFormat::kV3);
+  const Transcript ref =
+      reference_transcript(bytes, session_config(ts.server.options(), {}));
+  // 146 events at window 8 close 19 windows and surface 352 live cycles.
+  VerdictFields ref_verdict;
+  ASSERT_TRUE(parse_verdict_line(chomp(ref.verdict), ref_verdict));
+  ASSERT_TRUE(ref_verdict.complete);
+  EXPECT_GT(ref_verdict.windows, 8u);
+  ASSERT_FALSE(ref.live.empty()) << "payload surfaced no live cycle";
+
+  constexpr int kClients = 8;
+  std::vector<EmitResult> results(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.emplace_back([&, i] {
+      EmitOptions emit;
+      emit.socket_path = ts.path();
+      emit.name = "client-" + std::to_string(i);
+      results[static_cast<std::size_t>(i)] = emit_trace_bytes(emit, bytes);
+    });
+  for (std::thread& t : clients) t.join();
+
+  for (const EmitResult& r : results) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.verdict_line, chomp(ref.verdict));
+    ASSERT_EQ(r.live_lines.size(), ref.live.size());
+    for (std::size_t i = 0; i < ref.live.size(); ++i)
+      EXPECT_EQ(r.live_lines[i], chomp(ref.live[i])) << "live line " << i;
+  }
+  // Each verdict is written before its session's registry entry is closed,
+  // so give the server up to 5 s to count all eight.
+  ServerStats stats = ts.server.stats();
+  for (int i = 0; i < 500 && stats.sessions_done < kClients; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stats = ts.server.stats();
+  }
+  EXPECT_EQ(stats.sessions_done, static_cast<std::uint64_t>(kClients));
+}
+
 // ---- lifecycle ------------------------------------------------------------
 
 TEST(ServeServerTest, BusyServerRejectsWithoutHarmingActiveSessions) {
@@ -595,7 +652,8 @@ std::size_t mapping_count() {
 // Each connection runs on its own handler thread, and an ended handler must
 // be joined while the server runs, not only at stop(): an unjoined thread
 // keeps its stack and guard page mapped, two mappings per connection, which
-// would be 128 over the 64 calls below.
+// would be 128 over the 64 calls below. A joined status connection's
+// registry entry goes too.
 TEST(ServeServerTest, EndedConnectionsReleaseTheirHandlerThreads) {
 #if defined(__SANITIZE_THREAD__)
   GTEST_SKIP() << "the thread sanitizer maps per-thread state of its own";
@@ -614,6 +672,14 @@ TEST(ServeServerTest, EndedConnectionsReleaseTheirHandlerThreads) {
   const std::size_t after = mapping_count();
   EXPECT_LT(after, before + 16) << before << " -> " << after;
   EXPECT_EQ(ts.server.stats().accepted, 65u);
+  // No status connection became a session, so once the accept loop has
+  // reaped the last handler the registry holds nothing.
+  std::size_t entries = ts.server.sessions().size();
+  for (int i = 0; i < 500 && entries != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    entries = ts.server.sessions().size();
+  }
+  EXPECT_EQ(entries, 0u);
 }
 
 // ---- chaos ----------------------------------------------------------------

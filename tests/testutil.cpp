@@ -1,6 +1,11 @@
 #include "testutil.hpp"
 
 #include <algorithm>
+#include <string_view>
+
+#include "support/check.hpp"
+#include "trace/serialize.hpp"
+#include "trace/wire.hpp"
 
 namespace wolf::test {
 
@@ -155,6 +160,16 @@ std::vector<SiteId> deadlock_signature(const sim::RunResult& result) {
     sig.push_back(b.index.site);
   std::sort(sig.begin(), sig.end());
   return sig;
+}
+
+std::string unindexed_v3(const Trace& trace) {
+  std::string bytes = trace_to_string(trace, TraceFormat::kV3);
+  wire::ByteReader trailer(std::string_view(bytes).substr(
+      bytes.size() - wire::kIndexTrailerBytes));
+  std::uint64_t index_offset = 0;
+  WOLF_CHECK(trailer.get_u64le(index_offset) && index_offset < bytes.size());
+  bytes.resize(static_cast<std::size_t>(index_offset));
+  return bytes;
 }
 
 }  // namespace wolf::test

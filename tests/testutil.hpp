@@ -60,6 +60,11 @@ sim::Program lock_shape_program(const LockShapeConfig& config);
 // Sorted site multiset of a run's deadlock cycle.
 std::vector<SiteId> deadlock_signature(const sim::RunResult& result);
 
+// `trace` as a v3 file without the footer block index. The writer always
+// appends the index, so this cuts its bytes at the index-section offset
+// that the 16-byte trailer names, leaving a valid index-free trace.
+std::string unindexed_v3(const Trace& trace);
+
 // Counter deltas across `run()`, with counter collection on for its
 // duration (the registry is process-wide and monotonic).
 template <class Run>

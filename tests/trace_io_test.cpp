@@ -1,13 +1,10 @@
 // Cross-layer trace substrate tests: the guarantees that tie recording,
 // serialization and consumption together.
 //
-//   * The sharded recorder's merged trace is byte-identical to the serial
-//     TraceRecorder's when both observe the same emission stream (a tee off
-//     one real rt::execute run — the rt monitor serializes emission, so the
-//     two sinks see identical ordered events).
-//   * Detection is bit-identical whether the trace is consumed in memory
-//     (detect), streamed from v2 text, or streamed from v3 binary
-//     (detect_reader) — the acceptance bar for the streaming refactor.
+//   * Detection is bit-identical whether a suite recording is consumed in
+//     memory (detect), streamed from v1/v2 text, or streamed from v3 binary
+//     (detect_reader); each recording round-trips exactly in every format,
+//     and its v3 encoding is at most half the size of its v2 encoding.
 //   * analyze_session over an ungoverned Session produces the same
 //     classification-level report as analyze_trace.
 //   * PipelinedTraceReader (DESIGN.md §17) delivers the same events in the
@@ -19,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,56 +26,14 @@
 #include "core/detector.hpp"
 #include "core/pipeline.hpp"
 #include "obs/counters.hpp"
-#include "rt/executor.hpp"
 #include "sim/scheduler.hpp"
-#include "trace/recorder.hpp"
 #include "trace/serialize.hpp"
-#include "trace/sharded_recorder.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 #include "workloads/suite.hpp"
 
 namespace wolf {
 namespace {
-
-// Duplicates every event to two sinks, in order.
-class TeeSink final : public TraceSink {
- public:
-  TeeSink(TraceSink* a, TraceSink* b) : a_(a), b_(b) {}
-  void on_event(Event e) override {
-    a_->on_event(e);
-    b_->on_event(e);
-  }
-
- private:
-  TraceSink* a_;
-  TraceSink* b_;
-};
-
-TEST(ShardedVsSerialTest, MergedTraceIsByteIdenticalToSerialSink) {
-  // One run, both recorders: any divergence is the recorders' fault, not
-  // schedule noise.
-  const auto suite = workloads::standard_suite();
-  for (const char* name : {"ArrayList", "HashMap"}) {
-    const workloads::Benchmark& bench =
-        workloads::find_benchmark(suite, name);
-    TraceRecorder serial;
-    ShardedTraceRecorder sharded;
-    TeeSink tee(&serial, &sharded);
-    rt::ExecutorOptions options;
-    options.sink = &tee;
-    options.seed = 42;
-    rt::execute(bench.slowdown_program, options);
-
-    Trace from_serial = serial.take();
-    Trace from_sharded = sharded.take();
-    ASSERT_FALSE(from_serial.empty()) << name;
-    EXPECT_EQ(from_sharded.events, from_serial.events) << name;
-    EXPECT_EQ(trace_to_string(from_sharded, TraceFormat::kV3),
-              trace_to_string(from_serial, TraceFormat::kV3))
-        << name;
-  }
-}
 
 // Everything a Detection asserts, flattened; equal strings = bit-identical
 // detection results.
@@ -110,25 +66,39 @@ std::string detection_fingerprint(const Detection& d) {
 
 TEST(StreamingDetectionTest, IdenticalAcrossAllFormatAndPathCombos) {
   const auto suite = workloads::standard_suite();
-  const workloads::Benchmark& bench =
-      workloads::find_benchmark(suite, "HashMap");
-  auto trace = sim::record_trace(bench.program, 7, 20, bench.max_steps);
-  ASSERT_TRUE(trace.has_value());
+  for (const char* name :
+       {"ArrayList", "Stack", "HashMap", "TreeMap", "WeakHashMap"}) {
+    SCOPED_TRACE(name);
+    const workloads::Benchmark& bench = workloads::find_benchmark(suite, name);
+    auto trace = sim::record_trace(bench.program, 7, 20, bench.max_steps);
+    ASSERT_TRUE(trace.has_value());
 
-  const std::string baseline = detection_fingerprint(detect(*trace));
-  ASSERT_FALSE(baseline.empty());
+    const std::string baseline = detection_fingerprint(detect(*trace));
+    ASSERT_FALSE(baseline.empty());
 
-  {  // In-memory reader.
-    VectorTraceReader reader(*trace);
-    EXPECT_EQ(detection_fingerprint(detect_reader(reader)), baseline);
-  }
-  for (TraceFormat format : {TraceFormat::kV1, TraceFormat::kV2,
-                             TraceFormat::kV3}) {  // streamed from disk bytes
-    std::istringstream is{trace_to_string(*trace, format)};
-    StreamTraceReader reader(is);
-    EXPECT_EQ(detection_fingerprint(detect_reader(reader)), baseline)
-        << to_string(format);
-    EXPECT_TRUE(reader.ok()) << reader.error();
+    {  // In-memory reader.
+      VectorTraceReader reader(*trace);
+      EXPECT_EQ(detection_fingerprint(detect_reader(reader)), baseline);
+    }
+    std::map<TraceFormat, std::size_t> bytes_of;
+    for (TraceFormat format : {TraceFormat::kV1, TraceFormat::kV2,
+                               TraceFormat::kV3}) {  // streamed from bytes
+      const std::string bytes = trace_to_string(*trace, format);
+      bytes_of[format] = bytes.size();
+      // An exact round trip: the same events, re-encoded to the same bytes.
+      const auto decoded = trace_from_string(bytes);
+      ASSERT_TRUE(decoded.has_value()) << to_string(format);
+      EXPECT_EQ(decoded->events, trace->events) << to_string(format);
+      EXPECT_EQ(trace_to_string(*decoded, format), bytes) << to_string(format);
+
+      std::istringstream is{bytes};
+      StreamTraceReader reader(is);
+      EXPECT_EQ(detection_fingerprint(detect_reader(reader)), baseline)
+          << to_string(format);
+      EXPECT_TRUE(reader.ok()) << reader.error();
+    }
+    // Binary v3 is the compact format: at most half of v2 on real traces.
+    EXPECT_LE(2 * bytes_of[TraceFormat::kV3], bytes_of[TraceFormat::kV2]);
   }
 }
 

@@ -9,18 +9,17 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "support/check.hpp"
 #include "support/str.hpp"
+#include "testutil.hpp"
 #include "trace/event.hpp"
 #include "trace/exec_index.hpp"
 #include "trace/ids.hpp"
 #include "trace/recorder.hpp"
 #include "trace/serialize.hpp"
-#include "trace/sharded_recorder.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/wire.hpp"
 
@@ -150,8 +149,12 @@ TEST(RecorderTest, AssignsMonotonicSequence) {
 TEST(RecorderTest, TakeResetsSequence) {
   TraceRecorder recorder;
   recorder.on_event(make_event(EventKind::kThreadBegin, 0));
-  Trace first = recorder.take();
-  EXPECT_EQ(first.size(), 1u);
+  recorder.on_event(make_event(EventKind::kThreadEnd, 0));
+  Trace first;
+  const obs::CounterSnapshot counted =
+      test::counter_delta([&] { first = recorder.take(); });
+  EXPECT_EQ(first.size(), 2u);
+  EXPECT_EQ(counted.value("trace.recorded_events"), 2u);
   recorder.on_event(make_event(EventKind::kThreadBegin, 1));
   EXPECT_EQ(recorder.trace().events[0].seq, 0u);
 }
@@ -511,22 +514,13 @@ TEST(SerializeV3Test, ChecksumIdenticalAcrossFormats) {
   };
   // The file ends with the block-index trailer (u64le section offset +
   // index magic); the 'E' footer's checksum is the 8 bytes right before
-  // the index section.
+  // the index section, so an index-free file ends with it.
   ASSERT_EQ(bytes.compare(bytes.size() - 8, 8,
                           std::string(wire::kIndexMagic, 8)),
             0);
   const std::size_t index_offset =
       static_cast<std::size_t>(u64le_at(bytes.size() - 16));
   EXPECT_EQ(u64le_at(index_offset - 8), trace_checksum(trace));
-  // An index-free v3 file ends directly with the footer checksum.
-  std::string plain =
-      trace_to_string(trace, TraceFormat::kV3, {.index = false});
-  std::uint64_t v3_footer = 0;
-  for (int i = 0; i < 8; ++i)
-    v3_footer |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-                     plain[plain.size() - 8 + static_cast<std::size_t>(i)]))
-                 << (8 * i);
-  EXPECT_EQ(v3_footer, trace_checksum(trace));
 }
 
 // --------------------------------------------- v3 malformed-trace corpus ----
@@ -689,80 +683,6 @@ TEST(VectorTraceReaderTest, ChunksABorrowedTrace) {
   EXPECT_EQ(total, trace.events.size());
 }
 
-// ------------------------------------------------------ sharded recorder ----
-
-TEST(ShardedRecorderTest, SingleThreadMatchesSerialRecorderExactly) {
-  TraceRecorder serial;
-  ShardedTraceRecorder sharded;
-  for (int i = 0; i < 100; ++i) {
-    Event e = make_event(EventKind::kLockAcquire, i % 4,
-                         static_cast<SiteId>(i % 7), i / 7, i % 3);
-    serial.on_event(e);
-    sharded.on_event(e);
-  }
-  Trace merged = sharded.take();
-  EXPECT_EQ(merged.events, serial.take().events);
-  EXPECT_EQ(sharded.shard_count(), 1u);
-}
-
-TEST(ShardedRecorderTest, ConcurrentMergePreservesPerThreadOrder) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 5000;
-  ShardedTraceRecorder recorder;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t)
-    workers.emplace_back([&recorder, t] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        Event e = make_event(EventKind::kLockAcquire,
-                             static_cast<ThreadId>(t), 0,
-                             static_cast<std::int32_t>(i), 1);
-        recorder.on_event(e);
-      }
-    });
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(recorder.shard_count(), static_cast<std::size_t>(kThreads));
-
-  Trace merged = recorder.take();
-  ASSERT_EQ(merged.events.size(), kThreads * kPerThread);
-  // Tickets are a dense permutation; the merge restores global seq order.
-  std::vector<std::int32_t> next_occ(kThreads, 0);
-  for (std::size_t i = 0; i < merged.events.size(); ++i) {
-    const Event& e = merged.events[i];
-    EXPECT_EQ(e.seq, i);
-    // Each thread's own events come back in its emission order.
-    EXPECT_EQ(e.occurrence, next_occ[static_cast<std::size_t>(e.thread)]++);
-  }
-}
-
-TEST(ShardedRecorderTest, TakeLeavesRecorderReusable) {
-  ShardedTraceRecorder recorder;
-  recorder.on_event(make_event(EventKind::kThreadBegin, 0));
-  EXPECT_EQ(recorder.take().size(), 1u);
-  recorder.on_event(make_event(EventKind::kThreadBegin, 1));
-  Trace second = recorder.take();
-  ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(second.events[0].seq, 0u);  // ticket restarted
-  EXPECT_EQ(second.events[0].thread, 1);
-}
-
-TEST(ShardedRecorderTest, ClearDropsEverything) {
-  ShardedTraceRecorder recorder;
-  recorder.on_event(make_event(EventKind::kThreadBegin, 0));
-  recorder.clear();
-  EXPECT_TRUE(recorder.take().empty());
-}
-
-TEST(ShardedRecorderTest, TwoRecordersOnOneThreadStayIndependent) {
-  // The thread-local shard cache must re-resolve when the same thread
-  // alternates between recorders.
-  ShardedTraceRecorder a, b;
-  a.on_event(make_event(EventKind::kThreadBegin, 0));
-  b.on_event(make_event(EventKind::kThreadBegin, 1));
-  a.on_event(make_event(EventKind::kThreadEnd, 0));
-  EXPECT_EQ(a.take().size(), 2u);
-  EXPECT_EQ(b.take().size(), 1u);
-}
-
 // ------------------------------------ v3 footer index + the path reader ----
 
 // Writes trace bytes to a real file for the path constructor.
@@ -832,8 +752,7 @@ TEST(TraceIndexTest, IndexRoundTripsAcrossEveryDecodePath) {
 
 TEST(TraceIndexTest, UnindexedFileLoadsOnEveryPathToo) {
   Trace trace = block_trace(3, 1);
-  TraceFile file(
-      trace_to_string(trace, TraceFormat::kV3, {.index = false}));
+  TraceFile file(test::unindexed_v3(trace));
   for_each_constructor(
       file.path, StreamTraceReader::Mode::kStrict,
       [&](StreamTraceReader& reader, const char* how) {
@@ -935,8 +854,7 @@ TEST(TraceIndexTest, CorruptBlockSalvagesIdenticallyAtEveryJobsLevel) {
 TEST(TraceIndexTest, TruncationAtEveryByteOffsetNeverPassesStrict) {
   Trace trace = block_trace(1, 3);
   const std::string bytes = trace_to_string(trace, TraceFormat::kV3);
-  const std::string plain =
-      trace_to_string(trace, TraceFormat::kV3, {.index = false});
+  const std::string plain = test::unindexed_v3(trace);
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::string prefix = bytes.substr(0, cut);
     if (prefix == plain) {
@@ -961,8 +879,7 @@ TEST(TraceIndexTest, TruncationAtEveryByteOffsetNeverPassesStrict) {
 TEST(TraceIndexTest, TruncatedIndexFallsBackToSequentialLoad) {
   Trace trace = block_trace(2, 5);
   const std::string bytes = trace_to_string(trace, TraceFormat::kV3);
-  const std::string plain =
-      trace_to_string(trace, TraceFormat::kV3, {.index = false});
+  const std::string plain = test::unindexed_v3(trace);
   // Every cut strictly inside the footer-index region (the bytes the
   // index-free encoding does not have) leaves the events and the 'E'
   // footer intact: salvage through either constructor must still deliver
