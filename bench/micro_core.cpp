@@ -35,7 +35,7 @@ void BM_LockDependencyFromTrace(benchmark::State& state) {
   Trace trace = cache_trace(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     LockDependency dep = LockDependency::from_trace(trace);
-    benchmark::DoNotOptimize(dep.tuples.size());
+    benchmark::DoNotOptimize(dep.log.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
@@ -58,7 +58,7 @@ void BM_OnlineSink(benchmark::State& state) {
   for (auto _ : state) {
     OnlineAnalysisSink sink;
     for (const Event& e : trace.events) sink.on_event(e);
-    benchmark::DoNotOptimize(sink.tuple_count());
+    benchmark::DoNotOptimize(sink.acquisition_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));

@@ -199,7 +199,7 @@ WorkloadResult measure(const std::string& name, const sim::Program& program,
     (pass == 0 ? result.serial : result.parallel) =
         PhaseSample::of(report, total_wall);
     if (pass == 0) {
-      result.tuples = report.detection.dep.tuples.size();
+      result.tuples = report.detection.dep.log.size();
       result.cycles = report.cycles.size();
       result.defects = report.defects.size();
       result.detect_seconds = report.timings.detect_seconds;

@@ -55,7 +55,7 @@ int main() {
   options.replay.attempts = 10;
   WolfReport report = run_wolf(program, options);
 
-  std::cout << "recorded trace with " << report.detection.dep.tuples.size()
+  std::cout << "recorded trace with " << report.detection.dep.log.size()
             << " lock-dependency tuples\n";
   std::cout << "detected " << report.detection.cycles.size()
             << " potential deadlock cycle(s), "

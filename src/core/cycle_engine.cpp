@@ -28,7 +28,7 @@ const obs::Counter kMaskWords("detector.mask_words");
 // The original DFS enumerator, kept verbatim as the executable
 // specification of the canonical cycle order (detector.hpp):
 //   * holders_of_ — lock ℓ → canonical tuples holding ℓ in their lockset, in
-//     dep.unique order;
+//     canonical order;
 //   * chain_threads_/chain_locks_ — running thread set and lockset union of
 //     the current chain, so the pairwise-disjointness test is O(|lockset|)
 //     per candidate.
@@ -36,18 +36,18 @@ class ReferenceEnumerator {
  public:
   ReferenceEnumerator(const LockDependency& dep, const DetectorOptions& options)
       : dep_(dep), options_(options) {
-    for (std::size_t u : dep_.unique)
+    for (std::size_t u = 0; u < dep_.tuples.size(); ++u)
       for (LockId l : dep_.tuples[u].lockset) holders_of_[l].push_back(u);
   }
 
   std::vector<PotentialDeadlock> run() {
     std::size_t done = 0;
-    for (std::size_t u : dep_.unique) {
+    for (std::size_t u = 0; u < dep_.tuples.size(); ++u) {
       if (exhausted()) break;
       push_member(u);
       extend();
       pop_member(u);
-      obs::progress_tick("detect", ++done, dep_.unique.size());
+      obs::progress_tick("detect", ++done, dep_.tuples.size());
     }
     return std::move(cycles_);
   }
@@ -131,7 +131,7 @@ inline void flip_bit(Word* w, std::size_t i) {
   w[i / kWordBits] ^= Word{1} << (i % kWordBits);
 }
 
-// Dense model of the canonical tuple view (node i ↔ dep.unique[i]), with
+// Dense model of the canonical tier (node i ↔ dep.tuples[i]), with
 // the per-node thread and lock scalars hoisted into flat arrays. Lock ids map
 // to a dense per-view index (the sorted distinct locks the view references),
 // so every array here is sized by the view, never by the largest lock id.
@@ -144,7 +144,7 @@ inline void flip_bit(Word* w, std::size_t i) {
 class SccEngine {
  public:
   SccEngine(const LockDependency& dep, const DetectorOptions& options)
-      : dep_(dep), options_(options), tuple_of_(dep.unique) {
+      : dep_(dep), options_(options) {
     index_locks();
     build_masks(partition());
   }
@@ -152,11 +152,10 @@ class SccEngine {
   // Fills thread_/lock_, the per-node held-lock lists and the holder index,
   // all over dense lock ids.
   void index_locks() {
-    const std::size_t n = tuple_of_.size();
+    const std::size_t n = size();
     std::vector<LockId> locks;
     ThreadId max_thread = -1;
-    for (std::size_t u : tuple_of_) {
-      const LockTuple& t = dep_.tuples[u];
+    for (const LockTuple& t : dep_.tuples) {
       locks.push_back(t.lock);
       locks.insert(locks.end(), t.lockset.begin(), t.lockset.end());
       max_thread = std::max(max_thread, t.thread);
@@ -175,8 +174,7 @@ class SccEngine {
     held_begin_.reserve(n + 1);
     held_begin_.push_back(0);
     holder_begin_.assign(lock_count_ + 1, 0);
-    for (std::size_t u : tuple_of_) {
-      const LockTuple& t = dep_.tuples[u];
+    for (const LockTuple& t : dep_.tuples) {
       thread_.push_back(t.thread);
       lock_.push_back(dense(t.lock));
       for (LockId l : t.lockset) {
@@ -201,7 +199,7 @@ class SccEngine {
   // components with ≥ 2 nodes can carry one (self loops are impossible:
   // a thread is never its own neighbor).
   std::vector<std::vector<Digraph::Node>> partition() {
-    const std::size_t n = tuple_of_.size();
+    const std::size_t n = size();
     Digraph graph(static_cast<int>(n));
     for (std::size_t u = 0; u < n; ++u)
       for (std::uint32_t v : holders(lock_[u]))
@@ -229,7 +227,7 @@ class SccEngine {
     constexpr std::uint32_t kUnnumbered = ~std::uint32_t{0};
     std::vector<std::uint32_t> numbered_by(lock_count_, kUnnumbered);
     std::vector<std::uint32_t> bit(lock_count_, 0);
-    const std::size_t n = tuple_of_.size();
+    const std::size_t n = size();
     mask_at_.assign(n, 0);
     lock_bit_.assign(n, 0);
     comp_words_.assign(components.size(), 0);
@@ -259,7 +257,7 @@ class SccEngine {
     kMaskWords.add(lockset_.size());
   }
 
-  std::size_t size() const { return tuple_of_.size(); }
+  std::size_t size() const { return dep_.tuples.size(); }
 
   bool in_nontrivial_scc(std::size_t node) const {
     return comp_words_[comp_[node]] != 0;
@@ -281,9 +279,6 @@ class SccEngine {
 
   const LockDependency& dep_;
   const DetectorOptions& options_;
-  // node → index into dep.tuples: dep.unique, which outlives the engine
-  // (one engine lives inside one enumerate_cycles_scc call).
-  const std::vector<std::size_t>& tuple_of_;
   std::size_t lock_count_ = 0;                // distinct locks in the view
   std::size_t thread_words_ = 1;
   std::vector<ThreadId> thread_;
@@ -342,9 +337,7 @@ struct ChainSearch {
     if (chain.size() >= 2 && test_bit(e.lockset(first), e.lock_bit_[last])) {
       kCyclesFound.add();
       PotentialDeadlock cycle;
-      cycle.tuple_idx.reserve(chain.size());
-      for (std::uint32_t node : chain)
-        cycle.tuple_idx.push_back(e.tuple_of_[node]);
+      cycle.tuple_idx.assign(chain.begin(), chain.end());
       out.push_back(std::move(cycle));
     }
     if (static_cast<int>(chain.size()) >= e.options_.max_cycle_length)

@@ -42,8 +42,8 @@ EnumerationResult enumerate_cycles_reference(const LockDependency& dep,
                                              const DetectorOptions& options);
 
 // The SCC-partitioned engine; what detect() and every Session call. One
-// serial search over the canonical tuple view dep.unique, bit-identical to
-// the reference.
+// serial search over the canonical tier dep.tuples, bit-identical to the
+// reference.
 EnumerationResult enumerate_cycles_scc(const LockDependency& dep,
                                        const DetectorOptions& options);
 

@@ -27,8 +27,8 @@
 namespace wolf {
 
 struct PotentialDeadlock {
-  // Indices into LockDependency::tuples, in cycle order: tuple i requests the
-  // lock held by tuple (i+1) mod n.
+  // Canonical ordinals (indices into LockDependency::tuples), in cycle
+  // order: tuple i requests the lock held by tuple (i+1) mod n.
   std::vector<std::size_t> tuple_idx;
 
   std::string to_string(const LockDependency& dep) const;
@@ -85,9 +85,8 @@ Detection detect_reader(TraceReader& reader,
                         const DetectorOptions& options = {});
 
 // Shared back half of detect_reader and Session::finish (core/governor.hpp):
-// enumerates cycles and groups defects over an already-built relation
-// (`unique` must be current, as every relation LockDependencyBuilder hands
-// out keeps it).
+// enumerates cycles and groups defects over an already-built relation's
+// canonical tier.
 Detection finish_detection(LockDependency dep, ClockTracker clocks,
                            const DetectorOptions& options);
 

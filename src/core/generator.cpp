@@ -1,7 +1,6 @@
 #include "core/generator.hpp"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "obs/counters.hpp"
@@ -109,14 +108,29 @@ GeneratorResult generate(const PotentialDeadlock& cycle,
   GeneratorResult result;
   SyncDependencyGraph& gs = result.gs;
 
-  const std::set<std::size_t> cycle_set(cycle.tuple_idx.begin(),
-                                        cycle.tuple_idx.end());
+  // θ's own acquisitions, by trace position: the log records them too.
+  std::vector<std::size_t> cycle_pos;
+  for (std::size_t i : cycle.tuple_idx)
+    cycle_pos.push_back(dep.tuples[i].trace_pos);
+  auto in_cycle = [&](const Acquisition& a) {
+    return std::find(cycle_pos.begin(), cycle_pos.end(), a.pos) !=
+           cycle_pos.end();
+  };
 
   auto vertex_for = [&](const LockTuple& tuple, LockId l) {
     GsVertex v;
     v.thread = tuple.thread;
     v.index = tuple.mu(l);
     v.lock = l;
+    return gs.intern(v);
+  };
+  // A logged acquisition's vertex: the same one vertex_for gives its tuple
+  // for the lock it acquires.
+  auto vertex_at = [&](const Acquisition& a) {
+    GsVertex v;
+    v.thread = a.thread;
+    v.index = a.index();
+    v.lock = a.lock;
     return gs.intern(v);
   };
 
@@ -136,12 +150,14 @@ GeneratorResult generate(const PotentialDeadlock& cycle,
 
   // --- type-C edges: every other-thread acquisition in D'_σ of a lock that
   // ηi needs (lockset + requested lock) precedes ηi's acquisition of it,
-  // reproducing the observed per-lock order. θ's own deadlocking tuples are
-  // excluded as sources — their order is the deadlock itself (type-D).
+  // reproducing the observed per-lock order. θ's own deadlocking
+  // acquisitions are excluded as sources — their order is the deadlock
+  // itself (type-D).
   //
-  // Sources come from the index's per-(thread, lock) acquisition order,
-  // walked per cycle thread in cycle order — the same sequence the old
-  // D'_σ scan produced by filtering the concatenated prefixes.
+  // Sources come from the index's per-(thread, lock) order over the
+  // acquisition log, walked per cycle thread in cycle order — the same
+  // sequence the old D'_σ scan produced by filtering the concatenated
+  // prefixes.
   for (std::size_t i : cycle.tuple_idx) {
     const LockTuple& eta_i = dep.tuples[i];
     std::vector<LockId> needed = eta_i.lockset;
@@ -153,9 +169,9 @@ GeneratorResult generate(const PotentialDeadlock& cycle,
         if (eta_j.thread == eta_i.thread) continue;
         for (std::size_t x :
              index.thread_lock_prefix(eta_j.thread, lk, eta_j.trace_pos)) {
-          if (cycle_set.count(x) != 0) continue;
-          Digraph::Node u = vertex_for(dep.tuples[x], lk);
-          gs.add_edge(u, v, GsEdgeKind::kTypeC);
+          const Acquisition& a = dep.log[x];
+          if (in_cycle(a)) continue;
+          gs.add_edge(vertex_at(a), v, GsEdgeKind::kTypeC);
         }
       }
     }
@@ -167,10 +183,8 @@ GeneratorResult generate(const PotentialDeadlock& cycle,
     const LockTuple& eta = dep.tuples[ci];
     auto prefix = index.thread_prefix(eta.thread, eta.trace_pos);
     for (std::size_t k = 1; k < prefix.size(); ++k) {
-      const LockTuple& prev = dep.tuples[prefix[k - 1]];
-      const LockTuple& next = dep.tuples[prefix[k]];
-      Digraph::Node u = vertex_for(prev, prev.lock);
-      Digraph::Node v = vertex_for(next, next.lock);
+      Digraph::Node u = vertex_at(dep.log[prefix[k - 1]]);
+      Digraph::Node v = vertex_at(dep.log[prefix[k]]);
       gs.add_edge(u, v, GsEdgeKind::kTypeP);
     }
   }

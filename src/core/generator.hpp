@@ -13,7 +13,7 @@
 //            thread ti needs (its lockset and its requested lock) by another
 //            cycle thread must precede ti's acquisition of it, so the
 //            deadlocking context is set up as observed. Sources exclude θ's
-//            own deadlocking tuples (they are ordered by type-D).
+//            own deadlocking acquisitions (they are ordered by type-D).
 //   type-P — program order between consecutive acquisitions of each cycle
 //            thread.
 //
@@ -102,8 +102,9 @@ struct GeneratorResult {
   std::vector<ExecIndex> witness;
 };
 
-// Builds Gs for `cycle` from the full tuple sequence (Algorithm 3), using a
-// prebuilt DependencyIndex for the trace-level scaffolding (D'_σ prefixes and
+// Builds Gs for `cycle` (Algorithm 3): type-D edges and the type-C targets
+// from the cycle's canonical tuples, type-C sources and type-P chains from
+// the acquisition log, through a prebuilt DependencyIndex (D'_σ prefixes and
 // per-lock acquisition order). The index depends only on the trace, so one
 // index serves every cycle of a Detection; only the per-cycle type-D overlay
 // and the cutoff slicing differ between calls. Edge and vertex insertion

@@ -28,6 +28,8 @@ namespace {
 
 const obs::Counter kWindowsCounter("governor.windows");
 const obs::Counter kSuspiciousCounter("governor.windows_suspicious");
+// Windows whose budget trimmed the acquisition log; the counter keeps the
+// name it had when that rung compacted duplicate tuples.
 const obs::Counter kCompactionsCounter("governor.compactions");
 const obs::Counter kEvictedCounter("governor.tuples_evicted");
 const obs::Counter kFaultsCounter("governor.detection_faults");
@@ -141,13 +143,17 @@ struct Session::Impl {
   void surface_new_cycles(const LockDependency& dep,
                           const std::vector<PotentialDeadlock>& cycles,
                           WindowReport& w);
-  // Budget enforcement: compaction, then aging. Updates store_bytes.
+  // Budget enforcement: log trim, then aging.
   void govern_memory(WindowReport& w);
-  void recompute_store_bytes();
+  // The store's footprint: canonical tuples plus log records.
+  std::size_t store_bytes() const {
+    return canonical_bytes +
+           builder.pending().log.size() * sizeof(Acquisition);
+  }
   // Files canonical ordinal k under its request lock's lock-graph node.
   void index_canonical(std::size_t k, int node);
   // Re-keys canonical_by_node after eviction renumbered the canonical
-  // ordinals (compaction keeps them), first rebuilding the lock graph from
+  // ordinals (a log trim keeps them), first rebuilding the lock graph from
   // the retained canonical tuples once it has doubled.
   void rebuild_lock_index();
 
@@ -169,17 +175,19 @@ struct Session::Impl {
   DetectionLevel rung = DetectionLevel::kFullScc;
   int fast_streak = 0;
   std::size_t open_events = 0;  // events in the open window
-  std::size_t store_bytes = 0;
+  // tuple_bytes summed over the canonical tier, kept as tuples arrive and
+  // recomputed after eviction.
+  std::size_t canonical_bytes = 0;
   // Cycles already surfaced by per-window enumeration, so new_cycles
   // counts first sightings only.
   std::unordered_set<CycleKey, CycleKeyHash> seen_cycles;
   std::size_t live_cycles = 0;
   // Cycles surfaced since the last poll(); filled only when config.live.
   std::vector<SessionCycle> pending;
-  // Canonical ordinals (indices into builder.pending().unique) by their
+  // Canonical ordinals (indices into builder.pending().tuples) by their
   // request lock's lock-graph node, so a dirty SCC's nodes map straight to
   // the tuple subset to enumerate. Tuples with an empty lockset close no
-  // cycle and are not filed. Compaction keeps every ordinal; eviction
+  // cycle and are not filed. A log trim keeps every ordinal; eviction
   // renumbers them and rebuilds this.
   std::vector<std::vector<std::size_t>> canonical_by_node;
   // The lock graph's size (locks plus edges) after its last rebuild, or at
@@ -198,8 +206,7 @@ void Session::Impl::add(const Event& e) {
   // after the throw — stop ingesting, keep what was built, and report the
   // run as incomplete rather than crashing or silently analyzing garbage.
   if (poisoned) return;
-  const std::size_t stored = builder.tuple_count();
-  const std::size_t canonical = builder.pending().unique.size();
+  const std::size_t canonical = builder.pending().tuples.size();
   try {
     builder.add(e);
   } catch (const std::exception& ex) {
@@ -213,13 +220,12 @@ void Session::Impl::add(const Event& e) {
     return;
   }
   if (!windowed) return;  // nothing reads windows: D_σ is all we keep
-  const LockDependency& dep = builder.pending();
-  for (std::size_t i = stored; i < dep.tuples.size(); ++i)
-    store_bytes += tuple_bytes(dep.tuples[i]);
   // Only canonical arrivals reach the pre-filter and the by-lock index:
-  // enumeration searches the canonical view, so a duplicate adds no cycle.
-  for (std::size_t k = canonical; k < dep.unique.size(); ++k) {
-    const int node = prefilter.on_tuple(dep.tuples[dep.unique[k]]);
+  // enumeration searches the canonical tier, so a duplicate adds no cycle.
+  const LockDependency& dep = builder.pending();
+  for (std::size_t k = canonical; k < dep.tuples.size(); ++k) {
+    canonical_bytes += tuple_bytes(dep.tuples[k]);
+    const int node = prefilter.on_tuple(dep.tuples[k]);
     if (node >= 0) index_canonical(k, node);
   }
   if (++open_events >= config.window_events) close_window();
@@ -282,26 +288,19 @@ void Session::Impl::run_window_detection(WindowReport& w) {
   // A cycle's requested locks all lie in one lock-graph SCC, so the
   // canonical tuples whose request lock belongs to a dirty suspicious SCC
   // form a complete enumeration domain for every cycle those SCCs could
-  // newly carry. The subset is closed under TupleKey (a key fixes the lock)
-  // and holds no duplicate, so snapshot_subset's view is all canonical.
-  const std::vector<std::size_t>& unique = builder.pending().unique;
+  // newly carry.
   std::vector<std::size_t> subset;
   for (int node : prefilter.drain_dirty_suspicious_nodes()) {
     const auto n = static_cast<std::size_t>(node);
     if (n >= canonical_by_node.size()) continue;
-    for (std::size_t k : canonical_by_node[n]) subset.push_back(unique[k]);
+    subset.insert(subset.end(), canonical_by_node[n].begin(),
+                  canonical_by_node[n].end());
   }
   if (subset.empty()) return;
   std::sort(subset.begin(), subset.end());  // canonical trace order
   const LockDependency dep = builder.snapshot_subset(subset);
   surface_new_cycles(dep, enumerate_cycles_scc(dep, config.detector).cycles,
                      w);
-}
-
-void Session::Impl::recompute_store_bytes() {
-  store_bytes = 0;
-  for (const LockTuple& t : builder.pending().tuples)
-    store_bytes += tuple_bytes(t);
 }
 
 void Session::Impl::rebuild_lock_index() {
@@ -322,8 +321,8 @@ void Session::Impl::rebuild_lock_index() {
     graph_size_at_rebuild = graph_size();
   }
   canonical_by_node.clear();
-  for (std::size_t k = 0; k < dep.unique.size(); ++k) {
-    const LockTuple& t = dep.tuples[dep.unique[k]];
+  for (std::size_t k = 0; k < dep.tuples.size(); ++k) {
+    const LockTuple& t = dep.tuples[k];
     if (t.lockset.empty()) continue;
     // Every retained canonical tuple was fed since the last rebuild, or by
     // it, and the graph never drops a node between rebuilds.
@@ -336,33 +335,34 @@ void Session::Impl::rebuild_lock_index() {
 void Session::Impl::govern_memory(WindowReport& w) {
   if (config.memory_budget_mb == 0) return;
   const std::size_t budget = config.memory_budget_mb << 20;
-  if (store_bytes <= budget) return;
+  if (store_bytes() <= budget) return;
 
-  // Rung 1: compaction — lossless for the cycle set (enumeration runs over
-  // the canonical view), so it is always tried first. It drops exactly the
-  // duplicates, which the pre-filter never saw, and keeps every canonical
-  // ordinal, so neither the lock graph nor the by-lock index changes.
-  w.tuples_compacted = builder.compact();
-  recompute_store_bytes();
+  // Rung 1: log trim — drop the oldest log records down to ~90% of what the
+  // canonical tier leaves of the budget, so the next window has headroom.
+  // Lossless for the cycle set (enumeration reads only the canonical tier,
+  // which keeps every ordinal, so neither the lock graph nor the by-lock
+  // index changes), lossy for Gs: the Generator's type-C and type-P edges
+  // come from the log.
+  const std::size_t left =
+      canonical_bytes < budget ? budget - canonical_bytes : 0;
+  w.tuples_compacted =
+      builder.trim_log((left - left / 10) / sizeof(Acquisition));
   if (w.tuples_compacted > 0) kCompactionsCounter.add();
-  if (store_bytes > budget) {
-    // Rung 2: aging — evict the oldest tuples down to ~90% of the budget so
-    // the next window has headroom. Lossy; the report must say so. The
-    // store is all canonical after compaction, so no retained duplicate
+  if (canonical_bytes > budget) {
+    // Rung 2: aging — the canonical tier alone exceeds the budget: evict
+    // the oldest canonical tuples down to ~90% of it. Lossy; the report must
+    // say so. The tier holds no duplicate, so no retained acquisition
     // becomes canonical without the pre-filter having seen it. The lock
     // graph keeps the evicted tuples' edges: a superset of the retained
-    // view's graph, whose SCCs contain the retained view's, so it can only
+    // tier's graph, whose SCCs contain the retained tier's, so it can only
     // overstate suspicion (DESIGN.md §16). Eviction only removes tuples, so
     // it closes no cycle that would need a new dirty mark.
     const std::size_t live = builder.pending().tuples.size();
-    WOLF_CHECK_MSG(
-        builder.pending().unique.size() == live,
-        "eviction would promote a duplicate the pre-filter never saw");
-    const std::size_t avg =
-        live == 0 ? 1 : std::max<std::size_t>(1, store_bytes / live);
-    const std::size_t max_tuples = (budget - budget / 10) / avg;
-    w.tuples_evicted = builder.evict_oldest(max_tuples);
-    recompute_store_bytes();
+    const std::size_t avg = std::max<std::size_t>(1, canonical_bytes / live);
+    w.tuples_evicted = builder.evict_oldest((budget - budget / 10) / avg);
+    canonical_bytes = 0;
+    for (const LockTuple& t : builder.pending().tuples)
+      canonical_bytes += tuple_bytes(t);
     if (w.tuples_evicted > 0) {
       w.level = DetectionLevel::kShedding;
       kEvictedCounter.add(w.tuples_evicted);
@@ -391,8 +391,8 @@ void Session::Impl::close_window() {
   }
   w.detect_seconds = now_seconds() - t0;
   govern_memory(w);
-  w.tuples_live = builder.pending().tuples.size();
-  w.store_bytes = store_bytes;
+  w.tuples_live = builder.acquisition_count();
+  w.store_bytes = store_bytes();
 
   rung = next_rung(rung, w.detect_seconds, config.window_deadline_ms,
                    fast_streak);
@@ -403,6 +403,10 @@ void Session::Impl::close_window() {
     ++verdict.suspicious_windows;
     kSuspiciousCounter.add();
   }
+  if (w.tuples_compacted > 0 && verdict.tuples_compacted == 0)
+    note_event(verdict, "window " + std::to_string(w.index) +
+                            ": memory budget trimmed the acquisition log; "
+                            "Gs may be smaller than batch");
   verdict.tuples_compacted += w.tuples_compacted;
   if (w.tuples_evicted > 0) {
     verdict.tuples_evicted += w.tuples_evicted;

@@ -15,16 +15,18 @@
 //   1. consults the linear-time sound pre-filter (core/prefilter.hpp) — the
 //      expensive tuple-level cycle enumeration fires only on windows the
 //      lock graph flags as suspicious, and only at ladder rungs that allow
-//      it. The builder keeps D_σ's canonical view at insert, and only
-//      canonical arrivals (the first retained tuple of each TupleKey) reach
-//      the lock graph, so a window in which only duplicates arrived dirties
-//      nothing and is not suspicious;
-//   2. enforces the memory budget on the tuple store: first *compaction*
-//      (dropping non-canonical duplicate tuples — lossless for cycle
-//      enumeration, which runs over the canonical view, and invisible to
-//      the lock graph, which never saw them), then, only if the budget is
-//      still exceeded, *aging* (evicting the oldest tuples — lossy, and
-//      therefore reported);
+//      it. The builder keeps D_σ's canonical tier at insert, and only
+//      canonical arrivals (the first retained acquisition of each TupleKey)
+//      reach the lock graph, so a window in which only duplicates arrived
+//      dirties nothing and is not suspicious;
+//   2. enforces the memory budget on the store — canonical tuples plus the
+//      24-byte acquisition log: first a *log trim* (dropping the oldest log
+//      records — lossless for the cycle set, which only the canonical tier
+//      carries, and invisible to the lock graph, but the Generator's Gs may
+//      then be smaller than batch's, so the first trim is noted in the
+//      verdict), then, only if the canonical tier alone exceeds the budget,
+//      *aging* (evicting the oldest canonical tuples and every log record
+//      older than the oldest retained one — lossy, and therefore reported);
 //   3. drives the degradation ladder off the window's detection latency:
 //
 //          kFullScc ↔ kPrefilterOnly   (deadline pressure)
@@ -40,12 +42,14 @@
 // Honesty contract (the same one --max-cycles truncation already honors):
 // every downgrade is surfaced. Each window produces a WindowReport; the
 // run produces a GovernorVerdict whose coverage_complete is true iff the
-// final Detection provably equals what batch analysis of the same event
-// stream would produce — no eviction, no malformed event, no detection
-// fault. Per-window enumeration faults (injected or real) degrade only
-// that window's early surfacing; finish() re-enumerates over everything
-// retained, so they do not lose final coverage. A fault *in* finish() does,
-// and flips coverage_complete; finish() never throws.
+// final cycle set and canonical tier provably equal what batch analysis of
+// the same event stream would produce — no eviction, no malformed event, no
+// detection fault. A log trim keeps both, so it leaves coverage complete;
+// its verdict note says that Gs may be smaller than batch's. Per-window
+// enumeration faults (injected or real) degrade only that window's early
+// surfacing; finish() re-enumerates over everything retained, so they do
+// not lose final coverage. A fault *in* finish() does, and flips
+// coverage_complete; finish() never throws.
 //
 // Per-window enumeration is *incremental* (DESIGN.md §16): the pre-filter
 // maintains its SCC decomposition as canonical tuples arrive
@@ -110,14 +114,18 @@ using CycleSubscriber = std::function<void(const LiveCycle&)>;
 struct WindowReport {
   std::size_t index = 0;
   std::size_t events = 0;       // events ingested in this window
-  std::size_t tuples_live = 0;  // tuples retained after governance
-  std::size_t store_bytes = 0;  // approx store footprint after governance
+  std::size_t tuples_live = 0;  // log records retained after governance
+  // Approx store footprint after governance: canonical tuples plus log
+  // records.
+  std::size_t store_bytes = 0;
   DetectionLevel level = DetectionLevel::kFullScc;  // rung the window ran at
   // A canonical tuple arrived since the last drain (or earlier marks are
   // still queued) and the lock graph has a suspicious SCC. A window of
   // duplicates only is never suspicious.
   bool suspicious = false;
   std::size_t new_cycles = 0;   // cycles first surfaced in this window
+  // Log records trimmed (the field keeps its historical name, as does the
+  // WOLFSERVE/1 verdict key).
   std::size_t tuples_compacted = 0;
   std::size_t tuples_evicted = 0;  // > 0 ⇒ lossy (level == kShedding)
   double detect_seconds = 0;    // detection latency of this window
@@ -130,7 +138,9 @@ struct WindowReport {
 };
 
 // Run-level roll-up. coverage_complete is the load-bearing bit: when true,
-// the final Detection covers exactly what batch analysis would.
+// the final cycle set and canonical tier equal batch's. tuples_compacted
+// counts log records trimmed; once it is nonzero, Gs may be smaller than
+// batch's.
 struct GovernorVerdict {
   bool coverage_complete = true;
   std::size_t windows = 0;
@@ -153,8 +163,9 @@ struct GovernorVerdict {
 DetectionLevel next_rung(DetectionLevel current, double detect_seconds,
                          std::int64_t deadline_ms, int& fast_streak);
 
-// Approximate heap footprint of one stored tuple (vector capacities
-// included) — the unit of the governor's memory accounting.
+// Approximate heap footprint of one canonical tuple (vector capacities
+// included); with sizeof(Acquisition) per log record, the unit of the
+// governor's memory accounting.
 std::size_t tuple_bytes(const LockTuple& tuple);
 
 }  // namespace wolf

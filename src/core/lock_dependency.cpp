@@ -27,21 +27,12 @@ std::uint64_t key_step(std::uint64_t h, SiteId site) {
                     0x9e3779b97f4a7c15ULL));
 }
 
-// TupleKeyHash{}(key_of(t)) and key_of(a) == key_of(b), computed on the
-// tuples themselves: the builder's index never builds a TupleKey.
+// TupleKeyHash{}(key_of(t)), computed on the tuple itself: the builder's
+// index never builds a TupleKey.
 std::uint64_t key_hash(const LockTuple& t) {
   std::uint64_t h = key_seed(t.thread, t.lock);
   for (const ExecIndex& idx : t.context) h = key_step(h, idx.site);
   return h;
-}
-
-bool same_key(const LockTuple& a, const LockTuple& b) {
-  if (a.thread != b.thread || a.lock != b.lock ||
-      a.context.size() != b.context.size())
-    return false;
-  for (std::size_t i = 0; i < a.context.size(); ++i)
-    if (a.context[i].site != b.context[i].site) return false;
-  return true;
 }
 
 }  // namespace
@@ -102,27 +93,35 @@ void LockDependencyBuilder::add(const Event& e) {
   switch (e.kind) {
     case EventKind::kLockAcquire: {
       auto& stack = held_stack(e.thread);
-      // Hash the key straight from the held stack and start fetching its
-      // home slot, so the likely cache miss overlaps building the tuple.
+      // Hash the key straight from the held stack and probe for it: a
+      // duplicate builds nothing.
       std::uint64_t hash = key_seed(e.thread, e.lock);
       for (const auto& held : stack) hash = key_step(hash, held.second.site);
       hash = key_step(hash, e.site);
       reserve_slot();
-      __builtin_prefetch(&slots_[hash & (slots_.size() - 1)]);
-      LockTuple tuple;
-      tuple.thread = e.thread;
-      tuple.lock = e.lock;
-      tuple.tau = clocks_.timestamp(e.thread);
-      tuple.trace_pos = pos;
-      for (const auto& [l, idx] : stack) {
-        tuple.lockset.push_back(l);
-        tuple.context.push_back(idx);
+      Slot& slot = probe(e, stack, hash);
+      if (slot.ordinal == kNoOrdinal) {
+        WOLF_CHECK_MSG(dep_.tuples.size() < kNoOrdinal,
+                       "more canonical tuples than the index can number");
+        LockTuple tuple;
+        tuple.thread = e.thread;
+        tuple.lock = e.lock;
+        tuple.tau = clocks_.timestamp(e.thread);
+        tuple.trace_pos = pos;
+        tuple.lockset.reserve(stack.size());
+        tuple.context.reserve(stack.size() + 1);
+        for (const auto& [l, idx] : stack) {
+          tuple.lockset.push_back(l);
+          tuple.context.push_back(idx);
+        }
+        tuple.context.push_back(e.index());
+        slot.hash = static_cast<std::uint32_t>(hash);
+        slot.ordinal = static_cast<std::uint32_t>(dep_.tuples.size());
+        dep_.tuples.push_back(std::move(tuple));
       }
-      tuple.context.push_back(e.index());
+      dep_.log.push_back(
+          Acquisition{e.thread, e.lock, e.site, e.occurrence, pos});
       kTuplesCounter.add();
-      const bool first = index_tuple(tuple, hash, dep_.tuples.size());
-      dep_.tuples.push_back(std::move(tuple));
-      canonical_.push_back(first);
       stack.emplace_back(e.lock, e.index());
       break;
     }
@@ -142,26 +141,26 @@ void LockDependencyBuilder::add(const Event& e) {
 }
 
 void LockDependencyBuilder::reserve_slot() {
-  if (4 * (dep_.unique.size() + 1) > 3 * slots_.size()) grow_index();
+  if (4 * (dep_.tuples.size() + 1) > 3 * slots_.size()) grow_index();
 }
 
-bool LockDependencyBuilder::index_tuple(const LockTuple& tuple,
-                                        std::uint64_t hash, std::size_t pos) {
+LockDependencyBuilder::Slot& LockDependencyBuilder::probe(
+    const Event& e, const HeldStack& stack, std::uint64_t hash) {
   const auto tag = static_cast<std::uint32_t>(hash);
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
     Slot& slot = slots_[i];
-    if (slot.ordinal == kNoOrdinal) {
-      WOLF_CHECK_MSG(dep_.unique.size() < kNoOrdinal,
-                     "more canonical tuples than the index can number");
-      slot.hash = tag;
-      slot.ordinal = static_cast<std::uint32_t>(dep_.unique.size());
-      dep_.unique.push_back(pos);
-      return true;
-    }
-    if (slot.hash == tag &&
-        same_key(dep_.tuples[dep_.unique[slot.ordinal]], tuple))
-      return false;
+    if (slot.ordinal == kNoOrdinal) return slot;
+    if (slot.hash != tag) continue;
+    const LockTuple& t = dep_.tuples[slot.ordinal];
+    if (t.thread != e.thread || t.lock != e.lock ||
+        t.context.size() != stack.size() + 1 ||
+        t.context.back().site != e.site)
+      continue;
+    bool same = true;
+    for (std::size_t k = 0; k < stack.size() && same; ++k)
+      same = t.context[k].site == stack[k].second.site;
+    if (same) return slot;
   }
 }
 
@@ -179,13 +178,17 @@ void LockDependencyBuilder::grow_index() {
 }
 
 void LockDependencyBuilder::rebuild_index() {
-  slots_.clear();
-  dep_.unique.clear();
-  canonical_.clear();
-  for (std::size_t i = 0; i < dep_.tuples.size(); ++i) {
-    reserve_slot();
-    canonical_.push_back(
-        index_tuple(dep_.tuples[i], key_hash(dep_.tuples[i]), i));
+  // The canonical tier holds distinct keys, so each one takes the first
+  // empty slot on its probe path.
+  std::size_t size = 16;
+  while (4 * (dep_.tuples.size() + 1) > 3 * size) size *= 2;
+  slots_.assign(size, Slot{});
+  const std::size_t mask = size - 1;
+  for (std::size_t k = 0; k < dep_.tuples.size(); ++k) {
+    const auto tag = static_cast<std::uint32_t>(key_hash(dep_.tuples[k]));
+    std::size_t i = tag & mask;
+    while (slots_[i].ordinal != kNoOrdinal) i = (i + 1) & mask;
+    slots_[i] = Slot{tag, static_cast<std::uint32_t>(k)};
   }
 }
 
@@ -193,44 +196,43 @@ LockDependency LockDependencyBuilder::take_dependency() {
   LockDependency out = std::move(dep_);
   dep_ = LockDependency{};
   slots_ = {};
-  canonical_ = {};
   return out;
 }
 
 LockDependency LockDependencyBuilder::snapshot_subset(
-    const std::vector<std::size_t>& indices) const {
+    const std::vector<std::size_t>& ordinals) const {
   LockDependency sub;
-  sub.tuples.reserve(indices.size());
-  for (std::size_t i : indices) {
-    if (canonical_[i]) sub.unique.push_back(sub.tuples.size());
-    sub.tuples.push_back(dep_.tuples[i]);
-  }
+  sub.tuples.reserve(ordinals.size());
+  for (std::size_t k : ordinals) sub.tuples.push_back(dep_.tuples[k]);
   return sub;
 }
 
-std::size_t LockDependencyBuilder::compact() {
-  const std::size_t kept = dep_.unique.size();
-  const std::size_t removed = dep_.tuples.size() - kept;
-  // unique[k] >= k, so moving canonical k down to k never overwrites a
-  // canonical tuple not yet moved.
-  for (std::size_t k = 0; k < kept; ++k) {
-    const std::size_t i = dep_.unique[k];
-    if (i != k) dep_.tuples[k] = std::move(dep_.tuples[i]);
-    dep_.unique[k] = k;
-  }
-  dep_.tuples.resize(kept);
-  dep_.tuples.shrink_to_fit();
-  canonical_.assign(kept, true);
-  return removed;
+std::size_t LockDependencyBuilder::trim_log(std::size_t max_records) {
+  if (dep_.log.size() <= max_records) return 0;
+  const std::size_t trimmed = dep_.log.size() - max_records;
+  // The log is in trace order, so the oldest records are the front.
+  dep_.log.erase(dep_.log.begin(),
+                 dep_.log.begin() + static_cast<std::ptrdiff_t>(trimmed));
+  return trimmed;
 }
 
 std::size_t LockDependencyBuilder::evict_oldest(std::size_t max_tuples) {
   if (dep_.tuples.size() <= max_tuples) return 0;
   const std::size_t evicted = dep_.tuples.size() - max_tuples;
-  // Tuples are in trace order, so the oldest are the front.
+  // Canonical tuples are in first-occurrence order, so the oldest are the
+  // front.
   dep_.tuples.erase(dep_.tuples.begin(),
                     dep_.tuples.begin() + static_cast<std::ptrdiff_t>(evicted));
   dep_.tuples.shrink_to_fit();
+  const std::size_t oldest =
+      dep_.tuples.empty() ? pos_ : dep_.tuples.front().trace_pos;
+  // The log is in trace order: drop every record before the oldest
+  // retained tuple's.
+  dep_.log.erase(dep_.log.begin(),
+                 std::lower_bound(dep_.log.begin(), dep_.log.end(), oldest,
+                                  [](const Acquisition& a, std::size_t pos) {
+                                    return a.pos < pos;
+                                  }));
   rebuild_index();
   return evicted;
 }
@@ -238,7 +240,6 @@ std::size_t LockDependencyBuilder::evict_oldest(std::size_t max_tuples) {
 void LockDependencyBuilder::clear() {
   dep_ = LockDependency{};
   slots_ = {};
-  canonical_ = {};
   clocks_ = ClockTracker{};
   held_.clear();
   pos_ = 0;
@@ -253,10 +254,9 @@ LockDependency LockDependency::from_trace(const Trace& trace) {
 std::vector<std::size_t> LockDependency::thread_prefix(
     ThreadId thread, std::size_t last_pos) const {
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    if (tuples[i].thread != thread) continue;
-    if (tuples[i].trace_pos > last_pos) break;
-    out.push_back(i);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    if (log[i].pos > last_pos) break;
+    if (log[i].thread == thread) out.push_back(i);
   }
   return out;
 }
@@ -264,18 +264,18 @@ std::vector<std::size_t> LockDependency::thread_prefix(
 DependencyIndex DependencyIndex::build(const LockDependency& dep) {
   DependencyIndex index;
   index.dep_ = &dep;
-  const std::size_t n = dep.tuples.size();
+  const std::size_t n = dep.log.size();
 
-  // Count pass: each tuple lands once in its thread's sequence and once in
+  // Count pass: each record lands once in its thread's sequence and once in
   // its (thread, lock) sequence, so the pool is exactly 2n entries.
-  for (const LockTuple& t : dep.tuples) {
-    ++index.by_thread_[t.thread].length;
-    ++index.by_thread_lock_[key(t.thread, t.lock)].length;
+  for (const Acquisition& a : dep.log) {
+    ++index.by_thread_[a.thread].length;
+    ++index.by_thread_lock_[key(a.thread, a.lock)].length;
   }
   index.pool_.resize(2 * n);
 
-  // Offsets in first-appearance (trace) order, then the fill. Tuples are in
-  // trace order, so each sequence comes out sorted by trace_pos for free.
+  // Offsets in first-appearance (trace) order, then the fill. The log is in
+  // trace order, so each sequence comes out sorted by pos for free.
   std::uint32_t next = 0;
   auto place = [&](Range& r, std::size_t i) {
     if (!r.assigned) {
@@ -285,10 +285,11 @@ DependencyIndex DependencyIndex::build(const LockDependency& dep) {
     }
     index.pool_[r.offset + r.filled++] = i;
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    const LockTuple& t = dep.tuples[i];
-    place(index.by_thread_[t.thread], i);
-    place(index.by_thread_lock_[key(t.thread, t.lock)], i);
+  std::size_t i = 0;
+  for (const Acquisition& a : dep.log) {
+    place(index.by_thread_[a.thread], i);
+    place(index.by_thread_lock_[key(a.thread, a.lock)], i);
+    ++i;
   }
   return index;
 }
@@ -300,7 +301,7 @@ std::span<const std::size_t> DependencyIndex::prefix_of(
   const std::size_t* last = first + range->length;
   auto end = std::upper_bound(
       first, last, last_pos,
-      [&](std::size_t pos, std::size_t i) { return pos < dep_->tuples[i].trace_pos; });
+      [&](std::size_t pos, std::size_t i) { return pos < dep_->log[i].pos; });
   return {first, static_cast<std::size_t>(end - first)};
 }
 

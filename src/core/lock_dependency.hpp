@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -46,11 +47,11 @@ struct LockTuple {
 };
 
 // Dedup key of a tuple: its thread, acquired lock, and context site
-// signature. Tuples with equal keys are duplicates — `unique` keeps the
-// first of them and compaction drops the rest. Equality is exact; the hash
-// only indexes. LockDependencyBuilder hashes and compares the tuples
-// themselves, the same way, and never builds one of these; live cycle
-// dedup (core/governor) keys on them.
+// signature. Acquisitions with equal keys are duplicates — the canonical
+// tier keeps a tuple for the first of them only. Equality is exact; the
+// hash only indexes. LockDependencyBuilder hashes and compares keys straight
+// from the held-lock stack and the stored tuples, the same way, and never
+// builds one of these; live cycle dedup (core/governor) keys on them.
 struct TupleKey {
   ThreadId thread = kInvalidThread;
   LockId lock = kInvalidLock;
@@ -65,21 +66,38 @@ struct TupleKeyHash {
 
 TupleKey key_of(const LockTuple& t);
 
+// One top-level acquisition, as the Generator reads it outside a cycle: its
+// thread, lock, acquire execution index and trace position (Algorithm 3's
+// type-C and type-P loops read nothing else). Fixed-size, no heap.
+struct Acquisition {
+  ThreadId thread = kInvalidThread;
+  LockId lock = kInvalidLock;
+  SiteId site = kInvalidSite;
+  std::int32_t occurrence = 0;
+  std::size_t pos = 0;  // trace position of the acquire event
+
+  ExecIndex index() const { return ExecIndex{thread, site, occurrence}; }
+};
+static_assert(sizeof(Acquisition) == 24, "one log record is 24 bytes");
+
+// D_σ in two tiers. `tuples` is iGoodLock's set-based relation: one
+// canonical LockTuple per (thread, lock, context sites) key, the first
+// occurrence's, in first-occurrence (trace) order — cycle enumeration,
+// pruning and printing read only these, and PotentialDeadlock::tuple_idx
+// indexes them. `log` records every top-level acquisition, canonical ones
+// included, in trace order, for the Generator's per-thread and per-lock
+// acquisition orders; a memory budget trims it from the front. A deque
+// grows without copying and frees from the front, so a trimmed log costs
+// what it holds (a vector would keep its peak capacity).
 struct LockDependency {
-  // Every top-level acquisition of the trace, in trace order.
   std::vector<LockTuple> tuples;
-  // Indices into `tuples` of the canonical (first-occurrence) tuples after
-  // deduplication by (thread, lock, context sites): repeated executions of
-  // the same code path produce one representative, exactly as iGoodLock's
-  // set-based D_σ collapses them. Cycle enumeration runs over this view;
-  // the Generator walks the full sequence. LockDependencyBuilder keeps it
-  // current as tuples arrive.
-  std::vector<std::size_t> unique;
+  std::deque<Acquisition> log;
 
   static LockDependency from_trace(const Trace& trace);
 
-  // Tuples of `thread` up to and including position `last_pos` in trace
-  // order — the paper's D'_σ restricted to one thread.
+  // Indices into `log` of `thread`'s acquisitions up to and including
+  // trace position `last_pos`, in trace order — the paper's D'_σ
+  // restricted to one thread. DependencyIndex::thread_prefix's reference.
   std::vector<std::size_t> thread_prefix(ThreadId thread,
                                          std::size_t last_pos) const;
 };
@@ -90,54 +108,51 @@ struct LockDependency {
 // wolf::Session (block-by-block off a TraceReader) — because all of them
 // feed the same builder, batch and streaming detection cannot diverge.
 //
-// `unique` is kept at insert: a flat open-addressing index (linear probing)
-// maps each key to its canonical ordinal k (the tuple at
-// pending().unique[k]). A slot holds the key hash's low 32 bits and k; a
-// probe compares hashes first and then the stored tuple's fields, so each
-// tuple is hashed once, on arrival, and an insert allocates nothing beyond
-// amortized growth.
+// A flat open-addressing index (linear probing) maps each key to its
+// canonical ordinal k (pending().tuples[k]). A slot holds the key hash's
+// low 32 bits and k. An acquisition is hashed once, from the held-lock
+// stack, and probed before anything is built: a probe compares hashes
+// first and then the stored tuple's thread, lock and context sites against
+// the stack's, so a duplicate costs one 24-byte log record and a LockTuple
+// is built only for a new key.
 class LockDependencyBuilder {
  public:
   // Feeds the next event in trace order. Clocks are applied before any tuple
-  // is constructed (Algorithm 1 order); the tuple's trace_pos is the running
-  // event position — the vector index for a materialized trace, equivalently
-  // the dense sequence number of a recorder-produced stream.
+  // is constructed (Algorithm 1 order); an acquisition's trace position is
+  // the running event position — the vector index for a materialized trace,
+  // equivalently the dense sequence number of a recorder-produced stream.
   void add(const Event& e);
 
-  std::size_t tuple_count() const { return dep_.tuples.size(); }
+  // Acquisitions retained in the log (every one, unless trimmed).
+  std::size_t acquisition_count() const { return dep_.log.size(); }
   std::size_t events_seen() const { return pos_; }
   const ClockTracker& clocks() const { return clocks_; }
 
-  // Moves the relation out (`unique` is already current) and starts a new,
-  // empty one. The clock state and held-lock stacks stay in place, so
-  // callers can still read clocks() afterwards; clear() resets everything.
+  // Moves the relation out and starts a new, empty one. The clock state and
+  // held-lock stacks stay in place, so callers can still read clocks()
+  // afterwards; clear() resets everything.
   LockDependency take_dependency();
   void clear();
 
   // ---- governed-store surface (core/governor.hpp) -----------------------
-  // The accumulating relation, read-only, `unique` current through the
-  // last add(): a tuple is canonical iff it is the first retained one of
-  // its key.
+  // The accumulating relation, read-only, current through the last add().
   const LockDependency& pending() const { return dep_; }
 
-  // Copy of just the tuples at `indices` (ascending positions into
-  // pending().tuples); `unique` marks the canonical ones. `indices` must be
-  // closed under TupleKey — every retained tuple of each key it touches,
-  // e.g. all tuples of some request locks — so that the canonical tuples
-  // are exactly the first occurrences within the subset. The governor
-  // enumerates dirty-SCC tuple subsets through this instead of
-  // snapshotting the whole store.
-  LockDependency snapshot_subset(const std::vector<std::size_t>& indices) const;
+  // Copy of just the canonical tuples at `ordinals` (ascending indices into
+  // pending().tuples), with an empty log. The governor enumerates dirty-SCC
+  // tuple subsets through this instead of snapshotting the whole store.
+  LockDependency snapshot_subset(
+      const std::vector<std::size_t>& ordinals) const;
 
-  // Site-table compaction: drops every non-canonical duplicate tuple,
-  // keeping exactly `unique` in order — canonical k lands at position k, so
-  // the index and every canonical ordinal stay as they were. Cycle
-  // enumeration runs over the canonical view only, so the cycle set is
-  // unchanged; returns the number of tuples removed.
-  std::size_t compact();
+  // Log trim: drops the oldest log records until at most `max_records`
+  // remain; returns how many went. The canonical tier, and so the cycle
+  // set, is untouched; the Generator's Gs over what is left may be smaller
+  // than batch's.
+  std::size_t trim_log(std::size_t max_records);
 
-  // Aging: drops the *oldest* tuples until at most `max_tuples` remain, and
-  // rebuilds the index over the rest (a later tuple of an evicted key
+  // Aging: drops the *oldest* canonical tuples until at most `max_tuples`
+  // remain, and every log record older than the oldest retained tuple, and
+  // rebuilds the index over the rest (a later acquisition of an evicted key
   // becomes canonical). Lossy — evicted tuples can carry cycles — so
   // callers must surface the returned count as lost coverage. Nothing is
   // told which tuples went: state derived from the store is re-read from
@@ -152,28 +167,25 @@ class LockDependencyBuilder {
   using HeldStack = std::vector<std::pair<LockId, ExecIndex>>;
   HeldStack& held_stack(ThreadId thread);
 
-  // One index slot: the low 32 bits of key_hash and the canonical ordinal,
-  // kNoOrdinal when empty.
+  // One index slot: the low 32 bits of the key hash and the canonical
+  // ordinal, kNoOrdinal when empty.
   struct Slot {
     std::uint32_t hash = 0;
     std::uint32_t ordinal = kNoOrdinal;
   };
   static constexpr std::uint32_t kNoOrdinal = 0xffffffffu;
 
-  // Indexes `tuple`, about to be stored at `pos`, under its key's hash: a
-  // new key gets the next ordinal and `pos` joins `unique`. Returns whether
-  // it is canonical. The caller reserves the slot first.
-  bool index_tuple(const LockTuple& tuple, std::uint64_t hash,
-                   std::size_t pos);
+  // The slot holding the key of `e` acquired under `stack`, or the empty
+  // slot where that key goes. The caller reserves a slot first.
+  Slot& probe(const Event& e, const HeldStack& stack, std::uint64_t hash);
   // Grows the index when one more key would fill it past 3/4.
   void reserve_slot();
   void grow_index();
-  // Drops the index and `unique` and re-indexes every stored tuple.
+  // Drops the index and re-indexes every canonical tuple.
   void rebuild_index();
 
   LockDependency dep_;
-  std::vector<Slot> slots_;      // power-of-two size, at most 3/4 full
-  std::vector<bool> canonical_;  // per stored tuple: in `unique`?
+  std::vector<Slot> slots_;  // power-of-two size, at most 3/4 full
   ClockTracker clocks_;
   // Indexed by thread id: clocks_ rejects ids outside [0, kThreadIdBound)
   // before an event reaches them.
@@ -182,18 +194,18 @@ class LockDependencyBuilder {
 };
 
 // Trace-level scaffolding shared by every Gs the Generator builds for one
-// Detection (DESIGN.md §10). The per-thread and per-(thread, lock)
-// acquisition orders depend only on the trace, not on the cycle under
-// classification, so they are computed once and every generate() call
-// slices them by the cycle's cutoff positions instead of rescanning the
-// whole tuple sequence. Read-only after build(): safe to share across the
+// Detection (DESIGN.md §10): the acquisition log's per-thread and
+// per-(thread, lock) orders. They depend only on the trace, not on the
+// cycle under classification, so they are computed once and every
+// generate() call slices them by the cycle's cutoff positions instead of
+// rescanning the log. Read-only after build(): safe to share across the
 // parallel classification workers.
 //
-// Storage is one pool of 2n entries: every per-key sequence is an
-// offset+length range into a single contiguous vector instead of its own
-// heap vector, so build() does one large allocation rather than
-// O(threads + thread·lock pairs) small ones. Move-only (the spans handed
-// out point into the pool, whose buffer a move carries over).
+// Storage is one pool of 2n entries for a log of n records: every per-key
+// sequence is an offset+length range into a single contiguous vector
+// instead of its own heap vector, so build() does one large allocation
+// rather than O(threads + thread·lock pairs) small ones. Move-only (the
+// spans handed out point into the pool, whose buffer a move carries over).
 class DependencyIndex {
  public:
   static DependencyIndex build(const LockDependency& dep);
@@ -201,14 +213,15 @@ class DependencyIndex {
   DependencyIndex(DependencyIndex&&) = default;
   DependencyIndex& operator=(DependencyIndex&&) = default;
 
-  // Indices of `thread`'s tuples with trace_pos <= last_pos, in trace order —
-  // the same sequence LockDependency::thread_prefix returns, as a view.
+  // Indices into dep.log of `thread`'s acquisitions with pos <= last_pos,
+  // in trace order — the sequence LockDependency::thread_prefix returns, as
+  // a view.
   std::span<const std::size_t> thread_prefix(ThreadId thread,
                                              std::size_t last_pos) const;
 
-  // Indices of `thread`'s acquisitions *of* `lock` (tuple.lock == lock) with
-  // trace_pos <= last_pos, in trace order. Powers the Generator's type-C
-  // source enumeration.
+  // Indices into dep.log of `thread`'s acquisitions *of* `lock` with
+  // pos <= last_pos, in trace order. Powers the Generator's type-C source
+  // enumeration.
   std::span<const std::size_t> thread_lock_prefix(ThreadId thread, LockId lock,
                                                   std::size_t last_pos) const;
 

@@ -19,12 +19,14 @@ class OnlineAnalysisSink final : public TraceSink {
  public:
   void on_event(Event e) override { builder_.add(e); }
 
-  // Returns the accumulated relation, deduplicated view included (the
-  // builder keeps it as events arrive); leaves the sink reusable after
-  // clear().
+  // Returns the accumulated relation, canonical tier and acquisition log
+  // (the builder keeps both as events arrive); leaves the sink reusable
+  // after clear().
   LockDependency take_dependency() { return builder_.take_dependency(); }
   const ClockTracker& clocks() const { return builder_.clocks(); }
-  std::size_t tuple_count() const { return builder_.tuple_count(); }
+  std::size_t acquisition_count() const {
+    return builder_.acquisition_count();
+  }
   void clear() { builder_.clear(); }
 
  private:

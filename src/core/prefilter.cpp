@@ -71,7 +71,7 @@ void LockGraph::rebuild(const LockDependency& dep) {
   for (DynamicScc::Node v : scc_.dirty_nodes()) carried.push_back(lock_of(v));
   kExpiriesCounter.add(edge_count_);
   clear();
-  for (std::size_t i : dep.unique) on_tuple(dep.tuples[i]);
+  for (const LockTuple& tuple : dep.tuples) on_tuple(tuple);
   // Every node is new and marked: evaluate each component once, then keep
   // only the carried marks.
   refresh_verdicts();

@@ -17,14 +17,14 @@
 // enumeration is only skipped when skipping provably loses nothing.
 //
 // The governor feeds it canonical arrivals only: a tuple reaches on_tuple
-// when it arrives as the first retained tuple of its TupleKey. Enumeration
-// searches exactly that canonical view (LockDependency::unique), and every
-// edge of a canonical cycle's induced lock cycle is contributed by one of
-// its canonical tuples, so the argument above holds for the graph of the
-// canonical view. A duplicate, whose lockset may differ from its
-// canonical's, is never part of an enumerated cycle, so leaving its edges
-// out loses nothing. Compaction drops only duplicates, so it never touches
-// the graph.
+// when it arrives as the first retained acquisition of its TupleKey.
+// Enumeration searches exactly that canonical tier (LockDependency::tuples),
+// and every edge of a canonical cycle's induced lock cycle is contributed by
+// one of its canonical tuples, so the argument above holds for the graph of
+// the canonical tier. A duplicate, whose lockset may differ from its
+// canonical's, is only a log record and never part of an enumerated cycle,
+// so leaving its edges out loses nothing. A log trim drops only records, so
+// it never touches the graph.
 //
 // The graph is insert-only. Eviction leaves it alone, so between rebuilds
 // it is a *superset* of the retained canonical view's graph: each of its
@@ -121,8 +121,8 @@ class LockGraph {
   // enumerated, so the consumer must revisit its component.
   int on_tuple(const LockTuple& tuple);
 
-  // Replaces the graph with the one `dep`'s canonical view induces (every
-  // tuple at dep.unique fed through on_tuple, in order) and evaluates every
+  // Replaces the graph with the one `dep`'s canonical tier induces (every
+  // tuple of dep.tuples fed through on_tuple, in order) and evaluates every
   // component once. Pending dirty marks carry over by lock: a marked lock
   // that the view still names stays marked; every other mark is dropped,
   // since its tuples are gone. Every edge of the old graph counts as a

@@ -41,9 +41,13 @@ std::string block_defect(std::size_t block, const char* what) {
 
 // Decodes one block's payload against its stored checksum. Returns nullptr
 // on success, else what is wrong with the block; `out` holds the decoded
-// events (partial on failure — the caller discards it then).
+// events (partial on failure — the caller discards it then). The
+// whole-trace chain rides along in the same pass: `trace_checksum` enters
+// as the chain through the previous block and leaves extended over this
+// one, for the caller to commit only once the block passes every check.
 const char* decode_block_events(std::string_view payload, std::uint64_t count,
                                 std::uint64_t stored_checksum,
+                                std::uint64_t& trace_checksum,
                                 std::vector<Event>& out) {
   wire::ByteReader r(payload);
   out.clear();
@@ -55,6 +59,7 @@ const char* decode_block_events(std::string_view payload, std::uint64_t count,
     if (!wire::get_event(r, j == 0, prev, e)) return "malformed event";
     prev = e.seq;
     block_checksum = wire::checksum_event(block_checksum, e);
+    trace_checksum = wire::checksum_event(trace_checksum, e);
     out.push_back(e);
   }
   if (r.remaining() != 0) return "trailing bytes in payload";
@@ -365,8 +370,10 @@ bool StreamTraceReader::next_binary(std::vector<Event>& out) {
 
     // Framing is intact from here on, so in salvage mode a defect drops
     // only this block and the loop moves on to the next one.
+    std::uint64_t checksum = checksum_;
     const char* bad = decode_block_events(frame.substr(0, payload_bytes),
-                                          count, stored_checksum, out);
+                                          count, stored_checksum, checksum,
+                                          out);
     if (bad == nullptr && have_prev_ && out.front().seq <= prev_seq_)
       bad = "non-monotonic sequence number";
     if (bad != nullptr) {
@@ -374,7 +381,7 @@ bool StreamTraceReader::next_binary(std::vector<Event>& out) {
       events_dropped_ += count;
       continue;  // salvage: skip this block; strict: stage_ is kDone
     }
-    for (const Event& e : out) checksum_ = wire::checksum_event(checksum_, e);
+    checksum_ = checksum;
     prev_seq_ = out.back().seq;
     have_prev_ = true;
     count_ += count;

@@ -78,7 +78,7 @@ Schedule draw_schedule(Rng& rng, std::size_t trace_bytes) {
 
   s.session.window_events = 8 + rng.below(120);
   if (rng.chance(0.4))
-    s.session.memory_budget_mb = 1;  // tiny: forces compaction/aging
+    s.session.memory_budget_mb = 1;  // tiny: forces log trims/aging
   if (rng.chance(0.3)) s.session.window_deadline_ms = 1 + rng.below(20);
   // Unused draws, kept so every seed still derives the same later values
   // and corruption seed.
@@ -184,10 +184,10 @@ TEST_P(ChaosTest, NeverCrashesNeverLiesUnderRandomFaultSchedules) {
 // 120 randomized schedules (the ISSUE floor is 100).
 INSTANTIATE_TEST_SUITE_P(Schedules, ChaosTest, ::testing::Range(0, 120));
 
-// Expiry-heavy family: streams built to churn the tuple store — mostly
-// fresh canonical tuples (eviction fodder), some duplicates (compaction
-// fodder) — under a 1 MiB budget and small windows, so nearly every window
-// compacts or evicts while the lock graph keeps the evicted tuples' edges
+// Expiry-heavy family: streams built to churn the store — mostly fresh
+// canonical tuples (eviction fodder), some duplicates (log-trim fodder) —
+// under a 1 MiB budget and small windows, so nearly every window trims the
+// log or evicts while the lock graph keeps the evicted tuples' edges
 // (a superset of the retained view's graph until it doubles and is
 // rebuilt). Each schedule must report the lossy budget honestly, never
 // fabricate a defect batch detection would not find, and deliver every
@@ -210,11 +210,11 @@ TEST_P(ExpiryChaosTest, ChurnUnderBudgetKeepsBothPathsHonestAndEqual) {
     e.seq = seq++;
     trace.events.push_back(e);
   };
-  // Sized to overflow 1 MiB of tuple store with margin, so the tail windows
-  // all run compaction and eviction. Fresh reps are depth-4
+  // Sized to overflow a 1 MiB store with margin, so the tail windows all
+  // trim the log and evict. Fresh reps are depth-4
   // nests: every tuple is canonical (eviction fodder) and carries a fat
   // lockset/context. The recurring AB/BA pair at recurring sites mixes in
-  // compaction work and keeps a real defect alive through the churn.
+  // duplicate acquisitions and keeps a real defect alive through the churn.
   const int reps = 3200 + static_cast<int>(rng.below(400));
   for (int rep = 0; rep < reps; ++rep) {
     const ThreadId t = static_cast<ThreadId>(1 + rng.below(3));

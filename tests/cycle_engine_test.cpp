@@ -179,7 +179,7 @@ TEST(CycleEngineTest, EnginesAgreeOnLockShapes) {
         sim::record_trace(test::lock_shape_program(shape.config), 2014, 60);
     ASSERT_TRUE(trace.has_value());
     Detection ref = check_engines_agree(*trace);
-    EXPECT_EQ(ref.dep.unique.size(), shape.tuples);
+    EXPECT_EQ(ref.dep.tuples.size(), shape.tuples);
     EXPECT_EQ(ref.cycles.size(), shape.cycles);
   }
 }
@@ -261,7 +261,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CycleEnginePropertyTest,
 
 // ------------------------------------------------------------ mask memory
 
-// detector.mask_words of one SCC-engine run over dep.unique.
+// detector.mask_words of one SCC-engine run over dep's canonical tier.
 std::uint64_t mask_words(const LockDependency& dep) {
   return test::counter_delta(
              [&] { enumerate_cycles_scc(dep, options_for()); })
@@ -272,9 +272,9 @@ std::uint64_t mask_words(const LockDependency& dep) {
 // of the tuple digraph (η → η' iff η' holds lock(η), threads differ) ×
 // (the distinct locks those tuples hold / 64 + 1).
 std::uint64_t mask_word_bound(const LockDependency& dep) {
-  const int n = static_cast<int>(dep.unique.size());
+  const int n = static_cast<int>(dep.tuples.size());
   auto tuple = [&dep](int i) -> const LockTuple& {
-    return dep.tuples[dep.unique[static_cast<std::size_t>(i)]];
+    return dep.tuples[static_cast<std::size_t>(i)];
   };
   std::unordered_map<LockId, std::vector<int>> holders;
   for (int i = 0; i < n; ++i)
@@ -363,7 +363,7 @@ TEST(CycleEngineTest, FreshLockIdsCostNoMaskMemory) {
   add(EventKind::kLockRelease, 2, rb, kInvalidSite);
 
   const LockDependency dep = LockDependency::from_trace(trace);
-  ASSERT_EQ(dep.unique.size(), kFillerTuples + 4);
+  ASSERT_EQ(dep.tuples.size(), kFillerTuples + 4);
   const EnumerationResult ref = enumerate_cycles_reference(dep, options_for());
   ASSERT_EQ(ref.cycles.size(), 1u);
   const EnumerationResult scc = enumerate_cycles_scc(dep, options_for());

@@ -212,6 +212,7 @@ TEST(DetectorTest, ReentrantAcquisitionsProduceNoExtraTuples) {
   auto trace = sim::record_trace(p, 1);
   ASSERT_TRUE(trace.has_value());
   Detection det = detect(*trace);
+  EXPECT_EQ(det.dep.log.size(), 1u);
   EXPECT_EQ(det.dep.tuples.size(), 1u);
   (void)fig;
 }

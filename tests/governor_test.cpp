@@ -40,6 +40,7 @@
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 #include "workloads/paper_examples.hpp"
+#include "workloads/suite.hpp"
 
 namespace wolf {
 namespace {
@@ -247,7 +248,8 @@ void expect_governed_matches_batch(const Trace& trace,
          i < std::min(got.cycles.size(), expected.cycles.size()); ++i)
       EXPECT_EQ(got.cycles[i].tuple_idx, expected.cycles[i].tuple_idx);
     EXPECT_EQ(got.defects.size(), expected.defects.size());
-    EXPECT_EQ(got.dep.unique.size(), expected.dep.unique.size());
+    EXPECT_EQ(got.dep.tuples.size(), expected.dep.tuples.size());
+    EXPECT_EQ(got.dep.log.size(), expected.dep.log.size());
 
     const GovernorVerdict& verdict = v.governor;
     EXPECT_TRUE(verdict.coverage_complete);
@@ -299,42 +301,48 @@ TEST(GovernorTest, SuspiciousWindowsSurfaceCyclesBeforeFinish) {
   EXPECT_GE(surfaced, 1u);
 }
 
-TEST(GovernorTest, CompactionIsLosslessForTheCycleSet) {
-  // Repeat the AB/BA pattern many times: the tuple store fills with
-  // duplicates that compaction may drop without changing the cycle set.
+TEST(GovernorTest, LogTrimIsLosslessForTheCycleSet) {
+  // Repeat the AB/BA pattern many times: the log fills with duplicate
+  // acquisitions that a trim may drop without changing the cycle set.
   LockDependencyBuilder builder;
   for (int rep = 0; rep < 50; ++rep)
     for (const Event& e : ab_ba_trace(false).events) builder.add(e);
-  const std::size_t before = builder.tuple_count();
+  const std::size_t before = builder.acquisition_count();
+  const std::size_t canonical = builder.pending().tuples.size();
   LockDependency full = builder.pending();
 
-  const std::size_t removed = builder.compact();
-  EXPECT_GT(removed, 0u);
-  EXPECT_EQ(builder.tuple_count(), before - removed);
+  const std::size_t removed = builder.trim_log(before / 2);
+  EXPECT_EQ(removed, before - before / 2);
+  EXPECT_EQ(builder.acquisition_count(), before - removed);
+  EXPECT_EQ(builder.pending().tuples.size(), canonical);
+  EXPECT_EQ(builder.trim_log(before), 0u);  // already under the cap
 
   Detection with_full = finish_detection(full, builder.clocks(), {});
-  Detection compacted =
+  Detection trimmed =
       finish_detection(builder.pending(), builder.clocks(), {});
-  EXPECT_EQ(signatures_of(with_full), signatures_of(compacted));
-  EXPECT_EQ(with_full.cycles.size(), compacted.cycles.size());
+  EXPECT_EQ(signatures_of(with_full), signatures_of(trimmed));
+  EXPECT_EQ(with_full.cycles.size(), trimmed.cycles.size());
 }
 
 TEST(GovernorTest, EvictOldestDropsFromTheFront) {
   LockDependencyBuilder builder;
   for (const Event& e : ab_ba_trace(false).events) builder.add(e);
-  const std::size_t total = builder.tuple_count();
+  const std::size_t total = builder.pending().tuples.size();
   ASSERT_GE(total, 3u);
   const std::size_t first_kept =
       builder.pending().tuples[total - 2].trace_pos;
   EXPECT_EQ(builder.evict_oldest(2), total - 2);
-  EXPECT_EQ(builder.tuple_count(), 2u);
+  EXPECT_EQ(builder.pending().tuples.size(), 2u);
   EXPECT_EQ(builder.pending().tuples.front().trace_pos, first_kept);
+  // The log loses every record older than the oldest retained tuple.
+  ASSERT_FALSE(builder.pending().log.empty());
+  EXPECT_EQ(builder.pending().log.front().pos, first_kept);
   EXPECT_EQ(builder.evict_oldest(10), 0u);  // already under the cap
 }
 
 TEST(GovernorTest, MemoryBudgetEvictionIsReportedHonestly) {
   // A long synthetic stream of distinct tuples (every acquisition has a
-  // fresh site, so compaction cannot help) against a 1 MiB budget.
+  // fresh site, so a log trim cannot help) against a 1 MiB budget.
   Trace trace;
   std::uint64_t seq = 0;
   SiteId site = 1;
@@ -543,11 +551,10 @@ TEST(SessionTest, UngovernedRunClosesNoWindowsAndBuildsNoPrefilter) {
 
 // ---------------------------------------------- incremental SCC pre-filter
 
-// A canonical view over `tuples`: every tuple is its own canonical one.
+// A canonical tier of `tuples`, with an empty log.
 LockDependency canonical_view(const std::vector<LockTuple>& tuples) {
   LockDependency dep;
   dep.tuples = tuples;
-  for (std::size_t i = 0; i < tuples.size(); ++i) dep.unique.push_back(i);
   return dep;
 }
 
@@ -560,11 +567,9 @@ std::set<std::pair<LockId, LockId>> lock_edges(
   return edges;
 }
 
-// The lock edges of `dep`'s canonical view.
+// The lock edges of `dep`'s canonical tier.
 std::set<std::pair<LockId, LockId>> canonical_edges(const LockDependency& dep) {
-  std::vector<LockTuple> canonical;
-  for (std::size_t u : dep.unique) canonical.push_back(dep.tuples[u]);
-  return lock_edges(canonical);
+  return lock_edges(dep.tuples);
 }
 
 using Partition = std::set<std::vector<LockId>>;
@@ -959,17 +964,30 @@ TEST(GovernorTest, LiveSurfacingKeepsSameSiteCyclesOnOtherLocksApart) {
 
 // ------------------------------------------- canonical arrivals only
 // The pre-filter and the by-lock index see a tuple only when it arrives as
-// the first of its TupleKey: windows of duplicates dirty nothing,
-// compaction expires no lock-graph edge, and eviction expires only tuples
-// the pre-filter counted — with every answer equal to batch detect().
+// the first of its TupleKey: windows of duplicates dirty nothing, a log
+// trim expires no lock-graph edge, and eviction expires only tuples the
+// pre-filter counted — with every answer equal to batch detect().
 
-// Cycle renderings of a detection, in order (tuple contents, not indices,
-// so a compacted store compares equal to the full one).
+// Cycle renderings of a detection, in order (tuple contents, not indices).
 std::vector<std::string> cycle_strings(const Detection& det) {
   std::vector<std::string> out;
   for (const PotentialDeadlock& cycle : det.cycles)
     out.push_back(cycle.to_string(det.dep));
   return out;
+}
+
+// The canonical tier, rendered with each tuple's trace position.
+std::vector<std::string> canonical_strings(const LockDependency& dep) {
+  std::vector<std::string> out;
+  for (const LockTuple& t : dep.tuples)
+    out.push_back(t.to_string() + " @" + std::to_string(t.trace_pos));
+  return out;
+}
+
+bool has_note(const GovernorVerdict& v, const std::string& text) {
+  return std::any_of(v.notes.begin(), v.notes.end(), [&](const std::string& n) {
+    return n.find(text) != std::string::npos;
+  });
 }
 
 struct LiveRun {
@@ -1046,8 +1064,8 @@ TEST(GovernorTest, RepeatedRingIsSuspiciousOnlyInTheWindowItArrives) {
   EXPECT_EQ(run.counters.value("prefilter.edges"), 2u);
 }
 
-TEST(GovernorTest, CompactionExpiresNoLockGraphEdge) {
-  const Trace trace = differing_lockset_trace(4000);  // ~2.4 MB of tuples
+TEST(GovernorTest, LogTrimExpiresNoLockGraphEdge) {
+  const Trace trace = differing_lockset_trace(12000);  // ~1.7 MB of log
   const Detection batch = detect(trace);
   ASSERT_EQ(batch.cycles.size(), 1u) << "the duplicate closed a ring";
 
@@ -1056,19 +1074,25 @@ TEST(GovernorTest, CompactionExpiresNoLockGraphEdge) {
   EXPECT_GT(v.tuples_compacted, 0u);
   EXPECT_EQ(v.tuples_evicted, 0u);
   EXPECT_TRUE(v.coverage_complete);
-  // Duplicates never reached the lock graph, so dropping them expires
-  // nothing; the three canonical edges are 10→20, 20→10 and 20→30.
+  EXPECT_TRUE(has_note(v, "trimmed the acquisition log"));
+  // Duplicates never reached the lock graph, so dropping their records
+  // expires nothing; the three canonical edges are 10→20, 20→10 and 20→30.
   EXPECT_EQ(budgeted.counters.value("prefilter.edge_expiries"), 0u);
   EXPECT_EQ(budgeted.counters.value("prefilter.edges"), 3u);
+  EXPECT_LT(budgeted.verdict.detection.dep.log.size(), batch.dep.log.size());
 
   const LiveRun unbounded = run_live_session(trace, 0, 4096);
   EXPECT_EQ(unbounded.verdict.governor.tuples_compacted, 0u);
+  EXPECT_FALSE(has_note(unbounded.verdict.governor, "trimmed"));
   EXPECT_EQ(budgeted.live, unbounded.live);
   EXPECT_EQ(budgeted.live.size(), 1u);
   EXPECT_EQ(cycle_strings(budgeted.verdict.detection), cycle_strings(batch));
   EXPECT_EQ(cycle_strings(unbounded.verdict.detection), cycle_strings(batch));
-  EXPECT_EQ(unbounded.verdict.detection.dep.unique,
-            batch.dep.unique);
+  EXPECT_EQ(canonical_strings(budgeted.verdict.detection.dep),
+            canonical_strings(batch.dep));
+  EXPECT_EQ(canonical_strings(unbounded.verdict.detection.dep),
+            canonical_strings(batch.dep));
+  EXPECT_EQ(unbounded.verdict.detection.dep.log.size(), batch.dep.log.size());
 }
 
 TEST(GovernorTest, DuplicateWithAnotherLocksetStillEqualsBatch) {
@@ -1083,7 +1107,9 @@ TEST(GovernorTest, DuplicateWithAnotherLocksetStillEqualsBatch) {
     for (std::size_t i = 0; i < batch.cycles.size(); ++i)
       EXPECT_EQ(run.verdict.detection.cycles[i].tuple_idx,
                 batch.cycles[i].tuple_idx);
-    EXPECT_EQ(run.verdict.detection.dep.unique, batch.dep.unique);
+    EXPECT_EQ(canonical_strings(run.verdict.detection.dep),
+              canonical_strings(batch.dep));
+    EXPECT_EQ(run.verdict.detection.dep.log.size(), batch.dep.log.size());
     EXPECT_EQ(run.live.size(), batch.cycles.size());
     EXPECT_TRUE(run.verdict.governor.coverage_complete);
   }
@@ -1177,6 +1203,110 @@ TEST(GovernorTest, EvictionExpiresOnlyTuplesThePrefilterCounted) {
   EXPECT_EQ(rebuilt.counters.value("prefilter.edges") -
                 rebuilt.counters.value("prefilter.edge_expiries"),
             canonical_edges(rebuilt.verdict.detection.dep).size());
+}
+
+// ------------------------------------- budgeted classification vs batch
+// Oracle 2 for a budget: a Session whose budget never trims classifies
+// exactly like batch detect() — the same cycles, Pruner verdicts and Gs
+// edge lists. One whose budget trims the acquisition log but evicts
+// nothing keeps batch's cycles and Pruner verdicts (both read only the
+// canonical tier and the clocks), says so in its verdict, and builds each
+// Gs from a subset of batch's.
+
+// A stress ring with a long tail of duplicate acquisitions: ~2.9 MB of log
+// against a 1 MiB budget.
+Trace stress_ring_trace() {
+  test::LockShapeConfig stress;
+  stress.ring_threads = 5;
+  stress.ring_degree = 2;
+  stress.ring_repeats = 6000;
+  auto trace = sim::record_trace(test::lock_shape_program(stress), 2014, 60);
+  return trace ? std::move(*trace) : Trace{};
+}
+
+// The 11-program suite at one seed, plus the stress ring.
+std::vector<std::pair<std::string, Trace>> suite_and_stress_traces() {
+  std::vector<std::pair<std::string, Trace>> out;
+  for (const workloads::Benchmark& bench : workloads::standard_suite()) {
+    auto trace = sim::record_trace(bench.program, 2014, 20, bench.max_steps);
+    if (trace) out.emplace_back(bench.name, std::move(*trace));
+  }
+  out.emplace_back("stress-5x2", stress_ring_trace());
+  return out;
+}
+
+Session::Verdict run_budgeted(const Trace& trace, std::size_t budget_mb,
+                              std::size_t window_events) {
+  Config cfg;
+  cfg.memory_budget_mb = budget_mb;
+  cfg.window_events = window_events;
+  return run_session(cfg, trace);
+}
+
+TEST(GovernorTest, BudgetThatNeverTrimsClassifiesLikeBatch) {
+  const auto traces = suite_and_stress_traces();
+  ASSERT_EQ(traces.size(), 12u);
+  std::size_t compared = 0;
+  for (const auto& [name, trace] : traces) {
+    SCOPED_TRACE(name);
+    const Detection batch = detect(trace);
+    const Session::Verdict v = run_budgeted(trace, 64, 256);
+    const Detection& got = v.detection;
+    EXPECT_EQ(v.governor.tuples_compacted, 0u);
+    EXPECT_EQ(v.governor.tuples_evicted, 0u);
+    EXPECT_TRUE(v.governor.coverage_complete);
+    EXPECT_TRUE(v.governor.notes.empty());
+    ASSERT_EQ(cycle_strings(got), cycle_strings(batch));
+    EXPECT_EQ(got.dep.log.size(), batch.dep.log.size());
+    const DependencyIndex got_index = DependencyIndex::build(got.dep);
+    const DependencyIndex batch_index = DependencyIndex::build(batch.dep);
+    for (std::size_t c = 0; c < batch.cycles.size(); ++c) {
+      EXPECT_EQ(prune_cycle(got.cycles[c], got.dep, got.clocks),
+                prune_cycle(batch.cycles[c], batch.dep, batch.clocks))
+          << "cycle " << c;
+      const GeneratorResult want =
+          generate(batch.cycles[c], batch.dep, batch_index);
+      const GeneratorResult have = generate(got.cycles[c], got.dep, got_index);
+      EXPECT_EQ(have.gs.edges(), want.gs.edges()) << "cycle " << c;
+      EXPECT_EQ(have.feasible, want.feasible) << "cycle " << c;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+}
+
+TEST(GovernorTest, BudgetThatTrimsButDoesNotEvictKeepsCyclesAndVerdicts) {
+  const Trace trace = stress_ring_trace();
+  const Detection batch = detect(trace);
+  ASSERT_FALSE(batch.cycles.empty());
+  const Session::Verdict v = run_budgeted(trace, 1, 4096);
+  const Detection& got = v.detection;
+  EXPECT_GT(v.governor.tuples_compacted, 0u);
+  EXPECT_EQ(v.governor.tuples_evicted, 0u);
+  EXPECT_TRUE(v.governor.coverage_complete);
+  EXPECT_FALSE(v.governor.degraded());
+  EXPECT_TRUE(has_note(v.governor, "Gs may be smaller than batch"));
+  EXPECT_LT(got.dep.log.size(), batch.dep.log.size());
+  for (const WindowReport& w : v.windows)
+    EXPECT_LE(w.store_bytes, std::size_t{1} << 20) << "window " << w.index;
+
+  ASSERT_EQ(cycle_strings(got), cycle_strings(batch));
+  EXPECT_EQ(canonical_strings(got.dep), canonical_strings(batch.dep));
+  const DependencyIndex got_index = DependencyIndex::build(got.dep);
+  const DependencyIndex batch_index = DependencyIndex::build(batch.dep);
+  std::size_t smaller = 0;
+  for (std::size_t c = 0; c < batch.cycles.size(); ++c) {
+    EXPECT_EQ(prune_cycle(got.cycles[c], got.dep, got.clocks),
+              prune_cycle(batch.cycles[c], batch.dep, batch.clocks))
+        << "cycle " << c;
+    const int have =
+        generate(got.cycles[c], got.dep, got_index).gs.vertex_count();
+    const int want =
+        generate(batch.cycles[c], batch.dep, batch_index).gs.vertex_count();
+    EXPECT_LE(have, want) << "cycle " << c;
+    smaller += have < want;
+  }
+  EXPECT_GT(smaller, 0u) << "the trim never reached a Gs";
 }
 
 // A budget bounds the lock graph's edges, not only its locks. In the

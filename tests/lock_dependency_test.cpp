@@ -1,14 +1,14 @@
 // Tests for D_σ reconstruction: lockset/context bookkeeping, re-entrancy,
-// hand-over-hand release order, µ, deduplication and thread prefixes, and
-// the builder's incremental canonical index against the first-occurrence
-// rule under compaction, eviction, subset snapshots, take and clear.
+// hand-over-hand release order, µ, deduplication into the canonical tier
+// beside the acquisition log, thread prefixes, and the builder's incremental
+// canonical index against a first-occurrence model under log trims,
+// eviction, subset snapshots, take and clear.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/lock_dependency.hpp"
@@ -54,6 +54,11 @@ TEST(LockDependencyTest, SimpleNestedAcquisition) {
                           {R, 0, 4, 10}});
   LockDependency dep = LockDependency::from_trace(trace);
   ASSERT_EQ(dep.tuples.size(), 2u);
+  ASSERT_EQ(dep.log.size(), 2u);
+  EXPECT_EQ(dep.log[1].thread, 0);
+  EXPECT_EQ(dep.log[1].lock, 11);
+  EXPECT_EQ(dep.log[1].site, 2);
+  EXPECT_EQ(dep.log[1].pos, 1u);
 
   const LockTuple& outer = dep.tuples[0];
   EXPECT_EQ(outer.thread, 0);
@@ -80,6 +85,7 @@ TEST(LockDependencyTest, HandOverHandReleaseOrder) {
                           {R, 0, 6, 11}});
   LockDependency dep = LockDependency::from_trace(trace);
   ASSERT_EQ(dep.tuples.size(), 3u);
+  EXPECT_EQ(dep.log.size(), 3u);
   const LockTuple& third = dep.tuples[2];
   EXPECT_EQ(third.lockset, std::vector<LockId>{11});
   EXPECT_EQ(third.lock, 12);
@@ -111,16 +117,19 @@ TEST(LockDependencyTest, HoldsChecksLocksetOnly) {
 }
 
 TEST(LockDependencyTest, DedupCollapsesRepeatedContexts) {
-  // The same nested pattern executed twice: 4 tuples, 2 canonical.
+  // The same nested pattern executed twice: 4 acquisitions, 2 canonical.
   Trace trace = trace_of({{A, 0, 1, 10}, {A, 0, 2, 11}, {R, 0, 3, 11},
                           {R, 0, 4, 10}, {A, 0, 1, 10}, {A, 0, 2, 11},
                           {R, 0, 3, 11}, {R, 0, 4, 10}});
   LockDependency dep = LockDependency::from_trace(trace);
-  EXPECT_EQ(dep.tuples.size(), 4u);
-  EXPECT_EQ(dep.unique.size(), 2u);
+  EXPECT_EQ(dep.log.size(), 4u);
+  ASSERT_EQ(dep.tuples.size(), 2u);
   // Canonical representatives are the first occurrences.
-  EXPECT_EQ(dep.unique[0], 0u);
-  EXPECT_EQ(dep.unique[1], 1u);
+  EXPECT_EQ(dep.tuples[0].trace_pos, 0u);
+  EXPECT_EQ(dep.tuples[1].trace_pos, 1u);
+  // The log keeps the duplicates, each with its own execution index.
+  EXPECT_EQ(dep.log[3].pos, 5u);
+  EXPECT_EQ(dep.log[3].index(), (ExecIndex{0, 2, 1}));
 }
 
 TEST(LockDependencyTest, DifferentContextSitesStayDistinct) {
@@ -128,19 +137,20 @@ TEST(LockDependencyTest, DifferentContextSitesStayDistinct) {
   Trace trace = trace_of({{A, 0, 1, 10}, {R, 0, 2, 10}, {A, 0, 7, 10},
                           {R, 0, 8, 10}});
   LockDependency dep = LockDependency::from_trace(trace);
-  EXPECT_EQ(dep.unique.size(), 2u);
+  EXPECT_EQ(dep.tuples.size(), 2u);
+  EXPECT_EQ(dep.log.size(), 2u);
 }
 
 TEST(LockDependencyTest, ThreadPrefixRespectsPositionAndThread) {
   Trace trace = trace_of({{A, 0, 1, 10}, {R, 0, 2, 10}, {A, 1, 3, 11},
                           {A, 0, 4, 12}, {R, 0, 5, 12}, {R, 1, 6, 11}});
   LockDependency dep = LockDependency::from_trace(trace);
-  ASSERT_EQ(dep.tuples.size(), 3u);
+  ASSERT_EQ(dep.log.size(), 3u);
   // Prefix of thread 0 up to its second acquisition (trace position 3).
   auto prefix = dep.thread_prefix(0, 3);
   ASSERT_EQ(prefix.size(), 2u);
-  EXPECT_EQ(dep.tuples[prefix[0]].lock, 10);
-  EXPECT_EQ(dep.tuples[prefix[1]].lock, 12);
+  EXPECT_EQ(dep.log[prefix[0]].lock, 10);
+  EXPECT_EQ(dep.log[prefix[1]].lock, 12);
   // Prefix cut before it.
   EXPECT_EQ(dep.thread_prefix(0, 2).size(), 1u);
   EXPECT_EQ(dep.thread_prefix(1, 2).size(), 1u);
@@ -193,30 +203,30 @@ TEST(LockDependencyTest, OnlineSinkMatchesOfflineBuilder) {
     EXPECT_EQ(online.tuples[i].lockset, offline.tuples[i].lockset);
     EXPECT_EQ(online.tuples[i].context, offline.tuples[i].context);
     EXPECT_EQ(online.tuples[i].tau, offline.tuples[i].tau);
+    EXPECT_EQ(online.tuples[i].trace_pos, offline.tuples[i].trace_pos);
   }
-  EXPECT_EQ(online.unique, offline.unique);
+  ASSERT_EQ(online.log.size(), offline.log.size());
+  for (std::size_t i = 0; i < online.log.size(); ++i) {
+    EXPECT_EQ(online.log[i].lock, offline.log[i].lock);
+    EXPECT_EQ(online.log[i].index(), offline.log[i].index());
+    EXPECT_EQ(online.log[i].pos, offline.log[i].pos);
+  }
 }
 
 // ---- the incremental canonical index against the first-occurrence rule ----
 
-// The rule `unique` must obey at every point: the positions of the first
-// retained tuple of each TupleKey, in order.
-std::vector<std::size_t> first_occurrences(const std::vector<LockTuple>& tuples) {
-  std::unordered_set<TupleKey, TupleKeyHash> seen;
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < tuples.size(); ++i)
-    if (seen.insert(key_of(tuples[i])).second) out.push_back(i);
-  return out;
-}
-
-// What a retained tuple must be, built from the stream's own held-lock
-// model rather than read back from the builder.
+// What a retained acquisition must be, built from the stream's own
+// held-lock model rather than read back from the builder.
 struct ExpectedTuple {
   std::size_t trace_pos;
   ThreadId thread;
   LockId lock;
   std::vector<LockId> lockset;
   std::vector<SiteId> sites;  // context sites, this acquisition's last
+
+  bool same_key(const ExpectedTuple& o) const {
+    return thread == o.thread && lock == o.lock && sites == o.sites;
+  }
 };
 
 void expect_tuples(const std::vector<LockTuple>& got,
@@ -231,6 +241,20 @@ void expect_tuples(const std::vector<LockTuple>& got,
   }
 }
 
+void expect_log(const std::deque<Acquisition>& got,
+                const std::vector<ExpectedTuple>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pos, want[i].trace_pos) << "record " << i;
+    EXPECT_EQ(got[i].thread, want[i].thread) << "record " << i;
+    EXPECT_EQ(got[i].lock, want[i].lock) << "record " << i;
+    EXPECT_EQ(got[i].site, want[i].sites.back()) << "record " << i;
+  }
+}
+
+// The canonical tier must hold, at every point, the first acquisition of
+// each key since the key last left the tier (by eviction, take or clear),
+// in arrival order; the log every acquisition not yet trimmed or evicted.
 TEST(LockDependencyTest, IncrementalUniqueMatchesFirstOccurrenceRule) {
   constexpr int kThreads = 3;
   constexpr int kLocks = 5;
@@ -240,7 +264,8 @@ TEST(LockDependencyTest, IncrementalUniqueMatchesFirstOccurrenceRule) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     LockDependencyBuilder builder;
-    std::vector<ExpectedTuple> retained;
+    std::vector<ExpectedTuple> canon;  // the canonical tier
+    std::vector<ExpectedTuple> log;    // the acquisition log
     // Per thread: held (lock, site) pairs in acquisition order.
     std::vector<std::vector<std::pair<LockId, SiteId>>> held(kThreads);
     std::size_t pos = 0;
@@ -273,7 +298,11 @@ TEST(LockDependencyTest, IncrementalUniqueMatchesFirstOccurrenceRule) {
         e.lock = lock;
         e.site = site;
         builder.add(e);
-        retained.push_back(std::move(want));
+        if (std::none_of(
+                canon.begin(), canon.end(),
+                [&](const ExpectedTuple& c) { return c.same_key(want); }))
+          canon.push_back(want);
+        log.push_back(std::move(want));
         stack.emplace_back(lock, site);
         ++pos;
       } else if (op < 85 && !stack.empty()) {
@@ -289,66 +318,73 @@ TEST(LockDependencyTest, IncrementalUniqueMatchesFirstOccurrenceRule) {
         stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(victim));
         ++pos;
       } else if (op < 89) {
-        const std::vector<std::size_t> canon =
-            first_occurrences(builder.pending().tuples);
-        std::vector<ExpectedTuple> kept;
-        for (std::size_t i : canon) kept.push_back(retained[i]);
-        EXPECT_EQ(builder.compact(), retained.size() - kept.size());
-        retained = std::move(kept);
+        const std::size_t max_records = rng.below(log.size() + 1);
+        const std::size_t trimmed = log.size() - max_records;
+        EXPECT_EQ(builder.trim_log(max_records), trimmed);
+        log.erase(log.begin(),
+                  log.begin() + static_cast<std::ptrdiff_t>(trimmed));
       } else if (op < 92) {
-        const std::size_t max_tuples = rng.below(retained.size() + 1);
-        const std::size_t evicted = retained.size() - max_tuples;
+        const std::size_t max_tuples = rng.below(canon.size() + 1);
+        const std::size_t evicted = canon.size() - max_tuples;
         EXPECT_EQ(builder.evict_oldest(max_tuples), evicted);
-        retained.erase(retained.begin(),
-                       retained.begin() + static_cast<std::ptrdiff_t>(evicted));
+        canon.erase(canon.begin(),
+                    canon.begin() + static_cast<std::ptrdiff_t>(evicted));
+        if (evicted > 0) {
+          const std::size_t oldest =
+              canon.empty() ? pos : canon.front().trace_pos;
+          std::erase_if(log, [&](const ExpectedTuple& r) {
+            return r.trace_pos < oldest;
+          });
+        }
       } else if (op < 97) {
-        // A lock-closed subset: every retained tuple of some request locks.
+        // A lock-closed subset of canonical ordinals: every canonical tuple
+        // of some request locks.
         std::set<LockId> locks;
         for (LockId l = 0; l < kLocks; ++l)
           if (rng.chance(0.5)) locks.insert(l);
-        std::vector<std::size_t> indices;
-        std::vector<LockTuple> expected;
-        const auto& tuples = builder.pending().tuples;
-        for (std::size_t i = 0; i < tuples.size(); ++i) {
-          if (locks.count(tuples[i].lock) == 0) continue;
-          indices.push_back(i);
-          expected.push_back(tuples[i]);
+        std::vector<std::size_t> ordinals;
+        std::vector<ExpectedTuple> expected;
+        for (std::size_t k = 0; k < canon.size(); ++k) {
+          if (locks.count(canon[k].lock) == 0) continue;
+          ordinals.push_back(k);
+          expected.push_back(canon[k]);
         }
-        const LockDependency sub = builder.snapshot_subset(indices);
-        ASSERT_EQ(sub.tuples.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i)
-          EXPECT_EQ(sub.tuples[i].trace_pos, expected[i].trace_pos);
-        EXPECT_EQ(sub.unique, first_occurrences(expected));
+        const LockDependency sub = builder.snapshot_subset(ordinals);
+        expect_tuples(sub.tuples, expected);
+        EXPECT_TRUE(sub.log.empty());
       } else if (op < 99) {
         const LockDependency dep = builder.take_dependency();
-        expect_tuples(dep.tuples, retained);
-        EXPECT_EQ(dep.unique, first_occurrences(dep.tuples));
-        retained.clear();  // held locks and the event position carry on
+        expect_tuples(dep.tuples, canon);
+        expect_log(dep.log, log);
+        canon.clear();  // held locks and the event position carry on
+        log.clear();
       } else {
         builder.clear();
-        retained.clear();
+        canon.clear();
+        log.clear();
         for (auto& h : held) h.clear();
         pos = 0;
       }
 
       const LockDependency& dep = builder.pending();
-      expect_tuples(dep.tuples, retained);
-      EXPECT_EQ(dep.unique, first_occurrences(dep.tuples));
+      expect_tuples(dep.tuples, canon);
+      expect_log(dep.log, log);
       if (::testing::Test::HasFailure()) return;
 
-      // Count the states where a duplicate holds other locks than its
-      // canonical, so the test is known to cover them.
-      std::unordered_map<TupleKey, const LockTuple*, TupleKeyHash> canonical_of;
-      for (std::size_t u : dep.unique)
-        canonical_of.emplace(key_of(dep.tuples[u]), &dep.tuples[u]);
-      for (const LockTuple& tuple : dep.tuples)
-        if (canonical_of.at(key_of(tuple))->lockset != tuple.lockset) {
+      // Count the states where a logged duplicate holds other locks than
+      // its canonical, so the test is known to cover them.
+      for (const ExpectedTuple& r : log) {
+        auto c = std::find_if(
+            canon.begin(), canon.end(),
+            [&](const ExpectedTuple& k) { return k.same_key(r); });
+        if (c != canon.end() && c->lockset != r.lockset) {
           ++steps_with_differing_locksets;
           break;
         }
+      }
     }
   }
-  EXPECT_GE(steps_with_differing_locksets, 100u);  // 163 with these seeds
+  EXPECT_GE(steps_with_differing_locksets, 100u);
 }
 
 TEST(LockDependencyTest, ToStringIsReadable) {

@@ -224,7 +224,7 @@ TEST(PipelineCounterTest, FunnelCountersMatchTheReport) {
 
   EXPECT_EQ(counters.value("trace.events"), trace->size());
   EXPECT_EQ(counters.value("detector.tuples"),
-            report.detection.dep.tuples.size());
+            report.detection.dep.log.size());
   EXPECT_EQ(counters.value("detector.cycles"),
             report.detection.cycles.size());
   EXPECT_EQ(counters.value("pruner.cycles_in"), report.cycles.size());

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -149,6 +150,22 @@ TEST_P(WolfPropertyTest, DsigmaStructuralInvariants) {
     EXPECT_EQ(unique_locks.size(), t.lockset.size());
     // The acquired lock is never already held.
     EXPECT_FALSE(t.holds(t.lock));
+  }
+  // The log is in trace order, and it records each canonical tuple's own
+  // acquisition at the tuple's trace position.
+  const std::deque<Acquisition>& log = c->detection.dep.log;
+  std::map<std::size_t, const Acquisition*> by_pos;
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    if (k > 0) {
+      EXPECT_LT(log[k - 1].pos, log[k].pos);
+    }
+    by_pos.emplace(log[k].pos, &log[k]);
+  }
+  for (const LockTuple& t : c->detection.dep.tuples) {
+    auto it = by_pos.find(t.trace_pos);
+    ASSERT_NE(it, by_pos.end()) << t.to_string();
+    EXPECT_EQ(it->second->index(), t.acquire_index());
+    EXPECT_EQ(it->second->lock, t.lock);
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include "core/report_writer.hpp"
 #include "sim/scheduler.hpp"
+#include "testutil.hpp"
 #include "trace/trace_reader.hpp"
 #include "wolf.hpp"
 #include "workloads/collections.hpp"
@@ -106,6 +107,38 @@ TEST(ReportWriterTest, WarnsWhenAnUngovernedSessionIsPoisoned) {
             std::string::npos)
       << md;
   EXPECT_NE(md.find("malformed event rejected"), std::string::npos);
+}
+
+TEST(ReportWriterTest, GovernedReportCarriesTheLogTrimNote) {
+  // Ring threads that then re-run one nest thousands of times: about
+  // 2.9 MB of acquisition log against a 1 MiB budget, so the governor trims
+  // the log but keeps every canonical tuple.
+  test::LockShapeConfig shape;
+  shape.ring_threads = 5;
+  shape.ring_degree = 2;
+  shape.ring_repeats = 6000;
+  const sim::Program program = test::lock_shape_program(shape);
+  auto trace = sim::record_trace(program, 2014, 60);
+  ASSERT_TRUE(trace.has_value());
+
+  Config config;
+  config.jobs = 1;
+  config.replay.attempts = 1;
+  config.memory_budget_mb = 1;
+  config.window_events = 4096;
+  Session session = Session::open(config);
+  VectorTraceReader reader(*trace);
+  WolfReport report =
+      analyze_session(program, session, reader, config.wolf_options());
+  EXPECT_TRUE(report.governed);
+  EXPECT_TRUE(report.governor.coverage_complete);
+  EXPECT_GT(report.governor.tuples_compacted, 0u);
+  const std::string md = write_markdown_report(report, program.sites());
+  EXPECT_EQ(md.find("**Warning:**"), std::string::npos) << md;
+  EXPECT_NE(md.find(": memory budget trimmed the acquisition log; Gs may be "
+                    "smaller than batch"),
+            std::string::npos)
+      << md;
 }
 
 TEST(ReportWriterTest, HandlesUnrecordedTrace) {

@@ -57,10 +57,15 @@ TEST(RtExecutorTest, TraceTupleMultisetMatchesSimSubstrate) {
   ASSERT_TRUE(sim_trace.has_value());
   ASSERT_TRUE(rt_trace.has_value());
 
+  // Canonical tuples, plus every logged acquisition without its
+  // (interleaving-dependent) trace position.
   auto tuple_keys = [](const Trace& trace) {
     LockDependency dep = LockDependency::from_trace(trace);
     std::multiset<std::string> keys;
     for (const LockTuple& t : dep.tuples) keys.insert(t.to_string());
+    for (const Acquisition& a : dep.log)
+      keys.insert(a.index().to_string() + " acquires " +
+                  std::to_string(a.lock));
     return keys;
   };
   EXPECT_EQ(tuple_keys(*sim_trace), tuple_keys(*rt_trace));

@@ -143,6 +143,17 @@ sim::Program lock_shape_program(const LockShapeConfig& config) {
         p.unlock(tid, lj, p.site("Ring.innerX", tag));
         p.unlock(tid, li, p.site("Ring.outerX", tag));
       }
+      if (config.ring_repeats > 0) {
+        const int tag = gen * 10000 + i * 100;
+        const LockId a = p.add_lock(numbered("own-a-", tag));
+        const LockId b = p.add_lock(numbered("own-b-", tag));
+        for (int r = 0; r < config.ring_repeats; ++r) {
+          p.lock(tid, a, p.site("Ring.ownOuter", tag));
+          p.lock(tid, b, p.site("Ring.ownInner", tag));
+          p.unlock(tid, b, p.site("Ring.ownInnerX", tag));
+          p.unlock(tid, a, p.site("Ring.ownOuterX", tag));
+        }
+      }
     }
     // The barrier: this batch is joined before the next generation starts.
     for (ThreadId t : batch) p.start(main, t, spawn);

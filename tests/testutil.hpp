@@ -44,7 +44,10 @@ sim::Program random_program(Rng& rng, const RandomProgramConfig& config = {});
 //     nontrivial SCC carrying many cycles;
 //   * generations — the ring is run by this many thread generations, and
 //     main joins each before it starts the next, so every cycle across two
-//     generations is infeasible by Algorithm 2.
+//     generations is infeasible by Algorithm 2;
+//   * ring_repeats — after its ring nests, each ring thread nests two locks
+//     of its own this many times from the same two sites: a long trace of
+//     duplicate acquisitions that cannot deadlock.
 // Ring thread i of generation g is named "gen<g>-<i>".
 struct LockShapeConfig {
   int layered_threads = 0;
@@ -53,6 +56,7 @@ struct LockShapeConfig {
   int ring_threads = 0;
   int ring_degree = 1;
   int generations = 1;
+  int ring_repeats = 0;
 };
 
 sim::Program lock_shape_program(const LockShapeConfig& config);

@@ -39,7 +39,10 @@ namespace {
 // detection results.
 std::string detection_fingerprint(const Detection& d) {
   std::ostringstream os;
-  os << d.dep.tuples.size() << '/' << d.dep.unique.size() << '\n';
+  os << d.dep.log.size() << '/' << d.dep.tuples.size() << '\n';
+  for (const Acquisition& a : d.dep.log)
+    os << a.thread << ':' << a.lock << ':' << a.site << '.' << a.occurrence
+       << ':' << a.pos << '\n';
   for (const LockTuple& t : d.dep.tuples) {
     os << t.thread << ':' << t.lock << ':' << t.tau << ':' << t.trace_pos
        << ':';

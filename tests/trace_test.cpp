@@ -578,6 +578,41 @@ TEST(SalvageCorpusV3Test, CorruptStoredChecksumNamesTheBlock) {
   EXPECT_EQ(report.trace.events.front().seq, wire::kBlockEvents);
 }
 
+TEST(SalvageCorpusV3Test, CorruptFooterChecksumFailsTheTrace) {
+  // Every block intact, one byte of the footer's whole-trace checksum
+  // flipped: only the chain the reader computes beside each block's can
+  // tell.
+  Trace original = block_trace(3, 7);
+  std::string bytes = trace_to_string(original, TraceFormat::kV3);
+  std::uint64_t index_offset = 0;
+  for (int i = 0; i < 8; ++i)
+    index_offset |= static_cast<std::uint64_t>(static_cast<unsigned char>(
+                        bytes[bytes.size() - 16 + static_cast<std::size_t>(i)]))
+                    << (8 * i);
+  bytes[static_cast<std::size_t>(index_offset) - 3] ^= 0x10;
+
+  std::string error;
+  EXPECT_EQ(trace_from_string(bytes, &error), std::nullopt);
+  EXPECT_NE(error.find("trace checksum mismatch"), std::string::npos) << error;
+
+  std::istringstream is(bytes);
+  StreamTraceReader reader(is);
+  std::vector<Event> block;
+  std::size_t delivered = 0;
+  while (reader.next_block(block)) delivered += block.size();
+  EXPECT_EQ(delivered, original.size());
+  EXPECT_FALSE(reader.ok());
+  EXPECT_NE(reader.error().find("trace checksum mismatch"), std::string::npos)
+      << reader.error();
+
+  SalvageReport report = salvage_trace_from_string(bytes);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.trace.events, original.events);
+  ASSERT_FALSE(report.diagnostics.empty());
+  EXPECT_NE(report.diagnostics[0].find("trace checksum mismatch"),
+            std::string::npos);
+}
+
 TEST(SalvageCorpusV3Test, TruncatedFooterDetected) {
   std::string bytes = trace_to_string(sample_trace(), TraceFormat::kV3);
   bytes.resize(bytes.size() - 4);  // cut inside the footer checksum

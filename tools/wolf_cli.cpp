@@ -466,8 +466,8 @@ int cmd_detect(const sim::Program& program, const Flags& flags) {
   auto verdicts = prune(det);
   const DependencyIndex dep_index = DependencyIndex::build(det.dep);
 
-  std::cout << det.dep.tuples.size() << " tuples ("
-            << det.dep.unique.size() << " canonical), "
+  std::cout << det.dep.log.size() << " tuples ("
+            << det.dep.tuples.size() << " canonical), "
             << det.cycles.size() << " cycles, " << det.defects.size()
             << " defects\n";
   for (std::size_t c = 0; c < det.cycles.size(); ++c) {
@@ -656,7 +656,8 @@ int cmd_serve(int argc, char** argv) {
   flags.define_int("window-events", 65536,
                    "default events per governed detection window");
   flags.define_int("memory-budget-mb", 0,
-                   "default per-session tuple-store budget (MiB, 0 = none)");
+                   "default per-session D_σ budget: canonical tuples plus "
+                   "the acquisition log (MiB, 0 = none)");
   flags.define_int("window-deadline-ms", 0,
                    "default per-window detection deadline (0 = none)");
   if (!flags.parse(argc, argv)) return 1;
@@ -865,8 +866,8 @@ int main(int argc, char** argv) {
     flags.define_bool("rank", false, "print the defect ranking");
     flags.define_string("report", "", "write a markdown report to this path");
     flags.define_int("memory-budget-mb", 0,
-                     "tuple-store budget for governed streaming analysis "
-                     "(MiB, 0 = unbounded)");
+                     "D_σ budget for governed streaming analysis: canonical "
+                     "tuples plus the acquisition log (MiB, 0 = unbounded)");
     flags.define_int("window-events", 65536,
                      "events per governed detection window");
     flags.define_int("window-deadline-ms", 0,
